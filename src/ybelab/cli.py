@@ -245,6 +245,11 @@ def cmd_example(args) -> int:
     return _finish(report, out)
 
 
+def _refuse_order(order: int, max_order: int) -> None:
+    if order > max_order:
+        raise PreconditionFailed(f"order {order} exceeds --max-order {max_order}")
+
+
 def cmd_verify(args) -> int:
     text = Path(args.file).read_text()
     report = RunReport()
@@ -254,10 +259,13 @@ def cmd_verify(args) -> int:
             r = report.build("parse", lambda: files.read_solution(text),
                              witness=lambda v: f"n={v.size}")
         except ParseError:
+            # A ParseError is a ValueError too; it must reach main() as
+            # unusable input (exit 2), not become a failed step.
             raise
         except ValueError as exc:
             report.add("parse", False, 0, _compact(str(exc)))
             return _finish(report, out)
+        _refuse_order(r.size, args.max_order)
         sr = report.build("scan", lambda: check_braid(r))
         report.add("braid", sr.braid, 0, _indices(sr.braid_witness))
         report.add("info-bijective", sr.bijective, 0,
@@ -271,17 +279,19 @@ def cmd_verify(args) -> int:
         return _finish(report, out)
 
     if args.kind == "group":
-        table, _ = files.read_group_table(text)
-        rep = report.build("scan", lambda: Report(tuple(group_table_checks(table))))
+        tables = files.read_group_table(text)[:1]
+        scan = lambda: Report(tuple(group_table_checks(*tables)))
     elif args.kind == "brace":
-        star, dot = files.read_brace(text)
-        rep = report.build("scan", lambda: verify_skew_brace(star, dot))
+        tables = files.read_brace(text)
+        scan = lambda: verify_skew_brace(*tables)
     elif args.kind == "bracoid":
-        gt, nt, at = files.read_bracoid(text)
-        rep = report.build("scan", lambda: verify_bracoid(gt, nt, at))
+        tables = files.read_bracoid(text)
+        scan = lambda: verify_bracoid(*tables)
     else:
-        dt, pt = files.read_semibrace(text)
-        rep = report.build("scan", lambda: verify_semibrace(dt, pt))
+        tables = files.read_semibrace(text)
+        scan = lambda: verify_semibrace(*tables)
+    _refuse_order(max(t.shape[0] for t in tables), args.max_order)
+    rep = report.build("scan", scan)
     report.absorb("", rep)
     return _finish(report, out)
 

@@ -15,11 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import Check, Report, find_identity, group_table_checks
-
-# O(n^3) associativity scans are only run up to this order; larger tables must
-# come from trusted product constructions.
-ASSOC_CHECK_LIMIT = 2048
+from .checks import Check, Report, find_identity, generators, group_table_checks
 
 AUTOMORPHISM_CAP = 64
 
@@ -73,7 +69,7 @@ def _raise_for_check(check: Check) -> None:
 class FiniteGroup:
     """A finite group given by its full multiplication table; identity is 0.
 
-    `trusted=True` skips only the O(n^3) associativity scan and is reserved for
+    `trusted=True` skips only the associativity check and is reserved for
     tables assembled from already-verified inputs (products, reindexed
     subgroups, quotients).  The Latin-square, identity, and inverse checks
     always run.
@@ -84,8 +80,7 @@ class FiniteGroup:
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise NotLatinSquare(f"table shape {arr.shape} is not square")
         n = arr.shape[0]
-        check_assoc = not trusted and n <= ASSOC_CHECK_LIMIT
-        for check in group_table_checks(arr, check_assoc=check_assoc):
+        for check in group_table_checks(arr, check_assoc=not trusted):
             if not check.ok:
                 _raise_for_check(check)
         self.order: int = n
@@ -200,13 +195,10 @@ class GroupAction:
             p = int(np.argmin(arr[0] == np.arange(m)))
             raise ValueError(f"identity must act trivially; moves point {p}")
         if not trusted:
-            for g in range(actor.order):
-                lhs = arr[actor.table[g]]      # (h, p) -> (g*h).p
-                rhs = arr[g][arr]              # (h, p) -> g.(h.p)
-                bad = lhs != rhs
-                if bad.any():
-                    h, p = map(int, np.argwhere(bad)[0])
-                    raise ValueError(f"not an action: (g*h).p != g.(h.p) at g={g} h={h} p={p}")
+            witness = _action_law_failure(actor.table, arr)
+            if witness is not None:
+                g, h, p = witness
+                raise ValueError(f"not an action: (g*h).p != g.(h.p) at g={g} h={h} p={p}")
         self.actor = actor
         self.space_size = m
         self.table = arr
@@ -220,6 +212,34 @@ class GroupAction:
 
     def __repr__(self) -> str:
         return f"GroupAction({self.actor.name!r} on {self.space_size} points)"
+
+
+def _action_law_failure(gt: np.ndarray, act: np.ndarray) -> tuple[int, int, int] | None:
+    """First (g, h, p) with (g*h).p != g.(h.p), or None.
+
+    gt must be an associative table; act[0] need not be the identity map.
+    The law is proved on h in 0 and generators(gt).  Let T be the set of h
+    with act[g*h] = act[g] o act[h] for every g.  If h, k are in T then so
+    is h*k:  act[g*(h*k)] = act[(g*h)*k] = act[g*h] o act[k]
+    = act[g] o act[h] o act[k] = act[g] o act[h*k], the last step being k in
+    T at g = h.  So T holds the closure of 0 and the generators, which is
+    all of G.  When the test fails, the full scan names the first triple.
+    """
+    for h in [0, *generators(gt)]:
+        if not np.array_equal(act[gt[:, h]], act[:, act[h]]):
+            return _brute_action_law(gt, act)
+    return None
+
+
+def _brute_action_law(gt: np.ndarray, act: np.ndarray) -> tuple[int, int, int] | None:
+    for g in range(gt.shape[0]):
+        lhs = act[gt[g]]               # (h, p) -> (g*h).p
+        rhs = act[g][act]              # (h, p) -> g.(h.p)
+        bad = lhs != rhs
+        if bad.any():
+            h, p = map(int, np.argwhere(bad)[0])
+            return g, h, p
+    return None
 
 
 @dataclass(frozen=True)
@@ -255,8 +275,9 @@ class GroupMap:
         return self.source.order == self.target.order and len(set(self.images)) == self.source.order
 
     def compose(self, other: GroupMap) -> GroupMap:
-        """self after other."""
-        if other.target is not self.source and other.target.order != self.source.order:
+        """self after other; other's target must be self's source."""
+        if other.target is not self.source and not np.array_equal(
+                other.target.table, self.source.table):
             raise ValueError("composition mismatch")
         return GroupMap(other.source, self.target, tuple(self.images[x] for x in other.images))
 
@@ -441,17 +462,6 @@ def subgroup_generated(G: FiniteGroup, gens: Sequence[int]) -> Subgroup:
     return Subgroup(G, tuple(sorted(elems)), generators=gens)
 
 
-def _greedy_generators(G: FiniteGroup) -> list[int]:
-    """Irredundant generating list, picking the smallest element outside the closure."""
-    gens: list[int] = []
-    closed = {0}
-    while len(closed) < G.order:
-        g = next(i for i in range(G.order) if i not in closed)
-        gens.append(g)
-        closed = set(_closure(G.table, gens))
-    return gens
-
-
 def _extend_hom(table: np.ndarray, img: np.ndarray, elems: list[int], g: int, y: int):
     """Extend a partial endomorphism (defined on the closed set `elems`) by g -> y.
 
@@ -489,7 +499,7 @@ def automorphism_group(
     if G.order > cap:
         raise CapExceeded(f"|G| = {G.order} exceeds the automorphism search cap {cap}")
     n = G.order
-    gens = _greedy_generators(G)
+    gens = generators(G.table)
     orders = G.element_orders
     base = np.full(n, -1, dtype=np.int32)
     base[0] = 0
@@ -551,25 +561,6 @@ def stabilizer(action: GroupAction, point: int) -> Subgroup:
     if orbit * len(elems) != action.actor.order:
         raise AssertionError("orbit-stabilizer count mismatch")
     return sub
-
-
-def all_subgroups(G: FiniteGroup) -> list[Subgroup]:
-    """Every subgroup of G, by closure of incrementally extended generator sets."""
-    table = G.table
-    visited: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
-    queue = deque([((0,), ())])
-    while queue:
-        elems, gens = queue.popleft()
-        members = set(elems)
-        for g in range(1, G.order):
-            if g in members:
-                continue
-            new = _closure(table, gens + (g,))
-            key = tuple(sorted(new))
-            if key not in visited:
-                visited[key] = gens + (g,)
-                queue.append((key, gens + (g,)))
-    return [Subgroup(G, k, generators=v) for k, v in sorted(visited.items())]
 
 
 def find_complements(G: FiniteGroup, S: Subgroup) -> list[Subgroup]:

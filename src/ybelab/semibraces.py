@@ -15,21 +15,41 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bracoids import ContainedBrace, SkewBracoid, transport
-from .checks import AxiomViolated, Check, Report, group_table_checks
+from .checks import AxiomViolated, Check, Report, _assoc_failure, generators, group_table_checks
 from .groups import FiniteGroup, Subgroup, stabilizer
 
 
-def _plus_assoc_failure(plus: np.ndarray) -> tuple[int, int, int] | None:
-    for x in range(plus.shape[0]):
-        bad = plus[plus[x]] != plus[x][plus]
-        if bad.any():
-            y, z = map(int, np.argwhere(bad)[0])
-            return x, y, z
-    return None
+def _L_table(dot: FiniteGroup, plus: np.ndarray) -> np.ndarray:
+    """L[x, y] = x.(x^-1 + y)."""
+    arange = np.arange(dot.order, dtype=np.int32)
+    return dot.table[arange[:, None], plus[dot.inv]]
+
+
+def _multiplicative(dot: FiniteGroup, L: np.ndarray) -> bool:
+    """L_{c.g} = L_c o L_g for every c and every g in generators(dot)."""
+    return all(np.array_equal(L[dot.table[:, g]], L[:, L[g]])
+               for g in generators(dot.table))
 
 
 def _relation_failure(dot: FiniteGroup, plus: np.ndarray) -> tuple[int, int, int] | None:
-    """First triple breaking x.(y+z) = x.y + x.(x^-1 + z), or None."""
+    """First triple breaking x.(y+z) = x.y + x.(x^-1 + z), or None.
+
+    With L_x(w) = x.(x^-1 + w), any table + has a + w = a.L_{a^-1}(w).  So
+    the relation at (x, y, z) reads x.y.L_{y^-1}(z) = x.y.L_{y^-1 x^-1}(L_x(z)),
+    that is L_{c.x}(z) = L_c(L_x(z)) with c = y^-1 x^-1, and it holds at x
+    for all y, z exactly when L_{c.x} = L_c o L_x for every c.  The x with
+    that property are closed under the product:
+        L_{c(xw)} = L_{(cx)w} = L_{cx} L_w = L_c L_x L_w = L_c L_{xw}.
+    Every element of the finite group (G, .) is a product of generators, so
+    checking x in generators(dot) proves the relation.  When the test
+    fails, the full scan names the lexicographically first triple.
+    """
+    if _multiplicative(dot, _L_table(dot, plus)):
+        return None
+    return _brute_relation(dot, plus)
+
+
+def _brute_relation(dot: FiniteGroup, plus: np.ndarray) -> tuple[int, int, int] | None:
     for x in range(dot.order):
         dx = dot.table[x]
         lhs = dx[plus]
@@ -56,7 +76,7 @@ def verify_semibrace(dot, plus) -> Report:
         results.append(Check("plus.range", ranged))
     usable = ranged and all(c.ok for c in results)
     if usable:
-        witness = _plus_assoc_failure(pt)
+        witness = _assoc_failure(pt)
         results.append(Check("plus.assoc", witness is None, witness=witness or ()))
         arange = np.arange(n, dtype=np.int32)
         rows = np.nonzero((np.sort(pt, axis=1) != arange).any(axis=1))[0]
@@ -96,24 +116,44 @@ class Semibrace:
         if not report.ok:
             raise AxiomViolated(
                 f"semibrace law failed: {report.first_failure().describe()}")
-        n = dot.order
-        arange = np.arange(n, dtype=np.int32)
-        L = dot.table[arange[:, None], plus[dot.inv]]
-        for x in range(n):
-            lx = L[x]
-            if not np.array_equal(lx[plus], plus[np.ix_(lx, lx)]):
-                raise AxiomViolated(f"L_{x} is not a plus-endomorphism")
-            if not np.array_equal(L[dot.table[x]], lx[L]):
-                raise AxiomViolated(f"L is not multiplicative at {x}")
+        L = _L_table(dot, plus)
+        why = _L_failure(dot, plus, L)
+        if why is not None:
+            raise AxiomViolated(why)
         plus.setflags(write=False)
         L.setflags(write=False)
         self.dot = dot
         self.plus = plus
-        self.order = n
+        self.order = dot.order
         self.L = L
 
     def __repr__(self) -> str:
         return f"Semibrace(order={self.order}, dot={self.dot.name!r})"
+
+
+def _L_failure(dot: FiniteGroup, plus: np.ndarray, L: np.ndarray) -> str | None:
+    """Why some L_x is not a plus-endomorphism or L is not multiplicative, or None.
+
+    + must be associative.  L is multiplicative exactly when the relation
+    holds, and that is proved on generators(dot) (see _relation_failure).
+    The relation at x then makes L_x an endomorphism of (G, +):
+        L_x(y+z) = x.((x^-1 + y) + z) = x.(x^-1 + y) + L_x(z) = L_x(y) + L_x(z).
+    When the test fails, the full scan names the first x that breaks
+    either law.
+    """
+    if _multiplicative(dot, L):
+        return None
+    return _brute_L_failure(dot, plus, L)
+
+
+def _brute_L_failure(dot: FiniteGroup, plus: np.ndarray, L: np.ndarray) -> str | None:
+    for x in range(dot.order):
+        lx = L[x]
+        if not np.array_equal(lx[plus], plus[np.ix_(lx, lx)]):
+            return f"L_{x} is not a plus-endomorphism"
+        if not np.array_equal(L[dot.table[x]], lx[L]):
+            return f"L is not multiplicative at {x}"
+    return None
 
 
 def L_map(sb: Semibrace, x: int) -> np.ndarray:

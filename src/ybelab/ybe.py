@@ -119,40 +119,103 @@ def _first_duplicate(row) -> tuple[int, int]:
     return int(order[k]), int(order[k + 1])
 
 
+def _braid_slice(left: np.ndarray, right: np.ndarray, x: int) -> np.ndarray:
+    """Mask over (y, z) of the triples (x, y, z) where the composites differ."""
+    lx, rx = left[x], right[x]
+    # r12 r23 r12 acting on (x, y, z), one (y, z) grid per coordinate.
+    mid = left[rx]
+    out1 = left[lx[:, None], mid]
+    out2 = right[lx[:, None], mid]
+    out3 = right[rx]
+    # r23 r12 r23 on the same grid.
+    alt1 = lx[left]
+    hand = rx[left]
+    alt2 = left[hand, right]
+    alt3 = right[hand, right]
+    return (out1 != alt1) | (out2 != alt2) | (out3 != alt3)
+
+
+def _brute_braid(left: np.ndarray, right: np.ndarray,
+                 collect_all: bool) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
+    """First failing triple and, with collect_all, every failing triple in order."""
+    witness: tuple[int, ...] = ()
+    gathered: list[tuple[int, int, int]] = []
+    for x in range(left.shape[0]):
+        bad = _braid_slice(left, right, x)
+        if bad.any():
+            ys, zs = np.nonzero(bad)
+            if not witness:
+                witness = (x, int(ys[0]), int(zs[0]))
+            if not collect_all:
+                break
+            gathered.extend((x, int(y), int(z)) for y, z in zip(ys, zs))
+    return witness, gathered
+
+
+def _first_braid_slice(left: np.ndarray, right: np.ndarray) -> int | None:
+    """First x whose slice holds a failing triple, or None.
+
+    Same composites as _braid_slice, computed by np.take on raveled tables
+    (flat index row * n + column) into buffers allocated once; values are
+    uint16 when n < 65536.  SolutionMap keeps every entry in 0..n-1, so
+    every flat index is in range and mode="clip" only skips the bounds
+    check.
+    """
+    n = left.shape[0]
+    small = np.uint16 if n < 1 << 16 else np.int32
+    lflat, rflat = left.astype(small).ravel(), right.astype(small).ravel()
+    lrows, rrows = lflat.reshape(n, n), rflat.reshape(n, n)
+    lidx, ridx = left.astype(np.intp), right.astype(np.intp).ravel()
+    flat = lidx.ravel()
+    offset = np.arange(n, dtype=np.intp) * n            # row start in a raveled table
+    index = np.empty(n * n, dtype=np.intp)
+    grid = index.reshape(n, n)
+    one, two = np.empty(n * n, dtype=small), np.empty(n * n, dtype=small)
+    rows = two.reshape(n, n)
+    for x in range(n):
+        lx, rx = lrows[x], rrows[x]
+        # hand = r_x(left[y, z]); alt = r(hand, right[y, z]).
+        np.take(offset[rx], flat, out=index, mode="clip")
+        index += ridx
+        np.take(rflat, index, out=one, mode="clip")     # alt3
+        np.take(rrows, rx, axis=0, out=rows)            # out3 = right[rx[y], z]
+        if not np.array_equal(one, two):
+            return x
+        np.take(lflat, index, out=one, mode="clip")     # alt2
+        # mid = left[rx[y], z]; out = r(lx[y], mid).
+        np.take(lidx, rx, axis=0, out=grid)
+        grid += offset[lx][:, None]
+        np.take(rflat, index, out=two, mode="clip")     # out2
+        if not np.array_equal(one, two):
+            return x
+        np.take(lflat, index, out=one, mode="clip")     # out1
+        np.take(lx, flat, out=two, mode="clip")         # alt1
+        if not np.array_equal(one, two):
+            return x
+    return None
+
+
 def check_braid(r: SolutionMap, collect_all: bool = False) -> SolutionReport:
     """Evaluate both braid composites on all n^3 triples and report.
 
     The scan runs one x-slice at a time and stops at the first failing
-    slice unless ``collect_all`` is set, in which case every failing
-    triple is gathered (in lexicographic order).  The four pairwise
+    slice, which is then recomputed by _braid_slice to name the first
+    failing (y, z).  With ``collect_all`` every slice is scanned and every
+    failing triple gathered (in lexicographic order).  The four pairwise
     properties are always measured in full.
     """
     left, right = r.left, r.right
     n = r.size
-    braid_ok = True
-    braid_witness: tuple[int, ...] = ()
-    gathered: list[tuple[int, int, int]] = []
-    for x in range(n):
-        lx, rx = left[x], right[x]
-        # r12 r23 r12 acting on (x, y, z), one (y, z) grid per coordinate.
-        mid = left[rx]
-        out1 = left[lx[:, None], mid]
-        out2 = right[lx[:, None], mid]
-        out3 = right[rx]
-        # r23 r12 r23 on the same grid.
-        alt1 = lx[left]
-        hand = rx[left]
-        alt2 = left[hand, right]
-        alt3 = right[hand, right]
-        bad = (out1 != alt1) | (out2 != alt2) | (out3 != alt3)
-        if bad.any():
-            braid_ok = False
-            ys, zs = np.nonzero(bad)
-            if not braid_witness:
-                braid_witness = (x, int(ys[0]), int(zs[0]))
-            if not collect_all:
-                break
-            gathered.extend((x, int(y), int(z)) for y, z in zip(ys, zs))
+    if collect_all:
+        braid_witness, gathered = _brute_braid(left, right, collect_all=True)
+    else:
+        gathered = []
+        x = _first_braid_slice(left, right)
+        braid_witness = ()
+        if x is not None:
+            ys, zs = np.nonzero(_braid_slice(left, right, x))
+            braid_witness = (x, int(ys[0]), int(zs[0]))
+    braid_ok = not braid_witness
 
     bij_ok, bij_witness = True, ()
     codes = left.astype(np.int64).ravel() * n + right.ravel()

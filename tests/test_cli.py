@@ -61,6 +61,20 @@ def test_example_respects_max_order(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("kind", ["group", "brace", "bracoid", "semibrace", "solution"])
+def test_verify_respects_max_order(tmp_path, capsys, kind):
+    main(["example", "semidirect", "3", "2", "--out", str(tmp_path)])
+    path = tmp_path / f"semidirect-3-2-{kind}.txt"
+    capsys.readouterr()
+    assert main(["verify", kind, str(path), "--max-order", "6"]) == 0
+    capsys.readouterr()
+    code = main(["verify", kind, str(path), "--max-order", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "PreconditionFailed" in captured.err
+    assert "STEP scan" not in captured.out
+
+
 def test_verify_group_passes(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text(write_group(_sd32()))

@@ -1,0 +1,364 @@
+"""Differential tests: each generator-reduced law check against its full scan.
+
+Every fast check must agree with its `_brute_*` oracle on pass/fail and on
+the first counterexample.  Inputs are catalog structures under random
+relabellings, the same with one table entry changed, random loops, random
+action tables and random Yang-Baxter maps.  The report-level tests run
+each verifier twice, once with the fast checks and once with the oracles
+patched in, and require identical reports.
+"""
+
+from contextlib import ExitStack
+from dataclasses import dataclass
+from functools import cache
+from itertools import permutations, product
+from unittest import mock
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ybelab import braces, bracoids, checks, groups, semibraces, ybe
+from ybelab.catalog import abelianmap_instance, semidirect_instance, trivial_brace_instance
+from ybelab.groups import FiniteGroup, _closure, cyclic_group, elementary_abelian
+from ybelab.semibraces import bracoid_to_semibrace
+
+FAST = settings(max_examples=60, deadline=None)
+
+
+@dataclass(frozen=True)
+class Base:
+    g: np.ndarray        # acting group, also the brace's dot group
+    star: np.ndarray
+    n: np.ndarray        # point group
+    act: np.ndarray
+    plus: np.ndarray
+
+
+@cache
+def pool() -> tuple[Base, ...]:
+    insts = [trivial_brace_instance((4,)), trivial_brace_instance((3, 2)),
+             semidirect_instance(3, 2), semidirect_instance(5, 2),
+             semidirect_instance(7, 3), abelianmap_instance(3, 5)]
+    return tuple(Base(i.bracoid.G.table, i.brace.star.table, i.bracoid.N.table,
+                      i.bracoid.act.table, bracoid_to_semibrace(i.contained).plus)
+                 for i in insts)
+
+
+bases = st.integers(0, 5).map(lambda k: pool()[k])
+rngs = st.integers(0, 2**32 - 1).map(np.random.default_rng)
+
+
+def fixing_zero(rng, size: int) -> np.ndarray:
+    return np.concatenate(([0], 1 + rng.permutation(size - 1)))
+
+
+def relabel(table: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+            values: np.ndarray) -> np.ndarray:
+    """out[rows[a], cols[b]] = values[table[a, b]]."""
+    return values[table[np.ix_(np.argsort(rows), np.argsort(cols))]]
+
+
+def relabelled(base: Base, rng) -> Base:
+    pg = fixing_zero(rng, base.g.shape[0])
+    pn = fixing_zero(rng, base.n.shape[0])
+    on_g = lambda t: relabel(t, pg, pg, pg)
+    return Base(on_g(base.g), on_g(base.star), relabel(base.n, pn, pn, pn),
+                relabel(base.act, pg, pn, pn), on_g(base.plus))
+
+
+def poke(table: np.ndarray, rng) -> np.ndarray:
+    """The table with one entry changed to another in-range value."""
+    out = table.copy()
+    i, j = (int(rng.integers(s)) for s in table.shape)
+    out[i, j] = (out[i, j] + 1 + rng.integers(max(1, table.shape[1] - 1))) % table.shape[1]
+    return out
+
+
+def swap_labels(table: np.ndarray, rng) -> np.ndarray:
+    """The table relabelled by a transposition fixing 0: a group stays a group."""
+    m = table.shape[0]
+    sigma = np.arange(m)
+    if m > 2:
+        i, j = 1 + rng.choice(m - 1, 2, replace=False)
+        sigma[[i, j]] = sigma[[j, i]]
+    return relabel(table, sigma, sigma, sigma)
+
+
+def random_loop(rng, n: int) -> np.ndarray:
+    """A random Latin square, made into a loop with identity 0 by isotopy."""
+    sq = -np.ones((n, n), dtype=np.int64)
+
+    def fill(k: int) -> bool:
+        if k == n * n:
+            return True
+        i, j = divmod(k, n)
+        used = set(sq[i, :j].tolist()) | set(sq[:i, j].tolist())
+        for v in rng.permutation(n):
+            if int(v) not in used:
+                sq[i, j] = v
+                if fill(k + 1):
+                    return True
+        sq[i, j] = -1
+        return False
+
+    fill(0)
+    # x o y = sq[rho^-1(x), lam^-1(y)] with rho = column 0, lam = row 0;
+    # its identity is e = sq[0, 0], which a swap with 0 moves to index 0.
+    loop = sq[np.ix_(np.argsort(sq[:, 0]), np.argsort(sq[0]))]
+    e = int(sq[0, 0])
+    sigma = np.arange(n)
+    sigma[[0, e]] = sigma[[e, 0]]
+    return relabel(loop, sigma, sigma, sigma)
+
+
+def group(table: np.ndarray) -> FiniteGroup:
+    return FiniteGroup(table, trusted=True)
+
+
+def greedy_by_closure(table: np.ndarray) -> list[int]:
+    """The generating list as first defined: recompute the closure per pick."""
+    gens: list[int] = []
+    closed = {0}
+    while len(closed) < table.shape[0]:
+        gens.append(next(i for i in range(table.shape[0]) if i not in closed))
+        closed = set(_closure(table, gens))
+    return gens
+
+
+def brute_oracles() -> ExitStack:
+    """Patch the generator-reduced checks of the verify_* reports with full scans."""
+    stack = ExitStack()
+    for module, name, oracle in (
+            (checks, "_assoc_failure", checks._brute_assoc),
+            (semibraces, "_assoc_failure", checks._brute_assoc),
+            (bracoids, "_action_law_failure", groups._brute_action_law),
+            (braces, "_compat_failure", braces._brute_compat),
+            (bracoids, "_eq2_failure", bracoids._brute_eq2),
+            (semibraces, "_relation_failure", semibraces._brute_relation)):
+        stack.enter_context(mock.patch.object(module, name, oracle))
+    return stack
+
+
+# --- the generating list ---
+
+@FAST
+@given(rngs, st.integers(1, 12))
+def test_generators_match_the_closure_definition(rng, n):
+    table = rng.integers(0, n, (n, n))
+    gens = checks.generators(table)
+    assert gens == greedy_by_closure(table)
+    assert sorted(_closure(table, gens)) == list(range(n))
+
+
+@FAST
+@given(bases, rngs)
+def test_generators_of_relabelled_groups(base, rng):
+    for table in (relabelled(base, rng).g, relabelled(base, rng).plus):
+        assert checks.generators(table) == greedy_by_closure(table)
+
+
+# --- one law at a time ---
+
+def check_assoc(table):
+    assert checks._assoc_failure(table) == checks._brute_assoc(table)
+
+
+def check_action(g, act):
+    assert groups._action_law_failure(g, act) == groups._brute_action_law(g, act)
+
+
+def check_compat(star, dot):
+    star, dot = group(star), group(dot)
+    assert braces._compat_failure(star, dot) == braces._brute_compat(star, dot)
+
+
+def check_coupling(g, n, act):
+    G, N = group(g), group(n)
+    assert bracoids._eq2_failure(G, N, act) == bracoids._brute_eq2(G, N, act)
+
+
+def check_relation(g, plus):
+    dot = group(g)
+    assert semibraces._relation_failure(dot, plus) == semibraces._brute_relation(dot, plus)
+
+
+def check_L(g, plus):
+    dot = group(g)
+    L = semibraces._L_table(dot, plus)
+    assert semibraces._L_failure(dot, plus, L) == semibraces._brute_L_failure(dot, plus, L)
+
+
+def check_braid(left, right):
+    r = ybe.SolutionMap(left, right)
+    witness, _ = ybe._brute_braid(r.left, r.right, collect_all=False)
+    fast = ybe.check_braid(r)
+    assert (fast.braid, fast.braid_witness) == (not witness, witness)
+    full = ybe.check_braid(r, collect_all=True)
+    assert full.braid_witness == witness
+    if r.size <= 10:
+        everything = _braid_by_triples(r.left, r.right)
+        assert list(full.braid_counterexamples) == everything
+        assert witness == (everything[0] if everything else ())
+
+
+def _braid_by_triples(left, right) -> list[tuple[int, int, int]]:
+    """Failing triples from the definition, one triple at a time."""
+    def r(a, b):
+        return int(left[a, b]), int(right[a, b])
+
+    bad = []
+    n = left.shape[0]
+    for x, y, z in product(range(n), repeat=3):
+        a, b = r(x, y)                      # r12, r23, r12
+        b, c = r(b, z)
+        a, b = r(a, b)
+        p, q = r(y, z)                      # r23, r12, r23
+        p, s = r(x, p)
+        s, q = r(s, q)
+        if (a, b, c) != (p, s, q):
+            bad.append((x, y, z))
+    return bad
+
+
+def solution(inst: Base) -> tuple[np.ndarray, np.ndarray]:
+    """The semibrace solution r(x, y) = (l, l^-1 . x . y), l = x . (x^-1 + y)."""
+    g = inst.g
+    inv = np.argmax(g == 0, axis=1)
+    idx = np.arange(g.shape[0])
+    lmap = g[idx[:, None], inst.plus[inv]]
+    return lmap, g[g[inv[lmap], idx[:, None]], idx[None, :]]
+
+
+def pair(t1: np.ndarray, t2: np.ndarray) -> np.ndarray:
+    """Componentwise table on product carriers; (a1, a2) sits at a2 * size1 + a1.
+
+    Every law here holds on a product exactly when it holds on both
+    factors.  Greedy generators take the first factor's elements first, so
+    a fault confined to the second factor hides from the first generators.
+    """
+    (r1, c1), (r2, c2) = t1.shape, t2.shape
+    return (t2[:, None, :, None] * c1 + t1[None, :, None, :]).reshape(r2 * r1, c2 * c1)
+
+
+# law -> (the checker, the valid argument tuple of an instance, the cases of an
+# instance: valid, relabelled against each other, one entry changed, random).
+LAWS = {
+    "associativity": (check_assoc, lambda i: (i.g,), lambda i, o, rng: [
+        (i.g,), (i.star,), (i.plus,), (poke(i.g, rng),), (poke(i.plus, rng),),
+        (random_loop(rng, int(rng.integers(2, 6))),)]),
+    "action": (check_action, lambda i: (i.g, i.act), lambda i, o, rng: [
+        (i.g, i.act), (i.g, poke(i.act, rng)),
+        (i.g, rng.integers(0, i.act.shape[1], i.act.shape)),
+        (i.g, np.vstack([np.arange(i.act.shape[1]),
+                         rng.integers(0, i.act.shape[1], (i.act.shape[0] - 1, i.act.shape[1]))]))]),
+    "compat": (check_compat, lambda i: (i.star, i.g), lambda i, o, rng: [
+        (i.star, i.g), (i.star, swap_labels(i.g, rng)), (swap_labels(i.star, rng), i.g),
+        (i.g, i.star), (o.star, i.g)]),
+    "coupling": (check_coupling, lambda i: (i.g, i.n, i.act), lambda i, o, rng: [
+        (i.g, i.n, i.act), (i.g, i.n, poke(i.act, rng)), (i.g, swap_labels(i.n, rng), i.act),
+        (i.g, i.n, rng.integers(0, i.act.shape[1], i.act.shape))]),
+    "relation": (check_relation, lambda i: (i.g, i.plus), lambda i, o, rng: [
+        (i.g, i.plus), (i.g, poke(i.plus, rng)), (i.g, swap_labels(i.plus, rng)),
+        (i.g, rng.integers(0, i.g.shape[0], i.g.shape)), (i.g, i.g)]),
+    # _L_failure assumes + associative: semibrace + tables and group tables.
+    "L": (check_L, lambda i: (i.g, i.plus), lambda i, o, rng: [
+        (i.g, i.plus), (o.g, i.plus), (i.g, i.star), (i.g, o.plus)]),
+    "braid": (check_braid, solution, lambda i, o, rng: [
+        solution(i), (poke(solution(i)[0], rng), solution(i)[1]),
+        (solution(i)[0], poke(solution(i)[1], rng)),
+        tuple(rng.integers(0, 4, (2, 4, 4)))]),
+}
+
+
+@pytest.mark.parametrize("law", LAWS)
+@FAST
+@given(base=bases, small=st.integers(0, 3), rng=rngs)
+def test_fast_check_equals_full_scan(law, base, small, rng):
+    checker, valid, cases = LAWS[law]
+    inst = relabelled(base, rng)
+    other = relabelled(pool()[small], rng)       # same order as inst when small == base
+    twin = relabelled(base, rng)
+    todo = cases(inst, twin, rng)
+    if base.g.shape[0] <= 10:
+        todo += [tuple(map(pair, valid(other), case)) for case in todo]
+    for case in todo:
+        checker(*case)
+
+
+def every_table(rows: int, cols: int, values: int):
+    for flat in product(range(values), repeat=rows * cols):
+        yield np.array(flat, dtype=np.int64).reshape(rows, cols)
+
+
+def test_associativity_and_relation_on_every_table_up_to_order_3():
+    for n in (1, 2, 3):
+        cyclic = cyclic_group(n).table
+        for table in every_table(n, n, n):
+            check_assoc(table)
+            check_relation(cyclic, table)
+            if checks._brute_assoc(table) is None:
+                check_L(cyclic, table)
+
+
+def test_action_and_coupling_on_every_small_table():
+    for order, m in ((1, 1), (1, 2), (1, 3), (2, 1), (2, 2), (2, 3), (3, 2)):
+        g, n = cyclic_group(order).table, cyclic_group(m).table
+        for act in every_table(order, m, m):
+            check_action(g, act)
+            check_coupling(g, n, act)
+
+
+def test_compat_on_every_pair_of_small_groups():
+    tables = []
+    for base in (cyclic_group(2), cyclic_group(3), cyclic_group(4), elementary_abelian(2, 2)):
+        for tail in permutations(range(1, base.order)):
+            perm = np.array((0, *tail))
+            tables.append(relabel(base.table, perm, perm, perm))
+    for star, dot in product(tables, repeat=2):
+        if star.shape == dot.shape:
+            check_compat(star, dot)
+
+
+def test_braid_on_every_map_up_to_size_2():
+    for n in (1, 2):
+        for left, right in product(list(every_table(n, n, n)), repeat=2):
+            check_braid(left, right)
+
+
+# --- whole reports ---
+
+def _reports(verify, *tables):
+    fast = verify(*tables)
+    with brute_oracles():
+        brute = verify(*tables)
+    return fast, brute
+
+
+@FAST
+@given(bases, rngs, st.integers(0, 4))
+def test_verify_reports_match_the_full_scans(base, rng, which):
+    inst = relabelled(base, rng)
+    tables = {"g": inst.g, "star": inst.star, "n": inst.n, "act": inst.act,
+              "plus": inst.plus}
+    name = ("g", "star", "n", "act", "plus")[which]
+    tables[name] = poke(tables[name], rng)
+    for verify, args in ((braces.verify_skew_brace, ("star", "g")),
+                         (bracoids.verify_bracoid, ("g", "n", "act")),
+                         (semibraces.verify_semibrace, ("g", "plus"))):
+        fast, brute = _reports(verify, *(tables[a] for a in args))
+        assert fast == brute
+
+
+@FAST
+@given(rngs, st.integers(2, 7))
+def test_group_constructor_names_the_brute_witness(rng, n):
+    loop = random_loop(rng, n)
+    witness = checks._brute_assoc(loop)
+    try:
+        FiniteGroup(loop)
+    except groups.NotAssociative as exc:
+        assert witness is not None and ",".join(map(str, witness)) in str(exc)
+    else:
+        assert witness is None

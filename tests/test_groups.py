@@ -287,6 +287,21 @@ def test_group_map_rejects_non_homomorphism():
         GroupMap(G, G, (0, 2, 1, 3))
 
 
+def test_group_map_compose_requires_matching_groups():
+    C6, S3 = cyclic_group(6), s3()
+    double = GroupMap(C6, C6, tuple(2 * x % 6 for x in range(6)))
+    into_c6 = GroupMap(S3, C6, (0, 3, 0, 3, 0, 3))      # S3 -> C2 -> C6
+    assert double.compose(into_c6).images == (0, 0, 0, 0, 0, 0)
+    # Equal tables on distinct objects still compose.
+    twin = cyclic_group(6)
+    assert GroupMap(twin, twin, double.images).compose(into_c6).images == \
+        (0, 0, 0, 0, 0, 0)
+    # Same order, different group: S3 is not C6.
+    on_s3 = GroupMap(S3, S3, tuple(range(6)))
+    with pytest.raises(ValueError, match="composition mismatch"):
+        on_s3.compose(double)
+
+
 def test_random_relabelled_tables_stay_groups():
     rng = random.Random(7)
     for _ in range(20):
