@@ -54,6 +54,17 @@ DEFAULT_PARAMS: dict[str, tuple[int, ...]] = {
     "cyclic-pq": (5, 2),
 }
 
+# The acceptance battery as (name, params): trivial braces C2..C6 and S3,
+# plus the four parameterized families at their stock parameters.
+ACCEPTANCE: tuple[tuple[str, tuple[int, ...]], ...] = (
+    *(("trivial-brace", (n,)) for n in range(2, 7)),
+    ("trivial-brace", (3, 2)),
+    ("semidirect", (3, 2)),
+    ("abelianmap", (3, 5)),
+    ("gl3f2", ()),
+    ("cyclic-pq", (5, 2)),
+)
+
 GL3F2_ORDER = 168
 GL3F2_ATTEMPT_CAP = 10**6
 
@@ -332,12 +343,5 @@ def build_example(name: str, params: tuple[int, ...] = (), seed: int = 0) -> Cat
 
 
 def acceptance_instances(seed: int = 0) -> list[CatalogInstance]:
-    """The fixed battery: trivial braces C2..C6 and S3, plus the four
-    parameterized families at their stock parameters."""
-    out = [trivial_brace_instance((n,)) for n in range(2, 7)]
-    out.append(trivial_brace_instance((3, 2)))
-    out.append(semidirect_instance(3, 2))
-    out.append(abelianmap_instance(3, 5))
-    out.append(gl3f2_instance(seed=seed))
-    out.append(cyclic_pq_instance(5, 2))
-    return out
+    """The fixed battery, built in the order ACCEPTANCE lists it."""
+    return [build_example(name, params, seed=seed) for name, params in ACCEPTANCE]

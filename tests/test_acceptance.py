@@ -11,6 +11,7 @@ import numpy as np
 from ybelab.braces import brace_solution, verify_skew_brace
 from ybelab.bracoids import lambda_rho_identity_checks, verify_bracoid
 from ybelab.catalog import promote_brace, seeded_braces
+from ybelab.cli import LEMMA_EXHAUSTIVE_ORDER
 from ybelab.semibraces import (
     bracoid_to_semibrace,
     decompose,
@@ -26,7 +27,6 @@ from ybelab.ybe import (
     tilde_solution_from_bracoid,
 )
 
-LEMMA_EXHAUSTIVE_ORDER = 24
 SAMPLED_TRIPLES = 10_000
 
 

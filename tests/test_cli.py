@@ -11,6 +11,16 @@ def _sd32():
                               np.array([[0, 1, 2], [0, 2, 1]], dtype=np.int32))
 
 
+# derive pipeline -> the kind of file it reads
+DERIVE_INPUTS = {
+    "semibrace-from-bracoid": "bracoid",
+    "bracoid-from-semibrace": "semibrace",
+    "solution-from-bracoid": "bracoid",
+    "solution-from-brace": "brace",
+    "solution-from-semibrace": "semibrace",
+}
+
+
 def _steps(out):
     return [line for line in out.splitlines() if line.startswith("STEP ")]
 
@@ -61,18 +71,27 @@ def test_example_respects_max_order(tmp_path, capsys):
     assert code == 2
 
 
-@pytest.mark.parametrize("kind", ["group", "brace", "bracoid", "semibrace", "solution"])
-def test_verify_respects_max_order(tmp_path, capsys, kind):
+@pytest.mark.parametrize("command, kind, extra", [
+    *(pytest.param(["verify", kind], kind, [], id=kind)
+      for kind in ("group", "brace", "bracoid", "semibrace", "solution")),
+    *(pytest.param(["derive", pipeline], kind, [], id=f"derive-{pipeline}")
+      for pipeline, kind in DERIVE_INPUTS.items()),
+    pytest.param(["complements"], "group", ["1"], id="complements"),
+])
+def test_verify_respects_max_order(tmp_path, capsys, command, kind, extra):
+    """verify, every derive pipeline and complements refuse an order-6 file
+    under --max-order 5 before any step, writing nothing."""
     main(["example", "semidirect", "3", "2", "--out", str(tmp_path)])
-    path = tmp_path / f"semidirect-3-2-{kind}.txt"
+    argv = [*command, str(tmp_path / f"semidirect-3-2-{kind}.txt"), *extra]
     capsys.readouterr()
-    assert main(["verify", kind, str(path), "--max-order", "6"]) == 0
+    assert main([*argv, "--max-order", "6", "--out", str(tmp_path / "fits")]) == 0
     capsys.readouterr()
-    code = main(["verify", kind, str(path), "--max-order", "5"])
+    code = main([*argv, "--max-order", "5", "--out", str(tmp_path / "over")])
     captured = capsys.readouterr()
     assert code == 2
     assert "PreconditionFailed" in captured.err
-    assert "STEP scan" not in captured.out
+    assert captured.out == ""
+    assert list((tmp_path / "over").iterdir()) == []
 
 
 def test_verify_group_passes(tmp_path, capsys):
@@ -164,6 +183,20 @@ def test_roundtrip_flag_limited_to_the_two_correspondences(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("pipeline", [p for p in DERIVE_INPUTS if p != "solution-from-bracoid"])
+def test_tilde_flag_limited_to_solution_from_bracoid(tmp_path, capsys, pipeline):
+    main(["example", "semidirect", "3", "2", "--out", str(tmp_path)])
+    capsys.readouterr()
+    code = main(["derive", pipeline,
+                 str(tmp_path / f"semidirect-3-2-{DERIVE_INPUTS[pipeline]}.txt"),
+                 "--tilde", "--out", str(tmp_path / "t")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "PreconditionFailed" in captured.err and "--tilde" in captured.err
+    assert captured.out == ""
+    assert list((tmp_path / "t").iterdir()) == []
+
+
 def test_derived_solution_verifies_clean(tmp_path, capsys):
     path = tmp_path / "brace.txt"
     path.write_text(write_brace(cyclic_group(6), _sd32()))
@@ -236,3 +269,240 @@ def test_negative_seed_rejected_by_the_parser(capsys):
     with pytest.raises(SystemExit) as exc:
         main(["suite", "quick", "--seed", "-1"])
     assert exc.value.code == 2
+
+
+# The zero-timed report.txt and exit code of each command on the files of
+# `example semidirect 3 2`; a refactor of the CLI must keep them byte for byte.
+PINNED = {
+    "example semidirect 3 2": (0, """\
+STEP build-semidirect PASS 0 G=6,N=3
+STEP verify-brace PASS 0
+STEP brace.star.latin PASS 0
+STEP brace.star.identity PASS 0
+STEP brace.star.associativity PASS 0
+STEP brace.star.inverses PASS 0
+STEP brace.dot.latin PASS 0
+STEP brace.dot.identity PASS 0
+STEP brace.dot.associativity PASS 0
+STEP brace.dot.inverses PASS 0
+STEP brace.same-order PASS 0
+STEP brace.compat PASS 0
+STEP verify-bracoid PASS 0
+STEP bracoid.G.latin PASS 0
+STEP bracoid.G.identity PASS 0
+STEP bracoid.G.associativity PASS 0
+STEP bracoid.G.inverses PASS 0
+STEP bracoid.N.latin PASS 0
+STEP bracoid.N.identity PASS 0
+STEP bracoid.N.associativity PASS 0
+STEP bracoid.N.inverses PASS 0
+STEP bracoid.action.shape PASS 0
+STEP bracoid.action.identity PASS 0
+STEP bracoid.action.law PASS 0
+STEP bracoid.action.transitive PASS 0
+STEP bracoid.compat PASS 0
+STEP contains-brace PASS 0 H=3,S=2
+STEP verify-semibrace PASS 0
+STEP semibrace.dot.latin PASS 0
+STEP semibrace.dot.identity PASS 0
+STEP semibrace.dot.associativity PASS 0
+STEP semibrace.dot.inverses PASS 0
+STEP semibrace.same-order PASS 0
+STEP semibrace.plus.range PASS 0
+STEP semibrace.plus.assoc PASS 0
+STEP semibrace.plus.cancellative PASS 0
+STEP semibrace.compat PASS 0
+STEP write-semidirect-3-2-group.txt PASS 0
+STEP write-semidirect-3-2-brace.txt PASS 0
+STEP write-semidirect-3-2-bracoid.txt PASS 0
+STEP write-semidirect-3-2-contained-brace.txt PASS 0
+STEP write-semidirect-3-2-semibrace.txt PASS 0
+STEP write-semidirect-3-2-solution.txt PASS 0
+STEP write-semidirect-3-2-solution-tilde.txt PASS 0
+"""),
+    "verify group": (0, """\
+STEP scan PASS 0
+STEP latin PASS 0
+STEP identity PASS 0
+STEP associativity PASS 0
+STEP inverses PASS 0
+"""),
+    "verify brace": (0, """\
+STEP scan PASS 0
+STEP star.latin PASS 0
+STEP star.identity PASS 0
+STEP star.associativity PASS 0
+STEP star.inverses PASS 0
+STEP dot.latin PASS 0
+STEP dot.identity PASS 0
+STEP dot.associativity PASS 0
+STEP dot.inverses PASS 0
+STEP same-order PASS 0
+STEP compat PASS 0
+"""),
+    "verify bracoid": (0, """\
+STEP scan PASS 0
+STEP G.latin PASS 0
+STEP G.identity PASS 0
+STEP G.associativity PASS 0
+STEP G.inverses PASS 0
+STEP N.latin PASS 0
+STEP N.identity PASS 0
+STEP N.associativity PASS 0
+STEP N.inverses PASS 0
+STEP action.shape PASS 0
+STEP action.identity PASS 0
+STEP action.law PASS 0
+STEP action.transitive PASS 0
+STEP compat PASS 0
+"""),
+    "verify semibrace": (0, """\
+STEP scan PASS 0
+STEP dot.latin PASS 0
+STEP dot.identity PASS 0
+STEP dot.associativity PASS 0
+STEP dot.inverses PASS 0
+STEP same-order PASS 0
+STEP plus.range PASS 0
+STEP plus.assoc PASS 0
+STEP plus.cancellative PASS 0
+STEP compat PASS 0
+"""),
+    "verify solution": (0, """\
+STEP parse PASS 0 n=6
+STEP scan PASS 0
+STEP braid PASS 0
+STEP info-bijective FAIL 0 (0,0,1,1)
+STEP info-involutive FAIL 0 (0,1)
+STEP info-left-nondegenerate PASS 0
+STEP info-right-nondegenerate FAIL 0 (0,0,1)
+"""),
+    "derive semibrace-from-bracoid": (0, """\
+STEP build-bracoid PASS 0 G=6,N=3
+STEP contains-brace PASS 0 H=3
+STEP derive PASS 0
+STEP decompose PASS 0 E=2,H=3
+STEP semibrace.dot.latin PASS 0
+STEP semibrace.dot.identity PASS 0
+STEP semibrace.dot.associativity PASS 0
+STEP semibrace.dot.inverses PASS 0
+STEP semibrace.same-order PASS 0
+STEP semibrace.plus.range PASS 0
+STEP semibrace.plus.assoc PASS 0
+STEP semibrace.plus.cancellative PASS 0
+STEP semibrace.compat PASS 0
+STEP write-semibrace.txt PASS 0
+"""),
+    "derive semibrace-from-bracoid --roundtrip": (0, """\
+STEP build-bracoid PASS 0 G=6,N=3
+STEP contains-brace PASS 0 H=3
+STEP derive PASS 0
+STEP decompose PASS 0 E=2,H=3
+STEP semibrace.dot.latin PASS 0
+STEP semibrace.dot.identity PASS 0
+STEP semibrace.dot.associativity PASS 0
+STEP semibrace.dot.inverses PASS 0
+STEP semibrace.same-order PASS 0
+STEP semibrace.plus.range PASS 0
+STEP semibrace.plus.assoc PASS 0
+STEP semibrace.plus.cancellative PASS 0
+STEP semibrace.compat PASS 0
+STEP write-semibrace.txt PASS 0
+STEP roundtrip PASS 0
+"""),
+    "derive bracoid-from-semibrace": (0, """\
+STEP build-semibrace PASS 0 n=6
+STEP derive PASS 0 N=3
+STEP bracoid.G.latin PASS 0
+STEP bracoid.G.identity PASS 0
+STEP bracoid.G.associativity PASS 0
+STEP bracoid.G.inverses PASS 0
+STEP bracoid.N.latin PASS 0
+STEP bracoid.N.identity PASS 0
+STEP bracoid.N.associativity PASS 0
+STEP bracoid.N.inverses PASS 0
+STEP bracoid.action.shape PASS 0
+STEP bracoid.action.identity PASS 0
+STEP bracoid.action.law PASS 0
+STEP bracoid.action.transitive PASS 0
+STEP bracoid.compat PASS 0
+STEP write-bracoid.txt PASS 0
+"""),
+    "derive bracoid-from-semibrace --roundtrip": (0, """\
+STEP build-semibrace PASS 0 n=6
+STEP derive PASS 0 N=3
+STEP bracoid.G.latin PASS 0
+STEP bracoid.G.identity PASS 0
+STEP bracoid.G.associativity PASS 0
+STEP bracoid.G.inverses PASS 0
+STEP bracoid.N.latin PASS 0
+STEP bracoid.N.identity PASS 0
+STEP bracoid.N.associativity PASS 0
+STEP bracoid.N.inverses PASS 0
+STEP bracoid.action.shape PASS 0
+STEP bracoid.action.identity PASS 0
+STEP bracoid.action.law PASS 0
+STEP bracoid.action.transitive PASS 0
+STEP bracoid.compat PASS 0
+STEP write-bracoid.txt PASS 0
+STEP roundtrip PASS 0
+"""),
+    "derive solution-from-bracoid": (0, """\
+STEP build-bracoid PASS 0 G=6,N=3
+STEP contains-brace PASS 0 H=3
+STEP derive PASS 0
+STEP scan PASS 0
+STEP braid PASS 0
+STEP info-bijective FAIL 0 (0,0,1,1)
+STEP info-involutive FAIL 0 (0,1)
+STEP left-nondegenerate PASS 0
+STEP info-right-nondegenerate FAIL 0 (0,0,1)
+STEP write-solution.txt PASS 0
+"""),
+    "derive solution-from-bracoid --tilde": (0, """\
+STEP build-bracoid PASS 0 G=6,N=3
+STEP contains-brace PASS 0 H=3
+STEP derive PASS 0
+STEP scan PASS 0
+STEP braid PASS 0
+STEP info-bijective FAIL 0 (0,0,1,1)
+STEP info-involutive FAIL 0 (1,0)
+STEP info-left-nondegenerate FAIL 0 (0,0,1)
+STEP right-nondegenerate PASS 0
+STEP write-solution-tilde.txt PASS 0
+"""),
+    "derive solution-from-brace": (0, """\
+STEP build-brace PASS 0 n=6
+STEP derive PASS 0
+STEP scan PASS 0
+STEP braid PASS 0
+STEP bijective PASS 0
+STEP info-involutive PASS 0
+STEP left-nondegenerate PASS 0
+STEP right-nondegenerate PASS 0
+STEP write-solution.txt PASS 0
+"""),
+    "derive solution-from-semibrace": (0, """\
+STEP build-semibrace PASS 0 n=6
+STEP derive PASS 0
+STEP scan PASS 0
+STEP braid PASS 0
+STEP info-bijective FAIL 0 (0,0,1,1)
+STEP info-involutive FAIL 0 (0,1)
+STEP left-nondegenerate PASS 0
+STEP info-right-nondegenerate FAIL 0 (0,0,1)
+STEP write-solution.txt PASS 0
+"""),
+}
+
+
+@pytest.mark.parametrize("command", PINNED)
+def test_reports_match_pinned_bytes(tmp_path, capsys, command):
+    words = command.split()
+    if words[0] != "example":
+        main(["example", "semidirect", "3", "2", "--out", str(tmp_path)])
+        kind = words[1] if words[0] == "verify" else DERIVE_INPUTS[words[1]]
+        words[2:2] = [str(tmp_path / f"semidirect-3-2-{kind}.txt")]
+    capsys.readouterr()
+    code = main([*words, "--out", str(tmp_path / "out")])
+    assert (code, (tmp_path / "out" / "report.txt").read_text()) == PINNED[command]
