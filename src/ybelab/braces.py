@@ -14,7 +14,7 @@ import numpy as np
 
 from .checks import AxiomViolated, Check, Report, generators, group_table_checks
 from .groups import AUTOMORPHISM_CAP, FiniteGroup, GroupMap, Subgroup, holomorph
-from .ybe import SolutionMap, check_braid
+from .ybe import SolutionMap, assert_properties
 
 
 class NotAbelianImage(ValueError):
@@ -218,14 +218,8 @@ def brace_solution(B: SkewBrace) -> SolutionMap:
     right = B.dot.table[
         B.dot.table[B.dot.inv[left], arange[:, None]], arange[None, :]]
     r = SolutionMap(left, right, provenance="brace", carrier=B.dot)
-    report = check_braid(r)
-    if not report.braid:
-        raise AxiomViolated(
-            f"brace map fails the braid relation at {report.braid_witness}")
-    if not (report.bijective and report.left_nondegenerate
-            and report.right_nondegenerate):
-        raise AxiomViolated("brace map lost bijectivity or nondegeneracy")
-    return r
+    return assert_properties(r, "brace", "braid", "bijective",
+                             "left-nondegenerate", "right-nondegenerate")
 
 
 def regular_rep_in_holomorph(B: SkewBrace, cap: int = AUTOMORPHISM_CAP) -> Subgroup:
@@ -234,16 +228,14 @@ def regular_rep_in_holomorph(B: SkewBrace, cap: int = AUTOMORPHISM_CAP) -> Subgr
     The dot product factors as x . y = x * gamma_x(y), which is exactly
     the holomorph element with translation x and twist gamma_x.
     """
-    hol, action = holomorph(B.star, cap=cap)
-    slot = {m.images: i for i, m in enumerate(hol.aut_maps)}
-    na = len(hol.aut_maps)
+    hol = holomorph(B.star, cap=cap)
     members = []
     for x in range(B.order):
-        key = tuple(int(v) for v in B.gamma[x])
-        if key not in slot:
+        idx = hol.element(x, B.gamma[x])
+        if idx is None:
             raise AxiomViolated(f"gamma_{x} is not a star automorphism")
-        members.append(x * na + slot[key])
-    orbit = action.table[members, 0]
+        members.append(idx)
+    orbit = hol.action.table[members, 0]
     if len(set(orbit.tolist())) != B.order:
         raise AxiomViolated("representation is not regular on the points")
-    return Subgroup(hol, tuple(sorted(members)))
+    return Subgroup(hol.group, tuple(sorted(members)))

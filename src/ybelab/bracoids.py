@@ -6,9 +6,12 @@ stabilizer of e has a complement H, the whole structure can be pulled
 back along h -> h (+) e onto H, producing a brace (H, *_H, .) together
 with a transported action of G; that package is a ContainedBrace.
 
-Index conventions: lambda values are stored as H-positions, rho values
-as G-indices.  They live in different carriers; conflating them is the
-main hazard in this file.
+Bracoids also come from transitive subgroups J of a `Holomorph` value:
+`from_holomorph_subgroup(hol, J)` reads J's rows off `hol.action`.
+
+Index conventions: the displacement tables lambda and rho both hold
+G-indices.  ContainedBrace keeps the H-position views (starH, actH,
+gammaH) for the brace on H; Hel maps an H-position to its G-index.
 """
 
 from __future__ import annotations
@@ -26,6 +29,7 @@ from .groups import (
     FiniteGroup,
     GroupAction,
     GroupMap,
+    Holomorph,
     MatchedPair,
     Subgroup,
     bicrossed_product,
@@ -173,27 +177,13 @@ def from_strong_left_ideal(B: SkewBrace, S: Subgroup) -> SkewBracoid:
     return bracoid
 
 
-def from_holomorph_subgroup(N: FiniteGroup, J: Subgroup) -> SkewBracoid:
-    """Bracoid from a transitive subgroup J of the holomorph of N.
-
-    J.parent must have been built by `holomorph` (it carries the list of
-    automorphisms needed to decode elements into translation/twist pairs).
-    """
-    hol = J.parent
-    maps = getattr(hol, "aut_maps", None)
-    if maps is None:
-        raise ValueError("J must be a subgroup of a holomorph() result")
-    na = len(maps)
-    if hol.order != N.order * na:
-        raise ValueError("holomorph does not match N")
-    perms = np.stack([np.asarray(m.images, dtype=np.int32) for m in maps])
-    jel = np.asarray(J.elements, dtype=np.int32)
-    rows = N.table[(jel // na)[:, None], perms[jel % na]]
+def from_holomorph_subgroup(hol: Holomorph, J: Subgroup) -> SkewBracoid:
+    """Bracoid from a transitive subgroup J of hol.group, acting on hol.base."""
+    if J.parent is not hol.group:
+        raise ValueError("J must be a subgroup of hol.group")
     group = J.as_group(name=f"J{J.order}")
-    action = GroupAction(group, rows)
-    if not is_transitive(action):
-        raise NotTransitive(f"J of order {J.order} is not transitive on N")
-    return SkewBracoid(group, N, action)
+    action = GroupAction(group, hol.action.table[np.asarray(J.elements)])
+    return SkewBracoid(group, hol.base, action)
 
 
 class ContainedBrace:
@@ -233,8 +223,6 @@ class ContainedBrace:
         if not np.array_equal(act[:, bij], bij[act_h]):
             raise AxiomViolated("transported action is not equivariant")
 
-        pos_h = np.full(G.order, -1, dtype=np.int32)
-        pos_h[hel] = np.arange(m, dtype=np.int32)
         hdot = H.as_group(name=f"{G.name}|H")
         brace = SkewBrace(hstar, hdot)
         gamma_h = bijinv[N.table[N.inv[act[:, 0]][:, None], act[:, bij]]]
@@ -245,14 +233,13 @@ class ContainedBrace:
         # The transported tables form a bracoid in their own right.
         transported = SkewBracoid(G, hstar, action_h)
 
-        for arr in (hel, pos_h, bij, bijinv):
+        for arr in (hel, bij, bijinv):
             arr.setflags(write=False)
         self.bracoid = bracoid
         self.transported = transported
         self.H = H
         self.S = S
         self.Hel = hel
-        self.posH = pos_h
         self.bij = bij
         self.bijinv = bijinv
         self.starH = star_h
@@ -302,9 +289,9 @@ def bracoid_gamma(cb: ContainedBrace, x: int) -> GroupMap:
 class LambdaRho:
     """Displacement tables of a contained brace.
 
-    lam[x, y] is the H-position of lambda_x(y) = gamma_x(y (+) e);
-    rho[y, x] is the G-index of rho_y(x) = lambda_x(y)^-1 . x . y
-    (subscript first).
+    lam[x, y] is the G-index of lambda_x(y) = gamma_x(y (+) e), an
+    element of H; rho[y, x] is the G-index of
+    rho_y(x) = lambda_x(y)^-1 . x . y (subscript first).
     """
 
     owner: ContainedBrace
@@ -318,9 +305,8 @@ def lambda_rho(cb: ContainedBrace) -> LambdaRho:
     n = G.order
     arange = np.arange(n, dtype=np.int32)
     hpos = cb.bijinv[cb.bracoid.act.table[:, 0]]
-    lam = cb.gammaH[:, hpos]
-    lam_g = cb.Hel[lam]
-    rho_xy = G.table[G.table[G.inv[lam_g], arange[:, None]], arange[None, :]]
+    lam = cb.Hel[cb.gammaH[:, hpos]]
+    rho_xy = G.table[G.table[G.inv[lam], arange[:, None]], arange[None, :]]
     rho = np.ascontiguousarray(rho_xy.T)
     lam.setflags(write=False)
     rho.setflags(write=False)
@@ -347,7 +333,7 @@ def lambda_rho_identity_checks(lr: LambdaRho, exhaustive: bool | None = None,
     G = cb.bracoid.G
     lam, rho = lr.lam, lr.rho
     n = G.order
-    hel, pos_h = cb.Hel, cb.posH
+    gt = G.table
     if exhaustive is None:
         exhaustive = n <= LEMMA_EXHAUSTIVE_LIMIT
 
@@ -362,20 +348,18 @@ def lambda_rho_identity_checks(lr: LambdaRho, exhaustive: bool | None = None,
     if exhaustive:
         for x in range(n):
             if not lam_w:
-                bad = lam[G.table[x]] != lam[x][hel[lam]]
+                bad = lam[gt[x]] != lam[x][lam]
                 if bad.any():
                     y, z = map(int, np.argwhere(bad)[0])
                     lam_w = (x, y, z)
             if not rho_w:
-                bad = rho[G.table[x]] != rho[:, rho[x]]
+                bad = rho[gt[x]] != rho[:, rho[x]]
                 if bad.any():
                     y, z = map(int, np.argwhere(bad)[0])
                     rho_w = (x, y, z)
             if not prod_w:
-                t1 = hel[lam[x]]
-                t2 = hel[lam[rho[:, x]]]
-                rhs = pos_h[G.table[t1[:, None], t2]]
-                bad = lam[x][G.table] != rhs
+                rhs = gt[lam[x][:, None], lam[rho[:, x]]]
+                bad = lam[x][gt] != rhs
                 if bad.any():
                     y, z = map(int, np.argwhere(bad)[0])
                     prod_w = (x, y, z)
@@ -387,16 +371,14 @@ def lambda_rho_identity_checks(lr: LambdaRho, exhaustive: bool | None = None,
         rng = random.Random(seed)
         for _ in range(samples):
             x, y, z = (rng.randrange(n) for _ in range(3))
-            if not lam_w and lam[G.table[x, y], z] != lam[x, hel[lam[y, z]]]:
+            if not lam_w and lam[gt[x, y], z] != lam[x, lam[y, z]]:
                 lam_w = (x, y, z)
-            if not rho_w and rho[G.table[x, y], z] != rho[y, rho[x, z]]:
+            if not rho_w and rho[gt[x, y], z] != rho[y, rho[x, z]]:
                 rho_w = (x, y, z)
             if not inv_w and rho[G.inv[x], rho[x, z]] != z:
                 inv_w = (x, z)
-            if not prod_w:
-                want = pos_h[G.table[hel[lam[x, y]], hel[lam[rho[y, x], z]]]]
-                if lam[x, G.table[y, z]] != want:
-                    prod_w = (x, y, z)
+            if not prod_w and lam[x, gt[y, z]] != gt[lam[x, y], lam[rho[y, x], z]]:
+                prod_w = (x, y, z)
     mode = "exhaustive" if exhaustive else f"sampled({samples}, seed={seed})"
     results.extend([
         Check("lambda-compose", not lam_w, witness=lam_w, detail=mode),
@@ -426,25 +408,22 @@ def to_matched_pair(cb: ContainedBrace,
         if not row.is_bijective:
             raise AxiomViolated(f"S-element {s} does not act bijectively")
 
-    hol, action = holomorph(cb.Hstar, cap=cap)
-    slot = {mp.images: i for i, mp in enumerate(hol.aut_maps)}
-    na = len(hol.aut_maps)
+    hol = holomorph(cb.Hstar, cap=cap)
     m, k = cb.H.order, cb.S.order
     dot_h, star_h, sinv_h = cb.Hdot.table, cb.starH, cb.Hstar.inv
     images = []
     for h in range(m):
         for s in range(k):
             perm = dot_h[h, pair.left[s]]
-            alpha = tuple(int(v) for v in star_h[sinv_h[h], perm])
-            idx = slot.get(alpha)
+            idx = hol.element(h, star_h[sinv_h[h], perm])
             if idx is None:
                 raise AxiomViolated(
                     f"theta({h},{s}) does not normalize the star structure")
-            images.append(h * na + idx)
-    theta = GroupMap(bicrossed_product(pair), hol, tuple(images))
-    image = Subgroup(hol, tuple(sorted(set(images))))
-    regular = Subgroup(hol, tuple(sorted(images[h * k] for h in range(m))))
-    orbit = action.table[np.asarray(regular.elements), 0]
+            images.append(idx)
+    theta = GroupMap(bicrossed_product(pair), hol.group, tuple(images))
+    image = Subgroup(hol.group, tuple(sorted(set(images))))
+    regular = Subgroup(hol.group, tuple(sorted(images[h * k] for h in range(m))))
+    orbit = hol.action.table[np.asarray(regular.elements), 0]
     if regular.order != m or len(set(orbit.tolist())) != m:
         raise AxiomViolated("image of H is not regular")
     return pair, theta, image

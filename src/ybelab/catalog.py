@@ -221,27 +221,27 @@ def gl3f2_instance(seed: int = 0, attempt_cap: int = GL3F2_ATTEMPT_CAP) -> Catal
     and must be simple (this rejects the affine order-168 subgroups).
     """
     N = elementary_abelian(2, 3)
-    hol, action = holomorph(N, cap=GL3F2_ORDER)
+    hol = holomorph(N, cap=GL3F2_ORDER)
     rng = random.Random(seed)
-    points = action.table[:, 0]
+    points = hol.action.table[:, 0]
     for attempt in range(1, attempt_cap + 1):
-        a = rng.randrange(hol.order)
-        b = rng.randrange(hol.order)
-        elems = _closure(hol.table, [a, b], cap=GL3F2_ORDER)
+        a = rng.randrange(hol.group.order)
+        b = rng.randrange(hol.group.order)
+        elems = _closure(hol.group.table, [a, b], cap=GL3F2_ORDER)
         if elems is None or len(elems) != GL3F2_ORDER:
             continue
         chosen = np.asarray(sorted(elems), dtype=np.int32)
         if len(set(points[chosen].tolist())) != N.order:
             continue
-        J = Subgroup(hol, tuple(int(v) for v in chosen), generators=(a, b))
+        J = Subgroup(hol.group, tuple(int(v) for v in chosen), generators=(a, b))
         if not _is_simple(J.as_group(name="J168")):
             continue
-        bracoid = from_holomorph_subgroup(N, J)
+        bracoid = from_holomorph_subgroup(hol, J)
         cb = contains_brace(bracoid)
         return CatalogInstance("gl3f2", (), None, bracoid, cb,
                                detail={"attempts": attempt,
                                        "generators": (a, b),
-                                       "hol_order": hol.order,
+                                       "hol_order": hol.group.order,
                                        "stabilizer": stabilizer(bracoid.act, 0).order})
     raise SearchExhausted(
         f"no simple transitive order-{GL3F2_ORDER} subgroup in {attempt_cap} attempts")
@@ -263,14 +263,12 @@ def cyclic_pq_instance(p: int, q: int) -> CatalogInstance:
     root = pow(_primitive_root(p), (p - 1) // (q * q), p)
     # CRT: u = root mod p, u = 1 mod q.
     u = next(v for v in range(1, m) if v % p == root % p and v % q == 1)
-    hol, action = holomorph(N)
-    na = len(hol.aut_maps)
-    alpha_perm = tuple(int(v) for v in (u * np.arange(m, dtype=np.int64)) % m)
-    slot = {mp.images: i for i, mp in enumerate(hol.aut_maps)}
-    alpha_idx = slot[alpha_perm]
+    hol = holomorph(N)
+    arange = np.arange(m, dtype=np.int64)
     sigma, tau = q, p
-    J = subgroup_generated(hol, [sigma * na, tau * na + alpha_idx])
-    bracoid = from_holomorph_subgroup(N, J)
+    J = subgroup_generated(hol.group, [hol.element(sigma, arange),
+                                       hol.element(tau, (u * arange) % m)])
+    bracoid = from_holomorph_subgroup(hol, J)
     cb = contains_brace(bracoid)
     return CatalogInstance("cyclic-pq", (p, q), None, bracoid, cb,
                            detail={"twist": u,

@@ -285,12 +285,11 @@ def cmd_example(args) -> int:
 def cmd_verify(args) -> int:
     text = Path(args.file).read_text()
     report = RunReport()
-    out = _out_dir(args)
     if args.kind != "solution":
         spec = _file_kinds()[args.kind]
         tables = _read(spec, text, args.max_order)
         report.absorb("", report.build("scan", lambda: spec.verify(*tables)))
-        return _finish(report, out)
+        return _finish(report, _out_dir(args))
     try:
         r = report.build("parse", lambda: files.read_solution(text),
                          witness=lambda v: f"n={v.size}")
@@ -300,20 +299,15 @@ def cmd_verify(args) -> int:
         raise
     except ValueError as exc:
         report.add("parse", False, 0, _compact(str(exc)))
-        return _finish(report, out)
+        return _finish(report, _out_dir(args))
     _refuse_order(r.size, args.max_order)
     _solution_steps(report, r, asserted=("braid",))
-    return _finish(report, out)
+    return _finish(report, _out_dir(args))
 
 
 def _solution_steps(report: RunReport, r, asserted: tuple[str, ...]) -> None:
     sr = report.build("scan", lambda: check_braid(r))
-    for prop, ok, wit in (
-            ("braid", sr.braid, sr.braid_witness),
-            ("bijective", sr.bijective, sr.bijective_witness),
-            ("involutive", sr.involutive, sr.involutive_witness),
-            ("left-nondegenerate", sr.left_nondegenerate, sr.left_witness),
-            ("right-nondegenerate", sr.right_nondegenerate, sr.right_witness)):
+    for prop, ok, wit in sr.properties():
         if prop in asserted:
             report.add(prop, ok, 0, _indices(wit))
         else:
@@ -386,7 +380,6 @@ def _pipelines() -> dict[str, Pipeline]:
 def cmd_derive(args) -> int:
     text = Path(args.file).read_text()
     report = RunReport()
-    out = _out_dir(args)
     row = _pipelines()[args.pipeline]
     for flag in ("roundtrip", "tilde"):
         if getattr(args, flag) and flag not in row.flags:
@@ -402,6 +395,7 @@ def cmd_derive(args) -> int:
             raise PreconditionFailed("bracoid has no contained brace")
     derived = report.build("derive", lambda: row.derive(source), row.witness)
     row.steps(report, derived)
+    out = _out_dir(args)
     _write_artifact(report, out, row.artifact, row.kind, row.text(derived))
     if args.roundtrip:
         with report.timed("roundtrip") as step:
@@ -550,23 +544,22 @@ def cmd_suite(args) -> int:
 
 def cmd_holomorph(args) -> int:
     report = RunReport()
-    out = _out_dir(args)
     G = files.read_group(Path(args.groupfile).read_text())
     _refuse_order(G.order, args.max_order)
     cap = max(1, args.max_order // G.order)
-    hol, action = report.build(
+    hol = report.build(
         "build-holomorph", lambda: holomorph(G, cap=cap),
-        witness=lambda v: f"order={v[0].order},aut={len(v[0].aut_maps)}")
-    report.add("transitive", is_transitive(action), 0)
-    _write_artifact(report, out, "holomorph.txt", "group", files.write_group(hol))
+        witness=lambda v: f"order={v.group.order},aut={len(v.maps)}")
+    report.add("transitive", is_transitive(hol.action), 0)
+    out = _out_dir(args)
+    _write_artifact(report, out, "holomorph.txt", "group", files.write_group(hol.group))
     _write_artifact(report, out, "holomorph-action.txt", "action",
-                    files.write_action(action.table))
+                    files.write_action(hol.action.table))
     return _finish(report, out)
 
 
 def cmd_complements(args) -> int:
     report = RunReport()
-    out = _out_dir(args)
     G = files.read_group(Path(args.groupfile).read_text())
     _refuse_order(G.order, args.max_order)
     bad = [g for g in args.gens if not 0 <= g < G.order]
@@ -578,7 +571,7 @@ def cmd_complements(args) -> int:
                          witness=lambda v: f"count={len(v)}")
     for i, H in enumerate(comps):
         report.add(f"complement-{i}", True, 0, _indices(H.elements))
-    return _finish(report, out)
+    return _finish(report, _out_dir(args))
 
 
 # --- argument parsing ---

@@ -4,10 +4,16 @@ Conventions used throughout the package:
   - a group of order n lives on the indices 0..n-1 and its identity is 0;
   - table[a, b] is the product a*b;
   - all tables are numpy int32 arrays frozen after construction.
+
+`holomorph(N)` returns a `Holomorph` value: Hol(N) = N x| Aut(N) as a
+table group, its natural action on the points of N and the list of
+automorphisms.  How a (translation, twist) pair is laid out as an index
+is known only here; other modules ask `Holomorph.element` for it.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
@@ -171,7 +177,8 @@ class Subgroup:
         return len(self.elements)
 
     def __contains__(self, x: int) -> bool:
-        return x in set(self.elements)
+        i = bisect_left(self.elements, x)
+        return i < len(self.elements) and self.elements[i] == x
 
     def as_group(self, name: str | None = None) -> FiniteGroup:
         sub = np.asarray(self.elements, dtype=np.int32)
@@ -184,7 +191,7 @@ class Subgroup:
 class GroupAction:
     """A left action of `actor` on points 0..m-1, as a |G| x m table."""
 
-    def __init__(self, actor: FiniteGroup, table, trusted: bool = False):
+    def __init__(self, actor: FiniteGroup, table):
         arr = np.array(table, dtype=np.int32)
         if arr.ndim != 2 or arr.shape[0] != actor.order:
             raise ValueError(f"action table shape {arr.shape} does not match |G|={actor.order}")
@@ -194,11 +201,10 @@ class GroupAction:
         if not (arr[0] == np.arange(m)).all():
             p = int(np.argmin(arr[0] == np.arange(m)))
             raise ValueError(f"identity must act trivially; moves point {p}")
-        if not trusted:
-            witness = _action_law_failure(actor.table, arr)
-            if witness is not None:
-                g, h, p = witness
-                raise ValueError(f"not an action: (g*h).p != g.(h.p) at g={g} h={h} p={p}")
+        witness = _action_law_failure(actor.table, arr)
+        if witness is not None:
+            g, h, p = witness
+            raise ValueError(f"not an action: (g*h).p != g.(h.p) at g={g} h={h} p={p}")
         self.actor = actor
         self.space_size = m
         self.table = arr
@@ -532,22 +538,40 @@ def automorphism_group(
     return aut, [GroupMap(G, G, p) for p in perms]
 
 
-def holomorph(G: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> tuple[FiniteGroup, GroupAction]:
-    """G x| Aut(G) with its natural transitive action (h, a).k = h * a(k).
+@dataclass(frozen=True)
+class Holomorph:
+    """Hol(N) = N x| Aut(N) with its natural transitive action (h, a).k = h * a(k).
 
-    The returned group carries `aut_group` / `aut_maps` attributes so callers
-    can locate specific automorphisms inside it.
+    `group` is the semidirect product table, `action` its action on the
+    points of `base` = N, and `maps` lists Aut(N) in lexicographic order of
+    images.  The pair (h, a) sits at index h * len(maps) + (position of a
+    in maps); `element` is the only place that turns a pair into an index.
     """
-    aut, maps = automorphism_group(G, cap=cap)
+
+    base: FiniteGroup
+    group: FiniteGroup
+    action: GroupAction
+    maps: tuple[GroupMap, ...]
+
+    @cached_property
+    def _slots(self) -> dict[tuple[int, ...], int]:
+        return {m.images: i for i, m in enumerate(self.maps)}
+
+    def element(self, h: int, twist: Sequence[int]) -> int | None:
+        """Index of (h, twist), twist given by its images; None if it is not in Aut(N)."""
+        slot = self._slots.get(tuple(int(v) for v in twist))
+        return None if slot is None else int(h) * len(self.maps) + slot
+
+
+def holomorph(N: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> Holomorph:
+    """Hol(N) with Aut(N) found by `automorphism_group` under the same cap."""
+    aut, maps = automorphism_group(N, cap=cap)
     alpha = np.array([m.images for m in maps], dtype=np.int32)
-    hol = semidirect_product(G, aut, alpha, name=f"Hol({G.name})")
-    act = G.table[:, alpha].reshape(G.order * aut.order, G.order)
-    action = GroupAction(hol, act, trusted=True)
+    group = semidirect_product(N, aut, alpha, name=f"Hol({N.name})")
+    action = GroupAction(group, N.table[:, alpha].reshape(group.order, N.order))
     if not is_transitive(action):
         raise AssertionError("holomorph action must be transitive")
-    hol.aut_group = aut
-    hol.aut_maps = maps
-    return hol, action
+    return Holomorph(N, group, action, tuple(maps))
 
 
 def is_transitive(action: GroupAction) -> bool:

@@ -188,7 +188,7 @@ def bracoid_to_semibrace(cb: ContainedBrace) -> Semibrace:
     lr = cb.lambda_rho
     n = G.order
     arange = np.arange(n, dtype=np.int32)
-    swapped = G.table[arange[:, None], cb.Hel[lr.lam[G.inv]]]
+    swapped = G.table[arange[:, None], lr.lam[G.inv]]
     sb = Semibrace(G, np.ascontiguousarray(swapped.T))
     dec = decompose(sb)
     if dec.Hpart != cb.H.elements:

@@ -110,6 +110,14 @@ class SolutionReport:
     right_witness: tuple[int, ...] = ()
     braid_counterexamples: tuple[tuple[int, int, int], ...] | None = None
 
+    def properties(self) -> tuple[tuple[str, bool, tuple[int, ...]], ...]:
+        """(name, holds, witness) for the five measured properties, braid first."""
+        return (("braid", self.braid, self.braid_witness),
+                ("bijective", self.bijective, self.bijective_witness),
+                ("involutive", self.involutive, self.involutive_witness),
+                ("left-nondegenerate", self.left_nondegenerate, self.left_witness),
+                ("right-nondegenerate", self.right_nondegenerate, self.right_witness))
+
 
 def _first_duplicate(row) -> tuple[int, int]:
     # Positions of the first repeated value, earliest pair in index order.
@@ -267,6 +275,15 @@ def check_braid(r: SolutionMap, collect_all: bool = False) -> SolutionReport:
     )
 
 
+def assert_properties(r: SolutionMap, label: str, *asserted: str) -> SolutionMap:
+    """Return r after one check_braid scan; raise AxiomViolated on the first
+    asserted property (a name from SolutionReport.properties) that fails."""
+    for name, ok, witness in check_braid(r).properties():
+        if name in asserted and not ok:
+            raise AxiomViolated(f"{label} map fails {name} at {witness}")
+    return r
+
+
 def solution_from_semibrace(sb) -> SolutionMap:
     """The map (x, y) -> (x(x^-1 + y), [x(x^-1 + y)]^-1 xy) of a semibrace.
 
@@ -279,14 +296,7 @@ def solution_from_semibrace(sb) -> SolutionMap:
     left = sb.L
     right = dot.table[dot.table[dot.inv[left], arange[:, None]], arange[None, :]]
     r = SolutionMap(left, right, provenance="semibrace", carrier=dot)
-    report = check_braid(r)
-    if not report.braid:
-        raise AxiomViolated(
-            f"semibrace map fails the braid relation at {report.braid_witness}")
-    if not report.left_nondegenerate:
-        raise AxiomViolated(
-            f"semibrace map not left nondegenerate at {report.left_witness}")
-    return r
+    return assert_properties(r, "semibrace", "braid", "left-nondegenerate")
 
 
 def solution_from_bracoid(cb) -> SolutionMap:
@@ -303,39 +313,22 @@ def solution_from_bracoid(cb) -> SolutionMap:
     G = cb.bracoid.G
     inv = G.inv
     pair = np.ix_(inv, inv)
-    lam_g = cb.Hel[lr.lam]
     left = inv[lr.rho[pair]]
-    right = inv[lam_g[pair].T]
+    right = inv[lr.lam[pair].T]
     r = SolutionMap(left, right, provenance="bracoid", carrier=G)
 
     via_semibrace = solution_from_semibrace(semibraces.bracoid_to_semibrace(cb))
     if not solutions_equal(r, via_semibrace):
         raise AxiomViolated(
             "bracoid solution disagrees with its semibrace counterpart")
-    report = check_braid(r)
-    if not report.braid:
-        raise AxiomViolated(
-            f"bracoid map fails the braid relation at {report.braid_witness}")
-    if not report.left_nondegenerate:
-        raise AxiomViolated(
-            f"bracoid map not left nondegenerate at {report.left_witness}")
-    return r
+    return assert_properties(r, "bracoid", "braid", "left-nondegenerate")
 
 
 def tilde_solution_from_bracoid(cb) -> SolutionMap:
     """Right nondegenerate companion map (x, y) -> (lambda_x(y), rho_y(x))."""
     lr = cb.lambda_rho
-    left = cb.Hel[lr.lam]
-    right = lr.rho.T
-    r = SolutionMap(left, right, provenance="bracoid-tilde", carrier=cb.bracoid.G)
-    report = check_braid(r)
-    if not report.braid:
-        raise AxiomViolated(
-            f"companion map fails the braid relation at {report.braid_witness}")
-    if not report.right_nondegenerate:
-        raise AxiomViolated(
-            f"companion map not right nondegenerate at {report.right_witness}")
-    return r
+    r = SolutionMap(lr.lam, lr.rho.T, provenance="bracoid-tilde", carrier=cb.bracoid.G)
+    return assert_properties(r, "companion", "braid", "right-nondegenerate")
 
 
 def conjugate_solution(r: SolutionMap, by: str) -> SolutionMap:

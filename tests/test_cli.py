@@ -91,7 +91,7 @@ def test_verify_respects_max_order(tmp_path, capsys, command, kind, extra):
     assert code == 2
     assert "PreconditionFailed" in captured.err
     assert captured.out == ""
-    assert list((tmp_path / "over").iterdir()) == []
+    assert not (tmp_path / "over").exists()
 
 
 def test_verify_group_passes(tmp_path, capsys):
@@ -194,7 +194,7 @@ def test_tilde_flag_limited_to_solution_from_bracoid(tmp_path, capsys, pipeline)
     assert code == 2
     assert "PreconditionFailed" in captured.err and "--tilde" in captured.err
     assert captured.out == ""
-    assert list((tmp_path / "t").iterdir()) == []
+    assert not (tmp_path / "t").exists()
 
 
 def test_derived_solution_verifies_clean(tmp_path, capsys):
@@ -249,9 +249,10 @@ def test_holomorph_command(tmp_path, capsys):
 def test_holomorph_respects_max_order(tmp_path, capsys):
     path = tmp_path / "c3.txt"
     path.write_text(write_group(cyclic_group(3)))
-    code = main(["holomorph", str(path), "--out", str(tmp_path),
+    code = main(["holomorph", str(path), "--out", str(tmp_path / "over"),
                  "--max-order", "5"])
     assert code == 2
+    assert not (tmp_path / "over").exists()
 
 
 def test_complements_enumeration(tmp_path, capsys):
@@ -493,6 +494,17 @@ STEP left-nondegenerate PASS 0
 STEP info-right-nondegenerate FAIL 0 (0,0,1)
 STEP write-solution.txt PASS 0
 """),
+    "holomorph": (0, """\
+STEP build-holomorph PASS 0 order=36,aut=6
+STEP transitive PASS 0
+STEP write-holomorph.txt PASS 0
+STEP write-holomorph-action.txt PASS 0
+"""),
+    "complements 1": (0, """\
+STEP subgroup PASS 0 order=2
+STEP complements PASS 0 count=1
+STEP complement-0 PASS 0 (0,2,4)
+"""),
 }
 
 
@@ -501,8 +513,11 @@ def test_reports_match_pinned_bytes(tmp_path, capsys, command):
     words = command.split()
     if words[0] != "example":
         main(["example", "semidirect", "3", "2", "--out", str(tmp_path)])
-        kind = words[1] if words[0] == "verify" else DERIVE_INPUTS[words[1]]
-        words[2:2] = [str(tmp_path / f"semidirect-3-2-{kind}.txt")]
+        if words[0] in ("holomorph", "complements"):
+            words[1:1] = [str(tmp_path / "semidirect-3-2-group.txt")]
+        else:
+            kind = words[1] if words[0] == "verify" else DERIVE_INPUTS[words[1]]
+            words[2:2] = [str(tmp_path / f"semidirect-3-2-{kind}.txt")]
     capsys.readouterr()
     code = main([*words, "--out", str(tmp_path / "out")])
     assert (code, (tmp_path / "out" / "report.txt").read_text()) == PINNED[command]

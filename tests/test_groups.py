@@ -179,14 +179,44 @@ def test_automorphism_cap():
 
 
 def test_holomorph_orders():
-    hol2, _ = holomorph(cyclic_group(2))
-    assert hol2.order == 2
-    hol3, act3 = holomorph(cyclic_group(3))
-    assert hol3.order == 6 and is_transitive(act3)
-    hol8, act8 = holomorph(elementary_abelian(2, 3), cap=168)
-    assert hol8.order == 1344
-    assert is_transitive(act8)
-    assert len(hol8.aut_maps) == 168
+    assert holomorph(cyclic_group(2)).group.order == 2
+    hol3 = holomorph(cyclic_group(3))
+    assert hol3.group.order == 6 and is_transitive(hol3.action)
+    hol8 = holomorph(elementary_abelian(2, 3), cap=168)
+    assert hol8.group.order == 1344
+    assert is_transitive(hol8.action)
+    assert len(hol8.maps) == 168
+
+
+@pytest.mark.parametrize("N, cap", [
+    (cyclic_group(3), 64), (cyclic_group(4), 64), (elementary_abelian(2, 3), 168),
+], ids=["C3", "C4", "C2^3"])
+def test_holomorph_element_acts_as_translation_after_twist(N, cap):
+    hol = holomorph(N, cap=cap)
+    seen = []
+    for m in hol.maps:
+        for h in range(N.order):
+            x = hol.element(h, m.images)
+            assert np.array_equal(hol.action.table[x], N.table[h, list(m.images)])
+            seen.append(x)
+    assert sorted(seen) == list(range(hol.group.order))
+
+
+def test_holomorph_element_refuses_a_non_automorphism():
+    hol = holomorph(cyclic_group(4))
+    assert hol.element(1, (0, 1, 2, 3)) is not None
+    assert hol.element(1, (0, 2, 1, 3)) is None     # a bijection, not a homomorphism
+    assert hol.element(0, (1, 0, 3, 2)) is None     # moves the identity
+    assert hol.element(0, (0, 0, 0, 0)) is None
+
+
+def test_subgroup_membership_matches_its_element_set(semidirect32, abelianmap35, gl3f2):
+    subs = [stabilizer(inst.bracoid.act, 0) for inst in (semidirect32, abelianmap35, gl3f2)]
+    subs.append(gl3f2.contained.H)
+    for H in subs:
+        members = set(H.elements)
+        assert [x in H for x in range(H.parent.order)] == \
+            [x in members for x in range(H.parent.order)]
 
 
 def test_subgroup_generated():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ybelab.braces import SkewBrace, brace_solution, trivial_brace
+from ybelab.braces import AxiomViolated, SkewBrace, brace_solution, trivial_brace
 from ybelab.catalog import promote_brace
 from ybelab.groups import cyclic_group, semidirect_product
 from ybelab.semibraces import Semibrace, bracoid_to_semibrace
@@ -12,6 +12,7 @@ from ybelab.ybe import (
     NotClosed,
     SizeMismatch,
     SolutionMap,
+    assert_properties,
     check_braid,
     conjugate_solution,
     restrict_solution,
@@ -87,6 +88,15 @@ def test_short_scan_stops_at_first_failing_slice():
     report = check_braid(r)
     assert report.braid_counterexamples is None
     assert report.braid_witness == (0, 0, 1)
+
+
+def test_assert_properties_names_the_first_failing_asserted_property():
+    # The constant map braids but has none of the other four properties.
+    r = SolutionMap(np.zeros((3, 3)), np.zeros((3, 3)))
+    assert assert_properties(r, "constant", "braid") is r
+    with pytest.raises(AxiomViolated,
+                       match=r"^constant map fails left-nondegenerate at \(0, 0, 1\)$"):
+        assert_properties(r, "constant", "right-nondegenerate", "left-nondegenerate", "braid")
 
 
 def test_solution_map_validation():
