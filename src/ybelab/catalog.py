@@ -14,6 +14,7 @@ Five families, each returning a CatalogInstance bundle:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass, field
 
@@ -233,7 +234,7 @@ def gl3f2_instance(seed: int = 0, attempt_cap: int = GL3F2_ATTEMPT_CAP) -> Catal
         chosen = np.asarray(sorted(elems), dtype=np.int32)
         if len(set(points[chosen].tolist())) != N.order:
             continue
-        J = Subgroup(hol.group, tuple(int(v) for v in chosen), generators=(a, b))
+        J = Subgroup(hol.group, tuple(int(v) for v in chosen))
         if not _is_simple(J.as_group(name="J168")):
             continue
         bracoid = from_holomorph_subgroup(hol, J)
@@ -324,11 +325,30 @@ def seeded_braces(rng: random.Random, count: int, max_order: int = 16) -> list[S
     return out
 
 
-def build_example(name: str, params: tuple[int, ...] = (), seed: int = 0) -> CatalogInstance:
-    """Dispatch by catalog name; empty params fall back to the stock instance."""
+def _example_params(name: str, params: tuple[int, ...]) -> tuple[int, ...]:
     if name not in CATALOG_NAMES:
         raise UnknownExample(f"unknown example {name!r} (choose from {CATALOG_NAMES})")
-    params = tuple(params) or DEFAULT_PARAMS[name]
+    return tuple(params) or DEFAULT_PARAMS[name]
+
+
+def example_order(name: str, params: tuple[int, ...] = ()) -> int:
+    """|G| of the bracoid `build_example(name, params)` returns, without building it."""
+    params = _example_params(name, params)
+    if name == "gl3f2":
+        return GL3F2_ORDER
+    if name == "trivial-brace":
+        if len(params) not in (1, 2):
+            raise ValueError("trivial-brace takes n or (p, q)")
+        return math.prod(params)
+    if len(params) != 2:
+        raise ValueError(f"{name} takes (p, q)")
+    p, q = params
+    return {"semidirect": p * q, "abelianmap": 4 * p * q, "cyclic-pq": p * q * q}[name]
+
+
+def build_example(name: str, params: tuple[int, ...] = (), seed: int = 0) -> CatalogInstance:
+    """Dispatch by catalog name; empty params fall back to the stock instance."""
+    params = _example_params(name, params)
     if name == "trivial-brace":
         return trivial_brace_instance(params)
     if name == "semidirect":

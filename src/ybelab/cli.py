@@ -4,7 +4,8 @@ Reports are line oriented, `STEP <name> PASS|FAIL <micros> [witness]`.
 Stdout carries real timings; report files written under --out zero the
 micros column so identical runs produce identical bytes.  Exit status is
 0 iff every asserted step passed, 1 on a failed step, 2 on unusable input
-(parse errors, unknown names, precondition failures).
+(parse errors, unknown names, precondition failures), 3 when the library
+broke one of its own invariants (`InternalError`).
 
 The file-kind and pipeline tables are built per call, so their rows look up
 library names at run time, as direct calls do (a tracer may rebind them).
@@ -31,12 +32,20 @@ from .catalog import (
     SearchExhausted,
     acceptance_instances,
     build_example,
+    example_order,
     promote_brace,
     seeded_braces,
 )
 from .checks import Report, group_table_checks
 from .files import ParseError
-from .groups import FiniteGroup, find_complements, holomorph, is_transitive, subgroup_generated
+from .groups import (
+    FiniteGroup,
+    InternalError,
+    find_complements,
+    holomorph,
+    is_transitive,
+    subgroup_generated,
+)
 from .semibraces import (
     Semibrace,
     bracoid_to_semibrace,
@@ -257,12 +266,12 @@ def _finish(report: RunReport, out: Path | None) -> int:
 # --- subcommands ---
 
 def cmd_example(args) -> int:
+    _refuse_order(example_order(args.name, tuple(args.params)), args.max_order)
     report = RunReport()
     inst = report.build(
         f"build-{args.name}",
         lambda: build_example(args.name, tuple(args.params), seed=args.seed),
         witness=lambda v: f"G={v.bracoid.G.order},N={v.bracoid.N.order}")
-    _refuse_order(inst.bracoid.G.order, args.max_order)
     if inst.brace is not None:
         report.absorb("brace.", report.build(
             "verify-brace", lambda: verify_skew_brace(inst.brace.star, inst.brace.dot)))
@@ -644,6 +653,9 @@ def main(argv=None) -> int:
     except (SearchExhausted, PreconditionFailed, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
+    except InternalError as exc:
+        print(f"error: InternalError: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

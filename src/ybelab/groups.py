@@ -62,6 +62,10 @@ class CompatibilityViolated(ValueError):
     pass
 
 
+class InternalError(RuntimeError):
+    """A result the library just computed broke an invariant it guarantees."""
+
+
 def _raise_for_check(check: Check) -> None:
     msg = check.describe()
     name = check.name.rsplit("-", 1)[-1] if "-" in check.name else check.name
@@ -156,7 +160,6 @@ class Subgroup:
 
     parent: FiniteGroup
     elements: tuple[int, ...]
-    generators: tuple[int, ...] = ()
 
     def __post_init__(self):
         elems = self.elements
@@ -464,8 +467,9 @@ def _closure(table: np.ndarray, gens: Sequence[int], cap: int | None = None) -> 
 def subgroup_generated(G: FiniteGroup, gens: Sequence[int]) -> Subgroup:
     gens = tuple(int(g) for g in gens)
     elems = _closure(G.table, gens)
-    assert elems is not None
-    return Subgroup(G, tuple(sorted(elems)), generators=gens)
+    if elems is None:
+        raise InternalError("an uncapped closure gave up")
+    return Subgroup(G, tuple(sorted(elems)))
 
 
 def _extend_hom(table: np.ndarray, img: np.ndarray, elems: list[int], g: int, y: int):
@@ -570,7 +574,7 @@ def holomorph(N: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> Holomorph:
     group = semidirect_product(N, aut, alpha, name=f"Hol({N.name})")
     action = GroupAction(group, N.table[:, alpha].reshape(group.order, N.order))
     if not is_transitive(action):
-        raise AssertionError("holomorph action must be transitive")
+        raise InternalError("holomorph action must be transitive")
     return Holomorph(N, group, action, tuple(maps))
 
 
@@ -583,48 +587,91 @@ def stabilizer(action: GroupAction, point: int) -> Subgroup:
     sub = Subgroup(action.actor, elems)
     orbit = len(set(action.table[:, point].tolist()))
     if orbit * len(elems) != action.actor.order:
-        raise AssertionError("orbit-stabilizer count mismatch")
+        raise InternalError("orbit-stabilizer count mismatch")
     return sub
 
 
 def find_complements(G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
-    """All subgroups H with H ∩ S = {0} and |H|*|S| = |G|, in lexicographic order.
+    """All complements of S in G, in lexicographic order of their elements.
 
-    The search walks the subgroup lattice by single-generator extension,
-    pruning any partial subgroup whose order does not divide the complement
-    order or which meets S nontrivially; exhausting it certifies nonexistence.
+    A complement H (H ∩ S = {0}, |H|*|S| = |G|) is a subgroup acting
+    regularly on the m = |G|/|S| left cosets gS, labelled by their least
+    members: it meets every coset exactly once.  The search grows subgroups
+    K that meet each coset at most once, which is K ∩ S = {0}, since
+    k1 S = k2 S iff k1^-1 k2 is in S.  A node K branches at the least coset
+    p it does not meet, over the |S| members g of p, to the child <K, g>.
+
+    Completeness: a complement H containing K has exactly one element h in
+    p, and <K, h> lies in H, so it meets each coset at most once and is a
+    child of K.  From K = {0}, every H is reached, and a node meeting all m
+    cosets is a complement.  So an empty list certifies that S has none.
+
+    Pruning: a member g whose order does not divide m is skipped, and a
+    child is dropped the moment two of its elements land in one coset, or
+    when its order does not divide m (no subgroup of a complement has such
+    an order).  No subgroup is reached twice: on a path
+    to K, the element added at each node is the one member of K in that
+    node's least unmet coset, so K fixes its own path and the search keeps
+    no visited set.
     """
-    n = G.order
-    m = n // S.order
     table = G.table
-    orders = G.element_orders
-    s_nontrivial = set(S.elements) - {0}
-    visited: dict[tuple[int, ...], tuple[int, ...]] = {(0,): ()}
-    queue = deque([((0,), ())])
-    results: list[tuple[int, ...]] = []
-    while queue:
-        elems, gens = queue.popleft()
+    sel = np.asarray(S.elements)
+    reps, label = np.unique(table[:, sel].min(axis=1), return_inverse=True)
+    m = len(reps)
+    point = label.tolist()
+    cosets = table[np.ix_(reps, sel)].tolist()
+    orders = G.element_orders.tolist()
+    stack = [([0], [0] + [-1] * (m - 1))]
+    found: list[tuple[int, ...]] = []
+    while stack:
+        elems, owner = stack.pop()
         if len(elems) == m:
-            results.append(elems)
+            found.append(tuple(sorted(elems)))
             continue
-        members = set(elems)
-        for g in range(1, n):
-            if g in members or g in s_nontrivial or m % int(orders[g]) != 0:
+        p = owner.index(-1)
+        for g in cosets[p]:
+            if m % orders[g]:
                 continue
-            new = _closure(table, gens + (g,), cap=m)
-            if new is None or m % len(new) != 0:
-                continue
-            if s_nontrivial.intersection(new):
-                continue
-            key = tuple(sorted(new))
-            if key not in visited:
-                visited[key] = gens + (g,)
-                queue.append((key, gens + (g,)))
-    out = [Subgroup(G, k, generators=visited[k]) for k in sorted(results)]
+            child = _join(table, point, elems, owner, g)
+            if child is not None and m % len(child[0]) == 0:
+                stack.append(child)
+    out = [Subgroup(G, k) for k in sorted(found)]
     for H in out:
         if not exact_factorization(G, H, S):
-            raise AssertionError("complement search produced a non-complement")
+            raise InternalError("complement search produced a non-complement")
     return out
+
+
+def _join(table: np.ndarray, point: list[int], elems: list[int], owner: list[int],
+          g: int) -> tuple[list[int], list[int]] | None:
+    """<K, g> as (elements, owner) for K = elems; None once two land in one coset.
+
+    owner[c] is the element of K in coset c, or -1, and g lies in a coset
+    K does not meet.  Every element of <K, g> is a word in K and g (an
+    inverse is a positive power), so <K, g> is the least set holding K that
+    is closed under right multiplication by K and by g.  The set is grown a
+    whole left coset zK at a time, which keeps it closed under K, and each
+    element is multiplied by g once: 2|<K, g>| products in all.
+    """
+    mul = table.item
+    owner = owner.copy()
+    out = list(elems)
+    i, z = 0, g
+    while True:
+        held = owner[point[z]]
+        if held < 0:
+            for k in elems:
+                w = mul(z, k)
+                if owner[point[w]] >= 0:
+                    return None
+                owner[point[w]] = w
+                out.append(w)
+        elif held != z:
+            return None
+        if i == len(out):
+            return out, owner
+        z = mul(out[i], g)
+        i += 1
 
 
 def exact_factorization(G: FiniteGroup, H: Subgroup, S: Subgroup) -> bool:

@@ -13,6 +13,7 @@ from ybelab.catalog import (
     acceptance_instances,
     build_example,
     cyclic_pq_instance,
+    example_order,
     gl3f2_instance,
     promote_brace,
     seeded_braces,
@@ -127,6 +128,17 @@ def test_build_example_dispatch(gl3f2):
     assert build_example("gl3f2").detail == gl3f2.detail
     with pytest.raises(UnknownExample):
         build_example("nope")
+
+
+def test_example_order_is_the_built_order(catalog):
+    for inst in catalog:
+        assert example_order(inst.name, inst.params) == inst.bracoid.G.order
+    assert example_order("abelianmap", (5, 13)) == 260
+    assert example_order("trivial-brace") == 6
+    with pytest.raises(UnknownExample):
+        example_order("nope")
+    with pytest.raises(ValueError):
+        example_order("cyclic-pq", (5,))
 
 
 def test_acceptance_battery_composition():

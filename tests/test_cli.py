@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ybelab import catalog, groups
 from ybelab.cli import main
 from ybelab.files import write_brace, write_bracoid, write_group, write_semibrace
 from ybelab.groups import cyclic_group, semidirect_product
@@ -65,10 +66,38 @@ def test_example_unknown_name(tmp_path, capsys):
     assert "UnknownExample" in err
 
 
-def test_example_respects_max_order(tmp_path, capsys):
-    code = main(["example", "gl3f2", "--out", str(tmp_path),
+def test_example_respects_max_order(tmp_path, capsys, monkeypatch):
+    """The order comes from the family and its params: no search starts."""
+    def never(*args, **kwargs):
+        raise RuntimeError("gl3f2 search started")
+
+    monkeypatch.setattr(catalog, "gl3f2_instance", never)
+    code = main(["example", "gl3f2", "--out", str(tmp_path / "over"),
                  "--max-order", "32"])
+    captured = capsys.readouterr()
     assert code == 2
+    assert "PreconditionFailed" in captured.err
+    assert captured.out == ""
+    assert not (tmp_path / "over").exists()
+
+
+def test_example_with_wrong_param_count_exits_two(tmp_path, capsys):
+    code = main(["example", "semidirect", "3", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "semidirect takes (p, q)" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_broken_internal_invariant_exits_three(tmp_path, capsys, monkeypatch):
+    """A post-check that fails inside the library is exit 3, not a traceback."""
+    path = tmp_path / "s3.txt"
+    path.write_text(write_group(_sd32()))
+    monkeypatch.setattr(groups, "exact_factorization", lambda G, H, S: False)
+    code = main(["complements", str(path), "1", "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: InternalError: complement search produced a non-complement\n"
+    assert "Traceback" not in captured.err
 
 
 @pytest.mark.parametrize("command, kind, extra", [
