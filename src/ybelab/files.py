@@ -59,7 +59,7 @@ def _parse_table(lines: list[str], start: int, rows: int, cols: int) -> np.ndarr
                              f"expected {cols} entries, found {len(parts)}")
         try:
             out[i] = [int(p) for p in parts]
-        except ValueError as exc:
+        except (ValueError, OverflowError) as exc:
             raise ParseError(start + i + 1, f"bad integer: {exc}") from exc
     return out
 
@@ -164,14 +164,58 @@ def read_semibrace(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_solution(r: SolutionMap) -> str:
+    return _solution_text(r)
+
+
+def _solution_text(r: SolutionMap) -> str:
+    # read_solution checks its bulk parse with this, not with write_solution,
+    # so wrappers of the public writer never count a read as a write.
     n = r.size
-    head = f"YBE v1 {n} {r.provenance}"
-    body = [f"{x} {y} {int(r.left[x, y])} {int(r.right[x, y])}"
-            for x in range(n) for y in range(n)]
-    return "\n".join([head] + body) + "\n"
+    digits = [str(v) for v in range(n)]           # every entry lies in 0..n-1
+    lines = [f"YBE v1 {n} {r.provenance}"]
+    for x, lrow, rrow in zip(digits, r.left.tolist(), r.right.tolist()):
+        lines.extend([f"{x} {y} {digits[a]} {digits[b]}"
+                      for y, a, b in zip(digits, lrow, rrow)])
+    return "\n".join(lines) + "\n"
+
+
+def _read_canonical_solution(text: str) -> SolutionMap | None:
+    """The map that text encodes when text is exactly write_solution's output, else None.
+
+    The body is parsed in C by np.fromstring, with no Python object per
+    token.  The result is accepted only when there are 4n^2 values, the x y
+    columns list the pairs in order, every value lies in 0..n-1 and
+    write_solution would give back text itself.  The line loop of
+    read_solution parses such text without error to the same map, so this
+    is a shortcut with no verdict of its own.
+    """
+    head, _, body = text.partition("\n")
+    try:
+        (n,), rest = _parse_header([head], "YBE", 1)
+        values = np.fromstring(body, dtype=np.int64, sep=" ")
+    except ValueError:
+        return None
+    if n < 1 or values.size != 4 * n * n:
+        return None
+    x, y, lx, ry = values.reshape(n * n, 4).T
+    pairs = np.arange(n * n)
+    if not (np.array_equal(x, pairs // n) and np.array_equal(y, pairs % n)
+            and min(lx.min(), ry.min()) >= 0 and max(lx.max(), ry.max()) < n):
+        return None
+    r = SolutionMap(lx.reshape(n, n), ry.reshape(n, n),
+                    provenance=" ".join(rest) if rest else "unspecified")
+    return r if _solution_text(r) == text else None
 
 
 def read_solution(text: str) -> SolutionMap:
+    """Parse a YBE file; canonical text in bulk, anything else line by line.
+
+    The line loop is the only source of ParseError, so every message and
+    line number comes from it.
+    """
+    fast = _read_canonical_solution(text)
+    if fast is not None:
+        return fast
     lines = _split(text)
     (n,), rest = _parse_header(lines, "YBE", 1)
     provenance = " ".join(rest) if rest else "unspecified"
@@ -189,6 +233,9 @@ def read_solution(text: str) -> SolutionMap:
             raise ParseError(2 + k, f"bad integer: {exc}") from exc
         if x != k // n or y != k % n:
             raise ParseError(2 + k, f"pairs out of order at ({x}, {y})")
-        left[x, y] = lx
-        right[x, y] = ry
+        try:
+            left[x, y] = lx
+            right[x, y] = ry
+        except OverflowError as exc:
+            raise ParseError(2 + k, f"bad integer: {exc}") from exc
     return SolutionMap(left, right, provenance=provenance)

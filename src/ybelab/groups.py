@@ -223,21 +223,27 @@ class GroupAction:
         return f"GroupAction({self.actor.name!r} on {self.space_size} points)"
 
 
+def _action_law_holds(gt: np.ndarray, act: np.ndarray) -> bool:
+    """True iff (g*h).p = g.(h.p) for all g, h, p, tested on h in 0 and generators(gt).
+
+    gt must be an associative table; act[0] need not be the identity map.
+    Let T be the set of h with act[g*h] = act[g] o act[h] for every g.  If
+    h, k are in T then so is h*k:  act[g*(h*k)] = act[(g*h)*k]
+    = act[g*h] o act[k] = act[g] o act[h] o act[k] = act[g] o act[h*k], the
+    last step being k in T at g = h.  So T holds the closure of 0 and the
+    generators, which is all of G.
+    """
+    return all(np.array_equal(act[gt[:, h]], act[:, act[h]])
+               for h in [0, *generators(gt)])
+
+
 def _action_law_failure(gt: np.ndarray, act: np.ndarray) -> tuple[int, int, int] | None:
     """First (g, h, p) with (g*h).p != g.(h.p), or None.
 
-    gt must be an associative table; act[0] need not be the identity map.
-    The law is proved on h in 0 and generators(gt).  Let T be the set of h
-    with act[g*h] = act[g] o act[h] for every g.  If h, k are in T then so
-    is h*k:  act[g*(h*k)] = act[(g*h)*k] = act[g*h] o act[k]
-    = act[g] o act[h] o act[k] = act[g] o act[h*k], the last step being k in
-    T at g = h.  So T holds the closure of 0 and the generators, which is
-    all of G.  When the test fails, the full scan names the first triple.
+    The law is proved by _action_law_holds; only when that test fails does
+    the full scan run, to name the first triple.
     """
-    for h in [0, *generators(gt)]:
-        if not np.array_equal(act[gt[:, h]], act[:, act[h]]):
-            return _brute_action_law(gt, act)
-    return None
+    return None if _action_law_holds(gt, act) else _brute_action_law(gt, act)
 
 
 def _brute_action_law(gt: np.ndarray, act: np.ndarray) -> tuple[int, int, int] | None:
@@ -296,8 +302,9 @@ class MatchedPair:
     """Groups H, S with a left action of S on H and a right action of H on S.
 
     left[s, h] is the action of s on h (valued in H); right[s, h] is the
-    action of h on s (valued in S).  The two mixed compatibility laws are
-    verified at construction.
+    action of h on s (valued in S).  Both action laws and the two mixed
+    compatibility laws are verified at construction, on generators; a
+    failure is named by the full scan.
     """
 
     H: FiniteGroup
@@ -320,30 +327,68 @@ class MatchedPair:
             raise CompatibilityViolated("left action must fix e_H and have trivial e_S row")
         if not (right[0] == 0).all() or not (right[:, 0] == ns).all():
             raise CompatibilityViolated("right action must fix e_S column and kill e_H")
-        # left is a left action: (s*t).h = s.(t.h)
-        bad = left[S.table] != left[:, left]
-        if bad.any():
-            s, t, h = map(int, np.argwhere(bad)[0])
-            raise CompatibilityViolated(f"left action law fails at s={s} t={t} h={h}")
-        # right is a right action: s^(h*k) = (s^h)^k
-        bad = right[:, H.table] != right[right]
-        if bad.any():
-            s, h, k = map(int, np.argwhere(bad)[0])
-            raise CompatibilityViolated(f"right action law fails at s={s} h={h} k={k}")
-        # s.(h1*h2) = (s.h1) * (s^h1).h2
-        rhs = H.table[left[:, :, None], left[right]]
-        bad = left[:, H.table] != rhs
-        if bad.any():
-            s, h1, h2 = map(int, np.argwhere(bad)[0])
-            raise CompatibilityViolated(f"mixed law on H fails at s={s} h1={h1} h2={h2}")
-        # (s1*s2)^h = s1^(s2.h) * s2^h
-        rhs = S.table[right[:, left], right[None, :, :]]
-        bad = right[S.table] != rhs
-        if bad.any():
-            s1, s2, h = map(int, np.argwhere(bad)[0])
-            raise CompatibilityViolated(f"mixed law on S fails at s1={s1} s2={s2} h={h}")
+        if not _matched_pair_laws_hold(H.table, S.table, left, right):
+            _brute_matched_pair_laws(H, S, left, right)
         left.setflags(write=False)
         right.setflags(write=False)
+
+
+def _matched_pair_laws_hold(ht: np.ndarray, st: np.ndarray, left: np.ndarray,
+                            right: np.ndarray) -> bool:
+    """True iff the four laws of a matched pair hold, tested on generators.
+
+    The unit checks have passed: left[0] and right[:, 0] are identities,
+    left[:, 0] = 0 and right[0] = 0.  The left action law is
+    _action_law_holds on S.  The right action law s^(h*k) = (s^h)^k says
+    right.T[k *op h] = right.T[k] o right.T[h] in H^op, whose table is
+    ht.T, so it is _action_law_holds there.
+
+    Mixed law on H, s.(h1*h2) = (s.h1) * (s^h1).h2.  Let T be the set of h2
+    for which it holds at every s, h1.  0 is in T, as (s^h1).0 = 0.  If h2
+    and g are in T then so is h2*g:
+        s.(h1*h2g) = s.(h1h2) * (s^(h1h2)).g              g at (s, h1h2)
+                   = (s.h1) * (s^h1).h2 * ((s^h1)^h2).g    h2 at (s, h1), right law
+                   = (s.h1) * (s^h1).(h2g)                 g at (s^h1, h2).
+    Mixed law on S, (s1*s2)^h = s1^(s2.h) * s2^h.  Let T be the set of s1
+    for which it holds at every s2, h.  0 is in T, as 0^h = 0.  If a and b
+    are in T then so is ab:
+        (ab*s2)^h = a^((b s2).h) * (b s2)^h                a at (b s2, h)
+                  = a^(b.(s2.h)) * b^(s2.h) * s2^h          left law, b at (s2, h)
+                  = (ab)^(s2.h) * s2^h                      a at (b, s2.h).
+    So each T holds 0 and the generators of its group, hence all of it.
+    """
+    return (_action_law_holds(st, left) and _action_law_holds(ht.T, right.T)
+            and all(np.array_equal(left[:, ht[:, g]], ht[left, left[right, g]])
+                    for g in generators(ht))
+            and all(np.array_equal(right[st[g]], st[right[g][left], right])
+                    for g in generators(st)))
+
+
+def _brute_matched_pair_laws(H: FiniteGroup, S: FiniteGroup, left: np.ndarray,
+                             right: np.ndarray) -> None:
+    """Scan the four matched-pair laws in full; raise at the first failure."""
+    # left is a left action: (s*t).h = s.(t.h)
+    bad = left[S.table] != left[:, left]
+    if bad.any():
+        s, t, h = map(int, np.argwhere(bad)[0])
+        raise CompatibilityViolated(f"left action law fails at s={s} t={t} h={h}")
+    # right is a right action: s^(h*k) = (s^h)^k
+    bad = right[:, H.table] != right[right]
+    if bad.any():
+        s, h, k = map(int, np.argwhere(bad)[0])
+        raise CompatibilityViolated(f"right action law fails at s={s} h={h} k={k}")
+    # s.(h1*h2) = (s.h1) * (s^h1).h2
+    rhs = H.table[left[:, :, None], left[right]]
+    bad = left[:, H.table] != rhs
+    if bad.any():
+        s, h1, h2 = map(int, np.argwhere(bad)[0])
+        raise CompatibilityViolated(f"mixed law on H fails at s={s} h1={h1} h2={h2}")
+    # (s1*s2)^h = s1^(s2.h) * s2^h
+    rhs = S.table[right[:, left], right[None, :, :]]
+    bad = right[S.table] != rhs
+    if bad.any():
+        s1, s2, h = map(int, np.argwhere(bad)[0])
+        raise CompatibilityViolated(f"mixed law on S fails at s1={s1} s2={s2} h={h}")
 
 
 def group_from_table(order: int, table, name: str = "G") -> FiniteGroup:

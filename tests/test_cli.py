@@ -158,6 +158,21 @@ def test_verify_parse_error_exits_two(tmp_path, capsys):
     assert "line" in err
 
 
+@pytest.mark.parametrize("kind, text, line", [
+    ("solution", "YBE v1 2 x\n0 0 0 0\n0 1 99999999999 1\n1 0 1 0\n1 1 1 1\n", 3),
+    ("group", "GROUP v1 2\n0 1\n1 99999999999\n", 3),
+])
+def test_verify_integer_beyond_int32_exits_two(tmp_path, capsys, kind, text, line):
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    code = main(["verify", kind, str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == (f"error: line {line}: bad integer: Python integer 99999999999"
+                   " out of bounds for int32\n")
+    assert "STEP" not in out
+
+
 def test_verify_missing_file_exits_two(tmp_path, capsys):
     code = main(["verify", "group", str(tmp_path / "absent.txt")])
     assert code == 2

@@ -5,7 +5,9 @@ the first counterexample.  Inputs are catalog structures under random
 relabellings, the same with one table entry changed, random loops, random
 action tables and random Yang-Baxter maps.  The report-level tests run
 each verifier twice, once with the fast checks and once with the oracles
-patched in, and require identical reports.
+patched in, and require identical reports.  The braid relation proved from
+a carrier's group laws is held to the scan of the same map with no carrier,
+and matched pairs to their full law scan.
 """
 
 from contextlib import ExitStack
@@ -37,13 +39,17 @@ class Base:
 
 
 @cache
+def instances() -> tuple:
+    return (trivial_brace_instance((4,)), trivial_brace_instance((3, 2)),
+            semidirect_instance(3, 2), semidirect_instance(5, 2),
+            semidirect_instance(7, 3), abelianmap_instance(3, 5))
+
+
+@cache
 def pool() -> tuple[Base, ...]:
-    insts = [trivial_brace_instance((4,)), trivial_brace_instance((3, 2)),
-             semidirect_instance(3, 2), semidirect_instance(5, 2),
-             semidirect_instance(7, 3), abelianmap_instance(3, 5)]
     return tuple(Base(i.bracoid.G.table, i.brace.star.table, i.bracoid.N.table,
                       i.bracoid.act.table, bracoid_to_semibrace(i.contained).plus)
-                 for i in insts)
+                 for i in instances())
 
 
 bases = st.integers(0, 5).map(lambda k: pool()[k])
@@ -368,3 +374,235 @@ def test_group_constructor_names_the_brute_witness(rng, n):
         assert witness is not None and ",".join(map(str, witness)) in str(exc)
     else:
         assert witness is None
+
+
+# --- the braid relation proved from carrier laws ---
+
+@cache
+def derived(k: int) -> tuple[ybe.SolutionMap, ...]:
+    """The four derived solutions of instances()[k], each with its carrier."""
+    cb = instances()[k].contained
+    return (braces.brace_solution(cb.brace),
+            ybe.solution_from_semibrace(bracoid_to_semibrace(cb)),
+            ybe.solution_from_bracoid(cb), ybe.tilde_solution_from_bracoid(cb))
+
+
+def carrier_laws(left, right, gt) -> bool:
+    return ybe._braid_from_carrier(np.asarray(left), np.asarray(right), np.asarray(gt))
+
+
+def test_every_derived_solution_passes_the_carrier_laws():
+    for k in range(len(instances())):
+        for r in derived(k):
+            assert carrier_laws(r.left, r.right, r.carrier.table), (k, r.provenance)
+
+
+@FAST
+@given(st.integers(0, 5), st.integers(0, 3), rngs)
+def test_carrier_proof_keeps_the_scan_report(k, which, rng):
+    """One entry changed, carrier kept: the report, witness included, is the
+    report of the same tables with no carrier, which always scans."""
+    r = derived(k)[which]
+    for base in (r, ybe.conjugate_solution(r, "tau")):
+        for left, right in ((base.left, base.right), (poke(base.left, rng), base.right),
+                            (base.left, poke(base.right, rng))):
+            carried = ybe.SolutionMap(left, right, carrier=base.carrier)
+            assert ybe.check_braid(carried) == ybe.check_braid(ybe.SolutionMap(left, right))
+
+
+@FAST
+@given(st.integers(0, 5), st.integers(0, 3), st.integers(0, 2), rngs)
+def test_carrier_laws_imply_the_brute_braid(k, which, small, rng):
+    r = derived(k)[which]
+    gt, n = r.carrier.table, r.size
+    maps = [(r.left, r.right, gt), (poke(r.left, rng), r.right, gt),
+            (r.left, poke(r.right, rng), gt),
+            tuple(rng.integers(0, n, (2, n, n))) + (gt,)]
+    for twin in (ybe.conjugate_solution(r, "tau"), ybe.conjugate_solution(r, "iota")):
+        maps.append((twin.left, twin.right, gt))
+    other = derived(small)[which]
+    if n <= 10:
+        maps.append((pair(r.left, other.left), pair(r.right, other.right),
+                     pair(gt, other.carrier.table)))
+    for left, right, table in maps:
+        if carrier_laws(left, right, table):
+            witness, _ = ybe._brute_braid(np.asarray(left), np.asarray(right),
+                                          collect_all=False)
+            assert witness == ()
+
+
+def endomorphisms(G: FiniteGroup) -> list[np.ndarray]:
+    """Every endomorphism of G, found from the images of its generators."""
+    table, n = G.table, G.order
+    gens = checks.generators(table)
+    found = []
+    for images in product(range(n), repeat=len(gens)):
+        img = {0: 0}
+        queue = [0]
+        for a in queue:
+            for g, ig in zip(gens, images):
+                b = int(table[a, g])
+                if b not in img:
+                    img[b] = int(table[img[a], ig])
+                    queue.append(b)
+        f = np.array([img[a] for a in range(n)])
+        if np.array_equal(f[table], table[np.ix_(f, f)]):
+            found.append(f)
+    return found
+
+
+def structured_maps(G: FiniteGroup):
+    """Maps on G built from its operations, many passing two of the three laws.
+
+    Word maps such as (y, xy) are actions with no product law.  For each
+    endomorphism psi, t_y(x) = x psi(y) is a right action and
+    s_x(y) = psi(x) y a left action; the other coordinate is solved from
+    the product law, so only the other action law is left to fail.
+    """
+    table, inv = G.table, G.inv
+    x, y = np.indices(table.shape)
+    letters = {"x": x, "X": inv[x], "y": y, "Y": inv[y]}
+    words = [()] + [(a,) for a in letters] + list(product(letters, repeat=2))
+    tables = []
+    for word in words:
+        t = np.zeros_like(x)
+        for a in word:
+            t = table[t, letters[a]]
+        tables.append(t)
+    yield from product(tables, repeat=2)
+    for psi in endomorphisms(G):
+        right = table[x, psi[y]]
+        yield table[table[x, y], inv[right]], right
+        left = table[psi[x], y]
+        yield left, table[inv[left], table[x, y]]
+
+
+def test_maps_passing_two_carrier_laws_keep_the_scan_report():
+    """Each law is needed: some map passes the other two and fails braid.  A
+    carrier never changes a report, whichever laws pass."""
+    dihedral4 = groups.semidirect_product(cyclic_group(4), cyclic_group(2),
+                                          np.array([[0, 1, 2, 3], [0, 3, 2, 1]]))
+    needed = set()
+    for G in (cyclic_group(3), cyclic_group(4), group(pool()[1].g), dihedral4):
+        gt = G.table
+        for left, right in structured_maps(G):
+            report = ybe.check_braid(ybe.SolutionMap(left, right, carrier=G))
+            assert report == ybe.check_braid(ybe.SolutionMap(left, right))
+            laws = (np.array_equal(gt[left, right], gt),
+                    groups._brute_action_law(gt, left) is None,
+                    groups._brute_action_law(gt.T, right.T) is None)
+            if all(laws):
+                assert report.braid
+            elif sum(laws) == 2 and not report.braid:
+                needed.add("PLR"[laws.index(False)])
+    assert needed == {"P", "L", "R"}
+
+
+def test_tau_conjugates_fail_the_product_law_and_keep_the_scan_report():
+    failed = 0
+    for k in range(len(instances())):
+        for r in derived(k):
+            t = ybe.conjugate_solution(r, "tau")
+            assert t.carrier is r.carrier
+            gt = t.carrier.table
+            failed += not np.array_equal(gt[t.left, t.right], gt)
+            assert ybe.check_braid(t) == ybe.check_braid(ybe.SolutionMap(t.left, t.right))
+    assert failed
+
+
+# --- matched pairs ---
+
+def symmetric4_factors() -> tuple:
+    """Sym(4) = Stab(3) * <(0 1 2 3)>, an exact factorization with neither factor
+    normal, so both actions are nontrivial and not by automorphisms."""
+    perms = sorted(permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    G = FiniteGroup([[index[tuple(p[i] for i in q)] for q in perms] for p in perms])
+    H = G.subgroup([index[p] for p in perms if p[3] == 3])
+    return G, H, groups.subgroup_generated(G, [index[(1, 2, 3, 0)]])
+
+
+@cache
+def matched_pairs() -> tuple[groups.MatchedPair, ...]:
+    factors = [(i.bracoid.G, i.contained.H, i.contained.S) for i in instances()]
+    return tuple(groups.matched_pair_from_factorization(*f)
+                 for f in factors + [symmetric4_factors()])
+
+
+def _refusal(build) -> str | None:
+    try:
+        build()
+    except groups.CompatibilityViolated as exc:
+        return str(exc)
+    return None
+
+
+def check_matched_pair(H, S, left, right):
+    """The constructor's verdict and message equal the full scan's, and once the
+    unit checks pass, the generator test holds exactly when the scan passes."""
+    fast = _refusal(lambda: groups.MatchedPair(H, S, left, right))
+    with mock.patch.object(groups, "_matched_pair_laws_hold", lambda *args: False):
+        brute = _refusal(lambda: groups.MatchedPair(H, S, left, right))
+    assert fast == brute
+    if brute is None or "fails at" in brute:
+        holds = groups._matched_pair_laws_hold(H.table, S.table, np.asarray(left),
+                                               np.asarray(right))
+        assert holds == (brute is None)
+
+
+def pair_into(t1: np.ndarray, t2: np.ndarray, values1: int) -> np.ndarray:
+    """pair() for tables whose values range over 0..values1-1 in the first factor."""
+    (r1, c1), (r2, c2) = t1.shape, t2.shape
+    return (t2[:, None, :, None] * values1 + t1[None, :, None, :]).reshape(r2 * r1, c2 * c1)
+
+
+def poke_into(table: np.ndarray, values: int, rng) -> np.ndarray:
+    """The table with one entry changed to another value in 0..values-1."""
+    out = table.copy()
+    i, j = (int(rng.integers(s)) for s in table.shape)
+    out[i, j] = (out[i, j] + 1 + rng.integers(max(1, values - 1))) % values
+    return out
+
+
+@FAST
+@given(st.integers(0, 6), st.integers(1, 3), rngs)
+def test_matched_pair_laws_equal_the_full_scan(k, small, rng):
+    mp = matched_pairs()[k]
+    H, S = mp.H, mp.S
+    check_matched_pair(H, S, mp.left, mp.right)
+    # One action made trivial: both action laws still hold, and a mixed law
+    # fails unless the other action is by automorphisms.
+    trivial_left = np.tile(np.arange(H.order), (S.order, 1))
+    trivial_right = np.tile(np.arange(S.order)[:, None], (1, H.order))
+    changed = ((poke_into(mp.left, H.order, rng), mp.right),
+               (mp.left, poke_into(mp.right, S.order, rng)),
+               (trivial_left, mp.right), (mp.left, trivial_right))
+    for left, right in changed:
+        check_matched_pair(H, S, left, right)
+    # A fault in the second factor of a product hides from the first generators.
+    first = matched_pairs()[small]
+    H2, S2 = (group(pair(first.H.table, H.table)), group(pair(first.S.table, S.table)))
+    for left, right in changed:
+        check_matched_pair(H2, S2, pair(first.left, left),
+                           pair_into(first.right, right, first.S.order))
+    # Random tables that pass the unit checks.
+    left = rng.integers(0, H.order, mp.left.shape)
+    left[0], left[:, 0] = np.arange(H.order), 0
+    right = rng.integers(0, S.order, mp.right.shape)
+    right[0], right[:, 0] = 0, np.arange(S.order)
+    check_matched_pair(H, S, left, right)
+    check_matched_pair(H, S, left, mp.right)
+    check_matched_pair(H, S, mp.left, right)
+
+
+def test_matched_pair_laws_on_every_small_table_pair():
+    groups_ = (cyclic_group(2), cyclic_group(3), cyclic_group(4), elementary_abelian(2, 2))
+    for H, S in product(groups_, repeat=2):
+        if H.order * S.order > 8:
+            continue
+        lefts = [t for t in every_table(S.order, H.order, H.order)
+                 if (t[0] == np.arange(H.order)).all() and not t[:, 0].any()]
+        rights = [t for t in every_table(S.order, H.order, S.order)
+                  if not t[0].any() and (t[:, 0] == np.arange(S.order)).all()]
+        for left, right in product(lefts, rights):
+            check_matched_pair(H, S, left, right)

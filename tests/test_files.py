@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ybelab.files import (
     ParseError,
+    _parse_header,
+    _split,
     read_action,
     read_bracoid,
     read_brace,
@@ -160,3 +164,119 @@ def test_out_of_range_values_rejected_by_solution_reader():
     text = "YBE v1 1 x\n0 0 3 0\n"
     with pytest.raises(ValueError):
         read_solution(text)
+
+
+# --- solution text against the writer and reader as first written ---
+
+def oracle_write_solution(r: SolutionMap) -> str:
+    n = r.size
+    head = f"YBE v1 {n} {r.provenance}"
+    body = [f"{x} {y} {int(r.left[x, y])} {int(r.right[x, y])}"
+            for x in range(n) for y in range(n)]
+    return "\n".join([head] + body) + "\n"
+
+
+def oracle_read_solution(text: str) -> SolutionMap:
+    """The line loop, as first written apart from turning an int32 overflow
+    into a ParseError like any other bad integer."""
+    lines = _split(text)
+    (n,), rest = _parse_header(lines, "YBE", 1)
+    provenance = " ".join(rest) if rest else "unspecified"
+    if len(lines) != 1 + n * n:
+        raise ParseError(len(lines), f"expected {n * n} entry lines")
+    left = np.empty((n, n), dtype=np.int32)
+    right = np.empty((n, n), dtype=np.int32)
+    for k in range(n * n):
+        parts = lines[1 + k].split(" ")
+        if len(parts) != 4:
+            raise ParseError(2 + k, "expected 'x y lx ry'")
+        try:
+            x, y, lx, ry = (int(p) for p in parts)
+        except ValueError as exc:
+            raise ParseError(2 + k, f"bad integer: {exc}") from exc
+        if x != k // n or y != k % n:
+            raise ParseError(2 + k, f"pairs out of order at ({x}, {y})")
+        try:
+            left[x, y] = lx
+            right[x, y] = ry
+        except OverflowError as exc:
+            raise ParseError(2 + k, f"bad integer: {exc}") from exc
+    return SolutionMap(left, right, provenance=provenance)
+
+
+def outcome(read, text):
+    """What a reader makes of text: the map, or the error with its line."""
+    try:
+        r = read(text)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    return r.size, r.provenance, r.left.tobytes(), r.right.tobytes()
+
+
+provenances = st.text(alphabet="ab (+)~ \t", max_size=8)
+
+
+@st.composite
+def solution_maps(draw):
+    n = draw(st.integers(1, 7))
+    seed = draw(st.integers(0, 2**32 - 1))
+    tables = np.random.default_rng(seed).integers(0, n, (2, n, n))
+    return SolutionMap(tables[0], tables[1], provenance=draw(provenances))
+
+
+@settings(max_examples=100, deadline=None)
+@given(solution_maps())
+def test_solution_writer_matches_the_oracle_and_reads_back(r):
+    text = write_solution(r)
+    assert text == oracle_write_solution(r)
+    assert outcome(read_solution, text) == outcome(oracle_read_solution, text)
+    assert outcome(read_solution, text)[:2] == (r.size, r.provenance)
+
+
+TOKENS = ["x", "", "+1", "01", "-1", "1.0", "1_0", "\u0663", "99999999999",
+          "-99999999999", "7", "100"]
+
+
+def mutate(text: str, n: int, kind: int, rng) -> str:
+    """Truncated, reordered, garbage or non-canonical variants of text."""
+    lines = text.split("\n")
+    pick = int(rng.integers(len(lines)))
+    if kind == 0:                                   # truncated anywhere
+        return text[:int(rng.integers(len(text) + 1))]
+    if kind == 1:                                   # two lines swapped
+        other = int(rng.integers(len(lines)))
+        lines[pick], lines[other] = lines[other], lines[pick]
+    elif kind == 2:                                 # one token replaced
+        parts = lines[pick].split(" ")
+        parts[int(rng.integers(len(parts)))] = TOKENS[int(rng.integers(len(TOKENS)))]
+        lines[pick] = " ".join(parts)
+    elif kind == 3:                                 # a separator made non-canonical
+        sep = ["  ", "\t", " \t", "\r"][int(rng.integers(4))]
+        lines[pick] = lines[pick].replace(" ", sep, 1)
+    elif kind == 4:                                 # CRLF line ends
+        return text.replace("\n", "\r\n")
+    elif kind == 5:                                 # an entry out of range
+        parts = lines[pick].split(" ")
+        if pick and len(parts) == 4:
+            parts[2 + int(rng.integers(2))] = str(n + int(rng.integers(3)))
+            lines[pick] = " ".join(parts)
+    elif kind == 6:                                 # a line dropped or repeated
+        if rng.integers(2):
+            del lines[pick]
+        else:
+            lines.insert(pick, lines[pick])
+    else:                                           # leading or trailing text
+        return ["\n", " ", "0 0 0 0\n"][int(rng.integers(3))] + text if rng.integers(2) \
+            else text + ["0", "\n", "0 0 0 0\n", " "][int(rng.integers(4))]
+    return "\n".join(lines)
+
+
+@settings(max_examples=300, deadline=None)
+@given(solution_maps(), st.lists(st.integers(0, 7), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_solution_reader_matches_the_oracle_on_damaged_text(r, kinds, seed):
+    rng = np.random.default_rng(seed)
+    text = write_solution(r)
+    for kind in kinds:
+        text = mutate(text, r.size, kind, rng)
+    assert outcome(read_solution, text) == outcome(oracle_read_solution, text)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from ybelab import ybe
 from ybelab.braces import AxiomViolated, SkewBrace, brace_solution, trivial_brace
 from ybelab.catalog import promote_brace
 from ybelab.groups import cyclic_group, semidirect_product
@@ -97,6 +98,37 @@ def test_assert_properties_names_the_first_failing_asserted_property():
     with pytest.raises(AxiomViolated,
                        match=r"^constant map fails left-nondegenerate at \(0, 0, 1\)$"):
         assert_properties(r, "constant", "right-nondegenerate", "left-nondegenerate", "braid")
+
+
+@pytest.fixture
+def no_braid_scan(monkeypatch):
+    """Make the n^3 braid scan raise, to show that a check never reached it."""
+    def scan(*args, **kwargs):
+        raise AssertionError("the n^3 braid scan ran")
+    monkeypatch.setattr(ybe, "_first_braid_slice", scan)
+    monkeypatch.setattr(ybe, "_brute_braid", scan)
+
+
+def test_derived_solutions_are_proved_without_a_scan(catalog, no_braid_scan):
+    with_brace = [inst for inst in catalog if inst.contained is not None]
+    assert len(with_brace) == 9
+    for inst in with_brace:
+        cb = inst.contained
+        for r in (brace_solution(cb.brace),
+                  solution_from_semibrace(bracoid_to_semibrace(cb)),
+                  solution_from_bracoid(cb), tilde_solution_from_bracoid(cb)):
+            assert check_braid(r).braid
+
+
+def test_order_1024_brace_solution_is_proved_without_a_scan(no_braid_scan):
+    r = brace_solution(trivial_brace(cyclic_group(1024)))
+    report = check_braid(r)
+    assert report.braid and report.bijective and report.involutive
+
+
+def test_maps_without_a_carrier_are_scanned(no_braid_scan):
+    with pytest.raises(AssertionError, match="scan ran"):
+        check_braid(_flip(3))
 
 
 def test_solution_map_validation():
