@@ -4,12 +4,21 @@ All formats are line-oriented, 0-based decimal, single spaces, every
 line newline-terminated.  Writers emit canonical text; readers accept
 exactly that text, so parse(print(v)) reproduces v bit for bit.
 
+Canonical text is read in bulk, by one np.fromstring pass over the body
+that is kept only when the writer gives the text back exactly; anything
+else is read line by line, and that loop is the only source of ParseError.
+
 Readers return raw tables (not verified structures) except for groups
 and solutions, whose types carry no unverified laws beyond shape; the
 caller decides whether to run verifiers or constructors on the rest.
 """
 
 from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import accumulate
+from typing import Callable
 
 import numpy as np
 
@@ -25,8 +34,48 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _table_lines(arr: np.ndarray) -> list[str]:
-    return [" ".join(str(int(v)) for v in row) for row in arr]
+def _table_text(arr: np.ndarray) -> str:
+    """The rows of a 2-d table as single-spaced decimals, each ending in a newline."""
+    if arr.size == 0:
+        return "\n" * arr.shape[0]
+    hi = int(arr.max())
+    if arr.min() < 0 or hi > arr.size:         # no lookup list longer than the table
+        return "".join(" ".join(map(str, row)) + "\n" for row in arr.tolist())
+    words = np.array([f"{v} " for v in range(hi + 1)] + [f"{v}\n" for v in range(hi + 1)],
+                     dtype=object)
+    index = arr.astype(np.intp)
+    index[:, -1] += hi + 1                     # the last entry of a row ends its line
+    return "".join(words[index].ravel().tolist())
+
+
+@dataclass(frozen=True)
+class _Format:
+    """A file layout: 'MAGIC v1', integer counts, an optional tail, then tables.
+
+    Tables follow the header line in order, one blank line between two.
+    """
+
+    magic: str
+    counts: int                                   # integers after 'MAGIC v1'
+    shapes: Callable[..., list[tuple[int, int]]]  # the counts -> table shapes
+    tail: str | None = None                       # default header tail; None: not kept
+
+    def text(self, numbers, tail: str | None, tables) -> str:
+        words = [self.magic, "v1", *map(str, numbers)]
+        if self.tail is not None:
+            words.append(tail)
+        return " ".join(words) + "\n" + "\n".join(map(_table_text, tables))
+
+
+_FORMATS = {
+    "group": _Format("GROUP", 1, lambda n: [(n, n)], tail="G"),
+    "action": _Format("ACTION", 2, lambda g, m: [(g, m)]),
+    "brace": _Format("BRACE", 1, lambda n: [(n, n)] * 2),
+    "bracoid": _Format("BRACOID", 2, lambda n, m: [(n, n), (m, m), (n, m)]),
+    "semibrace": _Format("SEMIBRACE", 1, lambda n: [(n, n)] * 2),
+    # one 'x y lx ry' row per pair (x, y), in order
+    "solution": _Format("YBE", 1, lambda n: [(n * n, 4)], tail="unspecified"),
+}
 
 
 def _split(text: str) -> list[str]:
@@ -74,18 +123,88 @@ def _expect_end(lines: list[str], at: int) -> None:
         raise ParseError(at + 1, "trailing content")
 
 
+def _bulk(fmt: _Format, text: str) -> tuple[list[np.ndarray], str | None] | None:
+    """The tables and header tail of text when it is exactly fmt's canonical text, else None.
+
+    The body is parsed in C by np.fromstring, with no Python object per
+    token.  The result is kept only when every header count is at least 1,
+    the body holds exactly the values the table shapes call for, and
+    printing the int32 tables gives back text itself, which a value beyond
+    int32 cannot do.  The line loop parses such text without error to the
+    same tables, so this is a shortcut with no verdict of its own.
+    """
+    head, _, body = text.partition("\n")
+    try:
+        numbers, rest = _parse_header([head], fmt.magic, fmt.counts)
+        values = np.fromstring(body, dtype=np.int64, sep=" ")
+    except ValueError:
+        return None
+    shapes = fmt.shapes(*numbers)
+    sizes = [rows * cols for rows, cols in shapes]
+    if min(numbers) < 1 or values.size != sum(sizes):
+        return None
+    parts = np.split(values.astype(np.int32), list(accumulate(sizes))[:-1])
+    tables = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    tail = " ".join(rest) if rest else fmt.tail
+    return (tables, tail) if fmt.text(numbers, tail, tables) == text else None
+
+
+def _line_tables(fmt: _Format, text: str) -> tuple[list[np.ndarray], str | None]:
+    """The line loop: the tables and header tail of text, or the ParseError of its first bad line."""
+    lines = _split(text)
+    numbers, rest = _parse_header(lines, fmt.magic, fmt.counts)
+    tables, at = [], 1
+    for k, (rows, cols) in enumerate(fmt.shapes(*numbers)):
+        if k:
+            _expect_blank(lines, at)
+            at += 1
+        tables.append(_parse_table(lines, at, rows, cols))
+        at += rows
+    _expect_end(lines, at)
+    return tables, " ".join(rest) if rest else fmt.tail
+
+
+def _read_tables(kind: str, text: str) -> tuple[list[np.ndarray], str | None]:
+    fmt = _FORMATS[kind]
+    fast = _bulk(fmt, text)
+    return fast if fast is not None else _line_tables(fmt, text)
+
+
+def header_counts(kind: str, text: str) -> list[int] | None:
+    """The counts on the header line of a kind file, or None when that line does not parse.
+
+    The body is not looked at, so a caller can refuse a file on its size
+    first; a None leaves the error to the reader.
+    """
+    fmt = _FORMATS[kind]
+    try:
+        return _parse_header([text.partition("\n")[0]], fmt.magic, fmt.counts)[0]
+    except ParseError:
+        return None
+
+
+def is_canonical(kind: str, text: str) -> bool:
+    """True iff text is exactly what the kind's writer prints for the value it encodes.
+
+    This is the reader's own bulk test, so it formats the value once; it
+    covers values of order at least 1.
+    """
+    if kind == "solution":
+        return _bulk_solution(text) is not None
+    return _bulk(_FORMATS[kind], text) is not None
+
+
+def _tables(*values) -> list[np.ndarray]:
+    return [np.asarray(getattr(v, "table", v), dtype=np.int32) for v in values]
+
+
 def write_group(G: FiniteGroup) -> str:
-    head = f"GROUP v1 {G.order} {G.name}"
-    return "\n".join([head] + _table_lines(G.table)) + "\n"
+    return _FORMATS["group"].text([G.order], G.name, _tables(G))
 
 
 def read_group_table(text: str) -> tuple[np.ndarray, str]:
     """Raw table and name with no axiom validation; verifiers want broken input."""
-    lines = _split(text)
-    (n,), rest = _parse_header(lines, "GROUP", 1)
-    name = " ".join(rest) if rest else "G"
-    table = _parse_table(lines, 1, n, n)
-    _expect_end(lines, 1 + n)
+    (table,), name = _read_tables("group", text)
     return table, name
 
 
@@ -95,116 +214,69 @@ def read_group(text: str) -> FiniteGroup:
 
 
 def write_action(table) -> str:
-    arr = np.asarray(getattr(table, "table", table), dtype=np.int32)
-    head = f"ACTION v1 {arr.shape[0]} {arr.shape[1]}"
-    return "\n".join([head] + _table_lines(arr)) + "\n"
+    (arr,) = _tables(table)
+    return _FORMATS["action"].text(arr.shape, None, [arr])
 
 
 def read_action(text: str) -> np.ndarray:
-    lines = _split(text)
-    (g, m), _ = _parse_header(lines, "ACTION", 2)
-    table = _parse_table(lines, 1, g, m)
-    _expect_end(lines, 1 + g)
+    (table,), _ = _read_tables("action", text)
     return table
 
 
 def write_brace(star, dot) -> str:
-    st = np.asarray(getattr(star, "table", star), dtype=np.int32)
-    dt = np.asarray(getattr(dot, "table", dot), dtype=np.int32)
-    head = f"BRACE v1 {st.shape[0]}"
-    return "\n".join([head] + _table_lines(st) + [""] + _table_lines(dt)) + "\n"
+    tables = _tables(star, dot)
+    return _FORMATS["brace"].text([tables[0].shape[0]], None, tables)
 
 
 def read_brace(text: str) -> tuple[np.ndarray, np.ndarray]:
-    lines = _split(text)
-    (n,), _ = _parse_header(lines, "BRACE", 1)
-    star = _parse_table(lines, 1, n, n)
-    _expect_blank(lines, 1 + n)
-    dot = _parse_table(lines, 2 + n, n, n)
-    _expect_end(lines, 2 + 2 * n)
+    (star, dot), _ = _read_tables("brace", text)
     return star, dot
 
 
 def write_bracoid(G, N, act) -> str:
-    gt = np.asarray(getattr(G, "table", G), dtype=np.int32)
-    nt = np.asarray(getattr(N, "table", N), dtype=np.int32)
-    at = np.asarray(getattr(act, "table", act), dtype=np.int32)
-    head = f"BRACOID v1 {gt.shape[0]} {nt.shape[0]}"
-    return "\n".join([head] + _table_lines(gt) + [""] + _table_lines(nt)
-                     + [""] + _table_lines(at)) + "\n"
+    tables = _tables(G, N, act)
+    return _FORMATS["bracoid"].text([tables[0].shape[0], tables[1].shape[0]], None, tables)
 
 
 def read_bracoid(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    lines = _split(text)
-    (n, m), _ = _parse_header(lines, "BRACOID", 2)
-    gt = _parse_table(lines, 1, n, n)
-    _expect_blank(lines, 1 + n)
-    nt = _parse_table(lines, 2 + n, m, m)
-    _expect_blank(lines, 2 + n + m)
-    at = _parse_table(lines, 3 + n + m, n, m)
-    _expect_end(lines, 3 + 2 * n + m)
+    (gt, nt, at), _ = _read_tables("bracoid", text)
     return gt, nt, at
 
 
 def write_semibrace(dot, plus) -> str:
-    dt = np.asarray(getattr(dot, "table", dot), dtype=np.int32)
-    pt = np.asarray(plus, dtype=np.int32)
-    head = f"SEMIBRACE v1 {dt.shape[0]}"
-    return "\n".join([head] + _table_lines(dt) + [""] + _table_lines(pt)) + "\n"
+    tables = _tables(dot, plus)
+    return _FORMATS["semibrace"].text([tables[0].shape[0]], None, tables)
 
 
 def read_semibrace(text: str) -> tuple[np.ndarray, np.ndarray]:
-    lines = _split(text)
-    (n,), _ = _parse_header(lines, "SEMIBRACE", 1)
-    dot = _parse_table(lines, 1, n, n)
-    _expect_blank(lines, 1 + n)
-    plus = _parse_table(lines, 2 + n, n, n)
-    _expect_end(lines, 2 + 2 * n)
+    (dot, plus), _ = _read_tables("semibrace", text)
     return dot, plus
 
 
 def write_solution(r: SolutionMap) -> str:
-    return _solution_text(r)
-
-
-def _solution_text(r: SolutionMap) -> str:
-    # read_solution checks its bulk parse with this, not with write_solution,
-    # so wrappers of the public writer never count a read as a write.
     n = r.size
-    digits = [str(v) for v in range(n)]           # every entry lies in 0..n-1
-    lines = [f"YBE v1 {n} {r.provenance}"]
-    for x, lrow, rrow in zip(digits, r.left.tolist(), r.right.tolist()):
-        lines.extend([f"{x} {y} {digits[a]} {digits[b]}"
-                      for y, a, b in zip(digits, lrow, rrow)])
-    return "\n".join(lines) + "\n"
+    pairs = np.arange(n * n)
+    rows = np.stack([pairs // n, pairs % n, r.left.ravel(), r.right.ravel()], axis=1)
+    return _FORMATS["solution"].text([n], r.provenance, [rows])
 
 
-def _read_canonical_solution(text: str) -> SolutionMap | None:
+def _bulk_solution(text: str) -> SolutionMap | None:
     """The map that text encodes when text is exactly write_solution's output, else None.
 
-    The body is parsed in C by np.fromstring, with no Python object per
-    token.  The result is accepted only when there are 4n^2 values, the x y
-    columns list the pairs in order, every value lies in 0..n-1 and
-    write_solution would give back text itself.  The line loop of
-    read_solution parses such text without error to the same map, so this
-    is a shortcut with no verdict of its own.
+    _bulk gives the n^2 'x y lx ry' rows; they must list the pairs in order
+    with every value in 0..n-1.
     """
-    head, _, body = text.partition("\n")
-    try:
-        (n,), rest = _parse_header([head], "YBE", 1)
-        values = np.fromstring(body, dtype=np.int64, sep=" ")
-    except ValueError:
+    fast = _bulk(_FORMATS["solution"], text)
+    if fast is None:
         return None
-    if n < 1 or values.size != 4 * n * n:
-        return None
-    x, y, lx, ry = values.reshape(n * n, 4).T
+    (rows,), provenance = fast
+    n = math.isqrt(len(rows))
+    x, y, lx, ry = rows.T
     pairs = np.arange(n * n)
     if not (np.array_equal(x, pairs // n) and np.array_equal(y, pairs % n)
             and min(lx.min(), ry.min()) >= 0 and max(lx.max(), ry.max()) < n):
         return None
-    r = SolutionMap(lx.reshape(n, n), ry.reshape(n, n),
-                    provenance=" ".join(rest) if rest else "unspecified")
-    return r if _solution_text(r) == text else None
+    return SolutionMap(lx.reshape(n, n), ry.reshape(n, n), provenance=provenance)
 
 
 def read_solution(text: str) -> SolutionMap:
@@ -213,9 +285,11 @@ def read_solution(text: str) -> SolutionMap:
     The line loop is the only source of ParseError, so every message and
     line number comes from it.
     """
-    fast = _read_canonical_solution(text)
-    if fast is not None:
-        return fast
+    fast = _bulk_solution(text)
+    return fast if fast is not None else _line_solution(text)
+
+
+def _line_solution(text: str) -> SolutionMap:
     lines = _split(text)
     (n,), rest = _parse_header(lines, "YBE", 1)
     provenance = " ".join(rest) if rest else "unspecified"

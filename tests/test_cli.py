@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ybelab import catalog, groups
+from ybelab import catalog, files, groups
 from ybelab.cli import main
 from ybelab.files import write_brace, write_bracoid, write_group, write_semibrace
 from ybelab.groups import cyclic_group, semidirect_product
@@ -121,6 +121,56 @@ def test_verify_respects_max_order(tmp_path, capsys, command, kind, extra):
     assert "PreconditionFailed" in captured.err
     assert captured.out == ""
     assert not (tmp_path / "over").exists()
+
+
+# kind -> a header over --max-order 5 above a body that does not parse
+OVERSIZED = {
+    "group": "GROUP v1 10 G\nnot a table\n",
+    "brace": "BRACE v1 10\n0 1 x\n",
+    "bracoid": "BRACOID v1 4 10\n\t\n",
+    "semibrace": "SEMIBRACE v1 10\n01 +1\n",
+    "solution": "YBE v1 10 x\n0 0 0\n",
+}
+
+
+@pytest.mark.parametrize("command, kind, extra", [
+    *(pytest.param(["verify", kind], kind, [], id=f"verify-{kind}") for kind in OVERSIZED),
+    *(pytest.param(["derive", pipeline], kind, [], id=f"derive-{pipeline}")
+      for pipeline, kind in DERIVE_INPUTS.items()),
+    pytest.param(["derive", "solution-from-bracoid"], "bracoid", ["--tilde"], id="derive-tilde"),
+    pytest.param(["holomorph"], "group", [], id="holomorph"),
+    pytest.param(["complements"], "group", ["1"], id="complements"),
+])
+def test_max_order_is_read_from_the_header(tmp_path, capsys, command, kind, extra):
+    """A header over --max-order is refused before its garbage body is parsed."""
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(OVERSIZED[kind])
+    code = main([*command, str(path), *extra, "--max-order", "5",
+                 "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err == "error: PreconditionFailed: order 10 exceeds --max-order 5\n"
+    assert out == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_non_canonical_solution_artifact_fails_its_write_step(tmp_path, capsys, monkeypatch):
+    """The write step checks the artifact with the reader's bulk test, so a
+    writer that drifts from canonical text fails it even where the line loop
+    still reads the text."""
+    main(["example", "semidirect", "3", "2", "--out", str(tmp_path)])
+    write = files.write_solution
+    monkeypatch.setattr(files, "write_solution",
+                        lambda r: write(r).replace("\n0 0 ", "\n00 0 ", 1))
+    code = main(["derive", "solution-from-brace", str(tmp_path / "semidirect-3-2-brace.txt"),
+                 "--out", str(tmp_path / "out")])
+    out = capsys.readouterr().out
+    assert code == 1
+    assert [s.split()[:3] for s in _steps(out) if "FAIL" in s] == [
+        ["STEP", "write-solution.txt", "FAIL"]]
+    text = (tmp_path / "out" / "solution.txt").read_text()
+    assert "\n00 0 " in text
+    assert files.read_solution(text).size == 6
 
 
 def test_verify_group_passes(tmp_path, capsys):

@@ -1,3 +1,5 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,9 @@ from ybelab.files import (
     ParseError,
     _parse_header,
     _split,
+    _table_text,
+    header_counts,
+    is_canonical,
     read_action,
     read_bracoid,
     read_brace,
@@ -21,8 +26,12 @@ from ybelab.files import (
     write_semibrace,
     write_solution,
 )
+from ybelab import files
+from ybelab.catalog import abelianmap_instance
+from ybelab.cli import main
 from ybelab.groups import FiniteGroup, cyclic_group, semidirect_product
-from ybelab.ybe import SolutionMap
+from ybelab.semibraces import bracoid_to_semibrace
+from ybelab.ybe import SolutionMap, solution_from_bracoid
 
 
 def _sd32():
@@ -280,3 +289,272 @@ def test_solution_reader_matches_the_oracle_on_damaged_text(r, kinds, seed):
     for kind in kinds:
         text = mutate(text, r.size, kind, rng)
     assert outcome(read_solution, text) == outcome(oracle_read_solution, text)
+
+
+# --- table files against the writers and line-loop readers as first written ---
+
+def oracle_table_lines(arr) -> list[str]:
+    return [" ".join(str(int(v)) for v in row) for row in np.asarray(arr, dtype=np.int32)]
+
+
+def oracle_parse_table(lines, start, rows, cols):
+    if start + rows > len(lines):
+        raise ParseError(len(lines), f"expected {rows} table rows")
+    out = np.empty((rows, cols), dtype=np.int32)
+    for i in range(rows):
+        parts = lines[start + i].split(" ")
+        if len(parts) != cols:
+            raise ParseError(start + i + 1,
+                             f"expected {cols} entries, found {len(parts)}")
+        try:
+            out[i] = [int(p) for p in parts]
+        except (ValueError, OverflowError) as exc:
+            raise ParseError(start + i + 1, f"bad integer: {exc}") from exc
+    return out
+
+
+def oracle_expect(lines, at, blank):
+    if blank and (at >= len(lines) or lines[at] != ""):
+        raise ParseError(at + 1, "expected blank separator line")
+    if not blank and at != len(lines):
+        raise ParseError(at + 1, "trailing content")
+
+
+def oracle_read_group(text):
+    lines = _split(text)
+    (n,), rest = _parse_header(lines, "GROUP", 1)
+    table = oracle_parse_table(lines, 1, n, n)
+    oracle_expect(lines, 1 + n, blank=False)
+    return table, " ".join(rest) if rest else "G"
+
+
+def oracle_read_action(text):
+    lines = _split(text)
+    (g, m), _ = _parse_header(lines, "ACTION", 2)
+    table = oracle_parse_table(lines, 1, g, m)
+    oracle_expect(lines, 1 + g, blank=False)
+    return table
+
+
+def oracle_read_pair(text, magic):
+    lines = _split(text)
+    (n,), _ = _parse_header(lines, magic, 1)
+    first = oracle_parse_table(lines, 1, n, n)
+    oracle_expect(lines, 1 + n, blank=True)
+    second = oracle_parse_table(lines, 2 + n, n, n)
+    oracle_expect(lines, 2 + 2 * n, blank=False)
+    return first, second
+
+
+def oracle_read_bracoid(text):
+    lines = _split(text)
+    (n, m), _ = _parse_header(lines, "BRACOID", 2)
+    gt = oracle_parse_table(lines, 1, n, n)
+    oracle_expect(lines, 1 + n, blank=True)
+    nt = oracle_parse_table(lines, 2 + n, m, m)
+    oracle_expect(lines, 2 + n + m, blank=True)
+    at = oracle_parse_table(lines, 3 + n + m, n, m)
+    oracle_expect(lines, 3 + 2 * n + m, blank=False)
+    return gt, nt, at
+
+
+# kind -> (writer, reader, oracle writer, oracle reader)
+TABLE_FORMATS = {
+    "group": (lambda t, name: write_group(SimpleNamespace(order=len(t[0]), name=name,
+                                                          table=t[0])),
+              read_group_table,
+              lambda t, name: "\n".join([f"GROUP v1 {len(t[0])} {name}"]
+                                        + oracle_table_lines(t[0])) + "\n",
+              oracle_read_group),
+    "action": (lambda t, _: write_action(t[0]), read_action,
+               lambda t, _: "\n".join([f"ACTION v1 {t[0].shape[0]} {t[0].shape[1]}"]
+                                      + oracle_table_lines(t[0])) + "\n",
+               oracle_read_action),
+    "brace": (lambda t, _: write_brace(*t), read_brace,
+              lambda t, _: "\n".join([f"BRACE v1 {len(t[0])}"] + oracle_table_lines(t[0])
+                                     + [""] + oracle_table_lines(t[1])) + "\n",
+              lambda text: oracle_read_pair(text, "BRACE")),
+    "bracoid": (lambda t, _: write_bracoid(*t), read_bracoid,
+                lambda t, _: "\n".join([f"BRACOID v1 {len(t[0])} {len(t[1])}"]
+                                       + oracle_table_lines(t[0]) + [""]
+                                       + oracle_table_lines(t[1]) + [""]
+                                       + oracle_table_lines(t[2])) + "\n",
+                oracle_read_bracoid),
+    "semibrace": (lambda t, _: write_semibrace(*t), read_semibrace,
+                  lambda t, _: "\n".join([f"SEMIBRACE v1 {len(t[0])}"]
+                                         + oracle_table_lines(t[0]) + [""]
+                                         + oracle_table_lines(t[1])) + "\n",
+                  lambda text: oracle_read_pair(text, "SEMIBRACE")),
+}
+
+
+def table_outcome(read, text):
+    """What a table reader makes of text: its tables and name, or the error with its line."""
+    try:
+        value = read(text)
+    except ValueError as exc:
+        return type(exc).__name__, str(exc), getattr(exc, "line", None)
+    if isinstance(value, np.ndarray):
+        value = (value,)
+    return tuple((v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
+                 for v in value)
+
+
+@st.composite
+def table_files(draw):
+    """A kind and tables of the shapes its header names, entries mostly in 0..n-1."""
+    kind = draw(st.sampled_from(sorted(TABLE_FORMATS)))
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    shapes = {"group": [(n, n)], "action": [(n, m)], "brace": [(n, n)] * 2,
+              "bracoid": [(n, n), (m, m), (n, m)], "semibrace": [(n, n)] * 2}[kind]
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    lo, hi = draw(st.sampled_from([(0, n), (0, n), (-3, n), (0, 2**31 - 1),
+                                   (-2**31, 2**31 - 1)]))
+    tables = [rng.integers(lo, hi, shape, endpoint=True).astype(np.int32)
+              for shape in shapes]
+    return kind, tables, draw(provenances)
+
+
+@settings(max_examples=150, deadline=None)
+@given(table_files())
+def test_table_writers_match_the_oracle_and_read_back(case):
+    kind, tables, name = case
+    write, read, oracle_write, oracle_read = TABLE_FORMATS[kind]
+    text = write(tables, name)
+    assert text == oracle_write(tables, name)
+    assert table_outcome(read, text) == table_outcome(oracle_read, text)
+    back = read(text)
+    back = (back,) if isinstance(back, np.ndarray) else back
+    assert all(np.array_equal(a, b) for a, b in zip(back, tables))
+
+
+def mutate_table(text: str, kind: int, rng) -> str:
+    """Damage of mutate, plus a header count off by one or a value beyond int32."""
+    lines = text.split("\n")
+    if kind == 8:                                   # header disagrees with the body
+        head = lines[0].split(" ")
+        at = 2 + int(rng.integers(2 if head[0] in ("ACTION", "BRACOID") else 1))
+        try:
+            head[at] = str(max(0, int(head[at]) + int(rng.choice([-1, 1]))))
+        except (IndexError, ValueError):            # an earlier damage hit the header
+            pass
+        lines[0] = " ".join(head)
+    elif kind == 9:                                 # one entry negative, huge or past n
+        pick = int(rng.integers(len(lines)))
+        parts = lines[pick].split(" ")
+        parts[int(rng.integers(len(parts)))] = str(rng.choice(
+            [-1, -7, 2**31, -2**31 - 1, 2**31 - 1, -2**31, 10**20, 9]))
+        lines[pick] = " ".join(parts)
+    else:
+        return mutate(text, 4, kind, rng)
+    return "\n".join(lines)
+
+
+@settings(max_examples=400, deadline=None)
+@given(table_files(), st.lists(st.integers(0, 9), min_size=1, max_size=3),
+       st.integers(0, 2**32 - 1))
+def test_table_readers_match_the_oracle_on_damaged_text(case, kinds, seed):
+    kind, tables, name = case
+    write, read, _, oracle_read = TABLE_FORMATS[kind]
+    rng = np.random.default_rng(seed)
+    text = write(tables, name)
+    for k in kinds:
+        text = mutate_table(text, k, rng)
+    assert table_outcome(read, text) == table_outcome(oracle_read, text)
+
+
+@pytest.mark.parametrize("shape, lo, hi", [
+    ((1, 1), 0, 0), ((1, 1), 0, 9), ((1, 1), -5, -5), ((3, 7), 0, 6), ((7, 3), 0, 2),
+    ((4, 4), -2**31, 2**31 - 1), ((5, 5), 0, 100), ((2, 9), 0, 18), ((0, 3), 0, 0),
+    ((3, 0), 0, 0),
+])
+def test_table_text_matches_the_row_writer(shape, lo, hi):
+    rng = np.random.default_rng([*shape, lo % 2**32, hi % 2**32])
+    arr = rng.integers(lo, hi, shape, endpoint=True).astype(np.int32)
+    expected = "".join(line + "\n" for line in oracle_table_lines(arr))
+    assert _table_text(arr) == expected
+    if shape[0] and shape[1]:
+        text = write_action(arr)
+        assert text == "\n".join([f"ACTION v1 {shape[0]} {shape[1]}"]
+                                 + oracle_table_lines(arr)) + "\n"
+
+
+def test_header_counts_read_only_the_first_line():
+    assert header_counts("bracoid", "BRACOID v1 12 4\ngarbage") == [12, 4]
+    assert header_counts("solution", "YBE v1 9 x y\n") == [9]
+    assert header_counts("group", "GROUP v1 x\n0\n") is None
+    assert header_counts("brace", "GROUP v1 2\n") is None
+
+
+def test_is_canonical_is_the_writer_giving_text_back():
+    G = _sd32()
+    assert is_canonical("group", write_group(G))
+    assert not is_canonical("group", "GROUP v1 2\n0 1\n1 0\n")    # name left to default
+    text = write_brace(G, G)
+    assert is_canonical("brace", text)
+    assert not is_canonical("brace", text.replace("\n1 ", "\n01 ", 1))
+    assert not is_canonical("semibrace", text)
+    r = SolutionMap(np.zeros((2, 2)), np.ones((2, 2)), provenance="p")
+    text = write_solution(r)
+    assert is_canonical("solution", text)
+    swapped = text.replace("0 1 0 1\n1 0 0 1\n", "1 0 0 1\n0 1 0 1\n")
+    assert swapped != text and not is_canonical("solution", swapped)
+
+
+# --- canonical text must take the bulk path ---
+
+READERS = {"GROUP": read_group_table, "ACTION": read_action, "BRACE": read_brace,
+           "BRACOID": read_bracoid, "SEMIBRACE": read_semibrace, "YBE": read_solution}
+
+
+def refuse_line_loops(monkeypatch) -> None:
+    def refuse(*args):
+        raise AssertionError("canonical text fell through to the line loop")
+
+    monkeypatch.setattr(files, "_line_tables", refuse)
+    monkeypatch.setattr(files, "_line_solution", refuse)
+
+
+def test_suite_artifacts_take_the_bulk_path(tmp_path, monkeypatch, capsys):
+    assert main(["suite", "quick", "--seed", "7", "--out", str(tmp_path)]) == 0
+    texts = [p.read_text() for p in sorted(tmp_path.iterdir()) if p.name != "report.txt"]
+    assert len(texts) == 58
+    refuse_line_loops(monkeypatch)
+    for text in texts:
+        READERS[text.split(" ", 1)[0]](text)
+
+
+def relabel(table: np.ndarray, rows: np.ndarray, cols: np.ndarray,
+            values: np.ndarray) -> np.ndarray:
+    """out[rows[a], cols[b]] = values[table[a, b]]."""
+    return values[table[np.ix_(np.argsort(rows), np.argsort(cols))]]
+
+
+def test_relabelled_order_132_files_take_the_bulk_path(monkeypatch):
+    inst = abelianmap_instance(3, 11)
+    bc, cb = inst.bracoid, inst.contained
+    r = solution_from_bracoid(cb)
+    rng = np.random.default_rng(132)
+    pg = np.concatenate(([0], 1 + rng.permutation(bc.G.order - 1)))
+    pn = np.concatenate(([0], 1 + rng.permutation(bc.N.order - 1)))
+    on_g = lambda t: relabel(t, pg, pg, pg)
+    g, act = on_g(bc.G.table), relabel(bc.act.table, pg, pn, pn)
+    files_and_tables = [
+        (write_group(SimpleNamespace(order=132, name="G", table=g)), (g,)),
+        (write_brace(on_g(inst.brace.star.table), g), (on_g(inst.brace.star.table), g)),
+        (write_bracoid(g, relabel(bc.N.table, pn, pn, pn), act),
+         (g, relabel(bc.N.table, pn, pn, pn), act)),
+        (write_semibrace(g, on_g(bracoid_to_semibrace(cb).plus)),
+         (g, on_g(bracoid_to_semibrace(cb).plus))),
+        (write_solution(SolutionMap(on_g(r.left), on_g(r.right), provenance="bracoid")),
+         (on_g(r.left), on_g(r.right))),
+        (write_action(act), (act,)),
+    ]
+    refuse_line_loops(monkeypatch)
+    for text, tables in files_and_tables:
+        value = READERS[text.split(" ", 1)[0]](text)
+        if isinstance(value, SolutionMap):
+            value = (value.left, value.right)
+        elif isinstance(value, np.ndarray):
+            value = (value,)
+        assert all(np.array_equal(a, b) for a, b in zip(value, tables))
