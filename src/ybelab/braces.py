@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import AxiomViolated, Check, Report, generators, group_table_checks
+from .checks import AxiomViolated, Check, Report, by_content, generators, group_table_checks
 from .groups import AUTOMORPHISM_CAP, FiniteGroup, GroupMap, Subgroup, holomorph
 from .ybe import SolutionMap, assert_properties
 
@@ -29,6 +29,7 @@ def _as_table(obj) -> np.ndarray:
     return np.asarray(getattr(obj, "table", obj), dtype=np.int32)
 
 
+@by_content
 def _compat_failure(star: FiniteGroup, dot: FiniteGroup) -> tuple[int, int, int] | None:
     """First triple breaking x.(y*z) = (x.y) * x^{-*} * (x.z), or None.
 

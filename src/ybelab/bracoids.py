@@ -23,7 +23,7 @@ from functools import cached_property
 import numpy as np
 
 from .braces import SkewBrace, is_strong_left_ideal
-from .checks import AxiomViolated, Check, Report, generators, group_table_checks
+from .checks import AxiomViolated, Check, Report, by_content, generators, group_table_checks
 from .groups import (
     AUTOMORPHISM_CAP,
     FiniteGroup,
@@ -59,6 +59,7 @@ class NotRegular(ValueError):
     """The proposed complement does not act freely and transitively."""
 
 
+@by_content
 def _eq2_failure(G: FiniteGroup, N: FiniteGroup, act: np.ndarray) -> tuple[int, int, int] | None:
     """First (x, eta, mu) breaking the coupling law, or None.
 

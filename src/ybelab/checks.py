@@ -1,7 +1,9 @@
-"""Pass/fail report records shared by the structure verifiers."""
+"""Pass/fail report records shared by the structure verifiers, and the
+memo that proves each distinct small table once per process."""
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -53,6 +55,69 @@ class Report:
         raise KeyError(name)
 
 
+# A memoised call is keyed by the exact bytes of its tables, so one whose
+# table holds more entries than this runs unmemoised.  The tables a run
+# proves over and over are the small ones a round trip rebuilds (orders up
+# to 16 in `suite full`).  Large ones, up to the 1344^2 table of Hol(C2^3),
+# are each proved about once: keying them too raised the peak RSS of
+# `suite full --seed 7` from 63.6 to 70.6 MB and saved no time.
+MEMO_MAX_ENTRIES = 64 * 64
+# Each kernel keeps its latest this many keys, so a long-lived process does
+# not grow without end.  `suite full --seed 7` stores at most 384 per kernel
+# (1.2 MB of keys over all six); the bound above caps a key at three int32
+# tables of 64^2 entries, 48 KB.
+MEMO_MAX_KEYS = 1024
+
+
+def _content(value):
+    """The exact contents of one argument, or None if it is not memoised.
+
+    A numeric array is its dtype, shape and bytes: the bytes alone, never a
+    digest, since a hash that is collision free in practice is not a proof.
+    A FiniteGroup (an object with `table` and `inv` arrays) is its table,
+    as its `inv` and `order` are functions of the table.  Scalars are their
+    type and value.
+    """
+    if isinstance(getattr(value, "inv", None), np.ndarray):
+        value = value.table
+    if isinstance(value, np.ndarray):
+        if value.dtype.kind not in "biu" or value.size > MEMO_MAX_ENTRIES:
+            return None
+        return value.dtype.str, value.shape, value.tobytes()
+    if value is None or isinstance(value, (bool, int, str)):
+        return type(value).__name__, value
+    return None
+
+
+def by_content(kernel):
+    """Memoise a pure law kernel on the exact contents of its arguments.
+
+    The kernel must read nothing but its arguments, so its result is a
+    function of their contents.  A list result is handed out as a fresh
+    copy, so no caller can change what the memo holds; a kernel that raises
+    stores nothing.  `memo` maps each content key to its result, oldest
+    first, and drops the oldest beyond MEMO_MAX_KEYS.
+    """
+    memo: dict = {}
+
+    @functools.wraps(kernel)
+    def memoised(*args, **kwargs):
+        key = tuple(map(_content, (*args, *kwargs.values()))) + tuple(kwargs)
+        if None in key:
+            return kernel(*args, **kwargs)
+        try:
+            result = memo[key]
+        except KeyError:
+            result = memo[key] = kernel(*args, **kwargs)
+            if len(memo) > MEMO_MAX_KEYS:
+                del memo[next(iter(memo))]
+        return list(result) if isinstance(result, list) else result
+
+    memoised.memo = memo
+    return memoised
+
+
+@by_content
 def group_table_checks(table, prefix: str = "", check_assoc: bool = True) -> list[Check]:
     """Axiom checks for a raw multiplication table with identity expected at 0.
 
@@ -125,6 +190,7 @@ def group_table_checks(table, prefix: str = "", check_assoc: bool = True) -> lis
     return checks
 
 
+@by_content
 def generators(table) -> list[int]:
     """Greedy generating list of a square table with entries in 0..n-1.
 

@@ -5,7 +5,8 @@ Stdout carries real timings; report files written under --out zero the
 micros column so identical runs produce identical bytes.  Exit status is
 0 iff every asserted step passed, 1 on a failed step, 2 on unusable input
 (parse errors, unknown names, precondition failures), 3 when the library
-broke one of its own invariants (`InternalError`).
+broke one of its own invariants (`InternalError`, or `AxiomViolated` from a
+derived construction).
 
 The file-kind and pipeline tables are built per call, so their rows look up
 library names at run time, as direct calls do (a tracer may rebind them).
@@ -36,7 +37,7 @@ from .catalog import (
     promote_brace,
     seeded_braces,
 )
-from .checks import Report, group_table_checks
+from .checks import AxiomViolated, Report, group_table_checks
 from .files import ParseError
 from .groups import (
     FiniteGroup,
@@ -656,12 +657,14 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (InternalError, AxiomViolated) as exc:
+        # _load turns a law-breaking input into PreconditionFailed, so an
+        # AxiomViolated that gets here was raised by a derived construction.
+        print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
     except (SearchExhausted, PreconditionFailed, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
-    except InternalError as exc:
-        print(f"error: InternalError: {exc}", file=sys.stderr)
-        return 3
 
 
 if __name__ == "__main__":

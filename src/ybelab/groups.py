@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import Check, Report, find_identity, generators, group_table_checks
+from .checks import Check, Report, by_content, find_identity, generators, group_table_checks
 
 AUTOMORPHISM_CAP = 64
 
@@ -166,13 +166,16 @@ class Subgroup:
         if not elems or elems[0] != 0 or list(elems) != sorted(set(elems)):
             raise ValueError(f"subgroup elements must be sorted, unique, and contain 0: {elems}")
         sub = np.asarray(elems, dtype=np.int32)
+        member = np.zeros(self.parent.order, dtype=bool)
+        member[sub] = True
         tab = self.parent.table[np.ix_(sub, sub)]
-        if not np.isin(tab, sub).all():
-            a, b = map(int, np.argwhere(~np.isin(tab, sub))[0])
+        inside = member[tab]
+        if not inside.all():
+            a, b = map(int, np.argwhere(~inside)[0])
             raise ValueError(
                 f"not closed: {elems[a]}*{elems[b]} = {int(tab[a, b])} escapes the subset"
             )
-        if not np.isin(self.parent.inv[sub], sub).all():
+        if not member[self.parent.inv[sub]].all():
             raise ValueError("subset not closed under inversion")
 
     @property
@@ -223,6 +226,7 @@ class GroupAction:
         return f"GroupAction({self.actor.name!r} on {self.space_size} points)"
 
 
+@by_content
 def _action_law_holds(gt: np.ndarray, act: np.ndarray) -> bool:
     """True iff (g*h).p = g.(h.p) for all g, h, p, tested on h in 0 and generators(gt).
 
@@ -576,13 +580,18 @@ def automorphism_group(
 
     search(0, base, [0])
     perms = sorted(found)
-    index = {p: i for i, p in enumerate(perms)}
-    na = len(perms)
     parr = np.array(perms, dtype=np.int32)
-    table = np.empty((na, na), dtype=np.int32)
-    for i in range(na):
-        for j in range(na):
-            table[i, j] = index[tuple(int(v) for v in parr[i][parr[j]])]
+    # An automorphism is fixed by its images of gens: code them as base-n
+    # digits and find each composite a o b, whose images are a[b[gens]], by
+    # its code.  There are at most log2(n) gens, as each pick at least
+    # doubles the subgroup reached, so the codes fit int64 for n below 245.
+    if n ** len(gens) >= 2**63:
+        raise CapExceeded(f"|G| = {n} with {len(gens)} generators overflows the map codes")
+    weights = n ** np.arange(len(gens), dtype=np.int64)
+    codes = parr[:, gens] @ weights
+    order = np.argsort(codes)
+    comp = parr[:, parr[:, gens]] @ weights            # (a, b) -> code of a o b
+    table = order[np.searchsorted(codes[order], comp)].astype(np.int32)
     aut = FiniteGroup(table, name=f"Aut({G.name})", trusted=True)
     return aut, [GroupMap(G, G, p) for p in perms]
 

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bracoids import ContainedBrace, SkewBracoid, transport
-from .checks import AxiomViolated, Check, Report, _assoc_failure, generators, group_table_checks
+from .checks import (AxiomViolated, Check, Report, _assoc_failure, by_content, generators,
+                     group_table_checks)
 from .groups import FiniteGroup, Subgroup, stabilizer
 
 
@@ -31,6 +32,7 @@ def _multiplicative(dot: FiniteGroup, L: np.ndarray) -> bool:
                for g in generators(dot.table))
 
 
+@by_content
 def _relation_failure(dot: FiniteGroup, plus: np.ndarray) -> tuple[int, int, int] | None:
     """First triple breaking x.(y+z) = x.y + x.(x^-1 + z), or None.
 

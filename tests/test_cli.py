@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from ybelab import catalog, files, groups
+from ybelab import catalog, cli, files, groups, semibraces
 from ybelab.cli import main
 from ybelab.files import write_brace, write_bracoid, write_group, write_semibrace
 from ybelab.groups import cyclic_group, semidirect_product
@@ -98,6 +98,41 @@ def test_broken_internal_invariant_exits_three(tmp_path, capsys, monkeypatch):
     assert code == 3
     assert captured.err == "error: InternalError: complement search produced a non-complement\n"
     assert "Traceback" not in captured.err
+
+
+def _poked_semibrace():
+    """The order-6 semibrace of the catalog with one + entry changed: + is no
+    longer cancellative, so the semibrace laws fail."""
+    sb = semibraces.bracoid_to_semibrace(catalog.semidirect_instance(3, 2).contained)
+    plus = sb.plus.copy()
+    plus[1, 1] = plus[1, 2]
+    return sb.dot, plus
+
+
+def test_derived_axiom_violation_exits_three(tmp_path, capsys, monkeypatch):
+    """A derived structure that breaks its laws is a library bug, exit 3."""
+    path = tmp_path / "bracoid.txt"
+    bc = catalog.semidirect_instance(3, 2).bracoid
+    path.write_text(write_bracoid(bc.G, bc.N, bc.act.table))
+    monkeypatch.setattr(cli, "bracoid_to_semibrace",
+                        lambda cb: semibraces.Semibrace(*_poked_semibrace()))
+    code = main(["derive", "semibrace-from-bracoid", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err.startswith("error: AxiomViolated: semibrace law failed: ")
+    assert "Traceback" not in captured.err
+
+
+def test_law_breaking_input_file_exits_two(tmp_path, capsys):
+    """The same law failure read from a file is unusable input, exit 2."""
+    path = tmp_path / "semibrace.txt"
+    path.write_text(write_semibrace(*_poked_semibrace()))
+    code = main(["derive", "bracoid-from-semibrace", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err.startswith(
+        "error: PreconditionFailed: input is not a semibrace: semibrace law failed: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command, kind, extra", [

@@ -7,7 +7,8 @@ action tables and random Yang-Baxter maps.  The report-level tests run
 each verifier twice, once with the fast checks and once with the oracles
 patched in, and require identical reports.  The braid relation proved from
 a carrier's group laws is held to the scan of the same map with no carrier,
-and matched pairs to their full law scan.
+and matched pairs to their full law scan.  Each kernel memoised by content
+must answer as the kernel it wraps, on fresh and on repeated contents.
 """
 
 from contextlib import ExitStack
@@ -144,6 +145,10 @@ def brute_oracles() -> ExitStack:
             (bracoids, "_eq2_failure", bracoids._brute_eq2),
             (semibraces, "_relation_failure", semibraces._brute_relation)):
         stack.enter_context(mock.patch.object(module, name, oracle))
+    # group_table_checks calls _assoc_failure inside its memo, which would
+    # answer with the fast check's report; run it afresh, and forget what
+    # it learns under the patch.
+    stack.enter_context(mock.patch.dict(checks.group_table_checks.memo, clear=True))
     return stack
 
 
@@ -337,6 +342,35 @@ def test_braid_on_every_map_up_to_size_2():
     for n in (1, 2):
         for left, right in product(list(every_table(n, n, n)), repeat=2):
             check_braid(left, right)
+
+
+# --- the content memo ---
+
+def memo_calls(base: Base, rng) -> list[tuple]:
+    """(memoised kernel, args, kwargs) on a base's tables and one-entry pokes."""
+    G, N, star = group(base.g), group(base.n), group(base.star)
+    other = group(swap_labels(base.g, rng))
+    out = [(braces._compat_failure, (star, G), {}), (braces._compat_failure, (other, G), {}),
+           (braces._compat_failure, (star, other), {})]
+    for table in (base.g, base.star, base.plus, poke(base.g, rng), poke(base.plus, rng)):
+        out += [(checks.group_table_checks, (table,), {}),
+                (checks.group_table_checks, (table, "dot."), {"check_assoc": False}),
+                (checks.generators, (table,), {})]
+    for act in (base.act, poke(base.act, rng)):
+        out += [(groups._action_law_holds, (base.g, act), {}),
+                (bracoids._eq2_failure, (G, N, act), {})]
+    for plus in (base.plus, poke(base.plus, rng), base.g):
+        out.append((semibraces._relation_failure, (G, plus), {}))
+    return out
+
+
+@FAST
+@given(bases, rngs)
+def test_memoised_kernels_equal_the_kernels_they_wrap(base, rng):
+    for kernel, args, kwargs in memo_calls(relabelled(base, rng), rng):
+        expected = kernel.__wrapped__(*args, **kwargs)
+        assert kernel(*args, **kwargs) == expected
+        assert kernel(*args, **kwargs) == expected        # now from the memo
 
 
 # --- whole reports ---

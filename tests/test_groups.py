@@ -178,6 +178,44 @@ def test_automorphism_cap():
         automorphism_group(elementary_abelian(2, 3), cap=4)
 
 
+def _q8():
+    """The quaternion group as a^k x^e (index k + 4e) with a^4 = 1, x^2 = a^2,
+    x a x^-1 = a^-1."""
+    table = np.zeros((8, 8), dtype=np.int32)
+    for k, e, m, f in np.ndindex(4, 2, 4, 2):
+        kk = (k + (-m if e else m) + (2 if e and f else 0)) % 4
+        table[k + 4 * e, m + 4 * f] = kk + 4 * (e ^ f)
+    return FiniteGroup(table, name="Q8")
+
+
+def _aut_table_by_loop(maps) -> np.ndarray:
+    """The Aut Cayley table as first built: look up every composite by its images."""
+    perms = [m.images for m in maps]
+    index = {p: i for i, p in enumerate(perms)}
+    parr = np.array(perms, dtype=np.int32)
+    table = np.empty((len(perms), len(perms)), dtype=np.int32)
+    for i in range(len(perms)):
+        for j in range(len(perms)):
+            table[i, j] = index[tuple(int(v) for v in parr[i][parr[j]])]
+    return table
+
+
+@pytest.mark.parametrize("G, cap, order", [
+    *((cyclic_group(n), 64, None) for n in range(2, 9)),
+    (elementary_abelian(2, 2), 64, 6),
+    (elementary_abelian(2, 3), 168, 168),
+    (s3(), 64, 6),
+    (semidirect_product(cyclic_group(4), cyclic_group(2),
+                        np.array([[0, 1, 2, 3], [0, 3, 2, 1]], dtype=np.int32)), 64, 8),
+    (_q8(), 64, 24),
+], ids=lambda v: getattr(v, "name", None))
+def test_automorphism_table_equals_the_composition_loop(G, cap, order):
+    aut, maps = automorphism_group(G, cap=cap)
+    assert order is None or aut.order == order
+    assert aut.table.dtype == np.int32
+    assert np.array_equal(aut.table, _aut_table_by_loop(maps))
+
+
 def test_holomorph_orders():
     assert holomorph(cyclic_group(2)).group.order == 2
     hol3 = holomorph(cyclic_group(3))
@@ -219,6 +257,24 @@ def test_subgroup_membership_matches_its_element_set(semidirect32, abelianmap35,
             [x in members for x in range(H.parent.order)]
 
 
+def test_subgroup_names_the_first_escaping_product():
+    """Seeded subsets holding 0 of Q8 and of C3 x| C4: a subgroup exactly when
+    closed, and otherwise refused at the first escaping product in row order."""
+    rng = random.Random(5)
+    for G in (_q8(), semidirect_product(cyclic_group(3), cyclic_group(4),
+                                        np.array([[0, 1, 2], [0, 2, 1]] * 2, dtype=np.int32))):
+        for _ in range(300):
+            elems = tuple(sorted({0, *rng.sample(range(1, G.order), rng.randrange(G.order))}))
+            escaping = [(a, b) for a in elems for b in elems if G.mul(a, b) not in elems]
+            if not escaping:
+                assert Subgroup(G, elems).order == len(elems)
+                continue
+            a, b = escaping[0]
+            with pytest.raises(ValueError) as info:
+                Subgroup(G, elems)
+            assert str(info.value) == f"not closed: {a}*{b} = {G.mul(a, b)} escapes the subset"
+
+
 def test_subgroup_generated():
     G = cyclic_group(10)
     assert subgroup_generated(G, []).elements == (0,)
@@ -227,8 +283,8 @@ def test_subgroup_generated():
 
 def test_subgroup_validation():
     G = s3()
-    with pytest.raises(ValueError):
-        Subgroup(G, (0, 1, 2))  # not closed
+    with pytest.raises(ValueError, match=r"^not closed: 1\*2 = 5 escapes the subset$"):
+        Subgroup(G, (0, 1, 2))
     sub = Subgroup(G, (0, 2, 4))
     assert sub.as_group().order == 3
 

@@ -18,3 +18,54 @@ def test_library_raises_no_assertion_errors():
                     isinstance(node, ast.Name) and node.id == "AssertionError"):
                 found.append(f"{path.name}:{node.lineno}")
     assert SOURCES and not found, found
+
+
+def _trees():
+    return [(path, ast.parse(path.read_text(), filename=str(path))) for path in SOURCES]
+
+
+def _is_memo(decorator) -> bool:
+    return (isinstance(decorator, ast.Name) and decorator.id == "by_content") or (
+        isinstance(decorator, ast.Attribute) and decorator.attr == "by_content")
+
+
+MEMOISED = {"checks.group_table_checks", "checks.generators", "groups._action_law_holds",
+            "braces._compat_failure", "bracoids._eq2_failure", "semibraces._relation_failure"}
+IMPURE = {"random", "rng", "seed"}
+
+
+def test_memoised_kernels_are_the_pure_law_kernels():
+    """A memoised result must be a function of the argument contents alone:
+    no randomness, no seed and no state reached through global or nonlocal.
+    Constructors, brute scans and check_braid are not memoised."""
+    memoised, impure = set(), []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if not any(map(_is_memo, node.decorator_list)):
+                continue
+            name = f"{path.stem}.{node.name}"
+            memoised.add(name)
+            for inner in ast.walk(node):
+                if (isinstance(inner, (ast.Global, ast.Nonlocal))
+                        or (isinstance(inner, ast.Name) and inner.id in IMPURE)
+                        or (isinstance(inner, ast.Attribute) and inner.attr in IMPURE)
+                        or (isinstance(inner, ast.arg) and inner.arg in IMPURE)):
+                    impure.append(f"{name}:{inner.lineno}")
+    assert memoised == MEMOISED
+    assert not impure, impure
+
+
+def test_only_checks_decides_what_is_cached():
+    """functools.cache and lru_cache stay out of the library: the one memo is
+    checks.by_content, keyed by exact contents and bounded in table size."""
+    found = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.module == "functools":
+                found += [f"{path.name}:{node.lineno}" for alias in node.names
+                          if alias.name in ("cache", "lru_cache")]
+            elif isinstance(node, ast.Attribute) and node.attr in ("cache", "lru_cache"):
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, found
