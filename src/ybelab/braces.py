@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import AxiomViolated, Check, Report, by_content, generators, group_table_checks
+from .checks import AxiomViolated, Check, Report, _rows_law_failure, group_table_checks
 from .groups import AUTOMORPHISM_CAP, FiniteGroup, GroupMap, Subgroup, holomorph
 from .ybe import SolutionMap, assert_properties
 
@@ -29,45 +29,21 @@ def _as_table(obj) -> np.ndarray:
     return np.asarray(getattr(obj, "table", obj), dtype=np.int32)
 
 
-@by_content
+def _gamma(star: FiniteGroup, dot: FiniteGroup) -> np.ndarray:
+    """gamma[x, y] = x^{-*} * (x.y)."""
+    return star.table[star.inv[:, None], dot.table]
+
+
 def _compat_failure(star: FiniteGroup, dot: FiniteGroup) -> tuple[int, int, int] | None:
     """First triple breaking x.(y*z) = (x.y) * x^{-*} * (x.z), or None.
 
-    The law is proved with z running over generators(star) only.  Put
-    lambda_x(y) = x^{-*} * (x.y).  Multiplying on the left by x^{-*}, a
-    bijection, turns the law at (x, y, z) into
-    lambda_x(y*z) = lambda_x(y) * lambda_x(z), so the law holds exactly
-    when every lambda_x is an endomorphism of (G, *) (Guarnieri-Vendramin).
-    Fix x and let T be the set of z with the law at (x, y, z) for all y.
-    If z, w are in T then so is z*w, by associativity of *:
-        lambda_x(y*(z*w)) = lambda_x((y*z)*w) = lambda_x(y*z) * lambda_x(w)
-        = lambda_x(y) * lambda_x(z) * lambda_x(w) = lambda_x(y) * lambda_x(z*w).
-    T holds 0, as lambda_x(0) = 0 when 0 is the dot identity, so T holds
-    the closure of the generators, which is G.  When the test fails, the
-    full scan names the lexicographically first triple.
+    The brace law is the rows law of gamma over (G, *): multiplying on the
+    left by x^{-*}, a bijection, turns it at (x, y, z) into
+    gamma_x(y*z) = gamma_x(y) * gamma_x(z), so the law holds exactly when
+    every gamma_x is an endomorphism of (G, *) (Guarnieri-Vendramin), and
+    the two laws fail at the same triples, so the first is the same.
     """
-    st, dt, sinv = star.table, dot.table, star.inv
-    twist = st[dt, sinv[:, None]]                  # (x, y) -> (x.y) * x^{-*}
-    for g in generators(st):
-        lhs = dt[:, st[:, g]]                      # (x, y) -> x.(y*g)
-        rhs = st[twist, dt[:, g][:, None]]         # (x, y) -> (x.y) * x^{-*} * (x.g)
-        if not np.array_equal(lhs, rhs):
-            return _brute_compat(star, dot)
-    return None
-
-
-def _brute_compat(star: FiniteGroup, dot: FiniteGroup) -> tuple[int, int, int] | None:
-    st, dt, sinv = star.table, dot.table, star.inv
-    for x in range(star.order):
-        dx = dt[x]
-        twist = st[dx, sinv[x]]
-        lhs = dx[st]
-        rhs = st[twist[:, None], dx[None, :]]
-        bad = lhs != rhs
-        if bad.any():
-            y, z = map(int, np.argwhere(bad)[0])
-            return x, y, z
-    return None
+    return _rows_law_failure(star.table, _gamma(star, dot))
 
 
 class SkewBrace:
@@ -78,10 +54,10 @@ class SkewBrace:
         if star.order != dot.order:
             raise ValueError(
                 f"orders differ: {star.order} (star) vs {dot.order} (dot)")
-        witness = _compat_failure(star, dot)
+        gamma = _gamma(star, dot)
+        witness = _rows_law_failure(star.table, gamma)      # the brace law: _compat_failure
         if witness is not None:
             raise AxiomViolated(f"brace law fails at (x, y, z) = {witness}")
-        gamma = star.table[star.inv[:, None], dot.table]
         gamma.setflags(write=False)
         self.star = star
         self.dot = dot

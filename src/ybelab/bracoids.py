@@ -23,7 +23,8 @@ from functools import cached_property
 import numpy as np
 
 from .braces import SkewBrace, is_strong_left_ideal
-from .checks import AxiomViolated, Check, Report, by_content, generators, group_table_checks
+from .checks import (AxiomViolated, Check, Report, _action_law_failure, _action_law_holds,
+                     _first_triple, _rows_law_failure, generators, group_table_checks)
 from .groups import (
     AUTOMORPHISM_CAP,
     FiniteGroup,
@@ -39,8 +40,6 @@ from .groups import (
     is_transitive,
     matched_pair_from_factorization,
     stabilizer,
-    _action_law_failure,
-    _action_law_holds,
 )
 
 # Seeded triples of the identity battery when it is asked to sample.
@@ -59,44 +58,18 @@ class NotRegular(ValueError):
     """The proposed complement does not act freely and transitively."""
 
 
-@by_content
 def _eq2_failure(G: FiniteGroup, N: FiniteGroup, act: np.ndarray) -> tuple[int, int, int] | None:
     """First (x, eta, mu) breaking the coupling law, or None.
 
-    The law is proved with mu running over generators(N) only.  Put
-    f_x(eta) = (x (+) e)^{-*} * (x (+) eta).  Multiplying on the left by
-    (x (+) e)^{-*}, a bijection, turns the law at (x, eta, mu) into
-    f_x(eta * mu) = f_x(eta) * f_x(mu): the law holds exactly when every
-    f_x is an endomorphism of (N, *).  Fix x and let T be the set of mu
-    with the law at (x, eta, mu) for all eta.  If mu, nu are in T then so
-    is mu * nu, by associativity of *:
-        f_x(eta*(mu*nu)) = f_x((eta*mu)*nu) = f_x(eta*mu) * f_x(nu)
-        = f_x(eta) * f_x(mu) * f_x(nu) = f_x(eta) * f_x(mu*nu).
-    T holds e, as f_x(e) = e, so T holds the closure of the generators,
-    which is N.  When the test fails, the full scan names the first triple.
+    The coupling law is the rows law of f_x(eta) = (x (+) e)^{-*} * (x (+) eta)
+    over (N, *): multiplying on the left by (x (+) e)^{-*}, a bijection,
+    turns it at (x, eta, mu) into f_x(eta * mu) = f_x(eta) * f_x(mu), so the
+    law holds exactly when every f_x is an endomorphism of (N, *), and the
+    two laws fail at the same triples, so the first is the same.  G, whose
+    elements index the rows of act, is not read.
     """
     nt, ninv = N.table, N.inv
-    twist = nt[act, ninv[act[:, 0]][:, None]]     # (x, eta) -> (x (+) eta) * (x (+) e)^{-*}
-    for g in generators(nt):
-        lhs = act[:, nt[:, g]]                     # (x, eta) -> x (+) (eta * g)
-        rhs = nt[twist, act[:, g][:, None]]
-        if not np.array_equal(lhs, rhs):
-            return _brute_eq2(G, N, act)
-    return None
-
-
-def _brute_eq2(G: FiniteGroup, N: FiniteGroup, act: np.ndarray) -> tuple[int, int, int] | None:
-    nt, ninv = N.table, N.inv
-    for x in range(G.order):
-        ax = act[x]
-        twist = nt[ax, ninv[ax[0]]]
-        lhs = ax[nt]
-        rhs = nt[twist[:, None], ax[None, :]]
-        bad = lhs != rhs
-        if bad.any():
-            eta, mu = map(int, np.argwhere(bad)[0])
-            return x, eta, mu
-    return None
+    return _rows_law_failure(nt, nt[ninv[act[:, 0]][:, None], act])
 
 
 class SkewBracoid:
@@ -231,13 +204,13 @@ class ContainedBrace:
         if not np.array_equal(gamma_h[hel], brace.gamma):
             raise AxiomViolated("bracoid twist on H disagrees with the brace")
 
-        # The transported tables form a bracoid in their own right.
-        transported = SkewBracoid(G, hstar, action_h)
+        # (hstar, action_h) is a bracoid with no further check: the star
+        # isomorphism and equivariance checks above make it the image of the
+        # verified bracoid under the bijection bij.
 
         for arr in (hel, bij, bijinv):
             arr.setflags(write=False)
         self.bracoid = bracoid
-        self.transported = transported
         self.H = H
         self.S = S
         self.Hel = hel
@@ -392,18 +365,9 @@ def _displacement_witnesses(gt: np.ndarray, ginv: np.ndarray, lam: np.ndarray,
     triple, so every witness is the scan's.
     """
     n = gt.shape[0]
-
-    def first(bad_rows) -> tuple[int, ...]:
-        for x in range(n):
-            bad = bad_rows(x)
-            if bad.any():
-                y, z = map(int, np.argwhere(bad)[0])
-                return x, y, z
-        return ()
-
     lam_w = _action_law_failure(gt, lam) or ()
     rho_ok = _action_law_holds(gt.T, rho)
-    rho_w = () if rho_ok else first(lambda x: rho[gt[x]] != rho[:, rho[x]])
+    rho_w = () if rho_ok else _first_triple(n, lambda x: rho[gt[x]] != rho[:, rho[x]])
     bad = rho[ginv[:, None], rho] != np.arange(n)
     inv_w = tuple(map(int, np.argwhere(bad)[0])) if bad.any() else ()
     rho_t = rho.T                                   # (x, y) -> rho_y(x)
@@ -411,7 +375,8 @@ def _displacement_witnesses(gt: np.ndarray, ginv: np.ndarray, lam: np.ndarray,
                       for z in [0, *generators(gt)]):
         prod_w = ()
     else:
-        prod_w = first(lambda x: lam[x][gt] != gt[lam[x][:, None], lam[rho[:, x]]])
+        prod_w = _first_triple(
+            n, lambda x: lam[x][gt] != gt[lam[x][:, None], lam[rho[:, x]]]) or ()
     return lam_w, rho_w, inv_w, prod_w
 
 

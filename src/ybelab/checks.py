@@ -1,5 +1,7 @@
-"""Pass/fail report records shared by the structure verifiers, and the
-memo that proves each distinct small table once per process."""
+"""Pass/fail report records shared by the structure verifiers, the memo
+that proves each distinct small table once per process, and the two proof
+shapes, the action law and the rows law, proved on generators once for
+every law stated in them."""
 
 from __future__ import annotations
 
@@ -64,8 +66,8 @@ class Report:
 MEMO_MAX_ENTRIES = 64 * 64
 # Each kernel keeps its latest this many keys, so a long-lived process does
 # not grow without end.  `suite full --seed 7` stores at most 384 per kernel
-# (1.2 MB of keys over all six); the bound above caps a key at three int32
-# tables of 64^2 entries, 48 KB.
+# (1.1 MB of keys over all four); the bound above caps a key at two int32
+# tables of 64^2 entries, 32 KB.
 MEMO_MAX_KEYS = 1024
 
 
@@ -228,33 +230,100 @@ def generators(table) -> list[int]:
     return gens
 
 
+# --- the two proof shapes ---
+#
+# A law proved on generators is stated, where it can be, in one of two
+# shapes over tables whose entries are in 0..n-1:
+#   the action law  act[g*h] = act[g] o act[h]        (x -> act[x] is an action),
+#   the rows law    F[x, a*b] = F[x, a] * F[x, b]     (each row F_x is an endomorphism).
+# Each shape's reduction to generators is proved once, below.  A law module
+# states its law as one of the two and proves only that restatement; the
+# matched-pair mixed laws and the displacement product rule are the only
+# reductions of their own.  When a test fails, the full scan names the
+# first triple (_first_triple), so every witness is that of a complete scan.
+
+
+def _first_triple(n: int, bad_at) -> tuple[int, int, int] | None:
+    """First (x, y, z) in x-major order with bad_at(x)[y, z] true, or None.
+
+    bad_at(x) is the boolean (y, z) mask of the x-slice of a law; slices are
+    built one at a time, so the scan stops at the first slice that fails.
+    """
+    for x in range(n):
+        bad = bad_at(x)
+        if bad.any():
+            y, z = map(int, np.argwhere(bad)[0])
+            return x, y, z
+    return None
+
+
+@by_content
+def _action_law_holds(gt: np.ndarray, act: np.ndarray) -> bool:
+    """True iff (g*h).p = g.(h.p) for all g, h, p, tested on h in 0 and generators(gt).
+
+    gt must be an associative table; act[0] need not be the identity map.
+    Let T be the set of h with act[g*h] = act[g] o act[h] for every g.  If
+    h, k are in T then so is h*k:  act[g*(h*k)] = act[(g*h)*k]
+    = act[g*h] o act[k] = act[g] o act[h] o act[k] = act[g] o act[h*k], the
+    last step being k in T at g = h.  So T holds the closure of 0 and the
+    generators, which is all of G.
+    """
+    return all(np.array_equal(act[gt[:, h]], act[:, act[h]])
+               for h in [0, *generators(gt)])
+
+
+def _action_law_failure(gt: np.ndarray, act: np.ndarray) -> tuple[int, int, int] | None:
+    """First (g, h, p) with (g*h).p != g.(h.p), or None."""
+    return None if _action_law_holds(gt, act) else _brute_action_law(gt, act)
+
+
+def _brute_action_law(gt: np.ndarray, act: np.ndarray) -> tuple[int, int, int] | None:
+    # g-slice: (h, p) -> (g*h).p against g.(h.p)
+    return _first_triple(gt.shape[0], lambda g: act[gt[g]] != act[g][act])
+
+
 def _assoc_failure(table: np.ndarray) -> tuple[int, int, int] | None:
     """First (a, b, c) with (a*b)*c != a*(b*c), or None; table entries in 0..n-1.
 
-    Light's test proves associativity from the middle elements 0 and
-    generators(table) alone.  Let T be the set of t with (x*t)*y = x*(t*y)
-    for all x, y.  If s, t are in T then so is s*t:
+    Associativity is the action law of the table on itself, act = table, so
+    this is _action_law_failure(table, table), whose test is Light's: the
+    middle element needs to range only over 0 and generators(table).  Here
+    the closure step needs no associativity.  Let T be the set of t with
+    (x*t)*y = x*(t*y) for all x, y.  If s, t are in T then so is s*t:
         (x*(s*t))*y = ((x*s)*t)*y = (x*s)*(t*y) = x*(s*(t*y)) = x*((s*t)*y),
     using s in T, then t, then s, then t (at x = s).  So T is closed under
     the product; holding 0 and the generators, it holds their closure,
-    which is every element.  No identity or inverse is assumed.  When the
-    test fails, the full scan names the lexicographically first triple.
+    which is every element.  No identity or inverse is assumed.
     """
-    for t in [0, *generators(table)]:
-        if not np.array_equal(table[table[:, t]], table[:, table[t]]):
-            return _brute_assoc(table)
-    return None
+    return _action_law_failure(table, table)
 
 
-def _brute_assoc(table: np.ndarray) -> tuple[int, int, int] | None:
-    for a in range(table.shape[0]):
-        lhs = table[table[a]]          # (b, c) -> (a*b)*c
-        rhs = table[a][table]          # (b, c) -> a*(b*c)
-        bad = lhs != rhs
-        if bad.any():
-            b, c = map(int, np.argwhere(bad)[0])
-            return a, b, c
-    return None
+@by_content
+def _rows_law_holds(nt: np.ndarray, F: np.ndarray) -> bool:
+    """True iff F[x, a*b] = F[x, a] * F[x, b] for all x, a, b, tested on b in generators(nt).
+
+    nt must be a group table.  Fix x and let T be the set of b with
+    F_x(a*b) = F_x(a) * F_x(b) for every a.  If b, c are in T then so is
+    b*c, by associativity of *:
+        F_x(a*(b*c)) = F_x((a*b)*c) = F_x(a*b) * F_x(c)
+                     = F_x(a) * F_x(b) * F_x(c) = F_x(a) * F_x(b*c),
+    the last step being c in T at a = b.  So T holds every product of
+    generators.  In a finite group those products are the subgroup the
+    generators make (g^-1 is a power of g), which is all of it; when the
+    group is trivial the one triple is F_x(0) = 0 = 0 * 0.
+    """
+    return all(np.array_equal(F[:, nt[:, g]], nt[F, F[:, g][:, None]])
+               for g in generators(nt))
+
+
+def _rows_law_failure(nt: np.ndarray, F: np.ndarray) -> tuple[int, int, int] | None:
+    """First (x, a, b) with F[x, a*b] != F[x, a] * F[x, b], or None."""
+    return None if _rows_law_holds(nt, F) else _brute_rows_law(nt, F)
+
+
+def _brute_rows_law(nt: np.ndarray, F: np.ndarray) -> tuple[int, int, int] | None:
+    # x-slice: (a, b) -> F_x(a*b) against F_x(a) * F_x(b)
+    return _first_triple(F.shape[0], lambda x: F[x][nt] != nt[F[x][:, None], F[x]])
 
 
 def find_identity(table) -> int | None:

@@ -565,6 +565,8 @@ def cmd_holomorph(args) -> int:
     hol = report.build(
         "build-holomorph", lambda: holomorph(G, cap=cap),
         witness=lambda v: f"order={v.group.order},aut={len(v.maps)}")
+    # The cap bounds |G| for the automorphism search, not |Aut(G)|.
+    _refuse_order(hol.group.order, args.max_order)
     report.add("transitive", is_transitive(hol.action), 0)
     out = _out_dir(args)
     _write_artifact(report, out, "holomorph.txt", "group", files.write_group(hol.group))
@@ -599,12 +601,16 @@ def _u64(text: str) -> int:
     return value
 
 
-def _subcommand(sub, name: str, func, help: str, out_default="."):
-    """A subparser that runs func, with the flags every subcommand takes."""
+def _subcommand(sub, name: str, func, help: str, out_default=".", seeded=False):
+    """A subparser that runs func, with the flags every subcommand takes.
+
+    Only the subcommands that draw random numbers take --seed.
+    """
     sp = sub.add_parser(name, help=help)
     sp.set_defaults(func=func)
-    sp.add_argument("--seed", type=_u64, default=0,
-                    help="single source for all randomness (default 0)")
+    if seeded:
+        sp.add_argument("--seed", type=_u64, default=0,
+                        help="single source for all randomness (default 0)")
     sp.add_argument("--max-order", type=int, default=2048, dest="max_order",
                     help="refuse structures larger than this (default 2048)")
     sp.add_argument("--out", default=out_default,
@@ -619,7 +625,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Finite brace/bracoid/semibrace workbench with braid checks.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = _subcommand(sub, "example", cmd_example, "build a catalog instance and export it")
+    p = _subcommand(sub, "example", cmd_example, "build a catalog instance and export it",
+                    seeded=True)
     p.add_argument("name")
     p.add_argument("params", nargs="*", type=int)
 
@@ -636,7 +643,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--roundtrip", action="store_true",
                    help="also derive back and require exact table equality")
 
-    p = _subcommand(sub, "suite", cmd_suite, "run the verification battery")
+    p = _subcommand(sub, "suite", cmd_suite, "run the verification battery", seeded=True)
     p.add_argument("scope", choices=("quick", "full"))
 
     p = _subcommand(sub, "holomorph", cmd_holomorph,

@@ -21,7 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import Check, Report, by_content, find_identity, generators, group_table_checks
+from .checks import (Check, _action_law_failure, _action_law_holds, _first_triple,
+                     _rows_law_failure, find_identity, generators, group_table_checks)
 
 AUTOMORPHISM_CAP = 64
 
@@ -226,41 +227,6 @@ class GroupAction:
         return f"GroupAction({self.actor.name!r} on {self.space_size} points)"
 
 
-@by_content
-def _action_law_holds(gt: np.ndarray, act: np.ndarray) -> bool:
-    """True iff (g*h).p = g.(h.p) for all g, h, p, tested on h in 0 and generators(gt).
-
-    gt must be an associative table; act[0] need not be the identity map.
-    Let T be the set of h with act[g*h] = act[g] o act[h] for every g.  If
-    h, k are in T then so is h*k:  act[g*(h*k)] = act[(g*h)*k]
-    = act[g*h] o act[k] = act[g] o act[h] o act[k] = act[g] o act[h*k], the
-    last step being k in T at g = h.  So T holds the closure of 0 and the
-    generators, which is all of G.
-    """
-    return all(np.array_equal(act[gt[:, h]], act[:, act[h]])
-               for h in [0, *generators(gt)])
-
-
-def _action_law_failure(gt: np.ndarray, act: np.ndarray) -> tuple[int, int, int] | None:
-    """First (g, h, p) with (g*h).p != g.(h.p), or None.
-
-    The law is proved by _action_law_holds; only when that test fails does
-    the full scan run, to name the first triple.
-    """
-    return None if _action_law_holds(gt, act) else _brute_action_law(gt, act)
-
-
-def _brute_action_law(gt: np.ndarray, act: np.ndarray) -> tuple[int, int, int] | None:
-    for g in range(gt.shape[0]):
-        lhs = act[gt[g]]               # (h, p) -> (g*h).p
-        rhs = act[g][act]              # (h, p) -> g.(h.p)
-        bad = lhs != rhs
-        if bad.any():
-            h, p = map(int, np.argwhere(bad)[0])
-            return g, h, p
-    return None
-
-
 @dataclass(frozen=True)
 class GroupMap:
     """A homomorphism between table groups, stored as the image tuple."""
@@ -371,28 +337,23 @@ def _matched_pair_laws_hold(ht: np.ndarray, st: np.ndarray, left: np.ndarray,
 def _brute_matched_pair_laws(H: FiniteGroup, S: FiniteGroup, left: np.ndarray,
                              right: np.ndarray) -> None:
     """Scan the four matched-pair laws in full; raise at the first failure."""
-    # left is a left action: (s*t).h = s.(t.h)
-    bad = left[S.table] != left[:, left]
-    if bad.any():
-        s, t, h = map(int, np.argwhere(bad)[0])
-        raise CompatibilityViolated(f"left action law fails at s={s} t={t} h={h}")
-    # right is a right action: s^(h*k) = (s^h)^k
-    bad = right[:, H.table] != right[right]
-    if bad.any():
-        s, h, k = map(int, np.argwhere(bad)[0])
-        raise CompatibilityViolated(f"right action law fails at s={s} h={h} k={k}")
-    # s.(h1*h2) = (s.h1) * (s^h1).h2
-    rhs = H.table[left[:, :, None], left[right]]
-    bad = left[:, H.table] != rhs
-    if bad.any():
-        s, h1, h2 = map(int, np.argwhere(bad)[0])
-        raise CompatibilityViolated(f"mixed law on H fails at s={s} h1={h1} h2={h2}")
-    # (s1*s2)^h = s1^(s2.h) * s2^h
-    rhs = S.table[right[:, left], right[None, :, :]]
-    bad = right[S.table] != rhs
-    if bad.any():
-        s1, s2, h = map(int, np.argwhere(bad)[0])
-        raise CompatibilityViolated(f"mixed law on S fails at s1={s1} s2={s2} h={h}")
+    ht, st = H.table, S.table
+    for message, bad_at in (
+            # left is a left action: (s*t).h = s.(t.h)
+            ("left action law fails at s={} t={} h={}",
+             lambda s: left[st[s]] != left[s][left]),
+            # right is a right action: s^(h*k) = (s^h)^k
+            ("right action law fails at s={} h={} k={}",
+             lambda s: right[s][ht] != right[right[s]]),
+            # s.(h1*h2) = (s.h1) * (s^h1).h2
+            ("mixed law on H fails at s={} h1={} h2={}",
+             lambda s: left[s][ht] != ht[left[s][:, None], left[right[s]]]),
+            # (s1*s2)^h = s1^(s2.h) * s2^h
+            ("mixed law on S fails at s1={} s2={} h={}",
+             lambda s: right[st[s]] != st[right[s][left], right])):
+        witness = _first_triple(S.order, bad_at)
+        if witness is not None:
+            raise CompatibilityViolated(message.format(*witness))
 
 
 def group_from_table(order: int, table, name: str = "G") -> FiniteGroup:
@@ -443,19 +404,22 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
 
 
 def _check_automorphism_list(H: FiniteGroup, alpha: np.ndarray) -> None:
-    nh = alpha.shape[1]
-    idx = np.arange(nh)
-    for s in range(alpha.shape[0]):
-        perm = alpha[s]
-        if not (np.sort(perm) == idx).all():
-            raise NotAutomorphism(f"map {s} is not a permutation")
-        if perm[0] != 0:
-            raise NotAutomorphism(f"map {s} moves the identity")
-        lhs = perm[H.table]
-        rhs = H.table[np.ix_(perm, perm)]
-        if (lhs != rhs).any():
-            a, b = map(int, np.argwhere(lhs != rhs)[0])
-            raise NotAutomorphism(f"map {s} is not a homomorphism at ({a},{b})")
+    """Raise NotAutomorphism naming the first map of alpha that is not one of H.
+
+    Maps are judged in order, each by permutation, then identity, then the
+    homomorphism law, which is the rows law of alpha: the maps before the
+    first one failing a unit check go through _rows_law_failure together.
+    """
+    perm = (np.sort(alpha, axis=1) == np.arange(alpha.shape[1])).all(axis=1)
+    unit = perm & (alpha[:, 0] == 0)
+    k = int(np.argmin(unit)) if not unit.all() else len(alpha)
+    witness = _rows_law_failure(H.table, alpha[:k])
+    if witness is not None:
+        s, a, b = witness
+        raise NotAutomorphism(f"map {s} is not a homomorphism at ({a},{b})")
+    if k < len(alpha):
+        raise NotAutomorphism(f"map {k} is not a permutation" if not perm[k]
+                              else f"map {k} moves the identity")
 
 
 def semidirect_product(
@@ -464,16 +428,15 @@ def semidirect_product(
     """H x| S with pair (h, s) at index h*|S| + s and (h,s)(h',s') = (h*s.h', s*s').
 
     `alpha` is one permutation of H per element of S; it must realize a
-    homomorphism from S into Aut(H).
+    homomorphism from S into Aut(H): the action law of S on H through alpha.
     """
     alpha = np.asarray(alpha, dtype=np.int32)
     if alpha.shape != (S.order, H.order):
         raise NotHomomorphism(f"alpha must have shape ({S.order}, {H.order})")
     _check_automorphism_list(H, alpha)
-    comp = alpha[:, alpha]                             # (s, t, h) -> alpha_s(alpha_t(h))
-    expected = alpha[S.table]                          # (s, t, h) -> alpha_{s*t}(h)
-    if (comp != expected).any():
-        s, t, _ = map(int, np.argwhere(comp != expected)[0])
+    witness = _action_law_failure(S.table, alpha)
+    if witness is not None:
+        s, t, _ = witness
         raise NotHomomorphism(f"alpha({s}*{t}) != alpha({s})∘alpha({t})")
     hpart = H.table[:, alpha]                          # (h, s, h') -> h * alpha_s(h')
     table = hpart[:, :, :, None] * np.int32(S.order) + S.table[None, :, None, :]

@@ -15,8 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bracoids import ContainedBrace, SkewBracoid, transport
-from .checks import (AxiomViolated, Check, Report, _assoc_failure, by_content, generators,
-                     group_table_checks)
+from .checks import (AxiomViolated, Check, Report, _action_law_holds, _assoc_failure,
+                     _first_triple, group_table_checks)
 from .groups import FiniteGroup, Subgroup, stabilizer
 
 
@@ -26,42 +26,28 @@ def _L_table(dot: FiniteGroup, plus: np.ndarray) -> np.ndarray:
     return dot.table[arange[:, None], plus[dot.inv]]
 
 
-def _multiplicative(dot: FiniteGroup, L: np.ndarray) -> bool:
-    """L_{c.g} = L_c o L_g for every c and every g in generators(dot)."""
-    return all(np.array_equal(L[dot.table[:, g]], L[:, L[g]])
-               for g in generators(dot.table))
-
-
-@by_content
 def _relation_failure(dot: FiniteGroup, plus: np.ndarray) -> tuple[int, int, int] | None:
     """First triple breaking x.(y+z) = x.y + x.(x^-1 + z), or None.
 
-    With L_x(w) = x.(x^-1 + w), any table + has a + w = a.L_{a^-1}(w).  So
-    the relation at (x, y, z) reads x.y.L_{y^-1}(z) = x.y.L_{y^-1 x^-1}(L_x(z)),
-    that is L_{c.x}(z) = L_c(L_x(z)) with c = y^-1 x^-1, and it holds at x
-    for all y, z exactly when L_{c.x} = L_c o L_x for every c.  The x with
-    that property are closed under the product:
-        L_{c(xw)} = L_{(cx)w} = L_{cx} L_w = L_c L_x L_w = L_c L_{xw}.
-    Every element of the finite group (G, .) is a product of generators, so
-    checking x in generators(dot) proves the relation.  When the test
-    fails, the full scan names the lexicographically first triple.
+    The relation is the action law of L over (G, .).  With
+    L_x(w) = x.(x^-1 + w), any table + has a + w = a.L_{a^-1}(w).  So the
+    relation at (x, y, z) reads x.y.L_{y^-1}(z) = x.y.L_{y^-1 x^-1}(L_x(z)),
+    that is L_{c.x}(z) = L_c(L_x(z)) with c = y^-1 x^-1, and it holds for
+    all x, y, z exactly when L_{c.x} = L_c o L_x for every c and x.  The
+    triples are matched up differently, so when the law fails, the full
+    scan of the relation names its own first triple.
     """
-    if _multiplicative(dot, _L_table(dot, plus)):
+    if _action_law_holds(dot.table, _L_table(dot, plus)):
         return None
     return _brute_relation(dot, plus)
 
 
 def _brute_relation(dot: FiniteGroup, plus: np.ndarray) -> tuple[int, int, int] | None:
-    for x in range(dot.order):
+    def bad_at(x):                       # (y, z) -> x.(y+z) against x.y + x.(x^-1 + z)
         dx = dot.table[x]
-        lhs = dx[plus]
-        shifted = dx[plus[dot.inv[x]]]
-        rhs = plus[dx[:, None], shifted[None, :]]
-        bad = lhs != rhs
-        if bad.any():
-            y, z = map(int, np.argwhere(bad)[0])
-            return x, y, z
-    return None
+        return dx[plus] != plus[dx[:, None], dx[plus[dot.inv[x]]]]
+
+    return _first_triple(dot.order, bad_at)
 
 
 def verify_semibrace(dot, plus) -> Report:

@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import AxiomViolated
-from .groups import CapExceeded, FiniteGroup, _action_law_holds
+from .checks import AxiomViolated, _action_law_holds
+from .groups import CapExceeded, FiniteGroup
 
 # Backtracking isomorphism search is only offered on small index sets.
 ISOMORPHISM_CAP = 16

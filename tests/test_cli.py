@@ -384,6 +384,18 @@ def test_holomorph_respects_max_order(tmp_path, capsys):
     assert not (tmp_path / "over").exists()
 
 
+def test_holomorph_refuses_a_group_above_max_order(tmp_path, capsys):
+    """The automorphism cap bounds |G|, not |Aut(G)|: Hol(C2^3) has order 8 * 168."""
+    path = tmp_path / "e8.txt"
+    path.write_text(write_group(groups.elementary_abelian(2, 3)))
+    code = main(["holomorph", str(path), "--out", str(tmp_path / "over"),
+                 "--max-order", "512"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: PreconditionFailed: order 1344 exceeds --max-order 512\n"
+    assert not (tmp_path / "over").exists()
+
+
 def test_complements_enumeration(tmp_path, capsys):
     path = tmp_path / "s3.txt"
     path.write_text(write_group(_sd32()))
@@ -393,6 +405,22 @@ def test_complements_enumeration(tmp_path, capsys):
     assert "STEP subgroup PASS" in out and "order=2" in out
     assert "count=1" in out
     assert "STEP complement-0 PASS" in out and "(0,2,4)" in out
+
+
+@pytest.mark.parametrize("words", [
+    ["verify", "group", "g.txt"], ["derive", "solution-from-brace", "b.txt"],
+    ["holomorph", "g.txt"], ["complements", "g.txt", "1"]], ids=lambda w: w[0])
+def test_seed_is_refused_where_nothing_is_random(words, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main([*words, "--seed", "3"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("words", [["example", "gl3f2"], ["suite", "quick"]],
+                         ids=lambda w: w[0])
+def test_seed_is_taken_where_it_draws_numbers(words):
+    assert cli.build_parser().parse_args([*words, "--seed", "3"]).seed == 3
 
 
 def test_negative_seed_rejected_by_the_parser(capsys):

@@ -1,7 +1,10 @@
 """Differential tests: each generator-reduced law check against its full scan.
 
-Every fast check must agree with its `_brute_*` oracle on pass/fail and on
-the first counterexample.  Inputs are catalog structures under random
+Every fast check must agree with a full scan on pass/fail and on the first
+counterexample.  The oracles below are the scans in each law's own form, as
+they stood before the laws were restated as the action law or the rows law
+of `checks`; the fast checks, and the `_brute_*` scans of `checks`, must
+both agree with them.  Inputs are catalog structures under random
 relabellings, the same with one table entry changed, random loops, random
 action tables and random Yang-Baxter maps.  The report-level tests run
 each verifier twice, once with the fast checks and once with the oracles
@@ -134,15 +137,68 @@ def greedy_by_closure(table: np.ndarray) -> list[int]:
     return gens
 
 
+# --- the full scans in each law's own form ---
+
+def brute_assoc(table):
+    """First (a, b, c) with (a*b)*c != a*(b*c)."""
+    for a in range(table.shape[0]):
+        bad = table[table[a]] != table[a][table]       # (b, c): (a*b)*c against a*(b*c)
+        if bad.any():
+            b, c = map(int, np.argwhere(bad)[0])
+            return a, b, c
+    return None
+
+
+def brute_action(gt, act):
+    """First (g, h, p) with (g*h).p != g.(h.p)."""
+    for g in range(gt.shape[0]):
+        bad = act[gt[g]] != act[g][act]                # (h, p): (g*h).p against g.(h.p)
+        if bad.any():
+            h, p = map(int, np.argwhere(bad)[0])
+            return g, h, p
+    return None
+
+
+def brute_compat(star, dot):
+    """First (x, y, z) breaking x.(y*z) = (x.y) * x^{-*} * (x.z)."""
+    st, dt, sinv = star.table, dot.table, star.inv
+    for x in range(star.order):
+        dx = dt[x]
+        twist = st[dx, sinv[x]]
+        bad = dx[st] != st[twist[:, None], dx[None, :]]
+        if bad.any():
+            y, z = map(int, np.argwhere(bad)[0])
+            return x, y, z
+    return None
+
+
+def brute_coupling(G, N, act):
+    """First (x, eta, mu) breaking x (+) (eta * mu) = (x (+) eta) * (x (+) e)^{-*} * (x (+) mu)."""
+    nt, ninv = N.table, N.inv
+    for x in range(G.order):
+        ax = act[x]
+        twist = nt[ax, ninv[ax[0]]]
+        bad = ax[nt] != nt[twist[:, None], ax[None, :]]
+        if bad.any():
+            eta, mu = map(int, np.argwhere(bad)[0])
+            return x, eta, mu
+    return None
+
+
+def coupling_rows(N: FiniteGroup, act) -> np.ndarray:
+    """f[x, eta] = (x (+) e)^{-*} * (x (+) eta), whose rows law is the coupling law."""
+    return N.table[N.inv[act[:, 0]][:, None], act]
+
+
 def brute_oracles() -> ExitStack:
     """Patch the generator-reduced checks of the verify_* reports with full scans."""
     stack = ExitStack()
     for module, name, oracle in (
-            (checks, "_assoc_failure", checks._brute_assoc),
-            (semibraces, "_assoc_failure", checks._brute_assoc),
-            (bracoids, "_action_law_failure", groups._brute_action_law),
-            (braces, "_compat_failure", braces._brute_compat),
-            (bracoids, "_eq2_failure", bracoids._brute_eq2),
+            (checks, "_assoc_failure", brute_assoc),
+            (semibraces, "_assoc_failure", brute_assoc),
+            (bracoids, "_action_law_failure", brute_action),
+            (braces, "_compat_failure", brute_compat),
+            (bracoids, "_eq2_failure", brute_coupling),
             (semibraces, "_relation_failure", semibraces._brute_relation)):
         stack.enter_context(mock.patch.object(module, name, oracle))
     # group_table_checks calls _assoc_failure inside its memo, which would
@@ -172,22 +228,44 @@ def test_generators_of_relabelled_groups(base, rng):
 
 # --- one law at a time ---
 
+# Each check also holds the kernel's own verdict to the scan's: a failing
+# kernel test is followed by the scan, which would hide a kernel that
+# rejects a law that holds.
+
 def check_assoc(table):
-    assert checks._assoc_failure(table) == checks._brute_assoc(table)
+    expected = brute_assoc(table)
+    assert checks._assoc_failure(table) == expected
+    assert checks._brute_action_law(table, table) == expected
+    assert checks._action_law_holds(table, table) == (expected is None)
 
 
 def check_action(g, act):
-    assert groups._action_law_failure(g, act) == groups._brute_action_law(g, act)
+    expected = brute_action(g, act)
+    assert checks._action_law_failure(g, act) == expected
+    assert checks._brute_action_law(g, act) == expected
+    assert checks._action_law_holds(g, act) == (expected is None)
 
 
 def check_compat(star, dot):
+    """The brace law is the rows law of gamma, witness included."""
     star, dot = group(star), group(dot)
-    assert braces._compat_failure(star, dot) == braces._brute_compat(star, dot)
+    expected = brute_compat(star, dot)
+    assert braces._compat_failure(star, dot) == expected
+    gamma = braces._gamma(star, dot)
+    assert checks._rows_law_failure(star.table, gamma) == expected
+    assert checks._brute_rows_law(star.table, gamma) == expected
+    assert checks._rows_law_holds(star.table, gamma) == (expected is None)
 
 
 def check_coupling(g, n, act):
+    """The coupling law is the rows law of f, witness included."""
     G, N = group(g), group(n)
-    assert bracoids._eq2_failure(G, N, act) == bracoids._brute_eq2(G, N, act)
+    expected = brute_coupling(G, N, act)
+    f = coupling_rows(N, act)
+    assert bracoids._eq2_failure(G, N, act) == expected
+    assert checks._rows_law_failure(N.table, f) == expected
+    assert checks._brute_rows_law(N.table, f) == expected
+    assert checks._rows_law_holds(N.table, f) == (expected is None)
 
 
 def check_relation(g, plus):
@@ -315,7 +393,7 @@ def test_associativity_and_relation_on_every_table_up_to_order_3():
         for table in every_table(n, n, n):
             check_assoc(table)
             check_relation(cyclic, table)
-            if checks._brute_assoc(table) is None:
+            if brute_assoc(table) is None:
                 check_L(cyclic, table)
 
 
@@ -347,20 +425,27 @@ def test_braid_on_every_map_up_to_size_2():
 # --- the content memo ---
 
 def memo_calls(base: Base, rng) -> list[tuple]:
-    """(memoised kernel, args, kwargs) on a base's tables and one-entry pokes."""
+    """(memoised kernel, args, kwargs) on a base's tables and one-entry pokes.
+
+    Each law reaches its kernel as its checks module hands it over: the
+    brace law as the rows of gamma, the coupling law as the rows of f, the
+    semibrace relation as the action of L, associativity as the action of
+    the table on itself.
+    """
     G, N, star = group(base.g), group(base.n), group(base.star)
     other = group(swap_labels(base.g, rng))
-    out = [(braces._compat_failure, (star, G), {}), (braces._compat_failure, (other, G), {}),
-           (braces._compat_failure, (star, other), {})]
+    out = [(checks._rows_law_holds, (s.table, braces._gamma(s, d)), {})
+           for s, d in ((star, G), (other, G), (star, other))]
     for table in (base.g, base.star, base.plus, poke(base.g, rng), poke(base.plus, rng)):
         out += [(checks.group_table_checks, (table,), {}),
                 (checks.group_table_checks, (table, "dot."), {"check_assoc": False}),
-                (checks.generators, (table,), {})]
+                (checks.generators, (table,), {}),
+                (checks._action_law_holds, (table, table), {})]
     for act in (base.act, poke(base.act, rng)):
-        out += [(groups._action_law_holds, (base.g, act), {}),
-                (bracoids._eq2_failure, (G, N, act), {})]
+        out += [(checks._action_law_holds, (base.g, act), {}),
+                (checks._rows_law_holds, (N.table, coupling_rows(N, act)), {})]
     for plus in (base.plus, poke(base.plus, rng), base.g):
-        out.append((semibraces._relation_failure, (G, plus), {}))
+        out.append((checks._action_law_holds, (G.table, semibraces._L_table(G, plus)), {}))
     return out
 
 
@@ -401,7 +486,7 @@ def test_verify_reports_match_the_full_scans(base, rng, which):
 @given(rngs, st.integers(2, 7))
 def test_group_constructor_names_the_brute_witness(rng, n):
     loop = random_loop(rng, n)
-    witness = checks._brute_assoc(loop)
+    witness = brute_assoc(loop)
     try:
         FiniteGroup(loop)
     except groups.NotAssociative as exc:
@@ -523,8 +608,8 @@ def test_maps_passing_two_carrier_laws_keep_the_scan_report():
             report = ybe.check_braid(ybe.SolutionMap(left, right, carrier=G))
             assert report == ybe.check_braid(ybe.SolutionMap(left, right))
             laws = (np.array_equal(gt[left, right], gt),
-                    groups._brute_action_law(gt, left) is None,
-                    groups._brute_action_law(gt.T, right.T) is None)
+                    brute_action(gt, left) is None,
+                    brute_action(gt.T, right.T) is None)
             if all(laws):
                 assert report.braid
             elif sum(laws) == 2 and not report.braid:
@@ -571,14 +656,32 @@ def _refusal(build) -> str | None:
     return None
 
 
+def tensor_scan(H, S, left, right) -> str | None:
+    """The four matched-pair laws scanned as the n^3 tensors they first were."""
+    ht, st = H.table, S.table
+    left, right = np.asarray(left), np.asarray(right)
+    for message, bad in (
+            ("left action law fails at s={} t={} h={}", left[st] != left[:, left]),
+            ("right action law fails at s={} h={} k={}", right[:, ht] != right[right]),
+            ("mixed law on H fails at s={} h1={} h2={}",
+             left[:, ht] != ht[left[:, :, None], left[right]]),
+            ("mixed law on S fails at s1={} s2={} h={}",
+             right[st] != st[right[:, left], right[None, :, :]])):
+        if bad.any():
+            return message.format(*map(int, np.argwhere(bad)[0]))
+    return None
+
+
 def check_matched_pair(H, S, left, right):
-    """The constructor's verdict and message equal the full scan's, and once the
-    unit checks pass, the generator test holds exactly when the scan passes."""
+    """The constructor's verdict and message equal the full scan's and the
+    tensor scan's, and once the unit checks pass, the generator test holds
+    exactly when the scan passes."""
     fast = _refusal(lambda: groups.MatchedPair(H, S, left, right))
     with mock.patch.object(groups, "_matched_pair_laws_hold", lambda *args: False):
         brute = _refusal(lambda: groups.MatchedPair(H, S, left, right))
     assert fast == brute
     if brute is None or "fails at" in brute:
+        assert brute == tensor_scan(H, S, left, right)
         holds = groups._matched_pair_laws_hold(H.table, S.table, np.asarray(left),
                                                np.asarray(right))
         assert holds == (brute is None)

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from ybelab import groups
 from ybelab.groups import (
     CapExceeded,
     CompatibilityViolated,
@@ -12,6 +13,8 @@ from ybelab.groups import (
     MatchedPair,
     NoIdentity,
     NotAssociative,
+    NotAutomorphism,
+    NotHomomorphism,
     NotLatinSquare,
     NotPrime,
     Subgroup,
@@ -401,3 +404,81 @@ def test_random_relabelled_tables_stay_groups():
         table = perm[base.table[np.ix_(inv, inv)]]
         G = FiniteGroup(table)
         assert sorted(G.element_orders) == sorted(base.element_orders)
+
+
+def _old_check_automorphism_list(H, alpha):
+    """The per-map loop the automorphism-list check replaced."""
+    idx = np.arange(alpha.shape[1])
+    for s in range(alpha.shape[0]):
+        perm = alpha[s]
+        if not (np.sort(perm) == idx).all():
+            raise NotAutomorphism(f"map {s} is not a permutation")
+        if perm[0] != 0:
+            raise NotAutomorphism(f"map {s} moves the identity")
+        lhs = perm[H.table]
+        rhs = H.table[np.ix_(perm, perm)]
+        if (lhs != rhs).any():
+            a, b = map(int, np.argwhere(lhs != rhs)[0])
+            raise NotAutomorphism(f"map {s} is not a homomorphism at ({a},{b})")
+
+
+def _old_semidirect_refusal(H, S, alpha):
+    """The old checks of semidirect_product: the loop above, then the n^3 tensor."""
+    _old_check_automorphism_list(H, alpha)
+    comp = alpha[:, alpha]
+    expected = alpha[S.table]
+    if (comp != expected).any():
+        s, t, _ = map(int, np.argwhere(comp != expected)[0])
+        raise NotHomomorphism(f"alpha({s}*{t}) != alpha({s})∘alpha({t})")
+
+
+def _outcome(call):
+    try:
+        call()
+    except (NotAutomorphism, NotHomomorphism) as exc:
+        return type(exc), str(exc)
+    return None
+
+
+def _twist_list(rng, H, S, auts):
+    """alpha with rows drawn from Aut(H), the identity, permutations with and
+    without a fixed 0, and arbitrary rows; or a homomorphism S -> Aut(H)."""
+    n = H.order
+    if rng.random() < 0.2:
+        return np.tile(np.arange(n, dtype=np.int32), (S.order, 1))
+    rows = []
+    for _ in range(S.order):
+        kind = rng.integers(8)
+        if kind < 4:
+            rows.append(auts[rng.integers(len(auts))])
+        elif kind == 4:
+            rows.append(np.arange(n))
+        elif kind == 5:
+            rows.append(np.concatenate(([0], 1 + rng.permutation(n - 1))))
+        elif kind == 6:
+            rows.append(rng.permutation(n))
+        else:
+            rows.append(rng.integers(-1, n + 1, n))
+    return np.array(rows, dtype=np.int32)
+
+
+def test_twist_list_refusals_keep_their_old_messages():
+    rng = np.random.default_rng(11)
+    d4 = semidirect_product(cyclic_group(4), cyclic_group(2),
+                            np.array([[0, 1, 2, 3], [0, 3, 2, 1]], dtype=np.int32))
+    Hs = (cyclic_group(3), cyclic_group(5), elementary_abelian(2, 2), s3(), d4, _q8())
+    Ss = (cyclic_group(2), cyclic_group(3), cyclic_group(4), elementary_abelian(2, 2))
+    auts = {H.name: [np.array(m.images) for m in automorphism_group(H)[1]] for H in Hs}
+    refusals = {"permutation": "is not a permutation", "identity": "moves the identity",
+                "homomorphism": "is not a homomorphism", "composition": "∘"}
+    seen, passed = set(), 0
+    for _ in range(600):
+        H, S = Hs[rng.integers(len(Hs))], Ss[rng.integers(len(Ss))]
+        alpha = _twist_list(rng, H, S, auts[H.name])
+        old = _outcome(lambda: _old_check_automorphism_list(H, alpha))
+        assert _outcome(lambda: groups._check_automorphism_list(H, alpha)) == old
+        old = _outcome(lambda: _old_semidirect_refusal(H, S, alpha))
+        assert _outcome(lambda: semidirect_product(H, S, alpha)) == old
+        passed += old is None
+        seen.update(k for k, text in refusals.items() if old and text in old[1])
+    assert seen == set(refusals) and passed
