@@ -232,15 +232,16 @@ def generators(table) -> list[int]:
 
 # --- the two proof shapes ---
 #
-# A law proved on generators is stated, where it can be, in one of two
-# shapes over tables whose entries are in 0..n-1:
+# A law proved on generators is stated in one of two shapes over tables
+# whose entries are in 0..n-1:
 #   the action law  act[g*h] = act[g] o act[h]        (x -> act[x] is an action),
 #   the rows law    F[x, a*b] = F[x, a] * F[x, b]     (each row F_x is an endomorphism).
 # Each shape's reduction to generators is proved once, below.  A law module
-# states its law as one of the two and proves only that restatement; the
-# matched-pair mixed laws and the displacement product rule are the only
-# reductions of their own.  When a test fails, the full scan names the
-# first triple (_first_triple), so every witness is that of a complete scan.
+# states its law as one of the two, or derives it from laws that are (the
+# matched-pair laws are Light's test on the bicrossed table, the displacement
+# product rule follows from rho-compose and the product law), and proves only
+# that restatement.  When a test fails, the full scan names the first triple
+# (_first_triple), so every witness is that of a complete scan.
 
 
 def _first_triple(n: int, bad_at) -> tuple[int, int, int] | None:
@@ -324,6 +325,21 @@ def _rows_law_failure(nt: np.ndarray, F: np.ndarray) -> tuple[int, int, int] | N
 def _brute_rows_law(nt: np.ndarray, F: np.ndarray) -> tuple[int, int, int] | None:
     # x-slice: (a, b) -> F_x(a*b) against F_x(a) * F_x(b)
     return _first_triple(F.shape[0], lambda x: F[x][nt] != nt[F[x][:, None], F[x]])
+
+
+def _first_repeat(table: np.ndarray) -> tuple[int, int, int] | None:
+    """(x, a, b) for the first row x that is not a permutation of 0..n-1, or None.
+
+    Entries are in 0..n-1, so such a row repeats a value; a < b are the
+    first two positions of the least value it repeats.
+    """
+    rows = np.nonzero((np.sort(table, axis=1) != np.arange(table.shape[1])).any(axis=1))[0]
+    if not rows.size:
+        return None
+    x = int(rows[0])
+    order = np.argsort(table[x], kind="stable")
+    k = int(np.nonzero(table[x][order][1:] == table[x][order][:-1])[0][0])
+    return x, int(order[k]), int(order[k + 1])
 
 
 def find_identity(table) -> int | None:

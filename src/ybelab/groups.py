@@ -21,7 +21,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import (Check, _action_law_failure, _action_law_holds, _first_triple,
+from .checks import (Check, _action_law_failure, _assoc_failure, _first_triple,
                      _rows_law_failure, find_identity, generators, group_table_checks)
 
 AUTOMORPHISM_CAP = 64
@@ -138,9 +138,6 @@ class FiniteGroup:
         orders.setflags(write=False)
         return orders
 
-    def element_order(self, a: int) -> int:
-        return int(self.element_orders[a])
-
     @cached_property
     def is_abelian(self) -> bool:
         return bool((self.table == self.table.T).all())
@@ -220,9 +217,6 @@ class GroupAction:
     def apply(self, g: int, p: int) -> int:
         return int(self.table[g, p])
 
-    def orbit(self, p: int) -> tuple[int, ...]:
-        return tuple(sorted(int(v) for v in set(self.table[:, p].tolist())))
-
     def __repr__(self) -> str:
         return f"GroupAction({self.actor.name!r} on {self.space_size} points)"
 
@@ -273,8 +267,8 @@ class MatchedPair:
 
     left[s, h] is the action of s on h (valued in H); right[s, h] is the
     action of h on s (valued in S).  Both action laws and the two mixed
-    compatibility laws are verified at construction, on generators; a
-    failure is named by the full scan.
+    compatibility laws are verified at construction, as associativity of
+    the bicrossed table; a failure is named by the full scan.
     """
 
     H: FiniteGroup
@@ -291,6 +285,10 @@ class MatchedPair:
         shape = (S.order, H.order)
         if left.shape != shape or right.shape != shape:
             raise CompatibilityViolated(f"action tables must both have shape {shape}")
+        if not ((left >= 0) & (left < H.order)).all():
+            raise CompatibilityViolated("left action has a value outside H")
+        if not ((right >= 0) & (right < S.order)).all():
+            raise CompatibilityViolated("right action has a value outside S")
         nh = np.arange(H.order)
         ns = np.arange(S.order)
         if not (left[0] == nh).all() or not (left[:, 0] == 0).all():
@@ -305,38 +303,33 @@ class MatchedPair:
 
 def _matched_pair_laws_hold(ht: np.ndarray, st: np.ndarray, left: np.ndarray,
                             right: np.ndarray) -> bool:
-    """True iff the four laws of a matched pair hold, tested on generators.
+    """True iff the four laws of a matched pair hold: Light's test on the bicrossed table.
 
     The unit checks have passed: left[0] and right[:, 0] are identities,
-    left[:, 0] = 0 and right[0] = 0.  The left action law is
-    _action_law_holds on S.  The right action law s^(h*k) = (s^h)^k says
-    right.T[k *op h] = right.T[k] o right.T[h] in H^op, whose table is
-    ht.T, so it is _action_law_holds there.
-
-    Mixed law on H, s.(h1*h2) = (s.h1) * (s^h1).h2.  Let T be the set of h2
-    for which it holds at every s, h1.  0 is in T, as (s^h1).0 = 0.  If h2
-    and g are in T then so is h2*g:
-        s.(h1*h2g) = s.(h1h2) * (s^(h1h2)).g              g at (s, h1h2)
-                   = (s.h1) * (s^h1).h2 * ((s^h1)^h2).g    h2 at (s, h1), right law
-                   = (s.h1) * (s^h1).(h2g)                 g at (s^h1, h2).
-    Mixed law on S, (s1*s2)^h = s1^(s2.h) * s2^h.  Let T be the set of s1
-    for which it holds at every s2, h.  0 is in T, as 0^h = 0.  If a and b
-    are in T then so is ab:
-        (ab*s2)^h = a^((b s2).h) * (b s2)^h                a at (b s2, h)
-                  = a^(b.(s2.h)) * b^(s2.h) * s2^h          left law, b at (s2, h)
-                  = (ab)^(s2.h) * s2^h                      a at (b, s2.h).
-    So each T holds 0 and the generators of its group, hence all of it.
+    left[:, 0] = 0 and right[0] = 0.  Then (e,s)(h,e) = (s.h, s^h) and
+    (e,s)(e,s') = (e, ss') in the table (h,s)(h',s') = (h * s.h', s^h' * s'),
+    and associativity there gives the four laws (Takeuchi, Comm. Algebra 9,
+    1981):
+      - at ((e,s)(h,e))(h',e) against (e,s)((h,e)(h',e)) it reads
+        (s.h * (s^h).h', (s^h)^h') = (s.(hh'), s^(hh')): the mixed law on H
+        and the right action law;
+      - at ((e,s)(e,s'))(h,e) against (e,s)((e,s')(h,e)) it reads
+        ((ss').h, (ss')^h) = (s.(s'.h), s^(s'.h) * s'^h): the left action
+        law and the mixed law on S.
+    Conversely the four laws make the table associative, the standard
+    fact that the bicrossed product of a matched pair is a group.  So the
+    table is associative exactly when the four laws hold.
     """
-    return (_action_law_holds(st, left) and _action_law_holds(ht.T, right.T)
-            and all(np.array_equal(left[:, ht[:, g]], ht[left, left[right, g]])
-                    for g in generators(ht))
-            and all(np.array_equal(right[st[g]], st[right[g][left], right])
-                    for g in generators(st)))
+    return _assoc_failure(_bicrossed_table(ht, st, left, right)) is None
 
 
 def _brute_matched_pair_laws(H: FiniteGroup, S: FiniteGroup, left: np.ndarray,
                              right: np.ndarray) -> None:
-    """Scan the four matched-pair laws in full; raise at the first failure."""
+    """Scan the four matched-pair laws in full; raise at the first failure.
+
+    By the proof in _matched_pair_laws_hold one of them fails whenever the
+    bicrossed table is not associative; if none does, that proof is broken.
+    """
     ht, st = H.table, S.table
     for message, bad_at in (
             # left is a left action: (s*t).h = s.(t.h)
@@ -354,6 +347,10 @@ def _brute_matched_pair_laws(H: FiniteGroup, S: FiniteGroup, left: np.ndarray,
         witness = _first_triple(S.order, bad_at)
         if witness is not None:
             raise CompatibilityViolated(message.format(*witness))
+    witness = _assoc_failure(_bicrossed_table(ht, st, left, right))
+    if witness is not None:
+        raise InternalError(
+            f"bicrossed table not associative at {witness}, yet the matched-pair laws hold")
 
 
 def group_from_table(order: int, table, name: str = "G") -> FiniteGroup:
@@ -516,7 +513,11 @@ def automorphism_group(
     """All automorphisms of G by backtracking over images of a greedy generating set.
 
     Returns the abstract automorphism group (identity at index 0, maps sorted
-    lexicographically) together with the realizing permutations.
+    lexicographically) together with the realizing permutations.  `cap`
+    bounds both |G| and |Aut(G)|: the search raises CapExceeded as soon as
+    it finds map cap + 1.  A partial map is dropped the moment it is not
+    injective, so every map that reaches the last generator, defined on the
+    closure of all of them, which is G, is an automorphism.
     """
     if G.order > cap:
         raise CapExceeded(f"|G| = {G.order} exceeds the automorphism search cap {cap}")
@@ -529,8 +530,10 @@ def automorphism_group(
 
     def search(i: int, img: np.ndarray, elems: list[int]) -> None:
         if i == len(gens):
-            if len(set(img.tolist())) == n:
-                found.append(tuple(int(v) for v in img))
+            if len(found) == cap:
+                raise CapExceeded(
+                    f"|Aut({G.name})| exceeds the automorphism search cap {cap}")
+            found.append(tuple(img.tolist()))
             return
         g = gens[i]
         og = int(orders[g])
@@ -538,7 +541,8 @@ def automorphism_group(
             if int(orders[y]) != og:
                 continue
             ext = _extend_hom(G.table, img, elems, g, y)
-            if ext is not None:
+            # A map that is not injective where defined extends to no automorphism.
+            if ext is not None and len(set(ext[0][ext[1]].tolist())) == len(ext[1]):
                 search(i + 1, ext[0], ext[1])
 
     search(0, base, [0])
@@ -608,6 +612,12 @@ def stabilizer(action: GroupAction, point: int) -> Subgroup:
     return sub
 
 
+def _left_cosets(G: FiniteGroup, S: Subgroup) -> tuple[np.ndarray, np.ndarray]:
+    """(reps, label): the least member of each left coset gS, ascending, and
+    for each g of G the position of its coset in reps."""
+    return np.unique(G.table[:, np.asarray(S.elements)].min(axis=1), return_inverse=True)
+
+
 def find_complements(G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
     """All complements of S in G, in lexicographic order of their elements.
 
@@ -632,11 +642,10 @@ def find_complements(G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
     no visited set.
     """
     table = G.table
-    sel = np.asarray(S.elements)
-    reps, label = np.unique(table[:, sel].min(axis=1), return_inverse=True)
+    reps, label = _left_cosets(G, S)
     m = len(reps)
     point = label.tolist()
-    cosets = table[np.ix_(reps, sel)].tolist()
+    cosets = table[np.ix_(reps, S.elements)].tolist()
     orders = G.element_orders.tolist()
     stack = [([0], [0] + [-1] * (m - 1))]
     found: list[tuple[int, ...]] = []
@@ -724,14 +733,19 @@ def matched_pair_from_factorization(G: FiniteGroup, H: Subgroup, S: Subgroup) ->
     return MatchedPair(Hgrp, Sgrp, left, right)
 
 
-def bicrossed_product(mp: MatchedPair, name: str | None = None) -> FiniteGroup:
-    """Group on H x S pairs with (h,s)(h',s') = (h * s.h', s^h' * s')."""
-    H, S = mp.H, mp.S
-    hpart = H.table[:, mp.left]                        # (h, s, h') -> h * s.h'
-    spart = S.table[mp.right.transpose(1, 0), :]       # (h', s, s') -> s^h' * s'
-    nh, ns = H.order, S.order
+def _bicrossed_table(ht: np.ndarray, st: np.ndarray, left: np.ndarray,
+                     right: np.ndarray) -> np.ndarray:
+    """Table on pairs (h, s) at h*|S| + s with (h,s)(h',s') = (h * s.h', s^h' * s')."""
+    nh, ns = ht.shape[0], st.shape[0]
+    hpart = ht[:, left]                                # (h, s, h') -> h * s.h'
+    spart = st[right.transpose(1, 0), :]               # (h', s, s') -> s^h' * s'
     table = np.empty((nh, ns, nh, ns), dtype=np.int32)
     table[:] = hpart[:, :, :, None] * np.int32(ns)
     table += spart.transpose(1, 0, 2)[None, :, :, :]
-    n = nh * ns
-    return FiniteGroup(table.reshape(n, n), name=name or f"{H.name}x|{S.name}", trusted=True)
+    return table.reshape(nh * ns, nh * ns)
+
+
+def bicrossed_product(mp: MatchedPair, name: str | None = None) -> FiniteGroup:
+    """Group on H x S pairs with (h,s)(h',s') = (h * s.h', s^h' * s')."""
+    table = _bicrossed_table(mp.H.table, mp.S.table, mp.left, mp.right)
+    return FiniteGroup(table, name=name or f"{mp.H.name}x|{mp.S.name}", trusted=True)

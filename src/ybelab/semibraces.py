@@ -11,12 +11,13 @@ trips are literal table equality).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .bracoids import ContainedBrace, SkewBracoid, transport
 from .checks import (AxiomViolated, Check, Report, _action_law_holds, _assoc_failure,
-                     _first_triple, group_table_checks)
+                     _first_repeat, _first_triple, group_table_checks)
 from .groups import FiniteGroup, Subgroup, stabilizer
 
 
@@ -66,14 +67,7 @@ def verify_semibrace(dot, plus) -> Report:
     if usable:
         witness = _assoc_failure(pt)
         results.append(Check("plus.assoc", witness is None, witness=witness or ()))
-        arange = np.arange(n, dtype=np.int32)
-        rows = np.nonzero((np.sort(pt, axis=1) != arange).any(axis=1))[0]
-        cancel_w: tuple[int, ...] = ()
-        if rows.size:
-            x = int(rows[0])
-            order = np.argsort(pt[x], kind="stable")
-            hit = int(np.nonzero(pt[x][order][1:] == pt[x][order][:-1])[0][0])
-            cancel_w = (x, int(order[hit]), int(order[hit + 1]))
+        cancel_w = _first_repeat(pt) or ()
         results.append(Check("plus.cancellative", not cancel_w, witness=cancel_w))
         if witness is None and not cancel_w:
             rel = _relation_failure(FiniteGroup(dt, trusted=True), pt)
@@ -88,7 +82,7 @@ def verify_semibrace(dot, plus) -> Report:
 
 
 class Semibrace:
-    """Verified semibrace; also carries the table L[x, y] = x(x^-1 + y).
+    """Verified semibrace; L[x, y] = x(x^-1 + y) is built when first read.
 
     x -> L_x is multiplicative and each L_x is an endomorphism of (G, +):
     the relation check of verify_semibrace proves the first (see
@@ -107,13 +101,16 @@ class Semibrace:
         if not report.ok:
             raise AxiomViolated(
                 f"semibrace law failed: {report.first_failure().describe()}")
-        L = _L_table(dot, plus)
         plus.setflags(write=False)
-        L.setflags(write=False)
         self.dot = dot
         self.plus = plus
         self.order = dot.order
-        self.L = L
+
+    @cached_property
+    def L(self) -> np.ndarray:
+        L = _L_table(self.dot, self.plus)
+        L.setflags(write=False)
+        return L
 
     def __repr__(self) -> str:
         return f"Semibrace(order={self.order}, dot={self.dot.name!r})"

@@ -8,7 +8,8 @@ two nondegeneracy properties are decided on every triple or pair by
 map has a ``carrier`` group and r(x, y) = (s_x(y), t_y(x)) satisfies
 xy = s_x(y) t_y(x) with s a left and t a right action, its braid relation
 is proved from those laws in O(n^2 |gens|); every other map gets the n^3
-scan.
+scan.  The braid composites are evaluated in one place, _braid_masks,
+whose x-slices both the first-witness scan and ``collect_all`` read.
 
 Derivation routes (from semibraces and from bracoids that contain a
 brace) verify their advertised properties before returning, so a
@@ -21,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import AxiomViolated, _action_law_holds
+from .checks import AxiomViolated, _action_law_holds, _first_repeat, _first_triple
 from .groups import CapExceeded, FiniteGroup
 
 # Backtracking isomorphism search is only offered on small index sets.
@@ -125,55 +126,14 @@ class SolutionReport:
                 ("right-nondegenerate", self.right_nondegenerate, self.right_witness))
 
 
-def _first_duplicate(row) -> tuple[int, int]:
-    # Positions of the first repeated value, earliest pair in index order.
-    order = np.argsort(row, kind="stable")
-    hits = np.nonzero(row[order][1:] == row[order][:-1])[0]
-    k = hits[0]
-    return int(order[k]), int(order[k + 1])
+def _braid_masks(left: np.ndarray, right: np.ndarray):
+    """x -> the (y, z) mask of the triples (x, y, z) where the composites differ.
 
-
-def _braid_slice(left: np.ndarray, right: np.ndarray, x: int) -> np.ndarray:
-    """Mask over (y, z) of the triples (x, y, z) where the composites differ."""
-    lx, rx = left[x], right[x]
-    # r12 r23 r12 acting on (x, y, z), one (y, z) grid per coordinate.
-    mid = left[rx]
-    out1 = left[lx[:, None], mid]
-    out2 = right[lx[:, None], mid]
-    out3 = right[rx]
-    # r23 r12 r23 on the same grid.
-    alt1 = lx[left]
-    hand = rx[left]
-    alt2 = left[hand, right]
-    alt3 = right[hand, right]
-    return (out1 != alt1) | (out2 != alt2) | (out3 != alt3)
-
-
-def _brute_braid(left: np.ndarray, right: np.ndarray,
-                 collect_all: bool) -> tuple[tuple[int, ...], list[tuple[int, int, int]]]:
-    """First failing triple and, with collect_all, every failing triple in order."""
-    witness: tuple[int, ...] = ()
-    gathered: list[tuple[int, int, int]] = []
-    for x in range(left.shape[0]):
-        bad = _braid_slice(left, right, x)
-        if bad.any():
-            ys, zs = np.nonzero(bad)
-            if not witness:
-                witness = (x, int(ys[0]), int(zs[0]))
-            if not collect_all:
-                break
-            gathered.extend((x, int(y), int(z)) for y, z in zip(ys, zs))
-    return witness, gathered
-
-
-def _first_braid_slice(left: np.ndarray, right: np.ndarray) -> int | None:
-    """First x whose slice holds a failing triple, or None.
-
-    Same composites as _braid_slice, computed by np.take on raveled tables
-    (flat index row * n + column) into buffers allocated once; values are
-    uint16 when n < 65536.  SolutionMap keeps every entry in 0..n-1, so
-    every flat index is in range and mode="clip" only skips the bounds
-    check.
+    r12 r23 r12 and r23 r12 r23 are evaluated on one x-slice per call, by
+    np.take on raveled tables (flat index row * n + column) into buffers
+    allocated once; values are uint16 when n < 65536.  SolutionMap keeps
+    every entry in 0..n-1, so every flat index is in range and mode="clip"
+    only skips the bounds check.  Each call returns a fresh mask.
     """
     n = left.shape[0]
     small = np.uint16 if n < 1 << 16 else np.int32
@@ -186,27 +146,28 @@ def _first_braid_slice(left: np.ndarray, right: np.ndarray) -> int | None:
     grid = index.reshape(n, n)
     one, two = np.empty(n * n, dtype=small), np.empty(n * n, dtype=small)
     rows = two.reshape(n, n)
-    for x in range(n):
+    differ = np.empty(n * n, dtype=bool)
+
+    def bad_at(x: int) -> np.ndarray:
         lx, rx = lrows[x], rrows[x]
-        # hand = r_x(left[y, z]); alt = r(hand, right[y, z]).
+        # hand = r_x(left[y, z]); r23 r12 r23 gives r(hand, right[y, z]).
         np.take(offset[rx], flat, out=index, mode="clip")
-        index += ridx
+        np.add(index, ridx, out=index)
         np.take(rflat, index, out=one, mode="clip")     # alt3
         np.take(rrows, rx, axis=0, out=rows)            # out3 = right[rx[y], z]
-        if not np.array_equal(one, two):
-            return x
+        bad = one != two
         np.take(lflat, index, out=one, mode="clip")     # alt2
-        # mid = left[rx[y], z]; out = r(lx[y], mid).
+        # mid = left[rx[y], z]; r12 r23 r12 gives r(lx[y], mid).
         np.take(lidx, rx, axis=0, out=grid)
-        grid += offset[lx][:, None]
+        np.add(grid, offset[lx][:, None], out=grid)
         np.take(rflat, index, out=two, mode="clip")     # out2
-        if not np.array_equal(one, two):
-            return x
+        bad |= np.not_equal(one, two, out=differ)
         np.take(lflat, index, out=one, mode="clip")     # out1
         np.take(lx, flat, out=two, mode="clip")         # alt1
-        if not np.array_equal(one, two):
-            return x
-    return None
+        bad |= np.not_equal(one, two, out=differ)
+        return bad.reshape(n, n)
+
+    return bad_at
 
 
 def _braid_from_carrier(left: np.ndarray, right: np.ndarray, gt: np.ndarray) -> bool:
@@ -245,26 +206,24 @@ def check_braid(r: SolutionMap, collect_all: bool = False) -> SolutionReport:
 
     Without ``collect_all``, a map with a carrier is first tried by
     _braid_from_carrier, which proves the relation on every triple with no
-    scan.  Otherwise, or when its laws fail, both composites are evaluated
-    on all n^3 triples, one x-slice at a time; the scan stops at the first
-    failing slice, which is then recomputed by _braid_slice to name the
-    first failing (y, z).  So the verdict and witness are always those of
-    the full scan.  With ``collect_all`` every slice is scanned and every
-    failing triple gathered (in lexicographic order).  The four pairwise
+    scan.  Otherwise, or when its laws fail, the x-slices of _braid_masks
+    are scanned in order until the first failing one names the first
+    failing (y, z), so the verdict and witness are always those of the full
+    scan.  With ``collect_all`` every slice is scanned and every failing
+    triple gathered (in lexicographic order).  The four pairwise
     properties are always measured in full.
     """
     left, right = r.left, r.right
     n = r.size
+    gathered = []
     if collect_all:
-        braid_witness, gathered = _brute_braid(left, right, collect_all=True)
-    else:
-        gathered = []
+        bad_at = _braid_masks(left, right)
+        gathered = [(x, y, z) for x in range(n) for y, z in np.argwhere(bad_at(x)).tolist()]
+        braid_witness = gathered[0] if gathered else ()
+    elif r.carrier is not None and _braid_from_carrier(left, right, r.carrier.table):
         braid_witness = ()
-        if r.carrier is None or not _braid_from_carrier(left, right, r.carrier.table):
-            x = _first_braid_slice(left, right)
-            if x is not None:
-                ys, zs = np.nonzero(_braid_slice(left, right, x))
-                braid_witness = (x, int(ys[0]), int(zs[0]))
+    else:
+        braid_witness = _first_triple(n, _braid_masks(left, right)) or ()
     braid_ok = not braid_witness
 
     bij_ok, bij_witness = True, ()
@@ -284,22 +243,8 @@ def check_braid(r: SolutionMap, collect_all: bool = False) -> SolutionReport:
         xs, ys = np.nonzero(twice_bad)
         inv_witness = (int(xs[0]), int(ys[0]))
 
-    arange = np.arange(n, dtype=np.int32)
-    lnd_ok, lnd_witness = True, ()
-    row_bad = np.nonzero((np.sort(left, axis=1) != arange).any(axis=1))[0]
-    if row_bad.size:
-        lnd_ok = False
-        x = int(row_bad[0])
-        y1, y2 = _first_duplicate(left[x])
-        lnd_witness = (x, y1, y2)
-
-    rnd_ok, rnd_witness = True, ()
-    col_bad = np.nonzero((np.sort(right, axis=0) != arange[:, None]).any(axis=0))[0]
-    if col_bad.size:
-        rnd_ok = False
-        y = int(col_bad[0])
-        x1, x2 = _first_duplicate(right[:, y])
-        rnd_witness = (y, x1, x2)
+    lnd_witness = _first_repeat(left) or ()
+    rnd_witness = _first_repeat(right.T) or ()
 
     return SolutionReport(
         size=n,
@@ -309,9 +254,9 @@ def check_braid(r: SolutionMap, collect_all: bool = False) -> SolutionReport:
         bijective_witness=bij_witness,
         involutive=inv_ok,
         involutive_witness=inv_witness,
-        left_nondegenerate=lnd_ok,
+        left_nondegenerate=not lnd_witness,
         left_witness=lnd_witness,
-        right_nondegenerate=rnd_ok,
+        right_nondegenerate=not rnd_witness,
         right_witness=rnd_witness,
         braid_counterexamples=tuple(gathered) if collect_all else None,
     )

@@ -1,3 +1,5 @@
+import time
+
 import numpy as np
 import pytest
 
@@ -385,14 +387,31 @@ def test_holomorph_respects_max_order(tmp_path, capsys):
 
 
 def test_holomorph_refuses_a_group_above_max_order(tmp_path, capsys):
-    """The automorphism cap bounds |G|, not |Aut(G)|: Hol(C2^3) has order 8 * 168."""
+    """The automorphism cap --max-order // |G| bounds |Aut(G)| as well as |G|:
+    Hol(C2^3) has order 8 * 168, and the search stops at map 65."""
     path = tmp_path / "e8.txt"
     path.write_text(write_group(groups.elementary_abelian(2, 3)))
     code = main(["holomorph", str(path), "--out", str(tmp_path / "over"),
                  "--max-order", "512"])
     assert code == 2
     assert capsys.readouterr().err == \
-        "error: PreconditionFailed: order 1344 exceeds --max-order 512\n"
+        "error: CapExceeded: |Aut(E2^3)| exceeds the automorphism search cap 64\n"
+    assert not (tmp_path / "over").exists()
+
+
+@pytest.mark.parametrize("rank", [4, 5])
+def test_holomorph_refuses_a_large_automorphism_group_at_once(tmp_path, capsys, rank):
+    """|Aut(C2^4)| = 20160 and |Aut(C2^5)| = 9999360: the search stops at the
+    first map over the cap instead of listing them all."""
+    path = tmp_path / "e.txt"
+    path.write_text(write_group(groups.elementary_abelian(2, rank)))
+    start = time.perf_counter()
+    code = main(["holomorph", str(path), "--out", str(tmp_path / "over")])
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    cap = 2048 // 2**rank
+    assert capsys.readouterr().err == \
+        f"error: CapExceeded: |Aut(E2^{rank})| exceeds the automorphism search cap {cap}\n"
     assert not (tmp_path / "over").exists()
 
 

@@ -85,6 +85,19 @@ def test_seeded_brace_reports_equal_the_full_scan():
         assert_same_report(lr)
 
 
+def test_product_rule_is_proved_without_a_scan(catalog, monkeypatch):
+    """Valid tables satisfy (P) lam_x(y) . rho_y(x) = x . y and rho-compose,
+    which prove the product rule: no law is scanned triple by triple."""
+    def scan(*args):
+        raise AssertionError("a displacement law was scanned")
+
+    lrs = [inst.contained.lambda_rho for inst in catalog if inst.contained is not None]
+    lrs += seeded()
+    monkeypatch.setattr(bracoids, "_first_triple", scan)
+    for lr in lrs:
+        assert lambda_rho_identity_checks(lr).ok
+
+
 def test_exhaustive_at_order_168_by_default(gl3f2):
     lr = gl3f2.contained.lambda_rho
     report = lambda_rho_identity_checks(lr)

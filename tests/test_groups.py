@@ -1,4 +1,5 @@
 import random
+from itertools import permutations
 
 import numpy as np
 import pytest
@@ -177,8 +178,14 @@ def test_automorphism_order_and_identity_slot():
 
 
 def test_automorphism_cap():
+    """The cap bounds |G| and |Aut(G)|: |Aut(C2^3)| = 168, so a cap of 168
+    lists every map and a cap of 167 refuses."""
     with pytest.raises(CapExceeded):
         automorphism_group(elementary_abelian(2, 3), cap=4)
+    assert len(automorphism_group(elementary_abelian(2, 3), cap=168)[1]) == 168
+    with pytest.raises(CapExceeded,
+                       match=r"^\|Aut\(E2\^3\)\| exceeds the automorphism search cap 167$"):
+        automorphism_group(elementary_abelian(2, 3), cap=167)
 
 
 def _q8():
@@ -348,6 +355,17 @@ def test_matched_pair_rejects_broken_compat():
         MatchedPair(mp.H, mp.S, mp.left, bad)
 
 
+@pytest.mark.parametrize("side, group", [("left", "H"), ("right", "S")])
+def test_matched_pair_refuses_an_action_value_out_of_range(side, group):
+    H, S = cyclic_group(3), cyclic_group(2)
+    tables = {"left": np.tile(np.arange(3, dtype=np.int32), (2, 1)),
+              "right": np.tile(np.arange(2, dtype=np.int32), (3, 1)).T.copy()}
+    tables[side][1, 1] = 7
+    with pytest.raises(CompatibilityViolated,
+                       match=f"^{side} action has a value outside {group}$"):
+        MatchedPair(H, S, tables["left"], tables["right"])
+
+
 def test_bicrossed_product_rebuilds_the_group():
     G = s3()
     H = Subgroup(G, (0, 2, 4))
@@ -360,6 +378,22 @@ def test_bicrossed_product_rebuilds_the_group():
                    for i in range(6))
     iso = GroupMap(prod, G, images)
     assert iso.is_bijective
+
+
+@pytest.mark.parametrize("swap", [False, True], ids=["S-cyclic", "S-sym3"])
+def test_bicrossed_product_of_nonabelian_factors_rebuilds_the_group(swap):
+    """Sym(4) = Stab(3) * <(0 1 2 3)>, with Stab(3), a Sym(3), as H and then
+    as S: (h, s) -> h*s is an isomorphism from the bicrossed product."""
+    perms = sorted(permutations(range(4)))
+    index = {p: i for i, p in enumerate(perms)}
+    G = FiniteGroup([[index[tuple(p[i] for i in q)] for q in perms] for p in perms])
+    stab = G.subgroup([index[p] for p in perms if p[3] == 3])
+    cycle = subgroup_generated(G, [index[(1, 2, 3, 0)]])
+    H, S = (cycle, stab) if swap else (stab, cycle)
+    prod = bicrossed_product(matched_pair_from_factorization(G, H, S))
+    images = tuple(int(G.table[H.elements[i // S.order], S.elements[i % S.order]])
+                   for i in range(24))
+    assert GroupMap(prod, G, images).is_bijective
 
 
 def test_bicrossed_product_trivial_actions():

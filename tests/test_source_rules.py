@@ -77,8 +77,6 @@ def test_only_checks_decides_what_is_cached():
 GENERATOR_LOOPS = {
     "checks._action_law_holds",         # the action law
     "checks._rows_law_holds",           # the endomorphism-rows law
-    "groups._matched_pair_laws_hold",   # the two mixed laws of a matched pair
-    "bracoids._displacement_witnesses", # the lambda product rule
     "groups.automorphism_group",        # a map is fixed by its images of generators
 }
 

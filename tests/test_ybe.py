@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ybelab import ybe
 from ybelab.braces import AxiomViolated, SkewBrace, brace_solution, trivial_brace
@@ -105,8 +107,7 @@ def no_braid_scan(monkeypatch):
     """Make the n^3 braid scan raise, to show that a check never reached it."""
     def scan(*args, **kwargs):
         raise AssertionError("the n^3 braid scan ran")
-    monkeypatch.setattr(ybe, "_first_braid_slice", scan)
-    monkeypatch.setattr(ybe, "_brute_braid", scan)
+    monkeypatch.setattr(ybe, "_braid_masks", scan)
 
 
 def test_derived_solutions_are_proved_without_a_scan(catalog, no_braid_scan):
@@ -129,6 +130,34 @@ def test_order_1024_brace_solution_is_proved_without_a_scan(no_braid_scan):
 def test_maps_without_a_carrier_are_scanned(no_braid_scan):
     with pytest.raises(AssertionError, match="scan ran"):
         check_braid(_flip(3))
+
+
+def _masks_by_triples(r):
+    """The x-slices of the oracle's failing triples, as boolean (y, z) masks."""
+    masks = np.zeros((r.size, r.size, r.size), dtype=bool)
+    for x, y, z in _brute_braid_failures(r):
+        masks[x, y, z] = True
+    return masks
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10), st.booleans(), st.integers(0, 2**32 - 1))
+def test_every_braid_mask_equals_the_triple_oracle(n, poked, seed):
+    """Random maps, and solutions with one entry changed: every slice of
+    _braid_masks is the oracle's, one triple at a time."""
+    rng = np.random.default_rng(seed)
+    if poked:
+        base = brace_solution(trivial_brace(_sd32() if n == 6 else cyclic_group(n)))
+        tables = [base.left.copy(), base.right.copy()]
+        which, x, y = (int(v) for v in rng.integers(0, (2, n, n)))
+        tables[which][x, y] = (tables[which][x, y] + rng.integers(1, max(2, n))) % n
+    else:
+        tables = list(rng.integers(0, n, (2, n, n)))
+    r = SolutionMap(*tables)
+    bad_at = ybe._braid_masks(r.left, r.right)
+    expected = _masks_by_triples(r)
+    for x in range(n):
+        assert np.array_equal(bad_at(x), expected[x])
 
 
 def test_solution_map_validation():
