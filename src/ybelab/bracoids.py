@@ -183,10 +183,10 @@ class ContainedBrace:
         if not exact_factorization(G, H, S):
             raise AxiomViolated("regular complement without exact factorization")
 
-        hstar = FiniteGroup(bijinv[N.table[np.ix_(bij, bij)]],
+        hstar = FiniteGroup(bijinv[N.table[bij[:, None], bij]],
                             name=f"{G.name}|Hstar", trusted=True)
         star_h = hstar.table
-        if not np.array_equal(N.table[np.ix_(bij, bij)], bij[star_h]):
+        if not np.array_equal(N.table[bij[:, None], bij], bij[star_h]):
             raise AxiomViolated("h -> h (+) e is not a star isomorphism")
         act_h = bijinv[act[:, bij]]
         action_h = GroupAction(G, act_h)
@@ -300,8 +300,12 @@ def lambda_rho_identity_checks(lr: LambdaRho, exhaustive: bool = True,
     Checks: rho_e = id; lambda_x(e) = e; lambda is multiplicative in the
     subscript; rho is anti-multiplicative; rho_x inverts via x^-1; and
     the product rule lambda_x(yz) = lambda_x(y) . lambda_{rho_y(x)}(z).
-    Exhaustive by default, proved on generators (_displacement_witnesses);
-    exhaustive=False spot-checks `samples` seeded triples instead.
+    Every law is proved on all triples (_displacement_witnesses).
+    exhaustive=False keeps the report of `samples` seeded triples, detail
+    `sampled(N, seed=S)`, only so that the pinned `suite` digests hold
+    (ROADMAP 2a): when the proofs hold every sample passes, so the seeded
+    loop runs only when a proof fails or an entry is outside 0..n-1, and
+    its witnesses are the sampled ones.
     """
     G, lam, rho = lr.G, lr.lam, lr.rho
     n = G.order
@@ -312,28 +316,36 @@ def lambda_rho_identity_checks(lr: LambdaRho, exhaustive: bool = True,
         Check("lambda-fixes-identity", bool((lam[:, 0] == 0).all())),
     ]
     if exhaustive:
-        lam_w, rho_w, inv_w, prod_w = _displacement_witnesses(gt, G.inv, lam, rho)
+        witnesses = _displacement_witnesses(gt, G.inv, lam, rho)
     else:
-        lam_w = rho_w = inv_w = prod_w = ()
-        rng = random.Random(seed)
-        for _ in range(samples):
-            x, y, z = (rng.randrange(n) for _ in range(3))
-            if not lam_w and lam[gt[x, y], z] != lam[x, lam[y, z]]:
-                lam_w = (x, y, z)
-            if not rho_w and rho[gt[x, y], z] != rho[y, rho[x, z]]:
-                rho_w = (x, y, z)
-            if not inv_w and rho[G.inv[x], rho[x, z]] != z:
-                inv_w = (x, z)
-            if not prod_w and lam[x, gt[y, z]] != gt[lam[x, y], lam[rho[y, x], z]]:
-                prod_w = (x, y, z)
+        witnesses = ((),) * 4
+        in_range = all(t.shape == (n, n) and ((t >= 0) & (t < n)).all() for t in (lam, rho))
+        if not (in_range and _displacement_witnesses(gt, G.inv, lam, rho) == witnesses):
+            witnesses = _sampled_witnesses(G, lam, rho, seed, samples)
     mode = "exhaustive" if exhaustive else f"sampled({samples}, seed={seed})"
-    results.extend([
-        Check("lambda-compose", not lam_w, witness=lam_w, detail=mode),
-        Check("rho-compose", not rho_w, witness=rho_w, detail=mode),
-        Check("rho-inverse", not inv_w, witness=inv_w, detail=mode),
-        Check("lambda-product-rule", not prod_w, witness=prod_w, detail=mode),
-    ])
+    names = ("lambda-compose", "rho-compose", "rho-inverse", "lambda-product-rule")
+    results.extend(Check(name, not w, witness=w, detail=mode)
+                   for name, w in zip(names, witnesses))
     return Report(tuple(results))
+
+
+def _sampled_witnesses(G: FiniteGroup, lam: np.ndarray, rho: np.ndarray, seed: int,
+                       samples: int) -> tuple[tuple[int, ...], ...]:
+    """First failing seeded triple of each law, () where none of `samples` fails."""
+    gt, n = G.table, G.order
+    lam_w = rho_w = inv_w = prod_w = ()
+    rng = random.Random(seed)
+    for _ in range(samples):
+        x, y, z = (rng.randrange(n) for _ in range(3))
+        if not lam_w and lam[gt[x, y], z] != lam[x, lam[y, z]]:
+            lam_w = (x, y, z)
+        if not rho_w and rho[gt[x, y], z] != rho[y, rho[x, z]]:
+            rho_w = (x, y, z)
+        if not inv_w and rho[G.inv[x], rho[x, z]] != z:
+            inv_w = (x, z)
+        if not prod_w and lam[x, gt[y, z]] != gt[lam[x, y], lam[rho[y, x], z]]:
+            prod_w = (x, y, z)
+    return lam_w, rho_w, inv_w, prod_w
 
 
 def _displacement_witnesses(gt: np.ndarray, ginv: np.ndarray, lam: np.ndarray,

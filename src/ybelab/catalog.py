@@ -286,7 +286,7 @@ def promote_brace(B: SkewBrace) -> ContainedBrace:
 def _relabeled(G: FiniteGroup, perm: np.ndarray) -> FiniteGroup:
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm), dtype=perm.dtype)
-    return FiniteGroup(perm[G.table[np.ix_(inv, inv)]], name=G.name + "~", trusted=True)
+    return FiniteGroup(perm[G.table[inv[:, None], inv]], name=G.name + "~", trusted=True)
 
 
 def _brace_pool(max_order: int) -> list[SkewBrace]:

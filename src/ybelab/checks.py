@@ -66,7 +66,7 @@ class Report:
 MEMO_MAX_ENTRIES = 64 * 64
 # Each kernel keeps its latest this many keys, so a long-lived process does
 # not grow without end.  `suite full --seed 7` stores at most 384 per kernel
-# (1.1 MB of keys over all four); the bound above caps a key at two int32
+# (1.2 MB of keys over all five); the bound above caps a key at two int32
 # tables of 64^2 entries, 32 KB.
 MEMO_MAX_KEYS = 1024
 

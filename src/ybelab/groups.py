@@ -166,7 +166,7 @@ class Subgroup:
         sub = np.asarray(elems, dtype=np.int32)
         member = np.zeros(self.parent.order, dtype=bool)
         member[sub] = True
-        tab = self.parent.table[np.ix_(sub, sub)]
+        tab = self.parent.table[sub[:, None], sub]
         inside = member[tab]
         if not inside.all():
             a, b = map(int, np.argwhere(~inside)[0])
@@ -188,7 +188,7 @@ class Subgroup:
         sub = np.asarray(self.elements, dtype=np.int32)
         pos = np.full(self.parent.order, -1, dtype=np.int32)
         pos[sub] = np.arange(len(sub), dtype=np.int32)
-        table = pos[self.parent.table[np.ix_(sub, sub)]]
+        table = pos[self.parent.table[sub[:, None], sub]]
         return FiniteGroup(table, name=name or f"{self.parent.name}-sub{len(sub)}", trusted=True)
 
 
@@ -240,7 +240,7 @@ class GroupMap:
         if img[0] != 0:
             raise NotHomomorphism("identity must map to identity")
         lhs = img[self.source.table]
-        rhs = self.target.table[np.ix_(img, img)]
+        rhs = self.target.table[img[:, None], img]
         bad = lhs != rhs
         if bad.any():
             a, b = map(int, np.argwhere(bad)[0])

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bracoids import ContainedBrace, SkewBracoid, transport
 from .checks import (AxiomViolated, Check, Report, _action_law_holds, _assoc_failure,
-                     _first_repeat, _first_triple, group_table_checks)
+                     _first_repeat, _first_triple, by_content, group_table_checks)
 from .groups import FiniteGroup, Subgroup, stabilizer
 
 
@@ -136,8 +136,23 @@ def decompose(sb: Semibrace) -> Decomposition:
     identity; (G+e, +) is a group; and each g factors as (g+e) + eps for
     exactly one idempotent eps.
     """
-    plus = sb.plus
-    n = sb.order
+    hpart, epart, block, unsplit = _split(sb.plus)
+    FiniteGroup(block, name="G+e")
+    if unsplit is not None:
+        raise AxiomViolated(f"{unsplit} does not split uniquely as (g+e) + eps")
+    return Decomposition(hpart, epart)
+
+
+@by_content
+def _split(plus: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarray, int | None]:
+    """decompose's work on the table alone: (G+e, E, block, unsplit).
+
+    block is the read-only + table of G+e on its positions, left for
+    decompose to check as a group; unsplit is the first g with no unique
+    factorization (g+e) + eps, or None, raised by decompose after that
+    check so the exceptions keep their order.  The other claims raise here.
+    """
+    n = plus.shape[0]
     arange = np.arange(n, dtype=np.int32)
     hpart = np.unique(plus[:, 0])
     epart = np.nonzero(plus[arange, arange] == arange)[0].astype(np.int32)
@@ -150,17 +165,14 @@ def decompose(sb: Semibrace) -> Decomposition:
         raise AxiomViolated("an idempotent row is not the identity map")
     pos = np.full(n, -1, dtype=np.int32)
     pos[hpart] = np.arange(hpart.size, dtype=np.int32)
-    block = plus[np.ix_(hpart, hpart)]
-    if (pos[block] < 0).any():
+    block = pos[plus[hpart[:, None], hpart]]
+    if (block < 0).any():
         raise AxiomViolated("G+e is not closed under +")
-    FiniteGroup(pos[block], name="G+e")
+    block.setflags(write=False)
     anchors = plus[:, 0]
-    matches = plus[anchors[:, None], epart[None, :]] == arange[:, None]
-    if not (matches.sum(axis=1) == 1).all():
-        g = int(np.argmin(matches.sum(axis=1) == 1))
-        raise AxiomViolated(f"{g} does not split uniquely as (g+e) + eps")
-    return Decomposition(tuple(int(v) for v in hpart),
-                         tuple(int(v) for v in epart))
+    unique = (plus[anchors[:, None], epart[None, :]] == arange[:, None]).sum(axis=1) == 1
+    unsplit = None if unique.all() else int(np.argmin(unique))
+    return (tuple(int(v) for v in hpart), tuple(int(v) for v in epart), block, unsplit)
 
 
 def bracoid_to_semibrace(cb: ContainedBrace) -> Semibrace:
@@ -194,7 +206,7 @@ def semibrace_to_bracoid(sb: Semibrace) -> ContainedBrace:
     harr = np.asarray(dec.Hpart, dtype=np.int32)
     pos = np.full(sb.order, -1, dtype=np.int32)
     pos[harr] = np.arange(harr.size, dtype=np.int32)
-    star = np.ascontiguousarray(pos[sb.plus[np.ix_(harr, harr)]].T)
+    star = np.ascontiguousarray(pos[sb.plus[harr[:, None], harr]].T)
     N = FiniteGroup(star, name=f"{sb.dot.name}+e")
     act = pos[sb.plus[sb.dot.table[:, harr], 0]]
     if (act < 0).any():

@@ -1,10 +1,12 @@
 """Acceptance battery; each test prints one CRITERION line when it holds."""
 
 import filecmp
+import os
 import random
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
@@ -148,13 +150,15 @@ def test_criterion_7_semibrace_structure(catalog):
 
 
 def test_criterion_8_determinism(tmp_path):
+    # The child finds ybelab under src/ without an installed package.
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
     outs = []
     for run in ("first", "second"):
         out = tmp_path / run
         proc = subprocess.run(
             [sys.executable, "-m", "ybelab", "suite", "full",
              "--seed", "7", "--out", str(out)],
-            capture_output=True, text=True)
+            env=env, capture_output=True, text=True)
         assert proc.returncode == 0, proc.stdout + proc.stderr
         outs.append(out)
     first = sorted(p.name for p in outs[0].iterdir())

@@ -83,6 +83,24 @@ def test_example_respects_max_order(tmp_path, capsys, monkeypatch):
     assert not (tmp_path / "over").exists()
 
 
+@pytest.mark.parametrize("scope, largest", [("full", 168), ("quick", 60)])
+def test_suite_respects_max_order(tmp_path, capsys, monkeypatch, scope, largest):
+    """The largest instance of the scope is refused before anything is built."""
+    def never(*args, **kwargs):
+        raise RuntimeError("an instance was built")
+
+    monkeypatch.setattr(cli, "build_example", never)
+    monkeypatch.setattr(cli, "acceptance_instances", never)
+    code = main(["suite", scope, "--out", str(tmp_path / "over"),
+                 "--max-order", str(largest - 1)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == (f"error: PreconditionFailed: order {largest} exceeds"
+                            f" --max-order {largest - 1}\n")
+    assert captured.out == ""
+    assert not (tmp_path / "over").exists()
+
+
 def test_example_with_wrong_param_count_exits_two(tmp_path, capsys):
     code = main(["example", "semidirect", "3", "--out", str(tmp_path / "out")])
     assert code == 2

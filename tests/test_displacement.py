@@ -9,7 +9,7 @@ pass some laws on the first generators only.
 """
 
 import random
-from functools import cache
+from functools import cache, partial
 from itertools import product
 
 import numpy as np
@@ -210,3 +210,120 @@ def test_product_rule_needs_rho_compose():
             hidden += not expected["lambda-product-rule"].ok
             assert lambda_rho_identity_checks(lr_b) == expected
     assert hidden > 0
+
+
+# --- sampled mode: the generator proofs stand in for the seeded loop ---
+
+def sampled_oracle_report(lr: LambdaRho, seed: int, samples: int) -> Report:
+    """The sampled branch of the battery as first written: the seeded loop alone."""
+    G = lr.G
+    lam, rho, gt, n = lr.lam, lr.rho, G.table, G.order
+    lam_w = rho_w = inv_w = prod_w = ()
+    rng = random.Random(seed)
+    for _ in range(samples):
+        x, y, z = (rng.randrange(n) for _ in range(3))
+        if not lam_w and lam[gt[x, y], z] != lam[x, lam[y, z]]:
+            lam_w = (x, y, z)
+        if not rho_w and rho[gt[x, y], z] != rho[y, rho[x, z]]:
+            rho_w = (x, y, z)
+        if not inv_w and rho[G.inv[x], rho[x, z]] != z:
+            inv_w = (x, z)
+        if not prod_w and lam[x, gt[y, z]] != gt[lam[x, y], lam[rho[y, x], z]]:
+            prod_w = (x, y, z)
+    mode = f"sampled({samples}, seed={seed})"
+    return Report((
+        Check("rho-identity-row", bool(np.array_equal(rho[0], np.arange(n)))),
+        Check("lambda-fixes-identity", bool((lam[:, 0] == 0).all())),
+        Check("lambda-compose", not lam_w, witness=lam_w, detail=mode),
+        Check("rho-compose", not rho_w, witness=rho_w, detail=mode),
+        Check("rho-inverse", not inv_w, witness=inv_w, detail=mode),
+        Check("lambda-product-rule", not prod_w, witness=prod_w, detail=mode),
+    ))
+
+
+def sampled_outcome(report_of, lr: LambdaRho, seed: int, samples: int):
+    """The report, or the type and message of what the battery raised."""
+    try:
+        return report_of(lr, seed=seed, samples=samples)
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+def assert_same_sampled_report(lr: LambdaRho, seed: int = 0, samples: int = 2_000):
+    battery = partial(lambda_rho_identity_checks, exhaustive=False)
+    assert (sampled_outcome(battery, lr, seed, samples)
+            == sampled_outcome(sampled_oracle_report, lr, seed, samples))
+
+
+LAWS = ("lambda-compose", "rho-compose", "rho-inverse", "lambda-product-rule")
+
+
+def test_sampled_mode_on_valid_tables_runs_no_loop(catalog, monkeypatch):
+    """Valid tables are proved, so the report is the loop's without the loop."""
+    lrs = [inst.contained.lambda_rho for inst in catalog if inst.contained is not None]
+    lrs += seeded()
+    expected = {id(lr): {(seed, samples): sampled_oracle_report(lr, seed, samples)
+                         for seed in (0, 7) for samples in (0, 500)} for lr in lrs}
+
+    def loop(*args):
+        raise AssertionError("the seeded loop ran on proved tables")
+
+    monkeypatch.setattr(bracoids, "_sampled_witnesses", loop)
+    for lr in lrs:
+        for (seed, samples), report in expected[id(lr)].items():
+            got = lambda_rho_identity_checks(lr, exhaustive=False, seed=seed, samples=samples)
+            assert got == report
+            assert got.ok and got["lambda-compose"].detail == f"sampled({samples}, seed={seed})"
+
+
+def c4_tables(lam_row, rho_rows) -> LambdaRho:
+    """Tables on C4 (k = 1 + ... + 1): lam_x = lam_row for every x, rho as given."""
+    lr = tables_on(cyclic_group(4))
+    assert np.array_equal(lr.G.table, np.add.outer(range(4), range(4)) % 4)
+    return with_tables(lr, lam=np.tile(np.array(lam_row, dtype=np.int32), (4, 1)),
+                       rho=np.array(rho_rows, dtype=np.int32))
+
+
+IDENTITY = [0, 1, 2, 3]
+NEGATE = [0, 3, 2, 1]          # an automorphism of C4 and an involution, not idempotent
+COLLAPSE = [0, 1, 1, 3]        # idempotent, fixes 0, not an endomorphism
+
+
+@pytest.mark.parametrize("law, tables", [
+    ("lambda-compose", lambda: c4_tables(NEGATE, [IDENTITY] * 4)),
+    ("rho-compose", lambda: c4_tables(IDENTITY, [IDENTITY] + [NEGATE] * 3)),
+    ("rho-inverse", lambda: c4_tables(IDENTITY, [[0, 0, 0, 0]] * 4)),
+    ("lambda-product-rule", lambda: c4_tables(COLLAPSE, [IDENTITY] * 4)),
+])
+def test_sampled_mode_with_one_law_broken(law, tables):
+    lr = tables()
+    exhaustive = lambda_rho_identity_checks(lr)
+    assert [name for name in LAWS if not exhaustive[name].ok] == [law]
+    for seed in (0, 1, 7):
+        assert_same_sampled_report(lr, seed=seed)
+        assert lambda_rho_identity_checks(lr, exhaustive=False, seed=seed)[law].witness
+
+
+@pytest.mark.parametrize("which", ["lam", "rho"])
+@pytest.mark.parametrize("value", [-1, 4, 9])
+def test_sampled_mode_with_an_entry_out_of_range(which, value):
+    """The proofs index by the tables, so the loop reports (or raises) as before."""
+    lr = c4_tables(IDENTITY, [IDENTITY] * 4)
+    table = getattr(lr, which).copy()
+    table[2, 1] = value
+    lr = with_tables(lr, **{which: table})
+    for seed in (0, 3):
+        assert_same_sampled_report(lr, seed=seed)
+
+
+@FAST
+@given(st.integers(0, 10**6), st.integers(0, 1), st.integers(0, 2**32 - 1),
+       st.integers(0, 2), st.integers(0, 2))
+def test_poked_tables_keep_the_sampled_report(catalog, pick, which, seed, pokes, loop_seed):
+    lrs = [inst.contained.lambda_rho for inst in catalog
+           if inst.contained is not None] + list(seeded())
+    lr = lrs[pick % len(lrs)]
+    rng = np.random.default_rng(seed)
+    for _ in range(pokes):
+        lr = poked_tables(lr, which, rng)
+    assert_same_sampled_report(lr, seed=loop_seed, samples=300)

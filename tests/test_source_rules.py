@@ -30,7 +30,7 @@ def _is_memo(decorator) -> bool:
 
 
 MEMOISED = {"checks.group_table_checks", "checks.generators", "checks._action_law_holds",
-            "checks._rows_law_holds"}
+            "checks._rows_law_holds", "semibraces._split"}
 IMPURE = {"random", "rng", "seed"}
 
 
