@@ -41,11 +41,13 @@ def _table_text(arr: np.ndarray) -> str:
     hi = int(arr.max())
     if arr.min() < 0 or hi > arr.size:         # no lookup list longer than the table
         return "".join(" ".join(map(str, row)) + "\n" for row in arr.tolist())
+    # Each word is padded with NUL bytes to the width of the longest, and
+    # the padding is dropped from the gathered bytes.
     words = np.array([f"{v} " for v in range(hi + 1)] + [f"{v}\n" for v in range(hi + 1)],
-                     dtype=object)
+                     dtype=f"S{len(str(hi)) + 1}")
     index = arr.astype(np.intp)
     index[:, -1] += hi + 1                     # the last entry of a row ends its line
-    return "".join(words[index].ravel().tolist())
+    return words[index].tobytes().replace(b"\0", b"").decode()
 
 
 @dataclass(frozen=True)

@@ -7,9 +7,11 @@ two nondegeneracy properties are decided on every triple or pair by
 :func:`check_braid` and recorded in a :class:`SolutionReport`.  When a
 map has a ``carrier`` group and r(x, y) = (s_x(y), t_y(x)) satisfies
 xy = s_x(y) t_y(x) with s a left and t a right action, its braid relation
-is proved from those laws in O(n^2 |gens|); every other map gets the n^3
-scan.  The braid composites are evaluated in one place, _braid_masks,
-whose x-slices both the first-witness scan and ``collect_all`` read.
+is proved from those laws in O(n^2 |gens|).  A map with few distinct
+maps s_x and t_y, with or without a carrier, is decided on one triple per
+class of them (_braid_from_profiles); every other map gets the n^3 scan.
+The braid composites are evaluated in one place, _braid_masks, whose
+x-slices both the first-witness scan and ``collect_all`` read.
 
 Derivation routes (from semibraces and from bracoids that contain a
 brace) verify their advertised properties before returning, so a
@@ -27,6 +29,11 @@ from .groups import CapExceeded, FiniteGroup
 
 # Backtracking isomorphism search is only offered on small index sets.
 ISOMORPHISM_CAP = 16
+# _braid_from_profiles runs its checks only when their work, about
+# (a^2 + b^2 + |pi| |rho|) n, is at most 1/PROFILE_SHARE of the scan's n^3.
+# The solutions of gl3f2 have a = b = 168 = n and exit at once; the
+# abelianmap solutions of order 260 cost 444 n against 67,600 n.
+PROFILE_SHARE = 8
 
 
 class SizeMismatch(ValueError):
@@ -95,7 +102,8 @@ class SolutionReport:
     """Properties of a :class:`SolutionMap`, each decided on all pairs or triples.
 
     ``braid`` is True exactly when the relation holds on all n^3 triples,
-    whether :func:`check_braid` proved it from carrier laws or scanned.
+    whether :func:`check_braid` proved it from carrier laws, checked it on
+    one triple per class of the maps s_x and t_y, or scanned.
     Witness tuples are empty when the property holds.  The braid witness
     is the lexicographically first failing triple (x, y, z); the
     bijectivity witness is (x1, y1, x2, y2) for a pair collision; the
@@ -201,17 +209,94 @@ def _braid_from_carrier(left: np.ndarray, right: np.ndarray, gt: np.ndarray) -> 
             and _action_law_holds(gt.T, right.T))
 
 
+def _classes(rows: np.ndarray, seen: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """(label of each row, index of the first row of each label) of a 2-d array.
+
+    Equal rows share a label.  Labels count up from len(seen) in order of
+    first appearance, found in one pass over the row bytes; passing one
+    ``seen`` dict to several calls numbers their rows together.
+    """
+    data = np.ascontiguousarray(rows)
+    width = data.shape[1] * data.itemsize
+    raw = data.tobytes()
+    seen = {} if seen is None else seen
+    labels = np.array([seen.setdefault(raw[i * width:(i + 1) * width], len(seen))
+                       for i in range(len(data))], dtype=np.int32)
+    return labels, np.unique(labels, return_index=True)[1]
+
+
+def _composite_ids(maps: np.ndarray) -> np.ndarray:
+    """ids[k, l]: a label of the map maps[k] o maps[l], equal labels for equal maps."""
+    seen: dict = {}
+    ids = np.empty((len(maps),) * 2, dtype=np.int32)
+    for k, outer in enumerate(maps):
+        ids[k] = _classes(outer[maps], seen)[0]
+    return ids
+
+
+def _braid_from_profiles(left: np.ndarray, right: np.ndarray) -> bool:
+    """True when the braid relation holds, decided on one triple per class.
+
+    Write s_x = left[x] and t_y = right[:, y].  Let S_0..S_{a-1} be the
+    distinct maps s_x and T_0..T_{b-1} the distinct t_y, with s_x = S_cs(x)
+    and t_y = T_ct(y).  Put (a', b') = r(x, y) and (p, q) = r(y, z).  Then
+    r12 r23 r12 and r23 r12 r23 send (x, y, z) to
+        (s_a' s_b'(z), t_{s_b'(z)}(a'), t_z t_y(x))  and
+        (s_x s_y(z), s_{t_p(x)}(q), t_q t_p(x)),
+    since t_z(b') = t_z t_y(x) and s_x(p) = s_x s_y(z).  So the relation
+    holds exactly when, for every x, y, z (Etingof-Schedler-Soloviev, Duke
+    Math. J. 100, 1999):
+      (1) s_a' o s_b' = s_x o s_y;
+      (2) t_z o t_y = t_q o t_p;
+      (3) t_{s_b'(z)}(a') = s_{t_p(x)}(q).
+    (1) is one comparison of composite labels per pair (x, y), once each
+    S_k o S_l has a label: a^2 n work and n^2 lookups.  (2) is the same
+    with T, per pair (y, z).  In (3), x enters only through s_x (giving
+    a'), through b' = T_ct(y)(x) (read only through s_b', so through
+    cs(b')) and through t_p(x) = T_ct(p)(x) (read only through
+    s_{t_p(x)}).  So x enters only through its profile
+    pi(x) = (cs(x), cs(T_0 x), .., cs(T_{b-1} x)).  Likewise z enters only
+    through s_b'(z) = S_cs(b')(z) and p = S_cs(y)(z) (each read only
+    through t, so through ct) and q = t_z(y), so only through
+    rho(z) = (ct(z), ct(S_0 z), .., ct(S_{a-1} z)).  Hence (3) holds on all
+    triples iff it holds on one x per pi class, every y and one z per rho
+    class: |pi| |rho| n work.  The checks run cheapest first, and only
+    when a^2 + b^2 + |pi| |rho| is at most n^2 / PROFILE_SHARE; otherwise
+    this returns False at once, so False proves nothing and the scan
+    decides.
+    """
+    n = left.shape[0]
+    cs, firsts = _classes(left)
+    ct, firsts_t = _classes(right.T)
+    S, T = left[firsts], right[:, firsts_t].T
+    work = len(S) ** 2 + len(T) ** 2
+    if PROFILE_SHARE * work > n * n:
+        return False
+    xs = _classes(np.vstack([cs, cs[T]]).T)[1]           # one x per pi class
+    zs = _classes(np.vstack([ct, ct[S]]).T)[1]           # one z per rho class
+    if PROFILE_SHARE * (work + len(xs) * len(zs)) > n * n:
+        return False
+    C, D = _composite_ids(S), _composite_ids(T)
+    if not np.array_equal(C[cs[left], cs[right]], C[cs[:, None], cs]):
+        return False
+    if not np.array_equal(D[ct[right], ct[left]], D[ct, ct[:, None]]):
+        return False
+    P, Q = left[:, zs], right[:, zs]                     # p, q at (y, z)
+    return all(np.array_equal(right[left[x, :, None], left[right[x, :, None], zs]],
+                              left[right[x][P], Q]) for x in xs)
+
+
 def check_braid(r: SolutionMap, collect_all: bool = False) -> SolutionReport:
     """Decide the braid relation on all n^3 triples, plus the pairwise properties.
 
     Without ``collect_all``, a map with a carrier is first tried by
-    _braid_from_carrier, which proves the relation on every triple with no
-    scan.  Otherwise, or when its laws fail, the x-slices of _braid_masks
-    are scanned in order until the first failing one names the first
-    failing (y, z), so the verdict and witness are always those of the full
-    scan.  With ``collect_all`` every slice is scanned and every failing
-    triple gathered (in lexicographic order).  The four pairwise
-    properties are always measured in full.
+    _braid_from_carrier, and then any map by _braid_from_profiles; either
+    proves the relation on every triple with no scan.  When neither does,
+    the x-slices of _braid_masks are scanned in order until the first
+    failing one names the first failing (y, z), so the verdict and witness
+    are always those of the full scan.  With ``collect_all`` every slice is
+    scanned and every failing triple gathered (in lexicographic order).
+    The four pairwise properties are always measured in full.
     """
     left, right = r.left, r.right
     n = r.size
@@ -220,7 +305,8 @@ def check_braid(r: SolutionMap, collect_all: bool = False) -> SolutionReport:
         bad_at = _braid_masks(left, right)
         gathered = [(x, y, z) for x in range(n) for y, z in np.argwhere(bad_at(x)).tolist()]
         braid_witness = gathered[0] if gathered else ()
-    elif r.carrier is not None and _braid_from_carrier(left, right, r.carrier.table):
+    elif ((r.carrier is not None and _braid_from_carrier(left, right, r.carrier.table))
+          or _braid_from_profiles(left, right)):
         braid_witness = ()
     else:
         braid_witness = _first_triple(n, _braid_masks(left, right)) or ()
@@ -228,11 +314,10 @@ def check_braid(r: SolutionMap, collect_all: bool = False) -> SolutionReport:
 
     bij_ok, bij_witness = True, ()
     codes = left.astype(np.int64).ravel() * n + right.ravel()
-    order = np.argsort(codes, kind="stable")
-    dups = np.nonzero(codes[order][1:] == codes[order][:-1])[0]
-    if dups.size:
+    repeated = np.flatnonzero(np.bincount(codes, minlength=n * n) > 1)
+    if repeated.size:                   # first two pairs with the least repeated image
         bij_ok = False
-        i, j = int(order[dups[0]]), int(order[dups[0] + 1])
+        i, j = np.flatnonzero(codes == repeated[0])[:2].tolist()
         bij_witness = (i // n, i % n, j // n, j % n)
 
     inv_ok, inv_witness = True, ()

@@ -287,9 +287,14 @@ def check_L(g, plus):
 
 def check_braid(left, right):
     """check_braid against an oracle that shares no code with its kernel:
-    one triple at a time up to n = 10, whole X^3 arrays up to n = 40."""
+    one triple at a time up to n = 10, whole X^3 arrays up to n = 40.  It
+    runs twice, the second time with no guard on the class proof, which
+    then decides every map: exactly the maps that braid pass it."""
     r = ybe.SolutionMap(left, right)
     fast = ybe.check_braid(r)
+    with mock.patch.object(ybe, "PROFILE_SHARE", 0):
+        assert ybe._braid_from_profiles(r.left, r.right) == fast.braid
+        assert ybe.check_braid(r) == fast
     full = ybe.check_braid(r, collect_all=True)
     assert (fast.braid, fast.braid_witness) == (not full.braid_witness, full.braid_witness)
     if r.size <= 40:

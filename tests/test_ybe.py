@@ -1,11 +1,14 @@
+from itertools import product
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybelab import ybe
+from ybelab import cli, files, ybe
 from ybelab.braces import AxiomViolated, SkewBrace, brace_solution, trivial_brace
-from ybelab.catalog import promote_brace
+from ybelab.catalog import abelianmap_instance, promote_brace
 from ybelab.groups import cyclic_group, semidirect_product
 from ybelab.semibraces import Semibrace, bracoid_to_semibrace
 from ybelab.ybe import (
@@ -110,14 +113,17 @@ def no_braid_scan(monkeypatch):
     monkeypatch.setattr(ybe, "_braid_masks", scan)
 
 
+def _derived(cb):
+    """The four solutions derived from a bracoid containing a brace, each with its carrier."""
+    return (brace_solution(cb.brace), solution_from_semibrace(bracoid_to_semibrace(cb)),
+            solution_from_bracoid(cb), tilde_solution_from_bracoid(cb))
+
+
 def test_derived_solutions_are_proved_without_a_scan(catalog, no_braid_scan):
     with_brace = [inst for inst in catalog if inst.contained is not None]
     assert len(with_brace) == 9
     for inst in with_brace:
-        cb = inst.contained
-        for r in (brace_solution(cb.brace),
-                  solution_from_semibrace(bracoid_to_semibrace(cb)),
-                  solution_from_bracoid(cb), tilde_solution_from_bracoid(cb)):
+        for r in _derived(inst.contained):
             assert check_braid(r).braid
 
 
@@ -128,8 +134,124 @@ def test_order_1024_brace_solution_is_proved_without_a_scan(no_braid_scan):
 
 
 def test_maps_without_a_carrier_are_scanned(no_braid_scan):
+    # The flip map of order 3 has one class of each kind, but
+    # a^2 + b^2 + |pi| |rho| = 3 exceeds n^2 / PROFILE_SHARE, so the class
+    # proof is not tried.
     with pytest.raises(AssertionError, match="scan ran"):
         check_braid(_flip(3))
+
+
+# --- the braid relation decided on one triple per class ---
+
+def _unguarded(left, right) -> bool:
+    """_braid_from_profiles with no guard, so it decides every map."""
+    with mock.patch.object(ybe, "PROFILE_SHARE", 0):
+        return ybe._braid_from_profiles(np.asarray(left), np.asarray(right))
+
+
+def test_class_proof_on_every_map_up_to_size_2():
+    decided = 0
+    for n in (0, 1, 2):
+        tables = [np.array(t, dtype=np.int32).reshape(n, n)
+                  for t in product(range(n), repeat=n * n)]
+        for left, right in product(tables, repeat=2):
+            r = SolutionMap(left, right)
+            assert _unguarded(left, right) == (not _brute_braid_failures(r))
+            decided += 1
+    assert decided == 1 + 1 + 256
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3), st.booleans(),
+       st.integers(0, 2), st.integers(0, 2**32 - 1))
+def test_class_proof_equals_the_triple_oracle(n, a, b, bijective_rows, poked, seed):
+    """Maps built from at most a distinct rows s_x and b distinct columns t_y
+    (random maps almost never braid), then one entry of left (poked = 1) or
+    right (poked = 2) changed: the unguarded proof is the oracle's verdict,
+    and check_braid gives the same report with the guard or without it."""
+    rng = np.random.default_rng(seed)
+    if bijective_rows:
+        rows = np.array([rng.permutation(n) for _ in range(a)])
+        cols = np.array([rng.permutation(n) for _ in range(b)])
+    else:
+        rows, cols = rng.integers(0, n, (a, n)), rng.integers(0, n, (b, n))
+    tables = [rows[rng.integers(0, a, n)], cols[rng.integers(0, b, n)].T.copy()]
+    if poked:
+        x, y = (int(v) for v in rng.integers(0, n, 2))
+        tables[poked - 1][x, y] = (tables[poked - 1][x, y] + rng.integers(1, max(2, n))) % n
+    r = SolutionMap(*tables)
+    fails = _brute_braid_failures(r)
+    assert _unguarded(r.left, r.right) == (not fails)
+    report = check_braid(r)
+    assert report.braid_witness == (fails[0] if fails else ())
+    with mock.patch.object(ybe, "PROFILE_SHARE", 0):
+        assert check_braid(r) == report
+
+
+def test_catalog_solutions_without_their_carrier_keep_their_report(catalog):
+    """Every derived solution braids, so the unguarded proof passes it, and
+    dropping the carrier changes no report."""
+    for inst in catalog:
+        if inst.contained is None:
+            continue
+        for r in _derived(inst.contained):
+            bare = SolutionMap(r.left, r.right)
+            assert _unguarded(r.left, r.right), (inst.name, r.provenance)
+            assert check_braid(bare) == check_braid(r)
+
+
+@pytest.fixture(scope="module")
+def abelianmap311():
+    return solution_from_bracoid(abelianmap_instance(3, 11).contained)
+
+
+def test_carrierless_maps_with_few_classes_are_proved_without_a_scan(
+        abelianmap311, no_braid_scan):
+    trivial256 = brace_solution(trivial_brace(cyclic_group(256)))
+    for r in (trivial256, abelianmap311):
+        assert check_braid(SolutionMap(r.left, r.right)).braid
+
+
+def test_carrierless_gl3f2_map_reaches_the_scan(gl3f2, no_braid_scan):
+    r = solution_from_bracoid(gl3f2.contained)
+    assert ybe._braid_from_profiles(r.left, r.right) is False     # the guard
+    with pytest.raises(AssertionError, match="scan ran"):
+        check_braid(SolutionMap(r.left, r.right))
+
+
+def test_verify_solution_file_is_proved_with_the_scan_report(
+        abelianmap311, no_braid_scan, tmp_path, capsys):
+    """The STEP lines, timings left out, are those the n^3 scan printed."""
+    path = tmp_path / "solution.txt"
+    path.write_text(files.write_solution(abelianmap311))
+    assert cli.main(["verify", "solution", str(path), "--out", str(tmp_path / "out")]) == 0
+    steps = [line.split(" ") for line in capsys.readouterr().out.splitlines()
+             if line.startswith("STEP ")]
+    assert [s[:3] + s[4:] for s in steps] == [
+        ["STEP", "parse", "PASS", "n=132"],
+        ["STEP", "scan", "PASS"],
+        ["STEP", "braid", "PASS"],
+        ["STEP", "info-bijective", "FAIL", "(0,0,2,2)"],
+        ["STEP", "info-involutive", "FAIL", "(0,2)"],
+        ["STEP", "info-left-nondegenerate", "PASS"],
+        ["STEP", "info-right-nondegenerate", "FAIL", "(0,0,2)"]]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 8), st.integers(0, 2**32 - 1))
+def test_bijectivity_witness_is_the_first_collision_of_the_least_repeated_image(
+        n, values, seed):
+    rng = np.random.default_rng(seed)
+    r = SolutionMap(*rng.integers(0, min(n, values), (2, n, n)))
+    seen = {}
+    for x, y in product(range(r.size), repeat=2):
+        seen.setdefault(r.apply(x, y), []).append((x, y))
+    repeated = sorted(image for image, pairs in seen.items() if len(pairs) > 1)
+    report = check_braid(r)
+    assert report.bijective == (not repeated)
+    if repeated:
+        (x1, y1), (x2, y2) = seen[repeated[0]][:2]
+        assert report.bijective_witness == (x1, y1, x2, y2)
 
 
 def _masks_by_triples(r):
