@@ -16,7 +16,6 @@ gammaH) for the brace on H; Hel maps an H-position to its G-index.
 
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -42,10 +41,6 @@ from .groups import (
     matched_pair_from_factorization,
     stabilizer,
 )
-
-# Seeded triples of the identity battery when it is asked to sample.
-LEMMA_SAMPLES = 10_000
-
 
 class NotStrongLeftIdeal(ValueError):
     """The subgroup handed to the quotient construction is not usable."""
@@ -292,60 +287,32 @@ def lambda_rho(cb: ContainedBrace) -> LambdaRho:
     return lr
 
 
-def lambda_rho_identity_checks(lr: LambdaRho, exhaustive: bool = True,
-                               seed: int = 0,
-                               samples: int = LEMMA_SAMPLES) -> Report:
+def lambda_rho_identity_checks(lr: LambdaRho) -> Report:
     """Battery for the composition laws of the displacement tables.
 
     Checks: rho_e = id; lambda_x(e) = e; lambda is multiplicative in the
     subscript; rho is anti-multiplicative; rho_x inverts via x^-1; and
     the product rule lambda_x(yz) = lambda_x(y) . lambda_{rho_y(x)}(z).
-    Every law is proved on all triples (_displacement_witnesses).
-    exhaustive=False keeps the report of `samples` seeded triples, detail
-    `sampled(N, seed=S)`, only so that the pinned `suite` digests hold
-    (ROADMAP 2a): when the proofs hold every sample passes, so the seeded
-    loop runs only when a proof fails or an entry is outside 0..n-1, and
-    its witnesses are the sampled ones.
+    Every law is proved on all triples (_displacement_witnesses), detail
+    `exhaustive`.  Tables that are not n x n or hold an entry outside
+    0..n-1 cannot index G, so those four laws fail unevaluated.
     """
     G, lam, rho = lr.G, lr.lam, lr.rho
     n = G.order
-    gt = G.table
-
+    shaped = lam.shape == rho.shape == (n, n)
     results = [
-        Check("rho-identity-row", bool(np.array_equal(rho[0], np.arange(n)))),
-        Check("lambda-fixes-identity", bool((lam[:, 0] == 0).all())),
+        Check("rho-identity-row", shaped and bool(np.array_equal(rho[0], np.arange(n)))),
+        Check("lambda-fixes-identity", shaped and bool((lam[:, 0] == 0).all())),
     ]
-    if exhaustive:
-        witnesses = _displacement_witnesses(gt, G.inv, lam, rho)
-    else:
-        witnesses = ((),) * 4
-        in_range = all(t.shape == (n, n) and ((t >= 0) & (t < n)).all() for t in (lam, rho))
-        if not (in_range and _displacement_witnesses(gt, G.inv, lam, rho) == witnesses):
-            witnesses = _sampled_witnesses(G, lam, rho, seed, samples)
-    mode = "exhaustive" if exhaustive else f"sampled({samples}, seed={seed})"
     names = ("lambda-compose", "rho-compose", "rho-inverse", "lambda-product-rule")
-    results.extend(Check(name, not w, witness=w, detail=mode)
-                   for name, w in zip(names, witnesses))
+    if shaped and all(((t >= 0) & (t < n)).all() for t in (lam, rho)):
+        witnesses = _displacement_witnesses(G.table, G.inv, lam, rho)
+        results.extend(Check(name, not w, witness=w, detail="exhaustive")
+                       for name, w in zip(names, witnesses))
+    else:
+        results.extend(Check(name, False, detail="not evaluated: entries outside 0..n-1")
+                       for name in names)
     return Report(tuple(results))
-
-
-def _sampled_witnesses(G: FiniteGroup, lam: np.ndarray, rho: np.ndarray, seed: int,
-                       samples: int) -> tuple[tuple[int, ...], ...]:
-    """First failing seeded triple of each law, () where none of `samples` fails."""
-    gt, n = G.table, G.order
-    lam_w = rho_w = inv_w = prod_w = ()
-    rng = random.Random(seed)
-    for _ in range(samples):
-        x, y, z = (rng.randrange(n) for _ in range(3))
-        if not lam_w and lam[gt[x, y], z] != lam[x, lam[y, z]]:
-            lam_w = (x, y, z)
-        if not rho_w and rho[gt[x, y], z] != rho[y, rho[x, z]]:
-            rho_w = (x, y, z)
-        if not inv_w and rho[G.inv[x], rho[x, z]] != z:
-            inv_w = (x, z)
-        if not prod_w and lam[x, gt[y, z]] != gt[lam[x, y], lam[rho[y, x], z]]:
-            prod_w = (x, y, z)
-    return lam_w, rho_w, inv_w, prod_w
 
 
 def _displacement_witnesses(gt: np.ndarray, ginv: np.ndarray, lam: np.ndarray,

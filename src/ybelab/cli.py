@@ -64,9 +64,9 @@ from .ybe import (
     tilde_solution_from_bracoid,
 )
 
-# Every lemma step is proved on all triples.  Above this order the step
-# still reports `sampled-N`, and sampled(N, seed=S) details, only so that
-# the pinned `suite` digests hold until they are made data (ROADMAP 2a).
+# Every lemma step is proved on all triples.  Above this order its STEP
+# line still reads `sampled-N`: that label is report text, frozen by the
+# pinned `suite` digests until ROADMAP 2a moves it together with the pins.
 LEMMA_EXHAUSTIVE_ORDER = 24
 
 
@@ -452,14 +452,14 @@ def _battery_roundtrip(report: RunReport, with_brace, rng, count: int) -> None:
                 break
 
 
-def _battery_lemmas(report: RunReport, with_brace, seed: int, samples: int) -> None:
+def _battery_lemmas(report: RunReport, with_brace, samples: int) -> None:
     for inst in with_brace:
-        exhaustive = inst.bracoid.G.order <= LEMMA_EXHAUSTIVE_ORDER
         with report.timed(f"lemmas-{_slug(inst)}") as step:
-            rep = lambda_rho_identity_checks(inst.contained.lambda_rho, exhaustive=exhaustive,
-                                             seed=seed, samples=samples)
+            rep = lambda_rho_identity_checks(inst.contained.lambda_rho)
             step.ok = rep.ok
-            step.witness = "exhaustive" if exhaustive else f"sampled-{samples}"
+            # The label is frozen report text (see LEMMA_EXHAUSTIVE_ORDER).
+            step.witness = ("exhaustive" if inst.bracoid.G.order <= LEMMA_EXHAUSTIVE_ORDER
+                            else f"sampled-{samples}")
             if not rep.ok:
                 step.witness = _compact(rep.first_failure().describe())
 
@@ -555,7 +555,7 @@ def cmd_suite(args) -> int:
     with_brace = [inst for inst in instances if inst.contained is not None]
     _battery_axioms(report, instances)
     _battery_roundtrip(report, with_brace, rng, count=100 if full else 20)
-    _battery_lemmas(report, with_brace, args.seed, samples=10_000 if full else 2_000)
+    _battery_lemmas(report, with_brace, samples=10_000 if full else 2_000)
     _battery_solutions(report, with_brace)
     _battery_brace_solutions(report, instances)
     _battery_quantities(report, instances)
@@ -621,7 +621,6 @@ def _subcommand(sub, name: str, func, help: str, out_default=".", seeded=False):
                     help="refuse structures larger than this (default 2048)")
     sp.add_argument("--out", default=out_default,
                     help="directory for artifacts and the zero-timed report copy")
-    sp.add_argument("--format", choices=("text",), default="text")
     return sp
 
 

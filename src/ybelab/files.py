@@ -102,17 +102,17 @@ def _parse_header(lines: list[str], magic: str, counts: int) -> tuple[list[int],
 def _parse_table(lines: list[str], start: int, rows: int, cols: int) -> np.ndarray:
     if start + rows > len(lines):
         raise ParseError(len(lines), f"expected {rows} table rows")
-    out = np.empty((rows, cols), dtype=np.int32)
+    out = []                    # rows as read: the header counts alone allocate nothing
     for i in range(rows):
         parts = lines[start + i].split(" ")
         if len(parts) != cols:
             raise ParseError(start + i + 1,
                              f"expected {cols} entries, found {len(parts)}")
         try:
-            out[i] = [int(p) for p in parts]
+            out.append(np.array([int(p) for p in parts], dtype=np.int32))
         except (ValueError, OverflowError) as exc:
             raise ParseError(start + i + 1, f"bad integer: {exc}") from exc
-    return out
+    return np.array(out, dtype=np.int32).reshape(rows, cols)
 
 
 def _expect_blank(lines: list[str], at: int) -> None:

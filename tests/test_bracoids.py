@@ -11,7 +11,6 @@ from ybelab.bracoids import (
     contains_brace,
     from_holomorph_subgroup,
     from_strong_left_ideal,
-    lambda_rho_identity_checks,
     to_matched_pair,
     transport,
     verify_bracoid,
@@ -206,17 +205,6 @@ def test_lambda_rho_subscript_laws(semidirect32):
                 assert lr.lam[G.table[x, y], z] == lr.lam[x, lr.lam[y, z]]
                 assert lr.rho[G.table[x, y], z] == lr.rho[y, lr.rho[x, z]]
             assert lr.rho[G.inv[x], lr.rho[x, y]] == y
-
-
-def test_identity_battery_modes(semidirect32, gl3f2):
-    report = lambda_rho_identity_checks(semidirect32.contained.lambda_rho)
-    assert report.ok
-    assert any("exhaustive" in (c.detail or "") for c in report.checks)
-    sampled = lambda_rho_identity_checks(gl3f2.contained.lambda_rho, exhaustive=False,
-                                         seed=3, samples=500)
-    assert sampled.ok
-    assert any("sampled(500, seed=3)" in (c.detail or "")
-               for c in sampled.checks)
 
 
 def test_matched_pair_theta_for_trivial_brace():

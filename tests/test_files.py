@@ -2,7 +2,7 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ybelab.files import (
@@ -300,17 +300,17 @@ def oracle_table_lines(arr) -> list[str]:
 def oracle_parse_table(lines, start, rows, cols):
     if start + rows > len(lines):
         raise ParseError(len(lines), f"expected {rows} table rows")
-    out = np.empty((rows, cols), dtype=np.int32)
+    out = []
     for i in range(rows):
         parts = lines[start + i].split(" ")
         if len(parts) != cols:
             raise ParseError(start + i + 1,
                              f"expected {cols} entries, found {len(parts)}")
         try:
-            out[i] = [int(p) for p in parts]
+            out.append(np.array([int(p) for p in parts], dtype=np.int32))
         except (ValueError, OverflowError) as exc:
             raise ParseError(start + i + 1, f"bad integer: {exc}") from exc
-    return out
+    return np.array(out, dtype=np.int32).reshape(rows, cols)
 
 
 def oracle_expect(lines, at, blank):
@@ -453,6 +453,8 @@ def mutate_table(text: str, kind: int, rng) -> str:
 @settings(max_examples=400, deadline=None)
 @given(table_files(), st.lists(st.integers(0, 9), min_size=1, max_size=3),
        st.integers(0, 2**32 - 1))
+# The header of 'ACTION v1 01 2147483647' once made the reader ask for 8 GiB.
+@example(case=("action", [np.array([[1]])], ""), kinds=[2, 9], seed=1464)
 def test_table_readers_match_the_oracle_on_damaged_text(case, kinds, seed):
     kind, tables, name = case
     write, read, _, oracle_read = TABLE_FORMATS[kind]

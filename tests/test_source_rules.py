@@ -94,3 +94,23 @@ def test_only_listed_functions_loop_over_generators():
                         or getattr(func, "attr", None) == "generators"):
                     callers.add(f"{path.stem}.{node.name}")
     assert callers == GENERATOR_LOOPS
+
+
+# The modules that may draw random numbers: the seeded catalog search and the
+# CLI that seeds it.  A law module decides on every input, never on a sample.
+RANDOM_IMPORTERS = {"catalog", "cli"}
+
+
+def test_only_catalog_and_cli_import_random():
+    importers = set()
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                continue
+            if any(name.split(".")[0] == "random" for name in names):
+                importers.add(path.stem)
+    assert importers == RANDOM_IMPORTERS
