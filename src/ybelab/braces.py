@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import AxiomViolated, Check, Report, _rows_law_failure, group_table_checks
-from .groups import AUTOMORPHISM_CAP, FiniteGroup, GroupMap, Subgroup, holomorph
+from .groups import MAX_ORDER, FiniteGroup, GroupMap, Subgroup, holomorph
 from .ybe import SolutionMap, assert_properties
 
 
@@ -199,13 +199,13 @@ def brace_solution(B: SkewBrace) -> SolutionMap:
                              "left-nondegenerate", "right-nondegenerate")
 
 
-def regular_rep_in_holomorph(B: SkewBrace, cap: int = AUTOMORPHISM_CAP) -> Subgroup:
+def regular_rep_in_holomorph(B: SkewBrace, max_order: int = MAX_ORDER) -> Subgroup:
     """Image of x -> (x, gamma_x) in Hol(G, *), regular on the points.
 
     The dot product factors as x . y = x * gamma_x(y), which is exactly
     the holomorph element with translation x and twist gamma_x.
     """
-    hol = holomorph(B.star, cap=cap)
+    hol = holomorph(B.star, max_order=max_order)
     members = []
     for x in range(B.order):
         idx = hol.element(x, B.gamma[x])

@@ -25,7 +25,7 @@ from .braces import SkewBrace, is_strong_left_ideal
 from .checks import (AxiomViolated, Check, Report, _action_law_failure, _action_law_holds,
                      _first_triple, _rows_law_failure, group_table_checks)
 from .groups import (
-    AUTOMORPHISM_CAP,
+    MAX_ORDER,
     FiniteGroup,
     GroupAction,
     GroupMap,
@@ -355,7 +355,7 @@ def _displacement_witnesses(gt: np.ndarray, ginv: np.ndarray, lam: np.ndarray,
 
 
 def to_matched_pair(cb: ContainedBrace,
-                    cap: int = AUTOMORPHISM_CAP) -> tuple[MatchedPair, GroupMap, Subgroup]:
+                    max_order: int = MAX_ORDER) -> tuple[MatchedPair, GroupMap, Subgroup]:
     """Matched pair on (H, S) plus the holomorph image of theta.
 
     Returns (pair, theta, image): the matched pair of the factorization
@@ -373,7 +373,7 @@ def to_matched_pair(cb: ContainedBrace,
         if not row.is_bijective:
             raise AxiomViolated(f"S-element {s} does not act bijectively")
 
-    hol = holomorph(cb.Hstar, cap=cap)
+    hol = holomorph(cb.Hstar, max_order=max_order)
     m, k = cb.H.order, cb.S.order
     dot_h, star_h, sinv_h = cb.Hdot.table, cb.starH, cb.Hstar.inv
     images = []

@@ -222,7 +222,7 @@ def gl3f2_instance(seed: int = 0, attempt_cap: int = GL3F2_ATTEMPT_CAP) -> Catal
     and must be simple (this rejects the affine order-168 subgroups).
     """
     N = elementary_abelian(2, 3)
-    hol = holomorph(N, cap=GL3F2_ORDER)
+    hol = holomorph(N)
     rng = random.Random(seed)
     points = hol.action.table[:, 0]
     for attempt in range(1, attempt_cap + 1):

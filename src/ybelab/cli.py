@@ -40,6 +40,7 @@ from .catalog import (
 from .checks import AxiomViolated, Report, group_table_checks
 from .files import ParseError
 from .groups import (
+    MAX_ORDER,
     FiniteGroup,
     InternalError,
     find_complements,
@@ -569,9 +570,8 @@ def cmd_holomorph(args) -> int:
     text = Path(args.groupfile).read_text()
     _refuse_header("group", text, args.max_order)
     G = files.read_group(text)
-    cap = max(1, args.max_order // G.order)
     hol = report.build(
-        "build-holomorph", lambda: holomorph(G, cap=cap),
+        "build-holomorph", lambda: holomorph(G, max_order=args.max_order),
         witness=lambda v: f"order={v.group.order},aut={len(v.maps)}")
     report.add("transitive", is_transitive(hol.action), 0)
     out = _out_dir(args)
@@ -617,8 +617,8 @@ def _subcommand(sub, name: str, func, help: str, out_default=".", seeded=False):
     if seeded:
         sp.add_argument("--seed", type=_u64, default=0,
                         help="single source for all randomness (default 0)")
-    sp.add_argument("--max-order", type=int, default=2048, dest="max_order",
-                    help="refuse structures larger than this (default 2048)")
+    sp.add_argument("--max-order", type=int, default=MAX_ORDER, dest="max_order",
+                    help=f"refuse structures larger than this (default {MAX_ORDER})")
     sp.add_argument("--out", default=out_default,
                     help="directory for artifacts and the zero-timed report copy")
     return sp

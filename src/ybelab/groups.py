@@ -14,7 +14,6 @@ is known only here; other modules ask `Holomorph.element` for it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -24,7 +23,8 @@ import numpy as np
 from .checks import (Check, _action_law_failure, _assoc_failure, _first_triple,
                      _rows_law_failure, find_identity, generators, group_table_checks)
 
-AUTOMORPHISM_CAP = 64
+# The default `--max-order`, and the one bound of the holomorph search: |Hol(N)| = |N| * |Aut(N)|.
+MAX_ORDER = 2048
 
 
 class NotLatinSquare(ValueError):
@@ -163,6 +163,8 @@ class Subgroup:
         elems = self.elements
         if not elems or elems[0] != 0 or list(elems) != sorted(set(elems)):
             raise ValueError(f"subgroup elements must be sorted, unique, and contain 0: {elems}")
+        if elems[-1] >= self.parent.order:
+            raise ValueError(f"element {elems[-1]} out of range 0..{self.parent.order - 1}")
         sub = np.asarray(elems, dtype=np.int32)
         member = np.zeros(self.parent.order, dtype=bool)
         member[sub] = True
@@ -447,105 +449,100 @@ def direct_product(H: FiniteGroup, S: FiniteGroup, name: str | None = None) -> F
 
 
 def _closure(table: np.ndarray, gens: Sequence[int], cap: int | None = None) -> list[int] | None:
-    """Elements of <gens> in deterministic BFS order; None if the cap is exceeded."""
+    """Elements of <gens> in deterministic BFS order; None if the cap is exceeded.
+
+    The order is 0, the gens, then each a*g for a read in that order: `out`
+    grows while it is read.  No identity is assumed at 0.
+    """
     seen = bytearray(table.shape[0])
-    seen[0] = 1
-    out = [0]
-    queue = deque([0])
-    for g in gens:
-        if not seen[g]:
-            seen[g] = 1
-            out.append(g)
-            queue.append(g)
-            if cap is not None and len(out) > cap:
-                return None
-    while queue:
-        a = queue.popleft()
+    out = []
+    for b in (0, *gens):
+        if not seen[b]:
+            seen[b] = 1
+            out.append(b)
+    for a in out:
         row = table[a]
         for g in gens:
             b = int(row[g])
             if not seen[b]:
                 seen[b] = 1
                 out.append(b)
-                queue.append(b)
-                if cap is not None and len(out) > cap:
-                    return None
+        if cap is not None and len(out) > cap:
+            return None
     return out
 
 
 def subgroup_generated(G: FiniteGroup, gens: Sequence[int]) -> Subgroup:
     gens = tuple(int(g) for g in gens)
-    elems = _closure(G.table, gens)
-    if elems is None:
-        raise InternalError("an uncapped closure gave up")
-    return Subgroup(G, tuple(sorted(elems)))
-
-
-def _extend_hom(table: np.ndarray, img: np.ndarray, elems: list[int], g: int, y: int):
-    """Extend a partial endomorphism (defined on the closed set `elems`) by g -> y.
-
-    Returns (img, elems) on the closure of elems + {g}, or None on conflict.
-    """
-    img = img.copy()
-    elems = list(elems)
-    img[g] = y
-    elems.append(g)
-    queue = deque([g])
-    while queue:
-        c = queue.popleft()
-        snapshot = list(elems)
-        for a in snapshot:
-            for u, v in ((a, c), (c, a)):
-                w = int(table[u, v])
-                iw = int(table[img[u], img[v]])
-                if img[w] < 0:
-                    img[w] = iw
-                    elems.append(w)
-                    queue.append(w)
-                elif img[w] != iw:
-                    return None
-    return img, elems
+    bad = [g for g in gens if not 0 <= g < G.order]
+    if bad:
+        raise ValueError(f"generator {bad[0]} out of range 0..{G.order - 1}")
+    return Subgroup(G, tuple(sorted(_closure(G.table, gens))))
 
 
 def automorphism_group(
-    G: FiniteGroup, cap: int = AUTOMORPHISM_CAP
+    G: FiniteGroup, max_order: int = MAX_ORDER
 ) -> tuple[FiniteGroup, list[GroupMap]]:
-    """All automorphisms of G by backtracking over images of a greedy generating set.
+    """All automorphisms of G by backtracking over the images of its generators.
 
-    Returns the abstract automorphism group (identity at index 0, maps sorted
-    lexicographically) together with the realizing permutations.  `cap`
-    bounds both |G| and |Aut(G)|: the search raises CapExceeded as soon as
-    it finds map cap + 1.  A partial map is dropped the moment it is not
-    injective, so every map that reaches the last generator, defined on the
-    closure of all of them, which is G, is an automorphism.
+    Returns Aut(G) as a table group (identity at 0) and its maps, sorted by
+    images.  `max_order` bounds |Hol(G)| = |G| * |Aut(G)|: CapExceeded is
+    raised at once if |G| > max_order, else on finding map max_order // |G| + 1.
+
+    With gens = generators(G.table), a spanning tree writes each x != 0 as
+    p * gens[s] with p earlier, so phi(x) = phi(p) * phi(gens[s]) fixes a
+    homomorphism phi by its images of gens.  The search tries each image of
+    gens[i] in ascending order among elements of its order, and defines phi
+    along the tree on <gens[:i + 1]>.  A partial phi is dropped once two
+    elements share an image; automorphisms are injective, so none is lost.
+    A complete phi, a permutation fixing 0, is accepted when it meets the
+    rows law on generators, phi(x * g) = phi(x) * phi(g) for g in gens, which
+    the closure proof of checks._rows_law_holds extends to all of G; it is
+    tested inline so that candidates add no memo keys.
     """
-    if G.order > cap:
-        raise CapExceeded(f"|G| = {G.order} exceeds the automorphism search cap {cap}")
     n = G.order
-    gens = generators(G.table)
+    if n > max_order:
+        raise CapExceeded(f"|Hol({G.name})| exceeds max_order {max_order}: |{G.name}| = {n}")
+    cap = max_order // n
+    table, mul = G.table, G.table.item
+    gens = generators(table)
+    # tree[reach[i]:reach[i + 1]] is (x, p, s), x = p * gens[s] and s <= i, for each x
+    # in <gens[:i + 1]> but not <gens[:i]>: a breadth-first scan that reads what it appends.
+    tree, reach, seen = [(0, 0, 0)], [1], {0}
+    for i in range(len(gens)):
+        for x, _, _ in tree:
+            for s in range(i + 1):
+                y = mul(x, gens[s])
+                if y not in seen:
+                    seen.add(y)
+                    tree.append((y, x, s))
+        reach.append(len(tree))
     orders = G.element_orders
-    base = np.full(n, -1, dtype=np.int32)
-    base[0] = 0
-    found: list[tuple[int, ...]] = []
+    img, gimg, used, found = [0] * n, [0] * len(gens), {0}, []
 
-    def search(i: int, img: np.ndarray, elems: list[int]) -> None:
+    def search(i: int) -> None:
         if i == len(gens):
-            if len(found) == cap:
-                raise CapExceeded(
-                    f"|Aut({G.name})| exceeds the automorphism search cap {cap}")
-            found.append(tuple(img.tolist()))
+            phi = np.array(img, dtype=np.int32)
+            if (phi[table[:, gens]] == table[phi[:, None], phi[gens]]).all():
+                if len(found) == cap:
+                    raise CapExceeded(f"|Hol({G.name})| exceeds max_order {max_order}: "
+                                      f"|Aut({G.name})| > {cap}")
+                found.append(tuple(img))
             return
-        g = gens[i]
-        og = int(orders[g])
-        for y in range(n):
-            if int(orders[y]) != og:
-                continue
-            ext = _extend_hom(G.table, img, elems, g, y)
-            # A map that is not injective where defined extends to no automorphism.
-            if ext is not None and len(set(ext[0][ext[1]].tolist())) == len(ext[1]):
-                search(i + 1, ext[0], ext[1])
+        for y in np.flatnonzero(orders == orders[gens[i]]).tolist():
+            gimg[i], hit = y, []
+            for x, p, s in tree[reach[i]:reach[i + 1]]:
+                v = mul(img[p], gimg[s])
+                if v in used:
+                    break
+                used.add(v)
+                img[x] = v
+                hit.append(v)
+            else:
+                search(i + 1)
+            used.difference_update(hit)
 
-    search(0, base, [0])
+    search(0)
     perms = sorted(found)
     parr = np.array(perms, dtype=np.int32)
     # An automorphism is fixed by its images of gens: code them as base-n
@@ -588,9 +585,9 @@ class Holomorph:
         return None if slot is None else int(h) * len(self.maps) + slot
 
 
-def holomorph(N: FiniteGroup, cap: int = AUTOMORPHISM_CAP) -> Holomorph:
-    """Hol(N) with Aut(N) found by `automorphism_group` under the same cap."""
-    aut, maps = automorphism_group(N, cap=cap)
+def holomorph(N: FiniteGroup, max_order: int = MAX_ORDER) -> Holomorph:
+    """Hol(N), refused by `automorphism_group` once its order exceeds max_order."""
+    aut, maps = automorphism_group(N, max_order=max_order)
     alpha = np.array([m.images for m in maps], dtype=np.int32)
     group = semidirect_product(N, aut, alpha, name=f"Hol({N.name})")
     action = GroupAction(group, N.table[:, alpha].reshape(group.order, N.order))

@@ -234,5 +234,5 @@ def test_regular_rep_of_order60_abelian_map_brace():
                       np.arange(m, dtype=np.int32)])
     G = semidirect_product(cyclic_group(m), elementary_abelian(2, 2), alpha)
     B = abelian_map_brace(G, GroupMap(G, G, tuple(i % 4 for i in range(60))))
-    sub = regular_rep_in_holomorph(B, cap=60)
+    sub = regular_rep_in_holomorph(B, max_order=2880)    # |Hol| = 60 * 48
     assert len(sub.elements) == 60

@@ -224,7 +224,7 @@ def test_matched_pair_of_quotient_instance(semidirect32):
 
 
 def test_matched_pair_of_gl3f2(gl3f2):
-    pair, theta, image = to_matched_pair(gl3f2.contained, cap=168)
+    pair, theta, image = to_matched_pair(gl3f2.contained)
     assert pair.H.order == 8 and pair.S.order == 21
     assert image.order == 168
     assert len(set(theta.images)) == 168

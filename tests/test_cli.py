@@ -405,22 +405,22 @@ def test_holomorph_respects_max_order(tmp_path, capsys):
 
 
 def test_holomorph_refuses_a_group_above_max_order(tmp_path, capsys):
-    """The automorphism cap --max-order // |G| bounds |Aut(G)| as well as |G|:
-    Hol(C2^3) has order 8 * 168, and the search stops at map 65."""
+    """--max-order bounds |Hol(G)| = |G| * |Aut(G)|: Hol(C2^3) has order
+    8 * 168, and under 512 the search stops at map 512 // 8 + 1 = 65."""
     path = tmp_path / "e8.txt"
     path.write_text(write_group(groups.elementary_abelian(2, 3)))
     code = main(["holomorph", str(path), "--out", str(tmp_path / "over"),
                  "--max-order", "512"])
     assert code == 2
     assert capsys.readouterr().err == \
-        "error: CapExceeded: |Aut(E2^3)| exceeds the automorphism search cap 64\n"
+        "error: CapExceeded: |Hol(E2^3)| exceeds max_order 512: |Aut(E2^3)| > 64\n"
     assert not (tmp_path / "over").exists()
 
 
 @pytest.mark.parametrize("rank", [4, 5])
 def test_holomorph_refuses_a_large_automorphism_group_at_once(tmp_path, capsys, rank):
-    """|Aut(C2^4)| = 20160 and |Aut(C2^5)| = 9999360: the search stops at the
-    first map over the cap instead of listing them all."""
+    """|Aut(C2^4)| = 20160 and |Aut(C2^5)| = 9999360: the search stops at
+    map 2048 // |G| + 1 instead of listing them all."""
     path = tmp_path / "e.txt"
     path.write_text(write_group(groups.elementary_abelian(2, rank)))
     start = time.perf_counter()
@@ -429,7 +429,22 @@ def test_holomorph_refuses_a_large_automorphism_group_at_once(tmp_path, capsys, 
     assert code == 2
     cap = 2048 // 2**rank
     assert capsys.readouterr().err == \
-        f"error: CapExceeded: |Aut(E2^{rank})| exceeds the automorphism search cap {cap}\n"
+        f"error: CapExceeded: |Hol(E2^{rank})| exceeds max_order 2048: |Aut(E2^{rank})| > {cap}\n"
+    assert not (tmp_path / "over").exists()
+
+
+def test_holomorph_bounds_the_holomorph_not_the_group(tmp_path, capsys):
+    """Hol(C50) has order 50 * 20 = 1000: within the default --max-order,
+    refused at 999 with no --out directory."""
+    path = tmp_path / "c50.txt"
+    path.write_text(write_group(cyclic_group(50)))
+    assert main(["holomorph", str(path), "--out", str(tmp_path / "fits")]) == 0
+    assert " order=1000,aut=20\n" in capsys.readouterr().out
+    code = main(["holomorph", str(path), "--out", str(tmp_path / "over"),
+                 "--max-order", "999"])
+    assert code == 2
+    assert capsys.readouterr().err == \
+        "error: CapExceeded: |Hol(C50)| exceeds max_order 999: |Aut(C50)| > 19\n"
     assert not (tmp_path / "over").exists()
 
 

@@ -93,7 +93,7 @@ def _hol(name: str):
         N = elementary_abelian(2, 3)
     else:
         N = cyclic_group(int(name[1:]))
-    return holomorph(N, cap=168)
+    return holomorph(N)
 
 
 @pytest.mark.parametrize("name", [*(f"C{k}" for k in range(2, 9)), "C2xC2", "C2^3"])

@@ -163,11 +163,14 @@ def test_opposite_and_power():
 
 def test_automorphism_counts():
     for G, expected in [(cyclic_group(4), 2), (cyclic_group(10), 4),
-                        (s3(), 6)]:
+                        (s3(), 6), (elementary_abelian(2, 3), 168),
+                        (direct_product(cyclic_group(4), cyclic_group(4)), 96),
+                        (elementary_abelian(3, 2), 48),      # |GL(2, 3)|
+                        (cyclic_group(64), 32), (cyclic_group(50), 20),
+                        # here a tree-defined bijection can break the rows law
+                        (direct_product(s3(), cyclic_group(2)), 12)]:
         aut, maps = automorphism_group(G)
         assert aut.order == expected == len(maps)
-    aut, maps = automorphism_group(elementary_abelian(2, 3), cap=168)
-    assert aut.order == 168
 
 
 def test_automorphism_order_and_identity_slot():
@@ -178,14 +181,17 @@ def test_automorphism_order_and_identity_slot():
 
 
 def test_automorphism_cap():
-    """The cap bounds |G| and |Aut(G)|: |Aut(C2^3)| = 168, so a cap of 168
-    lists every map and a cap of 167 refuses."""
-    with pytest.raises(CapExceeded):
-        automorphism_group(elementary_abelian(2, 3), cap=4)
-    assert len(automorphism_group(elementary_abelian(2, 3), cap=168)[1]) == 168
+    """max_order bounds |Hol(G)| = |G| * |Aut(G)|: Hol(C2^3) has order
+    8 * 168 = 1344, so 1344 lists every map, 1343 refuses at map 168 and a
+    bound below |G| refuses before the search."""
+    E = elementary_abelian(2, 3)
     with pytest.raises(CapExceeded,
-                       match=r"^\|Aut\(E2\^3\)\| exceeds the automorphism search cap 167$"):
-        automorphism_group(elementary_abelian(2, 3), cap=167)
+                       match=r"^\|Hol\(E2\^3\)\| exceeds max_order 4: \|E2\^3\| = 8$"):
+        automorphism_group(E, max_order=4)
+    with pytest.raises(CapExceeded,
+                       match=r"^\|Hol\(E2\^3\)\| exceeds max_order 1343: \|Aut\(E2\^3\)\| > 167$"):
+        automorphism_group(E, max_order=1343)
+    assert len(automorphism_group(E, max_order=1344)[1]) == 168
 
 
 def _q8():
@@ -210,7 +216,8 @@ def _aut_table_by_loop(maps) -> np.ndarray:
     return table
 
 
-@pytest.mark.parametrize("G, cap, order", [
+# aut_bound bounds |Aut(G)| through max_order = |G| * aut_bound.
+@pytest.mark.parametrize("G, aut_bound, order", [
     *((cyclic_group(n), 64, None) for n in range(2, 9)),
     (elementary_abelian(2, 2), 64, 6),
     (elementary_abelian(2, 3), 168, 168),
@@ -219,28 +226,49 @@ def _aut_table_by_loop(maps) -> np.ndarray:
                         np.array([[0, 1, 2, 3], [0, 3, 2, 1]], dtype=np.int32)), 64, 8),
     (_q8(), 64, 24),
 ], ids=lambda v: getattr(v, "name", None))
-def test_automorphism_table_equals_the_composition_loop(G, cap, order):
-    aut, maps = automorphism_group(G, cap=cap)
+def test_automorphism_table_equals_the_composition_loop(G, aut_bound, order):
+    aut, maps = automorphism_group(G, max_order=G.order * aut_bound)
     assert order is None or aut.order == order
     assert aut.table.dtype == np.int32
     assert np.array_equal(aut.table, _aut_table_by_loop(maps))
+
+
+def _automorphisms_by_brute_force(G: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every permutation p with p[0] = 0 and p[a*b] = p[a]*p[b], sorted."""
+    n = G.order
+    perms = np.array([(0, *p) for p in permutations(range(1, n))], dtype=np.int32)
+    hom = (perms[:, G.table] == G.table[perms[:, :, None], perms[:, None, :]]).all(axis=(1, 2))
+    return sorted(tuple(int(v) for v in p) for p in perms[hom])
+
+
+@pytest.mark.parametrize("G", [
+    *(cyclic_group(n) for n in range(1, 9)),
+    elementary_abelian(2, 2),
+    elementary_abelian(2, 3),
+    s3(),
+    semidirect_product(cyclic_group(4), cyclic_group(2),
+                       np.array([[0, 1, 2, 3], [0, 3, 2, 1]], dtype=np.int32)),
+    _q8(),
+    direct_product(cyclic_group(4), cyclic_group(2)),
+], ids=lambda G: G.name)
+def test_automorphism_search_equals_the_brute_force_over_permutations(G):
+    assert [m.images for m in automorphism_group(G)[1]] == _automorphisms_by_brute_force(G)
 
 
 def test_holomorph_orders():
     assert holomorph(cyclic_group(2)).group.order == 2
     hol3 = holomorph(cyclic_group(3))
     assert hol3.group.order == 6 and is_transitive(hol3.action)
-    hol8 = holomorph(elementary_abelian(2, 3), cap=168)
+    hol8 = holomorph(elementary_abelian(2, 3))
     assert hol8.group.order == 1344
     assert is_transitive(hol8.action)
     assert len(hol8.maps) == 168
 
 
-@pytest.mark.parametrize("N, cap", [
-    (cyclic_group(3), 64), (cyclic_group(4), 64), (elementary_abelian(2, 3), 168),
-], ids=["C3", "C4", "C2^3"])
-def test_holomorph_element_acts_as_translation_after_twist(N, cap):
-    hol = holomorph(N, cap=cap)
+@pytest.mark.parametrize("N", [cyclic_group(3), cyclic_group(4), elementary_abelian(2, 3)],
+                         ids=["C3", "C4", "C2^3"])
+def test_holomorph_element_acts_as_translation_after_twist(N):
+    hol = holomorph(N)
     seen = []
     for m in hol.maps:
         for h in range(N.order):
@@ -297,6 +325,16 @@ def test_subgroup_validation():
         Subgroup(G, (0, 1, 2))
     sub = Subgroup(G, (0, 2, 4))
     assert sub.as_group().order == 3
+
+
+def test_subgroup_refuses_an_element_out_of_range():
+    G = cyclic_group(4)
+    with pytest.raises(ValueError, match=r"^element 4 out of range 0\.\.3$"):
+        G.subgroup([0, 4])
+    with pytest.raises(ValueError, match=r"^generator 7 out of range 0\.\.3$"):
+        subgroup_generated(G, [7])
+    with pytest.raises(ValueError, match=r"^generator -1 out of range 0\.\.3$"):
+        subgroup_generated(G, [1, -1])
 
 
 def test_stabilizer_of_regular_action_is_trivial():
