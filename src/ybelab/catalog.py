@@ -30,6 +30,7 @@ from .bracoids import (
     transport,
 )
 from .groups import (
+    CapExceeded,
     FiniteGroup,
     GroupMap,
     NotPrime,
@@ -68,6 +69,8 @@ ACCEPTANCE: tuple[tuple[str, tuple[int, ...]], ...] = (
 
 GL3F2_ORDER = 168
 GL3F2_ATTEMPT_CAP = 10**6
+# cyclic-pq builds Hol(C_pq), of order pq(p - 1)(q - 1), only for pq up to this.
+CYCLIC_PQ_MAX_N = 64
 
 
 class UnknownExample(ValueError):
@@ -253,18 +256,21 @@ def cyclic_pq_instance(p: int, q: int) -> CatalogInstance:
 
     Needs q^2 | p - 1.  The twist alpha multiplies by u with
     u = g^((p-1)/q^2) mod p (g the least primitive root) and u = 1 mod q,
-    so alpha has order q^2 and fixes the order-q part.
+    so alpha has order q^2 and fixes the order-q part.  Hol(C_pq) is built
+    under its exact order, and refused with CapExceeded if pq > CYCLIC_PQ_MAX_N.
     """
     _require_prime(p, "p")
     _require_prime(q, "q")
     if (p - 1) % (q * q) != 0:
         raise ValueError(f"q^2 = {q * q} must divide p - 1 = {p - 1}")
     m = p * q
+    if m > CYCLIC_PQ_MAX_N:
+        raise CapExceeded(f"|C{m}| = {m} exceeds {CYCLIC_PQ_MAX_N}: Hol(C{m}) is not built")
     N = cyclic_group(m)
     root = pow(_primitive_root(p), (p - 1) // (q * q), p)
     # CRT: u = root mod p, u = 1 mod q.
     u = next(v for v in range(1, m) if v % p == root % p and v % q == 1)
-    hol = holomorph(N)
+    hol = holomorph(N, max_order=m * (p - 1) * (q - 1))
     arange = np.arange(m, dtype=np.int64)
     sigma, tau = q, p
     J = subgroup_generated(hol.group, [hol.element(sigma, arange),

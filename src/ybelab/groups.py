@@ -14,6 +14,7 @@ is known only here; other modules ask `Holomorph.element` for it.
 from __future__ import annotations
 
 from bisect import bisect_left
+from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
@@ -449,26 +450,29 @@ def direct_product(H: FiniteGroup, S: FiniteGroup, name: str | None = None) -> F
 
 
 def _closure(table: np.ndarray, gens: Sequence[int], cap: int | None = None) -> list[int] | None:
-    """Elements of <gens> in deterministic BFS order; None if the cap is exceeded.
-
-    The order is 0, the gens, then each a*g for a read in that order: `out`
-    grows while it is read.  No identity is assumed at 0.
-    """
+    """Elements of <gens> in deterministic BFS order; None if the cap is exceeded."""
     seen = bytearray(table.shape[0])
-    out = []
-    for b in (0, *gens):
-        if not seen[b]:
-            seen[b] = 1
-            out.append(b)
-    for a in out:
+    seen[0] = 1
+    out = [0]
+    queue = deque([0])
+    for g in gens:
+        if not seen[g]:
+            seen[g] = 1
+            out.append(g)
+            queue.append(g)
+            if cap is not None and len(out) > cap:
+                return None
+    while queue:
+        a = queue.popleft()
         row = table[a]
         for g in gens:
             b = int(row[g])
             if not seen[b]:
                 seen[b] = 1
                 out.append(b)
-        if cap is not None and len(out) > cap:
-            return None
+                queue.append(b)
+                if cap is not None and len(out) > cap:
+                    return None
     return out
 
 
@@ -489,55 +493,58 @@ def automorphism_group(
     images.  `max_order` bounds |Hol(G)| = |G| * |Aut(G)|: CapExceeded is
     raised at once if |G| > max_order, else on finding map max_order // |G| + 1.
 
-    With gens = generators(G.table), a spanning tree writes each x != 0 as
-    p * gens[s] with p earlier, so phi(x) = phi(p) * phi(gens[s]) fixes a
-    homomorphism phi by its images of gens.  The search tries each image of
-    gens[i] in ascending order among elements of its order, and defines phi
-    along the tree on <gens[:i + 1]>.  A partial phi is dropped once two
-    elements share an image; automorphisms are injective, so none is lost.
-    A complete phi, a permutation fixing 0, is accepted when it meets the
-    rows law on generators, phi(x * g) = phi(x) * phi(g) for g in gens, which
-    the closure proof of checks._rows_law_holds extends to all of G; it is
-    tested inline so that candidates add no memo keys.
+    With gens = generators(G.table), stage i takes, breadth first from 0,
+    each step x -> x * g with x in <gens[:i + 1]> and g in gens[:i + 1] that
+    no earlier stage took.  Steps to new elements form a spanning tree, so
+    phi(x * g) = phi(x) * phi(g) along it fixes phi by its images of gens.
+    Stage i runs for each image of gens[i], ascending among elements of its
+    order: a tree step defines phi at its end, and phi is dropped once two
+    elements share an image or another step breaks that law.  Automorphisms
+    are injective and keep it, so none is dropped.  A complete phi took every
+    step, so it meets the rows law on generators, which the closure proof of
+    checks._rows_law_holds extends to all of G: phi is an injective
+    homomorphism of finite G, an automorphism.
     """
     n = G.order
     if n > max_order:
         raise CapExceeded(f"|Hol({G.name})| exceeds max_order {max_order}: |{G.name}| = {n}")
     cap = max_order // n
-    table, mul = G.table, G.table.item
-    gens = generators(table)
-    # tree[reach[i]:reach[i + 1]] is (x, p, s), x = p * gens[s] and s <= i, for each x
-    # in <gens[:i + 1]> but not <gens[:i]>: a breadth-first scan that reads what it appends.
-    tree, reach, seen = [(0, 0, 0)], [1], {0}
+    mul = G.table.item
+    gens = generators(G.table)
+    # steps[i] holds (z, x, s, new) for z = x * gens[s]: each x of <gens[:i]> with
+    # s = i, then each x new at stage i with s <= i.  `reached` grows while it is read.
+    steps, reached, seen = [], [0], {0}
     for i in range(len(gens)):
-        for x, _, _ in tree:
-            for s in range(i + 1):
-                y = mul(x, gens[s])
-                if y not in seen:
-                    seen.add(y)
-                    tree.append((y, x, s))
-        reach.append(len(tree))
+        step, old = [], len(reached)
+        for k, x in enumerate(reached):
+            for s in (i,) if k < old else range(i + 1):
+                z = mul(x, gens[s])
+                new = z not in seen
+                step.append((z, x, s, new))
+                if new:
+                    seen.add(z)
+                    reached.append(z)
+        steps.append(step)
     orders = G.element_orders
     img, gimg, used, found = [0] * n, [0] * len(gens), {0}, []
 
     def search(i: int) -> None:
         if i == len(gens):
-            phi = np.array(img, dtype=np.int32)
-            if (phi[table[:, gens]] == table[phi[:, None], phi[gens]]).all():
-                if len(found) == cap:
-                    raise CapExceeded(f"|Hol({G.name})| exceeds max_order {max_order}: "
-                                      f"|Aut({G.name})| > {cap}")
-                found.append(tuple(img))
+            if len(found) == cap:
+                raise CapExceeded(f"|Hol({G.name})| exceeds max_order {max_order}: "
+                                  f"|Aut({G.name})| > {cap}")
+            found.append(tuple(img))
             return
         for y in np.flatnonzero(orders == orders[gens[i]]).tolist():
             gimg[i], hit = y, []
-            for x, p, s in tree[reach[i]:reach[i + 1]]:
-                v = mul(img[p], gimg[s])
-                if v in used:
+            for z, x, s, new in steps[i]:
+                v = mul(img[x], gimg[s])
+                if new and v not in used:
+                    used.add(v)
+                    img[z] = v
+                    hit.append(v)
+                elif new or img[z] != v:
                     break
-                used.add(v)
-                img[x] = v
-                hit.append(v)
             else:
                 search(i + 1)
             used.difference_update(hit)

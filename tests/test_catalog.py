@@ -20,7 +20,7 @@ from ybelab.catalog import (
     semidirect_instance,
     trivial_brace_instance,
 )
-from ybelab.groups import NotPrime, is_transitive, stabilizer
+from ybelab.groups import CapExceeded, NotPrime, is_transitive, stabilizer
 
 
 def test_trivial_brace_arities():
@@ -86,6 +86,15 @@ def test_cyclic_pq_quantities(cyclicpq52):
     assert cyclicpq52.detail["stabilizer"] == 2
     assert stabilizer(cyclicpq52.bracoid.act, 0).order == 2
     assert cyclicpq52.contained is None
+
+
+def test_cyclic_pq_builds_hol_up_to_pq_64():
+    """Hol(C57) has order 57 * 36 = 2052, above groups.MAX_ORDER, and is built;
+    pq = 74 is refused before any holomorph is."""
+    inst = cyclic_pq_instance(19, 3)
+    assert inst.detail["J_order"] == 171 and inst.contained is None
+    with pytest.raises(CapExceeded, match=r"^\|C74\| = 74 exceeds 64: Hol\(C74\) is not built$"):
+        cyclic_pq_instance(37, 2)
 
 
 def test_cyclic_pq_rejects_bad_parameters():

@@ -53,6 +53,19 @@ def test_example_without_brace_reports_the_certificate(tmp_path, capsys):
     assert not (tmp_path / "cyclic-pq-5-2-contained-brace.txt").exists()
 
 
+def test_example_cyclic_pq_19_3_runs_at_the_default_max_order(tmp_path, capsys):
+    """J for (19, 3) has order 171 inside Hol(C57), of order 57 * 36 = 2052,
+    above the default --max-order, which bounds |J| alone: 170 refuses it."""
+    assert main(["example", "cyclic-pq", "19", "3", "--out", str(tmp_path / "fits")]) == 0
+    out = capsys.readouterr().out
+    assert "G=171,N=57" in out and "NotFound" in out
+    code = main(["example", "cyclic-pq", "19", "3", "--out", str(tmp_path / "over"),
+                 "--max-order", "170"])
+    assert code == 2
+    assert capsys.readouterr().err == "error: PreconditionFailed: order 171 exceeds --max-order 170\n"
+    assert not (tmp_path / "over").exists()
+
+
 def test_example_gl3f2_quantities(tmp_path, capsys):
     code = main(["example", "gl3f2", "--out", str(tmp_path)])
     out = capsys.readouterr().out

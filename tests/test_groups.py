@@ -168,7 +168,12 @@ def test_automorphism_counts():
                         (elementary_abelian(3, 2), 48),      # |GL(2, 3)|
                         (cyclic_group(64), 32), (cyclic_group(50), 20),
                         # here a tree-defined bijection can break the rows law
-                        (direct_product(s3(), cyclic_group(2)), 12)]:
+                        (direct_product(s3(), cyclic_group(2)), 12),
+                        # D4 x C2: three generators, so stages 1 and 2 both prune
+                        (direct_product(semidirect_product(
+                            cyclic_group(4), cyclic_group(2),
+                            np.array([[0, 1, 2, 3], [0, 3, 2, 1]], dtype=np.int32)),
+                            cyclic_group(2)), 64)]:
         aut, maps = automorphism_group(G)
         assert aut.order == expected == len(maps)
 
