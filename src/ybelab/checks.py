@@ -61,8 +61,8 @@ class Report:
 # table holds more entries than this runs unmemoised.  The tables a run
 # proves over and over are the small ones a round trip rebuilds (orders up
 # to 16 in `suite full`).  Large ones, up to the 1344^2 table of Hol(C2^3),
-# are each proved about once: keying them too raised the peak RSS of
-# `suite full --seed 7` from 63.6 to 70.6 MB and saved no time.
+# are each proved about once: keying them too raises the peak RSS of
+# `suite full --seed 7` from 39.8 to 62.7 MB and saves no time.
 MEMO_MAX_ENTRIES = 64 * 64
 # Each kernel keeps its latest this many keys, so a long-lived process does
 # not grow without end.  `suite full --seed 7` stores at most 384 per kernel
@@ -119,6 +119,41 @@ def by_content(kernel):
     return memoised
 
 
+# The Latin, inverse and action-law scans read a table in blocks of whole rows
+# holding at most this many entries (one row when a row is longer), so their
+# scratch is O(n + BLOCK_ENTRIES) for an n x n table instead of a table's worth.
+BLOCK_ENTRIES = 1 << 16
+
+
+def _row_blocks(arr: np.ndarray):
+    """(start, rows) for consecutive blocks of whole rows of arr, first to last."""
+    step = max(1, BLOCK_ENTRIES // max(1, arr.shape[1]))
+    for r in range(0, arr.shape[0], step):
+        yield r, arr[r:r + step]
+
+
+def _first_bad_row(arr: np.ndarray) -> int | None:
+    """Index of the first row of arr that is not a permutation of 0..m-1, or None.
+
+    m is the row length; entries may be any integers.  Rows are sorted one
+    block at a time, so the scan stops in the first block that fails.
+    """
+    idx = np.arange(arr.shape[1])
+    for r, rows in _row_blocks(arr):
+        ok = (np.sort(rows, axis=1) == idx).all(axis=1)
+        if not ok.all():
+            return r + int(np.argmin(ok))
+    return None
+
+
+def _right_inverses(arr: np.ndarray) -> np.ndarray:
+    """For each row a, the first b with arr[a, b] == 0 (0 if there is none), as int32."""
+    out = np.empty(arr.shape[0], dtype=np.int32)
+    for r, rows in _row_blocks(arr):
+        out[r:r + len(rows)] = np.argmax(rows == 0, axis=1)
+    return out
+
+
 @by_content
 def group_table_checks(table, prefix: str = "", check_assoc: bool = True) -> list[Check]:
     """Axiom checks for a raw multiplication table with identity expected at 0.
@@ -126,6 +161,18 @@ def group_table_checks(table, prefix: str = "", check_assoc: bool = True) -> lis
     Returns latin / identity / associativity / inverses checks in that order.
     If the table is not even a Latin square over 0..n-1 the dependent checks
     are reported as failed without being evaluated.
+
+    Witnesses are found in this order: the first out-of-range entry in
+    row-major order; else the first row, then the first column, that is not
+    a permutation; the identity (0 if row 0 and column 0 are the identity
+    map, else find_identity's index, or none); the first failing
+    associativity triple; the first a without a right inverse, then the
+    first whose first right inverse is not a left inverse.  Apart from
+    associativity, which is Light's test (_assoc_failure), the scratch
+    memory is O(n + BLOCK_ENTRIES) beside the table: the range is its min
+    and max, and rows, columns and inverses are scanned in row blocks of at
+    most BLOCK_ENTRIES entries.  Only a failing range or identity check
+    builds an n x n mask, to name its witness.
     """
     arr = np.asarray(table)
     checks: list[Check] = []
@@ -138,22 +185,17 @@ def group_table_checks(table, prefix: str = "", check_assoc: bool = True) -> lis
     n = arr.shape[0]
     idx = np.arange(n)
 
-    in_range = bool(((arr >= 0) & (arr < n)).all())
+    in_range = bool(arr.min() >= 0 and arr.max() < n)
     latin_ok = in_range
     latin_witness: tuple[int, ...] = ()
     latin_detail = ""
     if not in_range:
         r, c = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
         latin_witness, latin_detail = (r, c), f"entry {int(arr[r, c])} out of range"
-    else:
-        row_ok = (np.sort(arr, axis=1) == idx).all(axis=1)
-        col_ok = (np.sort(arr, axis=0) == idx[:, None]).all(axis=0)
-        if not row_ok.all():
-            r = int(np.argmin(row_ok))
-            latin_ok, latin_witness, latin_detail = False, (r,), f"row {r} is not a permutation"
-        elif not col_ok.all():
-            c = int(np.argmin(col_ok))
-            latin_ok, latin_witness, latin_detail = False, (c,), f"column {c} is not a permutation"
+    elif (r := _first_bad_row(arr)) is not None:
+        latin_ok, latin_witness, latin_detail = False, (r,), f"row {r} is not a permutation"
+    elif (c := _first_bad_row(arr.T)) is not None:
+        latin_ok, latin_witness, latin_detail = False, (c,), f"column {c} is not a permutation"
     checks.append(Check(prefix + "latin", latin_ok, latin_witness, latin_detail))
 
     if not in_range:
@@ -163,7 +205,10 @@ def group_table_checks(table, prefix: str = "", check_assoc: bool = True) -> lis
         )
         return checks
 
-    e = find_identity(arr)
+    # find_identity returns the least two-sided identity, so it is 0 exactly
+    # when row 0 and column 0 are the identity map, which takes O(n) to see.
+    zero_is_unit = np.array_equal(arr[0], idx) and np.array_equal(arr[:, 0], idx)
+    e = 0 if zero_is_unit else find_identity(arr)
     if e is None:
         checks.append(Check(prefix + "identity", False, (), "no two-sided identity"))
     elif e != 0:
@@ -177,12 +222,12 @@ def group_table_checks(table, prefix: str = "", check_assoc: bool = True) -> lis
     else:
         checks.append(Check(prefix + "associativity", True, (), "skipped"))
 
-    has_right = (arr == 0).any(axis=1)
+    rinv = _right_inverses(arr)
+    has_right = arr[idx, rinv] == 0
     if not has_right.all():
         a = int(np.argmin(has_right))
         checks.append(Check(prefix + "inverses", False, (a,), "no right inverse"))
     else:
-        rinv = np.argmax(arr == 0, axis=1)
         two_sided = arr[rinv, idx] == 0
         if two_sided.all():
             checks.append(Check(prefix + "inverses", True))
@@ -269,8 +314,8 @@ def _action_law_holds(gt: np.ndarray, act: np.ndarray) -> bool:
     last step being k in T at g = h.  So T holds the closure of 0 and the
     generators, which is all of G.
     """
-    return all(np.array_equal(act[gt[:, h]], act[:, act[h]])
-               for h in [0, *generators(gt)])
+    return all(np.array_equal(act[gt[r:r + len(rows), h]], rows[:, act[h]])
+               for h in [0, *generators(gt)] for r, rows in _row_blocks(act))
 
 
 def _action_law_failure(gt: np.ndarray, act: np.ndarray) -> tuple[int, int, int] | None:
@@ -333,10 +378,9 @@ def _first_repeat(table: np.ndarray) -> tuple[int, int, int] | None:
     Entries are in 0..n-1, so such a row repeats a value; a < b are the
     first two positions of the least value it repeats.
     """
-    rows = np.nonzero((np.sort(table, axis=1) != np.arange(table.shape[1])).any(axis=1))[0]
-    if not rows.size:
+    x = _first_bad_row(table)
+    if x is None:
         return None
-    x = int(rows[0])
     order = np.argsort(table[x], kind="stable")
     k = int(np.nonzero(table[x][order][1:] == table[x][order][:-1])[0][0])
     return x, int(order[k]), int(order[k + 1])

@@ -4,9 +4,9 @@ Reports are line oriented, `STEP <name> PASS|FAIL <micros> [witness]`.
 Stdout carries real timings; report files written under --out zero the
 micros column so identical runs produce identical bytes.  Exit status is
 0 iff every asserted step passed, 1 on a failed step, 2 on unusable input
-(parse errors, unknown names, precondition failures), 3 when the library
-broke one of its own invariants (`InternalError`, or `AxiomViolated` from a
-derived construction).
+(parse errors, unknown names, precondition failures, tables too large for
+memory), 3 when the library broke one of its own invariants
+(`InternalError`, or `AxiomViolated` from a derived construction).
 
 The file-kind and pipeline tables are built per call, so their rows look up
 library names at run time, as direct calls do (a tracer may rebind them).
@@ -676,6 +676,10 @@ def main(argv=None) -> int:
         return 3
     except (SearchExhausted, PreconditionFailed, ValueError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # An input within --max-order whose tables outgrow this host's memory.
+        print(f"error: MemoryError: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -21,8 +21,9 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import (Check, _action_law_failure, _assoc_failure, _first_triple,
-                     _rows_law_failure, find_identity, generators, group_table_checks)
+from .checks import (Check, _action_law_failure, _assoc_failure, _first_bad_row, _first_triple,
+                     _right_inverses, _rows_law_failure, find_identity, generators,
+                     group_table_checks)
 
 # The default `--max-order`, and the one bound of the holomorph search: |Hol(N)| = |N| * |Aut(N)|.
 MAX_ORDER = 2048
@@ -85,10 +86,20 @@ class FiniteGroup:
     tables assembled from already-verified inputs (products, reindexed
     subgroups, quotients).  The Latin-square, identity, and inverse checks
     always run.
+
+    The group adopts `table` itself, without a copy, when it is an int32,
+    C-contiguous, read-only numpy array that owns its data: a builder that
+    wrote the table and froze it hands it over, so a large table exists
+    once while it is proved.  Any other input (a list, another dtype, a
+    writable array, a view) is copied, so no later write to it reaches
+    `table`.
     """
 
     def __init__(self, table, name: str = "G", trusted: bool = False):
-        arr = np.array(table, dtype=np.int32)
+        adopt = (isinstance(table, np.ndarray) and table.dtype == np.int32
+                 and table.flags.c_contiguous and not table.flags.writeable
+                 and table.flags.owndata)
+        arr = table if adopt else np.array(table, dtype=np.int32)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise NotLatinSquare(f"table shape {arr.shape} is not square")
         n = arr.shape[0]
@@ -98,7 +109,7 @@ class FiniteGroup:
         self.order: int = n
         self.name = name
         self.table = arr
-        inv = np.argmax(arr == 0, axis=1).astype(np.int32)
+        inv = _right_inverses(arr)
         self.inv = inv
         arr.setflags(write=False)
         inv.setflags(write=False)
@@ -409,16 +420,19 @@ def _check_automorphism_list(H: FiniteGroup, alpha: np.ndarray) -> None:
     Maps are judged in order, each by permutation, then identity, then the
     homomorphism law, which is the rows law of alpha: the maps before the
     first one failing a unit check go through _rows_law_failure together.
+    That map k is the first to move 0, unless an earlier map or map k itself
+    is not a permutation.
     """
-    perm = (np.sort(alpha, axis=1) == np.arange(alpha.shape[1])).all(axis=1)
-    unit = perm & (alpha[:, 0] == 0)
-    k = int(np.argmin(unit)) if not unit.all() else len(alpha)
+    moved = np.flatnonzero(alpha[:, 0])
+    k = int(moved[0]) if moved.size else len(alpha)
+    bad = _first_bad_row(alpha[:k + 1])
+    k = k if bad is None else bad
     witness = _rows_law_failure(H.table, alpha[:k])
     if witness is not None:
         s, a, b = witness
         raise NotAutomorphism(f"map {s} is not a homomorphism at ({a},{b})")
     if k < len(alpha):
-        raise NotAutomorphism(f"map {k} is not a permutation" if not perm[k]
+        raise NotAutomorphism(f"map {k} is not a permutation" if k == bad
                               else f"map {k} moves the identity")
 
 
@@ -438,10 +452,12 @@ def semidirect_product(
     if witness is not None:
         s, t, _ = witness
         raise NotHomomorphism(f"alpha({s}*{t}) != alpha({s})∘alpha({t})")
-    hpart = H.table[:, alpha]                          # (h, s, h') -> h * alpha_s(h')
-    table = hpart[:, :, :, None] * np.int32(S.order) + S.table[None, :, None, :]
-    n = H.order * S.order
-    return FiniteGroup(table.reshape(n, n), name=name or f"{H.name}:{S.name}", trusted=True)
+    nh, ns = H.order, S.order
+    hpart = H.table[:, alpha] * np.int32(ns)           # (h, s, h') -> (h * alpha_s(h')) * |S|
+    table = np.empty((nh * ns, nh * ns), dtype=np.int32)
+    np.add(hpart[:, :, :, None], S.table[None, :, None, :], out=table.reshape(nh, ns, nh, ns))
+    table.setflags(write=False)
+    return FiniteGroup(table, name=name or f"{H.name}:{S.name}", trusted=True)
 
 
 def direct_product(H: FiniteGroup, S: FiniteGroup, name: str | None = None) -> FiniteGroup:
@@ -739,14 +755,18 @@ def matched_pair_from_factorization(G: FiniteGroup, H: Subgroup, S: Subgroup) ->
 
 def _bicrossed_table(ht: np.ndarray, st: np.ndarray, left: np.ndarray,
                      right: np.ndarray) -> np.ndarray:
-    """Table on pairs (h, s) at h*|S| + s with (h,s)(h',s') = (h * s.h', s^h' * s')."""
+    """Table on pairs (h, s) at h*|S| + s with (h,s)(h',s') = (h * s.h', s^h' * s').
+
+    The table is returned frozen and owning its data, for FiniteGroup to adopt.
+    """
     nh, ns = ht.shape[0], st.shape[0]
-    hpart = ht[:, left]                                # (h, s, h') -> h * s.h'
+    hpart = ht[:, left] * np.int32(ns)                 # (h, s, h') -> (h * s.h') * |S|
     spart = st[right.transpose(1, 0), :]               # (h', s, s') -> s^h' * s'
-    table = np.empty((nh, ns, nh, ns), dtype=np.int32)
-    table[:] = hpart[:, :, :, None] * np.int32(ns)
-    table += spart.transpose(1, 0, 2)[None, :, :, :]
-    return table.reshape(nh * ns, nh * ns)
+    table = np.empty((nh * ns, nh * ns), dtype=np.int32)
+    np.add(hpart[:, :, :, None], spart.transpose(1, 0, 2)[None, :, :, :],
+           out=table.reshape(nh, ns, nh, ns))
+    table.setflags(write=False)
+    return table
 
 
 def bicrossed_product(mp: MatchedPair, name: str | None = None) -> FiniteGroup:

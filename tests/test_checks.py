@@ -1,8 +1,11 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
-from ybelab.checks import Check, Report, find_identity, group_table_checks
-from ybelab.groups import cyclic_group
+from ybelab.checks import (BLOCK_ENTRIES, Check, Report, _first_bad_row, _first_repeat,
+                           find_identity, group_table_checks)
+from ybelab.groups import cyclic_group, elementary_abelian, holomorph, semidirect_product
 
 
 def _names(checks):
@@ -105,3 +108,174 @@ def test_describe_lines():
     assert Check("law", True).describe() == "law PASS"
     text = Check("law", False, (3, 1), "left side").describe()
     assert text == "law FAIL at 3,1 left side"
+
+
+# --- the blocked table scans against plain per-row and per-column oracles ---
+
+def _oracle_table_checks(table, check_assoc):
+    """group_table_checks written out row by row and column by column."""
+    t = table.tolist()
+    n = len(t)
+    idx = list(range(n))
+    cols = [[t[r][c] for r in idx] for c in idx]
+    out = [(r, c) for r in idx for c in idx if not 0 <= t[r][c] < n]
+    if out:
+        r, c = out[0]
+        return [Check("latin", False, (r, c), f"entry {t[r][c]} out of range")] + [
+            Check(nm, False, (), "not evaluated: entries out of range")
+            for nm in ("identity", "associativity", "inverses")]
+    bad_rows = [r for r in idx if sorted(t[r]) != idx]
+    bad_cols = [c for c in idx if sorted(cols[c]) != idx]
+    if bad_rows:
+        latin = Check("latin", False, (bad_rows[0],), f"row {bad_rows[0]} is not a permutation")
+    elif bad_cols:
+        latin = Check("latin", False, (bad_cols[0],),
+                      f"column {bad_cols[0]} is not a permutation")
+    else:
+        latin = Check("latin", True)
+    units = [e for e in idx if t[e] == idx and cols[e] == idx]
+    if not units:
+        identity = Check("identity", False, (), "no two-sided identity")
+    elif units[0] != 0:
+        identity = Check("identity", False, (units[0],), f"identity at index {units[0]}, not 0")
+    else:
+        identity = Check("identity", True)
+    if check_assoc:
+        assoc = Check("associativity", True)
+        for a in idx:                        # the a-slice (b, c): (a*b)*c against a*(b*c)
+            hits = np.argwhere(table[table[a]] != table[a][table])
+            if len(hits):
+                assoc = Check("associativity", False, (a, *map(int, hits[0])))
+                break
+    else:
+        assoc = Check("associativity", True, (), "skipped")
+    no_right = [a for a in idx if 0 not in t[a]]
+    one_sided = [a for a in idx if not no_right and t[t[a].index(0)][a] != 0]
+    if no_right:
+        inverses = Check("inverses", False, (no_right[0],), "no right inverse")
+    elif one_sided:
+        inverses = Check("inverses", False, (one_sided[0],), "right inverse is not left inverse")
+    else:
+        inverses = Check("inverses", True)
+    return [latin, identity, assoc, inverses]
+
+
+def _oracle_first_repeat(table):
+    for x, row in enumerate(table.tolist()):
+        first, second = {}, {}
+        for i, v in enumerate(row):
+            if v in first:
+                second.setdefault(v, i)
+            else:
+                first[v] = i
+        if second:
+            v = min(second)
+            return x, first[v], second[v]
+    return None
+
+
+def _relabel(table, perm):
+    """The table of the same operation with each element x renamed perm[x]."""
+    inv = np.argsort(perm)
+    t = table[np.ix_(inv, inv)]
+    inside = (t >= 0) & (t < len(perm))
+    return np.where(inside, perm[np.where(inside, t, 0)], t)
+
+
+def _damaged(rng, base, late):
+    """base with one to three random damages; `late` is the least row or
+    column index a damage may touch, to reach a later scan block."""
+    t = base.copy()
+    n = len(t)
+    for _ in range(rng.integers(1, 4)):
+        r, c, c2 = (int(v) for v in rng.integers(late, n, 3))
+        kind = rng.integers(7)
+        if kind == 0:                        # an out-of-range entry
+            t[r, c] = (-1, n, n + 5)[rng.integers(3)]
+        elif kind == 1:                      # a repeat in row r (and a column clash)
+            t[r, c] = t[r, c2]
+        elif kind == 2:                      # two rows swapped
+            t[[r, c]] = t[[c, r]]
+        elif kind == 3:                      # two entries of row r swapped: two bad columns
+            t[r, [c, c2]] = t[r, [c2, c]]
+        elif kind == 4:                      # relabelled: the identity may leave 0
+            t = _relabel(t, rng.permutation(n))
+        elif kind == 5:                      # relabelled, the identity kept at 0
+            t = _relabel(t, np.concatenate(([0], 1 + rng.permutation(n - 1))))
+        else:                                # two columns swapped
+            t[:, [r, c]] = t[:, [c, r]]
+    return t
+
+
+def _bases():
+    d4 = semidirect_product(cyclic_group(4), cyclic_group(2),
+                            np.array([[0, 1, 2, 3], [0, 3, 2, 1]], dtype=np.int32))
+    return [cyclic_group(1).table, cyclic_group(2).table, cyclic_group(5).table,
+            elementary_abelian(2, 3).table, d4.table, cyclic_group(12).table]
+
+
+def test_table_checks_equal_the_row_and_column_oracle():
+    rng = np.random.default_rng(17)
+    kinds = set()
+    bases = _bases()
+    for _ in range(300):
+        base = bases[rng.integers(len(bases))]
+        table = _damaged(rng, base, 0) if len(base) > 1 else base.copy()
+        for check_assoc in (True, False):
+            got = group_table_checks.__wrapped__(table, check_assoc=check_assoc)
+            assert got == _oracle_table_checks(table, check_assoc)
+            kinds.update((c.name, c.detail.split(" ")[0]) for c in got if not c.ok)
+        if table.min() >= 0 and table.max() < len(table):
+            assert _first_repeat(table) == _oracle_first_repeat(table)
+            assert _first_repeat(table.T) == _oracle_first_repeat(table.T)
+    assert {("latin", "entry"), ("latin", "row"), ("latin", "column"),
+            ("identity", "identity"), ("identity", "no"), ("associativity", ""),
+            ("inverses", "no"), ("inverses", "right")} <= kinds
+
+
+def test_table_checks_find_witnesses_in_a_later_block():
+    """Relabelled C260: a block holds 65536 // 260 = 252 rows, so damage at
+    index 252 or above is found in the second block of the row or column scan."""
+    n = 260
+    assert BLOCK_ENTRIES // n == 252
+    rng = np.random.default_rng(5)
+    base = _relabel(cyclic_group(n).table, np.concatenate(([0], 1 + rng.permutation(n - 1))))
+    row_damage = base.copy()
+    row_damage[255, 258] = row_damage[255, 253]
+    column_damage = base.copy()
+    column_damage[256, [254, 259]] = column_damage[256, [259, 254]]
+    assert group_table_checks(row_damage)[0].witness == (255,)
+    assert group_table_checks(column_damage)[0].witness == (254,)
+    for table in [row_damage, column_damage] + [_damaged(rng, base, 252) for _ in range(12)]:
+        for check_assoc in (True, False):
+            got = group_table_checks.__wrapped__(table, check_assoc=check_assoc)
+            assert got == _oracle_table_checks(table, check_assoc)
+        if table.min() >= 0 and table.max() < n:
+            assert _first_repeat(table) == _oracle_first_repeat(table)
+            assert _first_repeat(table.T) == _oracle_first_repeat(table.T)
+
+
+def test_first_bad_row_on_rows_longer_than_a_block():
+    m = BLOCK_ENTRIES + 3
+    arr = np.tile(np.arange(m), (3, 1))
+    assert _first_bad_row(arr) is None
+    arr[2, 7] = m
+    assert _first_bad_row(arr) == 2
+    arr[1, [0, 1]] = 5
+    assert _first_bad_row(arr) == 1
+
+
+def test_table_proof_scratch_is_below_half_a_table():
+    """Proving the 1344^2 table of Hol(C2^3) allocates under half a table
+    more, with or without associativity (the range is read as min and max,
+    rows, columns and inverses in blocks, Light's test in row blocks)."""
+    table = holomorph(elementary_abelian(2, 3)).group.table
+    for check_assoc in (False, True):
+        tracemalloc.start()
+        try:
+            report = group_table_checks.__wrapped__(table, check_assoc=check_assoc)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert all(c.ok for c in report)
+        assert peak < table.nbytes / 2, (check_assoc, peak, table.nbytes)

@@ -408,6 +408,26 @@ def test_holomorph_command(tmp_path, capsys):
     assert (tmp_path / "holomorph-action.txt").exists()
 
 
+def test_out_of_memory_is_a_one_line_error(tmp_path, capsys, monkeypatch):
+    """Hol(C2^4) has order 322560; within --max-order its tables may not fit
+    in memory.  The builder is replaced by one that raises at once, so
+    nothing is allocated: the CLI exits 2 with one error line."""
+    path = tmp_path / "e2-4.txt"
+    path.write_text(write_group(groups.elementary_abelian(2, 4)))
+
+    for raised, line in ((MemoryError("Unable to allocate 388. GiB for an array"),
+                          "Unable to allocate 388. GiB for an array"),
+                         (MemoryError(), "out of memory")):
+        def out_of_memory(G, max_order, raised=raised):
+            raise raised
+        monkeypatch.setattr(cli, "holomorph", out_of_memory)
+        code = main(["holomorph", str(path), "--max-order", "322560",
+                     "--out", str(tmp_path / "out")])
+        out, err = capsys.readouterr()
+        assert code == 2
+        assert err == f"error: MemoryError: {line}\n"
+
+
 def test_holomorph_respects_max_order(tmp_path, capsys):
     path = tmp_path / "c3.txt"
     path.write_text(write_group(cyclic_group(3)))

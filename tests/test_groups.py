@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
@@ -89,6 +90,53 @@ def test_nonassociative_loop_rejected():
     ]
     with pytest.raises(NotAssociative):
         group_from_table(5, table)
+
+
+def test_group_adopts_a_frozen_owned_int32_table():
+    table = np.array(cyclic_group(6).table)
+    table.setflags(write=False)
+    G = FiniteGroup(table)
+    assert G.table is table and np.shares_memory(G.table, table)
+
+
+@pytest.mark.parametrize("kind", ["writable", "int64", "fortran-order", "view"])
+def test_group_copies_any_other_table(kind):
+    """A writable table, another dtype, a non-C-contiguous array or a frozen
+    view is copied: a later write to the memory it came from never reaches
+    G.table."""
+    owner = np.array(s3().table)
+    if kind == "int64":
+        owner = owner.astype(np.int64)
+    elif kind == "fortran-order":
+        owner = np.asfortranarray(owner)
+    given = owner[:] if kind == "view" else owner
+    if kind != "writable":
+        given.setflags(write=False)
+    G = FiniteGroup(given)
+    before = G.table.copy()
+    assert not np.shares_memory(G.table, owner)
+    owner.setflags(write=True)
+    owner[...] = 0
+    assert np.array_equal(G.table, before) and not G.table.flags.writeable
+
+
+def test_semidirect_product_table_is_built_once():
+    """The product writes its table into one frozen int32 array that the
+    group adopts, so Hol(C2^3), of order 1344, holds its table once while
+    it is built and proved: under 1.25 tables at peak, where broadcasting a
+    table, copying it and sorting it took over four."""
+    N = elementary_abelian(2, 3)
+    aut, maps = automorphism_group(N)
+    alpha = np.array([m.images for m in maps], dtype=np.int32)
+    tracemalloc.start()
+    try:
+        G = semidirect_product(N, aut, alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert G.order == 1344 and peak < 1.25 * G.table.nbytes
+    assert G.table.dtype == np.int32 and G.table.flags.owndata
+    assert not G.table.flags.writeable and G.table.flags.c_contiguous
 
 
 def test_cyclic_group_small():
@@ -537,6 +585,31 @@ def _twist_list(rng, H, S, auts):
         else:
             rows.append(rng.integers(-1, n + 1, n))
     return np.array(rows, dtype=np.int32)
+
+
+def test_first_failing_map_in_the_middle_of_the_list():
+    """k is the first map that fails a unit check; only maps before it face
+    the homomorphism law, and map k's permutation test comes first."""
+    H = cyclic_group(5)
+    ident, doubling, bad = np.arange(5), np.array([0, 2, 4, 1, 3]), np.array([0, 1, 1, 3, 4])
+    moved = np.array([1, 2, 3, 4, 0])
+    swap = np.array([0, 2, 1, 3, 4])              # a permutation fixing 0, not a homomorphism
+    cases = [
+        ([ident, doubling, bad, ident], "map 2 is not a permutation"),
+        ([ident, doubling, bad, moved], "map 2 is not a permutation"),
+        ([ident, moved, bad, ident], "map 1 moves the identity"),
+        ([ident, bad[::-1], ident], "map 1 is not a permutation"),
+        ([ident, swap, bad, ident], "map 1 is not a homomorphism at (1,1)"),
+        ([doubling, ident, doubling, moved], "map 3 moves the identity"),
+    ]
+    for rows, message in cases:
+        alpha = np.array(rows, dtype=np.int32)
+        with pytest.raises(NotAutomorphism) as err:
+            groups._check_automorphism_list(H, alpha)
+        assert str(err.value) == message
+        old = _outcome(lambda: _old_check_automorphism_list(H, alpha))
+        assert old == (NotAutomorphism, message)
+    groups._check_automorphism_list(H, np.array([ident, doubling], dtype=np.int32))
 
 
 def test_twist_list_refusals_keep_their_old_messages():
