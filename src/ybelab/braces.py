@@ -107,14 +107,6 @@ def trivial_brace(G: FiniteGroup) -> SkewBrace:
     return SkewBrace(G, G)
 
 
-def brace_gamma(B: SkewBrace, x: int) -> GroupMap:
-    """gamma_x as a verified automorphism of the star group."""
-    fmap = GroupMap(B.star, B.star, tuple(int(v) for v in B.gamma[x]))
-    if not fmap.is_bijective:
-        raise AxiomViolated(f"gamma_{x} is not bijective")
-    return fmap
-
-
 def abelian_map_brace(G: FiniteGroup, psi: GroupMap) -> SkewBrace:
     """Brace (G, *, .) with x * y = x . psi(x)^-1 . y . psi(x).
 

@@ -25,20 +25,14 @@ from .braces import SkewBrace, is_strong_left_ideal
 from .checks import (AxiomViolated, Check, Report, _action_law_failure, _action_law_holds,
                      _first_triple, _rows_law_failure, group_table_checks)
 from .groups import (
-    MAX_ORDER,
     FiniteGroup,
     GroupAction,
-    GroupMap,
     Holomorph,
-    MatchedPair,
     Subgroup,
     _left_cosets,
-    bicrossed_product,
     exact_factorization,
     find_complements,
-    holomorph,
     is_transitive,
-    matched_pair_from_factorization,
     stabilizer,
 )
 
@@ -244,14 +238,6 @@ def contains_brace(bracoid: SkewBracoid) -> ContainedBrace | None:
     return transport(bracoid, complements[0])
 
 
-def bracoid_gamma(cb: ContainedBrace, x: int) -> GroupMap:
-    """The twist of x as a verified automorphism of (H, *_H)."""
-    fmap = GroupMap(cb.Hstar, cb.Hstar, tuple(int(v) for v in cb.gammaH[x]))
-    if not fmap.is_bijective:
-        raise AxiomViolated(f"twist of element {x} is not bijective")
-    return fmap
-
-
 @dataclass(frozen=True)
 class LambdaRho:
     """Displacement tables of a contained brace.
@@ -352,43 +338,3 @@ def _displacement_witnesses(gt: np.ndarray, ginv: np.ndarray, lam: np.ndarray,
         prod_w = _first_triple(
             n, lambda x: lam[x][gt] != gt[lam[x][:, None], lam[rho[:, x]]]) or ()
     return lam_w, rho_w, inv_w, prod_w
-
-
-def to_matched_pair(cb: ContainedBrace,
-                    max_order: int = MAX_ORDER) -> tuple[MatchedPair, GroupMap, Subgroup]:
-    """Matched pair on (H, S) plus the holomorph image of theta.
-
-    Returns (pair, theta, image): the matched pair of the factorization
-    G = HS, the homomorphism theta(h, s)(k) = h . (s-twist of k) from the
-    bicrossed product into Hol(H, *_H), and its image subgroup.  The image
-    of H x {e} is verified to be regular.
-    """
-    pair = matched_pair_from_factorization(cb.bracoid.G, cb.H, cb.S)
-    sel = np.asarray(cb.S.elements, dtype=np.int32)
-    if not np.array_equal(pair.left, cb.actH.table[sel]):
-        raise AxiomViolated("matched action differs from the bracoid twist on S")
-    for s in range(cb.S.order):
-        row = GroupMap(cb.Hstar, cb.Hstar,
-                       tuple(int(v) for v in pair.left[s]))
-        if not row.is_bijective:
-            raise AxiomViolated(f"S-element {s} does not act bijectively")
-
-    hol = holomorph(cb.Hstar, max_order=max_order)
-    m, k = cb.H.order, cb.S.order
-    dot_h, star_h, sinv_h = cb.Hdot.table, cb.starH, cb.Hstar.inv
-    images = []
-    for h in range(m):
-        for s in range(k):
-            perm = dot_h[h, pair.left[s]]
-            idx = hol.element(h, star_h[sinv_h[h], perm])
-            if idx is None:
-                raise AxiomViolated(
-                    f"theta({h},{s}) does not normalize the star structure")
-            images.append(idx)
-    theta = GroupMap(bicrossed_product(pair), hol.group, tuple(images))
-    image = Subgroup(hol.group, tuple(sorted(set(images))))
-    regular = Subgroup(hol.group, tuple(sorted(images[h * k] for h in range(m))))
-    orbit = hol.action.table[np.asarray(regular.elements), 0]
-    if regular.order != m or len(set(orbit.tolist())) != m:
-        raise AxiomViolated("image of H is not regular")
-    return pair, theta, image

@@ -71,6 +71,8 @@ GL3F2_ORDER = 168
 GL3F2_ATTEMPT_CAP = 10**6
 # cyclic-pq builds Hol(C_pq), of order pq(p - 1)(q - 1), only for pq up to this.
 CYCLIC_PQ_MAX_N = 64
+# The largest order in the stock pool that seeded_braces draws from.
+POOL_ORDER = 16
 
 
 class UnknownExample(ValueError):
@@ -295,18 +297,18 @@ def _relabeled(G: FiniteGroup, perm: np.ndarray) -> FiniteGroup:
     return FiniteGroup(perm[G.table[inv[:, None], inv]], name=G.name + "~", trusted=True)
 
 
-def _brace_pool(max_order: int) -> list[SkewBrace]:
-    pool = [trivial_brace(cyclic_group(n)) for n in range(2, max_order + 1)]
+def _brace_pool() -> list[SkewBrace]:
+    pool = [trivial_brace(cyclic_group(n)) for n in range(2, POOL_ORDER + 1)]
     for k in (2, 3, 4):
-        if 2**k <= max_order:
+        if 2**k <= POOL_ORDER:
             pool.append(trivial_brace(elementary_abelian(2, k)))
     for p in (3, 5, 7, 11, 13):
         for q in (2, 3, 4):
-            if p * q <= max_order and (p - 1) % q == 0 and is_prime(q):
+            if p * q <= POOL_ORDER and (p - 1) % q == 0 and is_prime(q):
                 dot = _metacyclic(p, q)
                 pool.append(SkewBrace(direct_product(cyclic_group(p), cyclic_group(q)), dot))
                 pool.append(trivial_brace(dot))
-    for m in range(3, max_order // 2 + 1):
+    for m in range(3, POOL_ORDER // 2 + 1):
         # Dihedral group with the order-2 part split off by an abelian map.
         carrier = cyclic_group(m)
         arange = np.arange(m, dtype=np.int32)
@@ -317,10 +319,10 @@ def _brace_pool(max_order: int) -> list[SkewBrace]:
     return pool
 
 
-def seeded_braces(rng: random.Random, count: int, max_order: int = 16) -> list[SkewBrace]:
+def seeded_braces(rng: random.Random, count: int) -> list[SkewBrace]:
     """Draw braces from the stock pool, each relabelled by a random identity-fixing
     permutation; both tables get the same relabelling so the coupling law survives."""
-    pool = _brace_pool(max_order)
+    pool = _brace_pool()
     out = []
     for _ in range(count):
         base = pool[rng.randrange(len(pool))]

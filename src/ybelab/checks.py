@@ -283,9 +283,8 @@ def generators(table) -> list[int]:
 #   the rows law    F[x, a*b] = F[x, a] * F[x, b]     (each row F_x is an endomorphism).
 # Each shape's reduction to generators is proved once, below.  A law module
 # states its law as one of the two, or derives it from laws that are (the
-# matched-pair laws are Light's test on the bicrossed table, the displacement
-# product rule follows from rho-compose and the product law), and proves only
-# that restatement.  When a test fails, the full scan names the first triple
+# displacement product rule follows from rho-compose and the product law),
+# and proves only that restatement.  When a test fails, the full scan names the first triple
 # (_first_triple), so every witness is that of a complete scan.
 
 

@@ -446,7 +446,7 @@ def _battery_roundtrip(report: RunReport, with_brace, rng, count: int) -> None:
             step.ok = roundtrip_check(cb) and roundtrip_check(bracoid_to_semibrace(cb))
     with report.timed("roundtrip-random") as step:
         step.witness = f"count={count}"
-        for i, B in enumerate(seeded_braces(rng, count, 16)):
+        for i, B in enumerate(seeded_braces(rng, count)):
             cb = promote_brace(B)
             if not (roundtrip_check(cb) and roundtrip_check(bracoid_to_semibrace(cb))):
                 step.ok, step.witness = False, f"index={i}"

@@ -1,4 +1,4 @@
-"""Finite groups as multiplication tables, with subgroup/action/matched-pair machinery.
+"""Finite groups as multiplication tables, with subgroups, actions, maps and the holomorph.
 
 Conventions used throughout the package:
   - a group of order n lives on the indices 0..n-1 and its identity is 0;
@@ -21,9 +21,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import (Check, _action_law_failure, _assoc_failure, _first_bad_row, _first_triple,
-                     _right_inverses, _rows_law_failure, find_identity, generators,
-                     group_table_checks)
+from .checks import (Check, _action_law_failure, _first_bad_row, _right_inverses,
+                     _rows_law_failure, generators, group_table_checks)
 
 # The default `--max-order`, and the one bound of the holomorph search: |Hol(N)| = |N| * |Aut(N)|.
 MAX_ORDER = 2048
@@ -54,14 +53,6 @@ class NotAutomorphism(ValueError):
 
 
 class CapExceeded(ValueError):
-    pass
-
-
-class NotExactFactorization(ValueError):
-    pass
-
-
-class CompatibilityViolated(ValueError):
     pass
 
 
@@ -114,27 +105,6 @@ class FiniteGroup:
         arr.setflags(write=False)
         inv.setflags(write=False)
 
-    def mul(self, a: int, b: int) -> int:
-        return int(self.table[a, b])
-
-    def inverse(self, a: int) -> int:
-        return int(self.inv[a])
-
-    def conjugate(self, a: int, b: int) -> int:
-        """b * a * b^-1."""
-        return int(self.table[self.table[b, a], self.inv[b]])
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inverse(a), -k
-        out, base = 0, a
-        while k:
-            if k & 1:
-                out = self.mul(out, base)
-            base = self.mul(base, base)
-            k >>= 1
-        return out
-
     @cached_property
     def element_orders(self) -> np.ndarray:
         n = self.order
@@ -149,13 +119,6 @@ class FiniteGroup:
             k += 1
         orders.setflags(write=False)
         return orders
-
-    @cached_property
-    def is_abelian(self) -> bool:
-        return bool((self.table == self.table.T).all())
-
-    def opposite(self) -> FiniteGroup:
-        return FiniteGroup(self.table.T.copy(), name=f"{self.name}^op", trusted=True)
 
     def subgroup(self, elements: Sequence[int]) -> Subgroup:
         return Subgroup(self, tuple(sorted(int(e) for e in set(elements))))
@@ -228,9 +191,6 @@ class GroupAction:
         self.table = arr
         arr.setflags(write=False)
 
-    def apply(self, g: int, p: int) -> int:
-        return int(self.table[g, p])
-
     def __repr__(self) -> str:
         return f"GroupAction({self.actor.name!r} on {self.space_size} points)"
 
@@ -262,123 +222,6 @@ class GroupMap:
 
     def __call__(self, x: int) -> int:
         return int(self.images[x])
-
-    @property
-    def is_bijective(self) -> bool:
-        return self.source.order == self.target.order and len(set(self.images)) == self.source.order
-
-    def compose(self, other: GroupMap) -> GroupMap:
-        """self after other; other's target must be self's source."""
-        if other.target is not self.source and not np.array_equal(
-                other.target.table, self.source.table):
-            raise ValueError("composition mismatch")
-        return GroupMap(other.source, self.target, tuple(self.images[x] for x in other.images))
-
-
-@dataclass(frozen=True)
-class MatchedPair:
-    """Groups H, S with a left action of S on H and a right action of H on S.
-
-    left[s, h] is the action of s on h (valued in H); right[s, h] is the
-    action of h on s (valued in S).  Both action laws and the two mixed
-    compatibility laws are verified at construction, as associativity of
-    the bicrossed table; a failure is named by the full scan.
-    """
-
-    H: FiniteGroup
-    S: FiniteGroup
-    left: np.ndarray
-    right: np.ndarray
-
-    def __post_init__(self):
-        H, S = self.H, self.S
-        left = np.asarray(self.left, dtype=np.int32)
-        right = np.asarray(self.right, dtype=np.int32)
-        object.__setattr__(self, "left", left)
-        object.__setattr__(self, "right", right)
-        shape = (S.order, H.order)
-        if left.shape != shape or right.shape != shape:
-            raise CompatibilityViolated(f"action tables must both have shape {shape}")
-        if not ((left >= 0) & (left < H.order)).all():
-            raise CompatibilityViolated("left action has a value outside H")
-        if not ((right >= 0) & (right < S.order)).all():
-            raise CompatibilityViolated("right action has a value outside S")
-        nh = np.arange(H.order)
-        ns = np.arange(S.order)
-        if not (left[0] == nh).all() or not (left[:, 0] == 0).all():
-            raise CompatibilityViolated("left action must fix e_H and have trivial e_S row")
-        if not (right[0] == 0).all() or not (right[:, 0] == ns).all():
-            raise CompatibilityViolated("right action must fix e_S column and kill e_H")
-        if not _matched_pair_laws_hold(H.table, S.table, left, right):
-            _brute_matched_pair_laws(H, S, left, right)
-        left.setflags(write=False)
-        right.setflags(write=False)
-
-
-def _matched_pair_laws_hold(ht: np.ndarray, st: np.ndarray, left: np.ndarray,
-                            right: np.ndarray) -> bool:
-    """True iff the four laws of a matched pair hold: Light's test on the bicrossed table.
-
-    The unit checks have passed: left[0] and right[:, 0] are identities,
-    left[:, 0] = 0 and right[0] = 0.  Then (e,s)(h,e) = (s.h, s^h) and
-    (e,s)(e,s') = (e, ss') in the table (h,s)(h',s') = (h * s.h', s^h' * s'),
-    and associativity there gives the four laws (Takeuchi, Comm. Algebra 9,
-    1981):
-      - at ((e,s)(h,e))(h',e) against (e,s)((h,e)(h',e)) it reads
-        (s.h * (s^h).h', (s^h)^h') = (s.(hh'), s^(hh')): the mixed law on H
-        and the right action law;
-      - at ((e,s)(e,s'))(h,e) against (e,s)((e,s')(h,e)) it reads
-        ((ss').h, (ss')^h) = (s.(s'.h), s^(s'.h) * s'^h): the left action
-        law and the mixed law on S.
-    Conversely the four laws make the table associative, the standard
-    fact that the bicrossed product of a matched pair is a group.  So the
-    table is associative exactly when the four laws hold.
-    """
-    return _assoc_failure(_bicrossed_table(ht, st, left, right)) is None
-
-
-def _brute_matched_pair_laws(H: FiniteGroup, S: FiniteGroup, left: np.ndarray,
-                             right: np.ndarray) -> None:
-    """Scan the four matched-pair laws in full; raise at the first failure.
-
-    By the proof in _matched_pair_laws_hold one of them fails whenever the
-    bicrossed table is not associative; if none does, that proof is broken.
-    """
-    ht, st = H.table, S.table
-    for message, bad_at in (
-            # left is a left action: (s*t).h = s.(t.h)
-            ("left action law fails at s={} t={} h={}",
-             lambda s: left[st[s]] != left[s][left]),
-            # right is a right action: s^(h*k) = (s^h)^k
-            ("right action law fails at s={} h={} k={}",
-             lambda s: right[s][ht] != right[right[s]]),
-            # s.(h1*h2) = (s.h1) * (s^h1).h2
-            ("mixed law on H fails at s={} h1={} h2={}",
-             lambda s: left[s][ht] != ht[left[s][:, None], left[right[s]]]),
-            # (s1*s2)^h = s1^(s2.h) * s2^h
-            ("mixed law on S fails at s1={} s2={} h={}",
-             lambda s: right[st[s]] != st[right[s][left], right])):
-        witness = _first_triple(S.order, bad_at)
-        if witness is not None:
-            raise CompatibilityViolated(message.format(*witness))
-    witness = _assoc_failure(_bicrossed_table(ht, st, left, right))
-    if witness is not None:
-        raise InternalError(
-            f"bicrossed table not associative at {witness}, yet the matched-pair laws hold")
-
-
-def group_from_table(order: int, table, name: str = "G") -> FiniteGroup:
-    """Build a group from a raw table, relabelling a unique identity to index 0."""
-    arr = np.array(table, dtype=np.int32)
-    if arr.shape != (order, order):
-        raise NotLatinSquare(f"table shape {arr.shape}, expected ({order}, {order})")
-    if ((arr >= 0) & (arr < order)).all():
-        e = find_identity(arr)
-        if e is not None and e != 0:
-            swap = np.arange(order, dtype=np.int32)
-            swap[0], swap[e] = e, 0
-            arr = swap[arr[np.ix_(swap, swap)]]
-    return FiniteGroup(arr, name=name)
 
 
 def cyclic_group(n: int) -> FiniteGroup:
@@ -725,51 +568,3 @@ def exact_factorization(G: FiniteGroup, H: Subgroup, S: Subgroup) -> bool:
     if H.parent is not G or S.parent is not G:
         raise ValueError("H and S must be subgroups of G")
     return set(H.elements) & set(S.elements) == {0} and H.order * S.order == G.order
-
-
-def matched_pair_from_factorization(G: FiniteGroup, H: Subgroup, S: Subgroup) -> MatchedPair:
-    """Mutual actions defined by refactoring s*h as (s.h) * (s^h)."""
-    if not exact_factorization(G, H, S):
-        raise NotExactFactorization(
-            f"|H|*|S| = {H.order}*{S.order} with overlap does not factor |G| = {G.order}"
-        )
-    Hel = np.asarray(H.elements, dtype=np.int32)
-    Sel = np.asarray(S.elements, dtype=np.int32)
-    prod = G.table[np.ix_(Hel, Sel)]
-    fact_h = np.full(G.order, -1, dtype=np.int32)
-    fact_s = np.full(G.order, -1, dtype=np.int32)
-    hi = np.repeat(np.arange(H.order, dtype=np.int32), S.order)
-    si = np.tile(np.arange(S.order, dtype=np.int32), H.order)
-    flat = prod.reshape(-1)
-    if len(set(flat.tolist())) != G.order:
-        raise NotExactFactorization("products h*s do not exhaust G")
-    fact_h[flat] = hi
-    fact_s[flat] = si
-    mix = G.table[np.ix_(Sel, Hel)]
-    left = fact_h[mix]
-    right = fact_s[mix]
-    Hgrp = H.as_group(name=f"{G.name}|H")
-    Sgrp = S.as_group(name=f"{G.name}|S")
-    return MatchedPair(Hgrp, Sgrp, left, right)
-
-
-def _bicrossed_table(ht: np.ndarray, st: np.ndarray, left: np.ndarray,
-                     right: np.ndarray) -> np.ndarray:
-    """Table on pairs (h, s) at h*|S| + s with (h,s)(h',s') = (h * s.h', s^h' * s').
-
-    The table is returned frozen and owning its data, for FiniteGroup to adopt.
-    """
-    nh, ns = ht.shape[0], st.shape[0]
-    hpart = ht[:, left] * np.int32(ns)                 # (h, s, h') -> (h * s.h') * |S|
-    spart = st[right.transpose(1, 0), :]               # (h', s, s') -> s^h' * s'
-    table = np.empty((nh * ns, nh * ns), dtype=np.int32)
-    np.add(hpart[:, :, :, None], spart.transpose(1, 0, 2)[None, :, :, :],
-           out=table.reshape(nh, ns, nh, ns))
-    table.setflags(write=False)
-    return table
-
-
-def bicrossed_product(mp: MatchedPair, name: str | None = None) -> FiniteGroup:
-    """Group on H x S pairs with (h,s)(h',s') = (h * s.h', s^h' * s')."""
-    table = _bicrossed_table(mp.H.table, mp.S.table, mp.left, mp.right)
-    return FiniteGroup(table, name=name or f"{mp.H.name}x|{mp.S.name}", trusted=True)

@@ -116,11 +116,6 @@ class Semibrace:
         return f"Semibrace(order={self.order}, dot={self.dot.name!r})"
 
 
-def L_map(sb: Semibrace, x: int) -> np.ndarray:
-    """The self-map y -> x(x^-1 + y) as an index array."""
-    return sb.L[x]
-
-
 @dataclass(frozen=True)
 class Decomposition:
     """Split of the carrier into G+e and the idempotents E."""

@@ -11,7 +11,7 @@ is proved from those laws in O(n^2 |gens|).  A map with few distinct
 maps s_x and t_y, with or without a carrier, is decided on one triple per
 class of them (_braid_from_profiles); every other map gets the n^3 scan.
 The braid composites are evaluated in one place, _braid_masks, whose
-x-slices both the first-witness scan and ``collect_all`` read.
+x-slices the first-witness scan reads.
 
 Derivation routes (from semibraces and from bracoids that contain a
 brace) verify their advertised properties before returning, so a
@@ -25,10 +25,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checks import AxiomViolated, _action_law_holds, _first_repeat, _first_triple
-from .groups import CapExceeded, FiniteGroup
+from .groups import FiniteGroup
 
-# Backtracking isomorphism search is only offered on small index sets.
-ISOMORPHISM_CAP = 16
 # _braid_from_profiles runs its checks only when their work, about
 # (a^2 + b^2 + |pi| |rho|) n, is at most 1/PROFILE_SHARE of the scan's n^3.
 # The solutions of gl3f2 have a = b = 168 = n and exit at once; the
@@ -90,9 +88,6 @@ class SolutionMap:
         self.provenance = provenance
         self.carrier = carrier
 
-    def apply(self, x: int, y: int) -> tuple[int, int]:
-        return int(self.left[x, y]), int(self.right[x, y])
-
     def __repr__(self) -> str:
         return f"SolutionMap(size={self.size}, provenance={self.provenance!r})"
 
@@ -109,7 +104,6 @@ class SolutionReport:
     bijectivity witness is (x1, y1, x2, y2) for a pair collision; the
     nondegeneracy witnesses are (x, y1, y2) for a repeated row value of
     ``left`` and (y, x1, x2) for a repeated column value of ``right``.
-    ``braid_counterexamples`` is filled only by a full scan.
     """
 
     size: int
@@ -123,7 +117,6 @@ class SolutionReport:
     left_witness: tuple[int, ...] = ()
     right_nondegenerate: bool = True
     right_witness: tuple[int, ...] = ()
-    braid_counterexamples: tuple[tuple[int, int, int], ...] | None = None
 
     def properties(self) -> tuple[tuple[str, bool, tuple[int, ...]], ...]:
         """(name, holds, witness) for the five measured properties, braid first."""
@@ -286,27 +279,20 @@ def _braid_from_profiles(left: np.ndarray, right: np.ndarray) -> bool:
                               left[right[x][P], Q]) for x in xs)
 
 
-def check_braid(r: SolutionMap, collect_all: bool = False) -> SolutionReport:
+def check_braid(r: SolutionMap) -> SolutionReport:
     """Decide the braid relation on all n^3 triples, plus the pairwise properties.
 
-    Without ``collect_all``, a map with a carrier is first tried by
-    _braid_from_carrier, and then any map by _braid_from_profiles; either
-    proves the relation on every triple with no scan.  When neither does,
-    the x-slices of _braid_masks are scanned in order until the first
-    failing one names the first failing (y, z), so the verdict and witness
-    are always those of the full scan.  With ``collect_all`` every slice is
-    scanned and every failing triple gathered (in lexicographic order).
-    The four pairwise properties are always measured in full.
+    A map with a carrier is first tried by _braid_from_carrier, and then
+    any map by _braid_from_profiles; either proves the relation on every
+    triple with no scan.  When neither does, the x-slices of _braid_masks
+    are scanned in order until the first failing one names the first
+    failing (y, z), so the verdict and witness are always those of the
+    full scan.  The four pairwise properties are always measured in full.
     """
     left, right = r.left, r.right
     n = r.size
-    gathered = []
-    if collect_all:
-        bad_at = _braid_masks(left, right)
-        gathered = [(x, y, z) for x in range(n) for y, z in np.argwhere(bad_at(x)).tolist()]
-        braid_witness = gathered[0] if gathered else ()
-    elif ((r.carrier is not None and _braid_from_carrier(left, right, r.carrier.table))
-          or _braid_from_profiles(left, right)):
+    if ((r.carrier is not None and _braid_from_carrier(left, right, r.carrier.table))
+            or _braid_from_profiles(left, right)):
         braid_witness = ()
     else:
         braid_witness = _first_triple(n, _braid_masks(left, right)) or ()
@@ -343,7 +329,6 @@ def check_braid(r: SolutionMap, collect_all: bool = False) -> SolutionReport:
         left_witness=lnd_witness,
         right_nondegenerate=not rnd_witness,
         right_witness=rnd_witness,
-        braid_counterexamples=tuple(gathered) if collect_all else None,
     )
 
 
@@ -459,60 +444,3 @@ def solutions_equal(r1: SolutionMap, r2: SolutionMap) -> bool:
         raise SizeMismatch(f"sizes differ: {r1.size} vs {r2.size}")
     return bool(np.array_equal(r1.left, r2.left)
                 and np.array_equal(r1.right, r2.right))
-
-
-def solution_isomorphism(r1: SolutionMap, r2: SolutionMap) -> list[int] | None:
-    """Search for a bijection f with (f x f) r1 = r2 (f x f), or None.
-
-    Backtracking with forced-assignment propagation; deliberately capped
-    at size 16, since equality is the only large-scale comparison needed.
-    Returns the lexicographically least image list when one exists.
-    """
-    if r1.size != r2.size:
-        raise SizeMismatch(f"sizes differ: {r1.size} vs {r2.size}")
-    n = r1.size
-    if n > ISOMORPHISM_CAP:
-        raise CapExceeded(f"isomorphism search capped at {ISOMORPHISM_CAP}")
-    l1, r1t = r1.left, r1.right
-    l2, r2t = r2.left, r2.right
-
-    def propagate(perm: list[int], used: list[bool]) -> bool:
-        # Images of assigned pairs force further assignments; loop to fixpoint.
-        changed = True
-        while changed:
-            changed = False
-            assigned = [a for a in range(n) if perm[a] >= 0]
-            for a in assigned:
-                for b in assigned:
-                    for src, dst in ((l1, l2), (r1t, r2t)):
-                        t = int(src[a, b])
-                        w = int(dst[perm[a], perm[b]])
-                        if perm[t] < 0:
-                            if used[w]:
-                                return False
-                            perm[t] = w
-                            used[w] = True
-                            changed = True
-                        elif perm[t] != w:
-                            return False
-        return True
-
-    def extend(perm: list[int], used: list[bool]) -> list[int] | None:
-        try:
-            i = perm.index(-1)
-        except ValueError:
-            return perm
-        for v in range(n):
-            if used[v]:
-                continue
-            trial = perm.copy()
-            trial_used = used.copy()
-            trial[i] = v
-            trial_used[v] = True
-            if propagate(trial, trial_used):
-                found = extend(trial, trial_used)
-                if found is not None:
-                    return found
-        return None
-
-    return extend([-1] * n, [False] * n)

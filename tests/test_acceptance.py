@@ -52,7 +52,7 @@ def test_criterion_2_roundtrips_are_exact(catalog):
         assert roundtrip_check(inst.contained), inst.name
         assert roundtrip_check(bracoid_to_semibrace(inst.contained)), inst.name
     rng = random.Random(20260814)
-    for k, B in enumerate(seeded_braces(rng, 100, max_order=16)):
+    for k, B in enumerate(seeded_braces(rng, 100)):
         cb = promote_brace(B)
         assert roundtrip_check(cb), f"random brace {k}"
         assert roundtrip_check(bracoid_to_semibrace(cb)), f"random brace {k}"

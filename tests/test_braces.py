@@ -6,7 +6,6 @@ from ybelab.braces import (
     NotAbelianImage,
     SkewBrace,
     abelian_map_brace,
-    brace_gamma,
     brace_solution,
     is_strong_left_ideal,
     regular_rep_in_holomorph,
@@ -100,7 +99,7 @@ def test_verify_rejects_broken_table_before_compat():
 def test_trivial_brace_gamma_is_identity():
     B = trivial_brace(cyclic_group(4))
     assert np.array_equal(B.gamma, np.tile(np.arange(4), (4, 1)))
-    assert brace_gamma(B, 3).images == (0, 1, 2, 3)
+    assert GroupMap(B.star, B.star, tuple(int(v) for v in B.gamma[3])).images == (0, 1, 2, 3)
 
 
 def test_semidirect_brace_gamma_twists_only_the_normal_part():
@@ -153,7 +152,7 @@ def test_abelian_map_projection_on_order60_group():
     psi = GroupMap(G, G, tuple(i % 4 for i in range(60)))
     B = abelian_map_brace(G, psi)
     assert np.array_equal(B.abelian_data.phi, 4 * (np.arange(60) // 4))
-    assert B.star.is_abelian
+    assert (B.star.table == B.star.table.T).all()
     assert _first_coupling_failure(B.star, G) is None
     # gamma stays multiplicative out here too.
     assert np.array_equal(B.gamma[G.table], B.gamma[:, B.gamma])
@@ -193,7 +192,7 @@ def test_trivial_brace_solution_is_conjugation():
     assert np.array_equal(r.left, np.tile(np.arange(6), (6, 1)))
     for x in range(6):
         for y in range(6):
-            assert r.right[x, y] == G.mul(G.mul(G.inv[y], x), y)
+            assert r.right[x, y] == G.table[G.table[G.inv[y], x], y]
 
 
 def test_semidirect_brace_solution_satisfies_braid_pointwise():

@@ -70,7 +70,7 @@ def assert_same_report(lr: LambdaRho) -> None:
 
 @cache
 def seeded() -> tuple[LambdaRho, ...]:
-    braces = seeded_braces(random.Random(20261018), 12, max_order=16)
+    braces = seeded_braces(random.Random(20261018), 12)
     return tuple(promote_brace(B).lambda_rho for B in braces)
 
 

@@ -1,6 +1,7 @@
 """Rules on the library source that no behavioural test would notice breaking."""
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import ybelab
@@ -114,3 +115,57 @@ def test_only_catalog_and_cli_import_random():
             if any(name.split(".")[0] == "random" for name in names):
                 importers.add(path.stem)
     assert importers == RANDOM_IMPORTERS
+
+
+# Definitions that nothing in the library runs, each kept for a test that
+# checks a statement of the paper or a planned item through it.
+UNCALLED_BY_DESIGN = {
+    "ybe.restrict_solution": "the restrictions of the bracoid solution to H and to S",
+    "braces.regular_rep_in_holomorph": "the skew brace census of ROADMAP item 4 reads it backwards",
+    "files.read_action": "the reader of the holomorph-action.txt artifact the CLI writes",
+}
+
+
+def _named(node) -> Counter:
+    """How often each identifier is read in node, as a name or an attribute."""
+    return Counter(inner.id if isinstance(inner, ast.Name) else inner.attr
+                   for inner in ast.walk(node) if isinstance(inner, (ast.Name, ast.Attribute)))
+
+
+def _definitions(tree):
+    """(dotted name, node) for each module-level function and class, and each
+    method or property of such a class that is not a dunder."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield node.name, node
+        if isinstance(node, ast.ClassDef):
+            for member in node.body:
+                if (isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef))
+                        and not (member.name.startswith("__") and member.name.endswith("__"))):
+                    yield f"{node.name}.{member.name}", member
+
+
+def test_every_library_definition_has_a_caller():
+    """Each definition is named somewhere in the library outside its own body,
+    or in a benchmark module; the re-exports of __init__.py do not count, and
+    they are exactly the names __init__.py imports."""
+    trees = _trees()
+    bench = Path(__file__).resolve().parents[1] / "perfbench"
+    names = Counter()
+    for path, tree in trees:
+        if path.name != "__init__.py":
+            names += _named(tree)
+    for path in sorted(bench.glob("*.py")):
+        if not path.name.startswith("test_"):
+            names += _named(ast.parse(path.read_text(), filename=str(path)))
+    uncalled = []
+    for path, tree in trees:
+        for name, node in _definitions(tree):
+            short = name.rsplit(".", 1)[-1]
+            if names[short] == _named(node)[short]:
+                uncalled.append(f"{path.stem}.{name}")
+    assert sorted(uncalled) == sorted(UNCALLED_BY_DESIGN)
+    init = next(tree for path, tree in trees if path.name == "__init__.py")
+    imported = [alias.asname or alias.name for node in init.body
+                if isinstance(node, ast.ImportFrom) for alias in node.names]
+    assert sorted(ybelab.__all__) == sorted(imported)
