@@ -8,11 +8,9 @@ holomorph embedding, and the derived Yang-Baxter map.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from .checks import AxiomViolated, Check, Report, _rows_law_failure, group_table_checks
+from .checks import AxiomViolated, Check, Record, Report, _rows_law_failure, group_table_checks
 from .groups import MAX_ORDER, FiniteGroup, GroupMap, Subgroup, holomorph
 from .ybe import SolutionMap, assert_properties
 
@@ -69,15 +67,13 @@ class SkewBrace:
         return f"SkewBrace(order={self.order}, dot={self.dot.name!r})"
 
 
-@dataclass(frozen=True)
-class AbelianMapData:
+class AbelianMapData(Record):
     """An endomorphism with abelian image plus the map phi(x) = x.psi(x)^-1."""
 
-    base: FiniteGroup
-    psi: GroupMap
-    phi: np.ndarray
+    __slots__ = ("base", "psi", "phi")
 
-    def __post_init__(self):
+    def __init__(self, base: FiniteGroup, psi: GroupMap, phi: np.ndarray):
+        self._fill(base, psi, phi)
         img = np.asarray(self.psi.images, dtype=np.int32)
         arange = np.arange(self.base.order, dtype=np.int32)
         expected = self.base.table[arange, self.base.inv[img]]

@@ -16,13 +16,12 @@ gammaH) for the brace on H; Hel maps an H-position to its G-index.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .braces import SkewBrace, is_strong_left_ideal
-from .checks import (AxiomViolated, Check, Report, _action_law_failure, _action_law_holds,
+from .checks import (AxiomViolated, Check, Record, Report, _action_law_failure, _action_law_holds,
                      _first_triple, _rows_law_failure, group_table_checks)
 from .groups import (
     FiniteGroup,
@@ -238,8 +237,7 @@ def contains_brace(bracoid: SkewBracoid) -> ContainedBrace | None:
     return transport(bracoid, complements[0])
 
 
-@dataclass(frozen=True)
-class LambdaRho:
+class LambdaRho(Record):
     """Displacement tables of a contained brace.
 
     lam[x, y] is the G-index of lambda_x(y) = gamma_x(y (+) e), an
@@ -249,9 +247,10 @@ class LambdaRho:
     lambda_rho free of a reference cycle.
     """
 
-    G: FiniteGroup
-    lam: np.ndarray
-    rho: np.ndarray
+    __slots__ = ("G", "lam", "rho")
+
+    def __init__(self, G: FiniteGroup, lam: np.ndarray, rho: np.ndarray):
+        self._fill(G, lam, rho)
 
 
 def lambda_rho(cb: ContainedBrace) -> LambdaRho:

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -29,6 +28,7 @@ from .bracoids import (
     from_strong_left_ideal,
     transport,
 )
+from .checks import Record
 from .groups import (
     CapExceeded,
     FiniteGroup,
@@ -83,8 +83,7 @@ class SearchExhausted(RuntimeError):
     """The seeded generator search hit its attempt cap; rerun with a new seed."""
 
 
-@dataclass(frozen=True)
-class CatalogInstance:
+class CatalogInstance(Record):
     """Everything a family builder produced for one parameter choice.
 
     ``contained`` is None exactly when the bracoid's stabilizer has no
@@ -92,12 +91,12 @@ class CatalogInstance:
     the search, so None is always a certificate and never "not tried".
     """
 
-    name: str
-    params: tuple[int, ...]
-    brace: SkewBrace | None
-    bracoid: SkewBracoid
-    contained: ContainedBrace | None
-    detail: dict = field(default_factory=dict)
+    __slots__ = ("name", "params", "brace", "bracoid", "contained", "detail")
+
+    def __init__(self, name: str, params: tuple[int, ...], brace: SkewBrace | None,
+                 bracoid: SkewBracoid, contained: ContainedBrace | None,
+                 detail: dict | None = None):
+        self._fill(name, params, brace, bracoid, contained, {} if detail is None else detail)
 
 
 def _require_prime(value: int, label: str) -> None:

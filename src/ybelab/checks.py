@@ -1,12 +1,11 @@
-"""Pass/fail report records shared by the structure verifiers, the memo
-that proves each distinct small table once per process, and the two proof
-shapes, the action law and the rows law, proved on generators once for
-every law stated in them."""
+"""The immutable record base, the pass/fail report records shared by the
+structure verifiers, the memo that proves each distinct small table once
+per process, and the two proof shapes, the action law and the rows law,
+proved on generators once for every law stated in them."""
 
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -15,14 +14,53 @@ class AxiomViolated(ValueError):
     """Raised when tables offered as a verified structure break a defining law."""
 
 
-@dataclass(frozen=True)
-class Check:
+_set = object.__setattr__          # past Record.__setattr__, which refuses every assignment
+
+
+class Record:
+    """An immutable record whose fields are its `__slots__`, in order.
+
+    Each record class sets its fields once, in its own `__init__`, through
+    `_fill`; records of one class are equal when their fields are, and hash
+    by them.  These are plain classes, not dataclasses, because a dataclass
+    generates and compiles its methods at import, about 1 ms a class in every
+    process.
+    """
+
+    __slots__ = ()
+
+    def _fill(self, *values) -> None:
+        for name, value in zip(self.__slots__, values, strict=True):
+            _set(self, name, value)
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        return f"{type(self).__name__}({fields})"
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"cannot assign to field {name!r} of a {type(self).__name__}")
+
+    __delattr__ = __setattr__
+
+
+class Check(Record):
     """One verified axiom: name, outcome, and the first counterexample if any."""
 
-    name: str
-    ok: bool
-    witness: tuple[int, ...] = ()
-    detail: str = ""
+    __slots__ = ("name", "ok", "witness", "detail")
+
+    def __init__(self, name: str, ok: bool, witness: tuple[int, ...] = (), detail: str = ""):
+        self._fill(name, ok, witness, detail)
 
     def describe(self) -> str:
         if self.ok:
@@ -35,9 +73,11 @@ class Check:
         return " ".join(parts)
 
 
-@dataclass(frozen=True)
-class Report:
-    checks: tuple[Check, ...] = field(default_factory=tuple)
+class Report(Record):
+    __slots__ = ("checks",)
+
+    def __init__(self, checks: tuple[Check, ...] = ()):
+        self._fill(checks)
 
     @property
     def ok(self) -> bool:

@@ -16,12 +16,12 @@ caller decides whether to run verifiers or constructors on the rest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from itertools import accumulate
 from typing import Callable
 
 import numpy as np
 
+from .checks import Record, _row_blocks
 from .groups import FiniteGroup
 from .ybe import SolutionMap
 
@@ -42,25 +42,32 @@ def _table_text(arr: np.ndarray) -> str:
     if arr.min() < 0 or hi > arr.size:         # no lookup list longer than the table
         return "".join(" ".join(map(str, row)) + "\n" for row in arr.tolist())
     # Each word is padded with NUL bytes to the width of the longest, and
-    # the padding is dropped from the gathered bytes.
+    # the padding is dropped from the gathered bytes.  Rows are gathered in
+    # blocks of at most checks.BLOCK_ENTRIES entries, so at most two copies
+    # of the text are alive at once (the blocks and their join, then the join
+    # and its decoding), plus one block's scratch.
     words = np.array([f"{v} " for v in range(hi + 1)] + [f"{v}\n" for v in range(hi + 1)],
                      dtype=f"S{len(str(hi)) + 1}")
-    index = arr.astype(np.intp)
-    index[:, -1] += hi + 1                     # the last entry of a row ends its line
-    return words[index].tobytes().replace(b"\0", b"").decode()
+    shift = np.zeros(arr.shape[1], dtype=np.intp)
+    shift[-1] = hi + 1                         # the last entry of a row ends its line
+    return b"".join([words[rows + shift].tobytes().replace(b"\0", b"")
+                     for _, rows in _row_blocks(arr)]).decode()
 
 
-@dataclass(frozen=True)
-class _Format:
+class _Format(Record):
     """A file layout: 'MAGIC v1', integer counts, an optional tail, then tables.
 
     Tables follow the header line in order, one blank line between two.
+    `counts` is the number of integers after 'MAGIC v1', `shapes` maps them
+    to the table shapes, and `tail` is the default header tail (None: the
+    layout keeps none).
     """
 
-    magic: str
-    counts: int                                   # integers after 'MAGIC v1'
-    shapes: Callable[..., list[tuple[int, int]]]  # the counts -> table shapes
-    tail: str | None = None                       # default header tail; None: not kept
+    __slots__ = ("magic", "counts", "shapes", "tail")
+
+    def __init__(self, magic: str, counts: int,
+                 shapes: Callable[..., list[tuple[int, int]]], tail: str | None = None):
+        self._fill(magic, counts, shapes, tail)
 
     def text(self, numbers, tail: str | None, tables) -> str:
         words = [self.magic, "v1", *map(str, numbers)]

@@ -15,13 +15,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from collections import deque
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .checks import (Check, _action_law_failure, _first_bad_row, _right_inverses,
+from .checks import (Check, Record, _action_law_failure, _first_bad_row, _right_inverses,
                      _rows_law_failure, generators, group_table_checks)
 
 # The default `--max-order`, and the one bound of the holomorph search: |Hol(N)| = |N| * |Aut(N)|.
@@ -127,14 +126,13 @@ class FiniteGroup:
         return f"FiniteGroup({self.name!r}, order={self.order})"
 
 
-@dataclass(frozen=True)
-class Subgroup:
+class Subgroup(Record):
     """A subgroup of `parent` as a sorted tuple of parent indices."""
 
-    parent: FiniteGroup
-    elements: tuple[int, ...]
+    __slots__ = ("parent", "elements")
 
-    def __post_init__(self):
+    def __init__(self, parent: FiniteGroup, elements: tuple[int, ...]):
+        self._fill(parent, elements)
         elems = self.elements
         if not elems or elems[0] != 0 or list(elems) != sorted(set(elems)):
             raise ValueError(f"subgroup elements must be sorted, unique, and contain 0: {elems}")
@@ -195,15 +193,13 @@ class GroupAction:
         return f"GroupAction({self.actor.name!r} on {self.space_size} points)"
 
 
-@dataclass(frozen=True)
-class GroupMap:
+class GroupMap(Record):
     """A homomorphism between table groups, stored as the image tuple."""
 
-    source: FiniteGroup
-    target: FiniteGroup
-    images: tuple[int, ...]
+    __slots__ = ("source", "target", "images")
 
-    def __post_init__(self):
+    def __init__(self, source: FiniteGroup, target: FiniteGroup, images: tuple[int, ...]):
+        self._fill(source, target, images)
         img = np.asarray(self.images, dtype=np.int32)
         if img.shape != (self.source.order,):
             raise NotHomomorphism(
@@ -426,8 +422,7 @@ def automorphism_group(
     return aut, [GroupMap(G, G, p) for p in perms]
 
 
-@dataclass(frozen=True)
-class Holomorph:
+class Holomorph(Record):
     """Hol(N) = N x| Aut(N) with its natural transitive action (h, a).k = h * a(k).
 
     `group` is the semidirect product table, `action` its action on the
@@ -436,19 +431,19 @@ class Holomorph:
     in maps); `element` is the only place that turns a pair into an index.
     """
 
-    base: FiniteGroup
-    group: FiniteGroup
-    action: GroupAction
-    maps: tuple[GroupMap, ...]
+    __slots__ = ("base", "group", "action", "maps")
 
-    @cached_property
-    def _slots(self) -> dict[tuple[int, ...], int]:
-        return {m.images: i for i, m in enumerate(self.maps)}
+    def __init__(self, base: FiniteGroup, group: FiniteGroup, action: GroupAction,
+                 maps: tuple[GroupMap, ...]):
+        self._fill(base, group, action, maps)
 
     def element(self, h: int, twist: Sequence[int]) -> int | None:
         """Index of (h, twist), twist given by its images; None if it is not in Aut(N)."""
-        slot = self._slots.get(tuple(int(v) for v in twist))
-        return None if slot is None else int(h) * len(self.maps) + slot
+        images = tuple(int(v) for v in twist)
+        slot = bisect_left(self.maps, images, key=lambda m: m.images)
+        if slot == len(self.maps) or self.maps[slot].images != images:
+            return None
+        return int(h) * len(self.maps) + slot
 
 
 def holomorph(N: FiniteGroup, max_order: int = MAX_ORDER) -> Holomorph:

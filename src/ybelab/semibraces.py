@@ -10,13 +10,12 @@ trips are literal table equality).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
 
 from .bracoids import ContainedBrace, SkewBracoid, transport
-from .checks import (AxiomViolated, Check, Report, _action_law_holds, _assoc_failure,
+from .checks import (AxiomViolated, Check, Record, Report, _action_law_holds, _assoc_failure,
                      _first_repeat, _first_triple, by_content, group_table_checks)
 from .groups import FiniteGroup, Subgroup, stabilizer
 
@@ -116,12 +115,13 @@ class Semibrace:
         return f"Semibrace(order={self.order}, dot={self.dot.name!r})"
 
 
-@dataclass(frozen=True)
-class Decomposition:
+class Decomposition(Record):
     """Split of the carrier into G+e and the idempotents E."""
 
-    Hpart: tuple[int, ...]
-    Epart: tuple[int, ...]
+    __slots__ = ("Hpart", "Epart")
+
+    def __init__(self, Hpart: tuple[int, ...], Epart: tuple[int, ...]):
+        self._fill(Hpart, Epart)
 
 
 def decompose(sb: Semibrace) -> Decomposition:

@@ -20,11 +20,10 @@ returned map is already known to satisfy the braid relation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 
 import numpy as np
 
-from .checks import AxiomViolated, _action_law_holds, _first_repeat, _first_triple
+from .checks import AxiomViolated, Record, _action_law_holds, _first_repeat, _first_triple
 from .groups import FiniteGroup
 
 # _braid_from_profiles runs its checks only when their work, about
@@ -42,18 +41,17 @@ class MissingCarrier(ValueError):
     """iota-conjugation was requested on a map with no group attached."""
 
 
-@dataclass(frozen=True)
-class NotClosed:
+class NotClosed(Record):
     """Witness that a subset is not invariant under a solution map.
 
     r(x, y) left the subset in the named output coordinate, taking the
     offending value there.
     """
 
-    x: int
-    y: int
-    coordinate: str
-    value: int
+    __slots__ = ("x", "y", "coordinate", "value")
+
+    def __init__(self, x: int, y: int, coordinate: str, value: int):
+        self._fill(x, y, coordinate, value)
 
 
 class SolutionMap:
@@ -92,8 +90,7 @@ class SolutionMap:
         return f"SolutionMap(size={self.size}, provenance={self.provenance!r})"
 
 
-@dataclass(frozen=True)
-class SolutionReport:
+class SolutionReport(Record):
     """Properties of a :class:`SolutionMap`, each decided on all pairs or triples.
 
     ``braid`` is True exactly when the relation holds on all n^3 triples,
@@ -106,17 +103,18 @@ class SolutionReport:
     ``left`` and (y, x1, x2) for a repeated column value of ``right``.
     """
 
-    size: int
-    braid: bool
-    braid_witness: tuple[int, ...] = ()
-    bijective: bool = True
-    bijective_witness: tuple[int, ...] = ()
-    involutive: bool = True
-    involutive_witness: tuple[int, ...] = ()
-    left_nondegenerate: bool = True
-    left_witness: tuple[int, ...] = ()
-    right_nondegenerate: bool = True
-    right_witness: tuple[int, ...] = ()
+    __slots__ = ("size", "braid", "braid_witness", "bijective", "bijective_witness",
+                 "involutive", "involutive_witness", "left_nondegenerate", "left_witness",
+                 "right_nondegenerate", "right_witness")
+
+    def __init__(self, size: int, braid: bool, braid_witness: tuple[int, ...] = (),
+                 bijective: bool = True, bijective_witness: tuple[int, ...] = (),
+                 involutive: bool = True, involutive_witness: tuple[int, ...] = (),
+                 left_nondegenerate: bool = True, left_witness: tuple[int, ...] = (),
+                 right_nondegenerate: bool = True, right_witness: tuple[int, ...] = ()):
+        self._fill(size, braid, braid_witness, bijective, bijective_witness, involutive,
+                   involutive_witness, left_nondegenerate, left_witness,
+                   right_nondegenerate, right_witness)
 
     def properties(self) -> tuple[tuple[str, bool, tuple[int, ...]], ...]:
         """(name, holds, witness) for the five measured properties, braid first."""

@@ -1,4 +1,9 @@
+import gc
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -294,6 +299,60 @@ def test_verify_integer_beyond_int32_exits_two(tmp_path, capsys, kind, text, lin
 def test_verify_missing_file_exits_two(tmp_path, capsys):
     code = main(["verify", "group", str(tmp_path / "absent.txt")])
     assert code == 2
+
+
+def test_run_freezes_once_before_main(monkeypatch):
+    calls = []
+    monkeypatch.setattr(gc, "freeze", lambda: calls.append("freeze"))
+    monkeypatch.setattr(cli, "main", lambda: calls.append("main") or 1)
+    with pytest.raises(SystemExit) as stop:
+        cli.run()
+    assert stop.value.code == 1
+    assert calls == ["freeze", "main"]
+
+
+# The child finds ybelab under src/ without an installed package.
+SRC_ENV = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+
+
+def _python(*args):
+    return subprocess.run([sys.executable, *args], env=SRC_ENV, capture_output=True,
+                          text=True, timeout=120)
+
+
+def test_in_process_main_never_freezes(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_text(write_group(_sd32()))
+    proc = _python("-c", "import gc, sys, ybelab.cli; "
+                   "code = ybelab.cli.main(['verify', 'group', sys.argv[1]]); "
+                   "print('frozen', gc.get_freeze_count(), 'exit', code)", str(path))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "frozen 0 exit 0"
+
+
+def _untimed(out):
+    return [line.split(" ")[:3] + line.split(" ")[4:] for line in _steps(out)]
+
+
+def test_module_entry_matches_in_process_main(tmp_path, capsys):
+    """`python -m ybelab verify` exits 0, 1 and 2 on a valid, a law-breaking
+    and an unparseable file, with the STEP lines of `cli.main` and no traceback."""
+    G = _sd32()
+    act = G.table[:, (0, 2, 4)] // 2
+    (tmp_path / "good.txt").write_text(write_bracoid(G, cyclic_group(3), act))
+    act[3, 1] = (act[3, 1] + 1) % 3
+    (tmp_path / "bad.txt").write_text(write_bracoid(G, cyclic_group(3), act))
+    (tmp_path / "torn.txt").write_text("BRACOID v1 6 3\n0 1\n")
+    for name, code in (("good", 0), ("bad", 1), ("torn", 2)):
+        argv = ["verify", "bracoid", str(tmp_path / f"{name}.txt")]
+        proc = _python("-m", "ybelab", *argv)
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert proc.returncode == code, proc.stderr
+        assert _untimed(proc.stdout) == _untimed(out)
+        assert proc.stderr == err and "Traceback" not in proc.stderr
+        assert bool(_steps(out)) == (code != 2)
+        assert ("STEP action.law FAIL" in out) == (code == 1)
 
 
 def test_derive_semibrace_with_roundtrip(tmp_path, capsys):

@@ -469,6 +469,11 @@ def test_table_readers_match_the_oracle_on_damaged_text(case, kinds, seed):
     ((1, 1), 0, 0), ((1, 1), 0, 9), ((1, 1), -5, -5), ((3, 7), 0, 6), ((7, 3), 0, 2),
     ((4, 4), -2**31, 2**31 - 1), ((5, 5), 0, 100), ((2, 9), 0, 18), ((0, 3), 0, 0),
     ((3, 0), 0, 0),
+    # Written in blocks of checks.BLOCK_ENTRIES = 2^16 entries: three blocks of
+    # 163 rows, three rows longer than a block, and the same shapes through the
+    # row-by-row writer, which takes a negative entry or one above the size.
+    ((400, 400), 0, 399), ((3, 70000), 0, 70000), ((400, 400), -1, 399),
+    ((400, 400), 0, 2**31 - 1),
 ])
 def test_table_text_matches_the_row_writer(shape, lo, hi):
     rng = np.random.default_rng([*shape, lo % 2**32, hi % 2**32])

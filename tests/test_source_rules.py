@@ -4,6 +4,8 @@ import ast
 from collections import Counter
 from pathlib import Path
 
+import pytest
+
 import ybelab
 
 SOURCES = sorted(Path(ybelab.__file__).parent.glob("*.py"))
@@ -102,19 +104,43 @@ def test_only_listed_functions_loop_over_generators():
 RANDOM_IMPORTERS = {"catalog", "cli"}
 
 
+def _imported_packages(tree) -> set[str]:
+    """The top-level names of the modules a tree imports (relative imports give '')."""
+    names = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            names.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            names.add(node.module or "")
+    return {name.split(".")[0] for name in names}
+
+
 def test_only_catalog_and_cli_import_random():
-    importers = set()
-    for path, tree in _trees():
-        for node in ast.walk(tree):
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                continue
-            if any(name.split(".")[0] == "random" for name in names):
-                importers.add(path.stem)
+    importers = {path.stem for path, tree in _trees() if "random" in _imported_packages(tree)}
     assert importers == RANDOM_IMPORTERS
+
+
+def test_no_module_imports_dataclasses():
+    """A dataclass generates its methods at import, in every process; the
+    records are plain classes on `checks.Record` instead."""
+    importers = [path.stem for path, tree in _trees() if "dataclasses" in _imported_packages(tree)]
+    assert not importers
+
+
+def test_every_process_entry_is_cli_run():
+    """`python -m ybelab`, the installed `ybe-lab` script and `python -m
+    ybelab.cli` all start in `cli.run`, the one entry that freezes the
+    import heap."""
+    tomllib = pytest.importorskip("tomllib")
+    project = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    scripts = tomllib.loads(project.read_text())["project"]["scripts"]
+    assert scripts == {"ybe-lab": "ybelab.cli:run"}
+    trees = {path.name: tree for path, tree in _trees()}
+    main_calls = [ast.unparse(node) for node in trees["__main__.py"].body]
+    assert main_calls == ["from .cli import run", "run()"]
+    guard = trees["cli.py"].body[-1]
+    assert ast.unparse(guard.test) == "__name__ == '__main__'"
+    assert [ast.unparse(node) for node in guard.body] == ["run()"]
 
 
 # Definitions that nothing in the library runs, each kept for a test that
