@@ -10,7 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checks import AxiomViolated, Check, Record, Report, _rows_law_failure, group_table_checks
+from .checks import (AxiomViolated, Check, Record, Report, _distinct, _rows_law_failure,
+                     group_table_checks)
 from .groups import MAX_ORDER, FiniteGroup, GroupMap, Subgroup, holomorph
 from .ybe import SolutionMap, assert_properties
 
@@ -116,7 +117,7 @@ def abelian_map_brace(G: FiniteGroup, psi: GroupMap) -> SkewBrace:
     if not same_base:
         raise ValueError("psi must be an endomorphism of G")
     img = np.asarray(psi.images, dtype=np.int32)
-    values = np.unique(img)
+    values = _distinct(img, G.order)
     block = G.table[np.ix_(values, values)]
     if not np.array_equal(block, block.T):
         a, b = map(int, np.argwhere(block != block.T)[0])

@@ -28,7 +28,7 @@ from .bracoids import (
     from_strong_left_ideal,
     transport,
 )
-from .checks import Record
+from .checks import Record, _distinct
 from .groups import (
     CapExceeded,
     FiniteGroup,
@@ -200,7 +200,7 @@ def abelianmap_instance(p: int, q: int) -> CatalogInstance:
 
 
 def _conjugacy_class(G: FiniteGroup, g: int) -> np.ndarray:
-    return np.unique(G.table[G.table[:, g], G.inv])
+    return _distinct(G.table[G.table[:, g], G.inv], G.order)
 
 
 def _is_simple(G: FiniteGroup) -> bool:

@@ -1,11 +1,13 @@
 """The immutable record base, the pass/fail report records shared by the
-structure verifiers, the memo that proves each distinct small table once
-per process, and the two proof shapes, the action law and the rows law,
-proved on generators once for every law stated in them."""
+structure verifiers, the memo that proves each distinct table once per
+process (a large one twice), and the two proof shapes, the action law and
+the rows law, proved on generators once for every law stated in them."""
 
 from __future__ import annotations
 
 import functools
+import weakref
+import zlib
 
 import numpy as np
 
@@ -97,38 +99,85 @@ class Report(Record):
         raise KeyError(name)
 
 
-# A memoised call is keyed by the exact bytes of its tables, so one whose
-# table holds more entries than this runs unmemoised.  The tables a run
-# proves over and over are the small ones a round trip rebuilds (orders up
-# to 16 in `suite full`).  Large ones, up to the 1344^2 table of Hol(C2^3),
-# are each proved about once: keying them too raises the peak RSS of
-# `suite full --seed 7` from 39.8 to 62.7 MB and saves no time.
+# A memoised call is keyed by the exact bytes of a table of at most this
+# many entries.  A larger table is keyed by its dtype, shape and a CRC-32 of
+# its bytes, and a hit on it is proved by np.array_equal against a copy the
+# memo owns.  A large table is keyed when first seen and copied only when
+# it comes back, so one proved once, as the 1344^2 table of Hol(C2^3) in
+# `suite full`, costs one digest and is never held.
 MEMO_MAX_ENTRIES = 64 * 64
 # Each kernel keeps its latest this many keys, so a long-lived process does
-# not grow without end.  `suite full --seed 7` stores at most 384 per kernel
-# (1.2 MB of keys over all five); the bound above caps a key at two int32
-# tables of 64^2 entries, 32 KB.
+# not grow without end.  `suite full --seed 7` stores at most 320 per kernel;
+# a small key holds at most two int32 tables of 64^2 entries, 32 KB.
 MEMO_MAX_KEYS = 1024
+# Each kernel holds copies of large tables up to this many bytes in all,
+# dropping the oldest entry that holds one beyond it.
+MEMO_MAX_BYTES = 64 << 20
+
+_SEEN = object()        # the entry of a large content seen once: its key alone
 
 
 def _content(value):
-    """The exact contents of one argument, or None if it is not memoised.
+    """The key part of one argument, or None if it is not memoised.
 
-    A numeric array is its dtype, shape and bytes: the bytes alone, never a
-    digest, since a hash that is collision free in practice is not a proof.
-    A FiniteGroup (an object with `table` and `inv` arrays) is its table,
-    as its `inv` and `order` are functions of the table.  Scalars are their
-    type and value.
+    A numeric array is its dtype, shape and bytes, or for a table above
+    MEMO_MAX_ENTRIES its dtype, shape and a digest of its bytes, which only
+    finds an entry.  Scalars are their type and value.
     """
-    if isinstance(getattr(value, "inv", None), np.ndarray):
-        value = value.table
     if isinstance(value, np.ndarray):
-        if value.dtype.kind not in "biu" or value.size > MEMO_MAX_ENTRIES:
+        if value.dtype.kind not in "biu":
             return None
-        return value.dtype.str, value.shape, value.tobytes()
+        if value.size <= MEMO_MAX_ENTRIES:
+            return value.dtype.str, value.shape, value.tobytes()
+        return value.dtype.str, value.shape, _digest(value)
     if value is None or isinstance(value, (bool, int, str)):
         return type(value).__name__, value
     return None
+
+
+def _large(values, key) -> list[tuple[tuple, np.ndarray]]:
+    """(key part, table) for each argument above MEMO_MAX_ENTRIES entries, in order."""
+    return [(part, value) for part, value in zip(key, values)
+            if isinstance(value, np.ndarray) and value.size > MEMO_MAX_ENTRIES]
+
+
+# The digests of the last MEMO_MAX_KEYS read-only arrays seen, by id, each
+# with a weak reference that tells whether the id still names that array.
+# A digest only finds an entry, so one gone stale, as when a caller makes an
+# array writable again and changes it, costs a miss and never a wrong hit.
+_DIGESTS: dict[int, tuple[weakref.ref, int]] = {}
+
+
+def _digest(table: np.ndarray) -> int:
+    """A CRC-32 of the bytes of table in row-major order, whatever its memory order.
+
+    A read-only array is digested once while it lives, not at every call.
+    """
+    if table.flags.writeable:
+        return zlib.crc32(np.ascontiguousarray(table))
+    seen = _DIGESTS.get(id(table))
+    if seen is not None and seen[0]() is table:
+        return seen[1]
+    digest = zlib.crc32(np.ascontiguousarray(table))
+    _DIGESTS[id(table)] = (weakref.ref(table), digest)
+    if len(_DIGESTS) > MEMO_MAX_KEYS:
+        del _DIGESTS[next(iter(_DIGESTS))]
+    return digest
+
+
+# The copies the memos hold, by key part, so that the kernels that meet one
+# table share one copy of it.  A copy leaves when no memo entry holds it.
+_COPIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def _frozen_copy(part: tuple, table: np.ndarray) -> np.ndarray:
+    """A read-only copy of table that the memos own, under its key part."""
+    copy = _COPIES.get(part)
+    if copy is None or not np.array_equal(copy, table):
+        copy = np.array(table, order="C")
+        copy.setflags(write=False)
+        _COPIES[part] = copy
+    return copy
 
 
 def by_content(kernel):
@@ -137,26 +186,55 @@ def by_content(kernel):
     The kernel must read nothing but its arguments, so its result is a
     function of their contents.  A list result is handed out as a fresh
     copy, so no caller can change what the memo holds; a kernel that raises
-    stores nothing.  `memo` maps each content key to its result, oldest
-    first, and drops the oldest beyond MEMO_MAX_KEYS.
+    stores nothing.  `memo` maps each content key to (result, copies of its
+    large tables), oldest first, and drops the oldest beyond MEMO_MAX_KEYS.
+
+    A key with a large table is stored alone at its first call.  The second
+    call with that key runs the kernel again and stores its result with
+    read-only copies of the large tables, and a later call is answered only
+    when each of its large tables equals its copy entry for entry.  A call
+    that finds the key over other contents, a digest collision, runs the
+    kernel and leaves the entry as it was.
     """
     memo: dict = {}
 
     @functools.wraps(kernel)
     def memoised(*args, **kwargs):
-        key = tuple(map(_content, (*args, *kwargs.values()))) + tuple(kwargs)
+        run = memoised.__wrapped__          # looked up per call, so a test can count runs
+        values = (*args, *kwargs.values())
+        key = tuple(map(_content, values)) + tuple(kwargs)
         if None in key:
-            return kernel(*args, **kwargs)
-        try:
-            result = memo[key]
-        except KeyError:
-            result = memo[key] = kernel(*args, **kwargs)
-            if len(memo) > MEMO_MAX_KEYS:
-                del memo[next(iter(memo))]
+            return run(*args, **kwargs)
+        entry = memo.get(key)
+        if isinstance(entry, tuple) and (not entry[1] or all(
+                map(np.array_equal, entry[1], [table for _, table in _large(values, key)]))):
+            result = entry[0]
+        else:
+            result = run(*args, **kwargs)
+            large = _large(values, key)
+            if entry is None:
+                memo[key] = _SEEN if large else (result, ())
+                if len(memo) > MEMO_MAX_KEYS:
+                    del memo[next(iter(memo))]
+            elif entry is _SEEN:
+                memo[key] = (result, tuple(_frozen_copy(*pair) for pair in large))
+                _drop_oldest_copies(memo)
         return list(result) if isinstance(result, list) else result
 
     memoised.memo = memo
     return memoised
+
+
+def _drop_oldest_copies(memo: dict) -> None:
+    """Drop the oldest entries that hold copies until those left hold at most MEMO_MAX_BYTES."""
+    sizes = {key: sum(copy.nbytes for copy in entry[1])
+             for key, entry in memo.items() if isinstance(entry, tuple) and entry[1]}
+    held = sum(sizes.values())
+    for key, size in sizes.items():
+        if held <= MEMO_MAX_BYTES:
+            break
+        del memo[key]
+        held -= size
 
 
 # The Latin, inverse and action-law scans read a table in blocks of whole rows
@@ -194,11 +272,24 @@ def _right_inverses(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-@by_content
 def group_table_checks(table, prefix: str = "", check_assoc: bool = True) -> list[Check]:
     """Axiom checks for a raw multiplication table with identity expected at 0.
 
-    Returns latin / identity / associativity / inverses checks in that order.
+    The checks of _group_proof, each name led by prefix.
+    """
+    checks, _ = _group_proof(table, check_assoc)
+    if not prefix:
+        return list(checks)
+    return [Check(prefix + c.name, c.ok, c.witness, c.detail) for c in checks]
+
+
+@by_content
+def _group_proof(table, check_assoc: bool) -> tuple[tuple[Check, ...], np.ndarray | None]:
+    """(checks, inv) for a raw multiplication table with identity expected at 0.
+
+    The checks are latin / identity / associativity / inverses in that
+    order, and inv is the read-only int32 table of each row's first right
+    inverse (_right_inverses), or None when the entries are not in range.
     If the table is not even a Latin square over 0..n-1 the dependent checks
     are reported as failed without being evaluated.
 
@@ -217,11 +308,9 @@ def group_table_checks(table, prefix: str = "", check_assoc: bool = True) -> lis
     arr = np.asarray(table)
     checks: list[Check] = []
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-        bad = Check(prefix + "latin", False, (), f"table shape {arr.shape} is not square")
-        return [bad] + [
-            Check(prefix + nm, False, (), "not evaluated: malformed table")
-            for nm in ("identity", "associativity", "inverses")
-        ]
+        bad = Check("latin", False, (), f"table shape {arr.shape} is not square")
+        return (bad, *(Check(nm, False, (), "not evaluated: malformed table")
+                       for nm in ("identity", "associativity", "inverses"))), None
     n = arr.shape[0]
     idx = np.arange(n)
 
@@ -236,45 +325,46 @@ def group_table_checks(table, prefix: str = "", check_assoc: bool = True) -> lis
         latin_ok, latin_witness, latin_detail = False, (r,), f"row {r} is not a permutation"
     elif (c := _first_bad_row(arr.T)) is not None:
         latin_ok, latin_witness, latin_detail = False, (c,), f"column {c} is not a permutation"
-    checks.append(Check(prefix + "latin", latin_ok, latin_witness, latin_detail))
+    checks.append(Check("latin", latin_ok, latin_witness, latin_detail))
 
     if not in_range:
         checks.extend(
-            Check(prefix + nm, False, (), "not evaluated: entries out of range")
+            Check(nm, False, (), "not evaluated: entries out of range")
             for nm in ("identity", "associativity", "inverses")
         )
-        return checks
+        return tuple(checks), None
 
     # find_identity returns the least two-sided identity, so it is 0 exactly
     # when row 0 and column 0 are the identity map, which takes O(n) to see.
     zero_is_unit = np.array_equal(arr[0], idx) and np.array_equal(arr[:, 0], idx)
     e = 0 if zero_is_unit else find_identity(arr)
     if e is None:
-        checks.append(Check(prefix + "identity", False, (), "no two-sided identity"))
+        checks.append(Check("identity", False, (), "no two-sided identity"))
     elif e != 0:
-        checks.append(Check(prefix + "identity", False, (e,), f"identity at index {e}, not 0"))
+        checks.append(Check("identity", False, (e,), f"identity at index {e}, not 0"))
     else:
-        checks.append(Check(prefix + "identity", True))
+        checks.append(Check("identity", True))
 
     if check_assoc:
         witness = _assoc_failure(arr)
-        checks.append(Check(prefix + "associativity", witness is None, witness or ()))
+        checks.append(Check("associativity", witness is None, witness or ()))
     else:
-        checks.append(Check(prefix + "associativity", True, (), "skipped"))
+        checks.append(Check("associativity", True, (), "skipped"))
 
     rinv = _right_inverses(arr)
+    rinv.setflags(write=False)
     has_right = arr[idx, rinv] == 0
     if not has_right.all():
         a = int(np.argmin(has_right))
-        checks.append(Check(prefix + "inverses", False, (a,), "no right inverse"))
+        checks.append(Check("inverses", False, (a,), "no right inverse"))
     else:
         two_sided = arr[rinv, idx] == 0
         if two_sided.all():
-            checks.append(Check(prefix + "inverses", True))
+            checks.append(Check("inverses", True))
         else:
             a = int(np.argmin(two_sided))
-            checks.append(Check(prefix + "inverses", False, (a,), "right inverse is not left inverse"))
-    return checks
+            checks.append(Check("inverses", False, (a,), "right inverse is not left inverse"))
+    return tuple(checks), rinv
 
 
 @by_content
@@ -411,6 +501,7 @@ def _brute_rows_law(nt: np.ndarray, F: np.ndarray) -> tuple[int, int, int] | Non
     return _first_triple(F.shape[0], lambda x: F[x][nt] != nt[F[x][:, None], F[x]])
 
 
+@by_content
 def _first_repeat(table: np.ndarray) -> tuple[int, int, int] | None:
     """(x, a, b) for the first row x that is not a permutation of 0..n-1, or None.
 
@@ -423,6 +514,15 @@ def _first_repeat(table: np.ndarray) -> tuple[int, int, int] | None:
     order = np.argsort(table[x], kind="stable")
     k = int(np.nonzero(table[x][order][1:] == table[x][order][:-1])[0][0])
     return x, int(order[k]), int(order[k + 1])
+
+
+def _distinct(indices: np.ndarray, n: int) -> np.ndarray:
+    """The distinct entries of an array of indices in 0..n-1, ascending.
+
+    This is np.unique(indices), which, asked for no indices or counts, imports
+    numpy.ma to look for a mask: about 10 ms in each process that calls it.
+    """
+    return np.flatnonzero(np.bincount(indices.ravel(), minlength=n))
 
 
 def find_identity(table) -> int | None:

@@ -214,50 +214,51 @@ def _load(report: RunReport, kind: str, text: str, max_order: int):
         raise PreconditionFailed(f"input is not a {kind}: {exc}") from exc
 
 
-def _reprint_group(text: str) -> str:
-    # Byte fidelity only; the table was validated before being written.
-    table, name = files.read_group_table(text)
-    return files.write_group(FiniteGroup(table, name=name, trusted=True))
+def _write(kind: str, values: tuple) -> str:
+    """The text of an artifact, printed by the files writer of its kind."""
+    writers = {"group": files.write_group, "action": files.write_action,
+               "brace": files.write_brace, "bracoid": files.write_bracoid,
+               "semibrace": files.write_semibrace, "solution": files.write_solution}
+    return writers[kind](*values)
 
 
-def _canonical(kind: str, text: str) -> bool:
-    """Whether an artifact is exactly the text its writer prints for the value it encodes.
+def _written(kind: str, text: str, values: tuple) -> bool:
+    """Whether an artifact parses to exactly the fields it was written from.
 
-    The reader's bulk test formats the value once.  A group is still
-    reprinted through a trusted FiniteGroup, as the benchmark counts those.
+    The text is parsed once, not formatted a second time.  A group's table
+    still builds a trusted FiniteGroup, as the benchmark counts those.
     """
+    if not files.encodes(kind, text, *values):
+        return False
     if kind == "group":
-        return _reprint_group(text) == text
-    return files.is_canonical(kind, text)
+        FiniteGroup(values[0].table, name=values[0].name, trusted=True)
+    return True
 
 
 def _write_artifact(report: RunReport, out: Path, filename: str, kind: str,
-                    text: str) -> None:
+                    values: tuple) -> None:
+    text = _write(kind, values)
     with report.timed(f"write-{filename}") as step:
         (out / filename).write_text(text)
-        step.ok = _canonical(kind, text)
+        step.ok = _written(kind, text, values)
 
 
-def _instance_artifacts(inst: CatalogInstance) -> list[tuple[str, str, str]]:
+def _instance_artifacts(inst: CatalogInstance) -> list[tuple[str, str, tuple]]:
+    """(filename, kind, the values its writer takes) for each artifact of an instance."""
     slug = _slug(inst)
     bc = inst.bracoid
-    arts = [(f"{slug}-group.txt", "group", files.write_group(bc.G))]
+    arts = [(f"{slug}-group.txt", "group", (bc.G,))]
     if inst.brace is not None:
-        arts.append((f"{slug}-brace.txt", "brace",
-                     files.write_brace(inst.brace.star, inst.brace.dot)))
-    arts.append((f"{slug}-bracoid.txt", "bracoid",
-                 files.write_bracoid(bc.G, bc.N, bc.act.table)))
+        arts.append((f"{slug}-brace.txt", "brace", (inst.brace.star, inst.brace.dot)))
+    arts.append((f"{slug}-bracoid.txt", "bracoid", (bc.G, bc.N, bc.act.table)))
     cb = inst.contained
     if cb is not None:
-        arts.append((f"{slug}-contained-brace.txt", "brace",
-                     files.write_brace(cb.Hstar, cb.Hdot)))
+        arts.append((f"{slug}-contained-brace.txt", "brace", (cb.Hstar, cb.Hdot)))
         sb = bracoid_to_semibrace(cb)
-        arts.append((f"{slug}-semibrace.txt", "semibrace",
-                     files.write_semibrace(sb.dot, sb.plus)))
-        arts.append((f"{slug}-solution.txt", "solution",
-                     files.write_solution(solution_from_bracoid(cb))))
+        arts.append((f"{slug}-semibrace.txt", "semibrace", (sb.dot, sb.plus)))
+        arts.append((f"{slug}-solution.txt", "solution", (solution_from_bracoid(cb),)))
         arts.append((f"{slug}-solution-tilde.txt", "solution",
-                     files.write_solution(tilde_solution_from_bracoid(cb))))
+                     (tilde_solution_from_bracoid(cb),)))
     return arts
 
 
@@ -299,8 +300,8 @@ def cmd_example(args) -> int:
         report.absorb("semibrace.", report.build(
             "verify-semibrace", lambda: verify_semibrace(sb.dot, sb.plus)))
     out = _out_dir(args)
-    for filename, kind, text in _instance_artifacts(inst):
-        _write_artifact(report, out, filename, kind, text)
+    for filename, kind, values in _instance_artifacts(inst):
+        _write_artifact(report, out, filename, kind, values)
     return _finish(report, out)
 
 
@@ -354,7 +355,7 @@ def _bracoid_steps(report: RunReport, cb) -> None:
 class Pipeline(Record):
     """One `derive` pipeline: input file to derived structure to checked artifact."""
 
-    __slots__ = ("source", "derive", "steps", "artifact", "kind", "text", "witness",
+    __slots__ = ("source", "derive", "steps", "artifact", "kind", "values", "witness",
                  "flags", "tilde")
 
     def __init__(self,
@@ -362,12 +363,12 @@ class Pipeline(Record):
                  derive: Callable,                      # input -> derived structure
                  steps: Callable,                       # (report, derived): the checks after derive
                  artifact: str,                         # file written under --out
-                 kind: str,                             # artifact kind, for the reprint check
-                 text: Callable,                        # derived -> artifact text
+                 kind: str,                             # artifact kind, naming its writer
+                 values: Callable,                      # derived -> the values its writer takes
                  witness: Callable = lambda value: "",  # witness of the derive step
                  flags: tuple[str, ...] = (),           # accepted among roundtrip and tilde
                  tilde: Pipeline | None = None):        # what --tilde runs instead
-        self._fill(source, derive, steps, artifact, kind, text, witness, flags, tilde)
+        self._fill(source, derive, steps, artifact, kind, values, witness, flags, tilde)
 
 
 def _asserting(*props: str):
@@ -379,27 +380,25 @@ def _pipelines() -> dict[str, Pipeline]:
     return {
         "semibrace-from-bracoid": Pipeline(
             "bracoid", bracoid_to_semibrace, _semibrace_steps, "semibrace.txt",
-            "semibrace", lambda sb: files.write_semibrace(sb.dot, sb.plus),
-            flags=("roundtrip",)),
+            "semibrace", lambda sb: (sb.dot, sb.plus), flags=("roundtrip",)),
         "bracoid-from-semibrace": Pipeline(
             "semibrace", semibrace_to_bracoid, _bracoid_steps, "bracoid.txt", "bracoid",
-            lambda cb: files.write_bracoid(cb.bracoid.G, cb.bracoid.N,
-                                           cb.bracoid.act.table),
+            lambda cb: (cb.bracoid.G, cb.bracoid.N, cb.bracoid.act.table),
             witness=lambda cb: f"N={cb.bracoid.N.order}", flags=("roundtrip",)),
         "solution-from-bracoid": Pipeline(
             "bracoid", solution_from_bracoid, _asserting("braid", "left-nondegenerate"),
-            "solution.txt", "solution", files.write_solution, flags=("tilde",),
+            "solution.txt", "solution", lambda r: (r,), flags=("tilde",),
             tilde=Pipeline(
                 "bracoid", tilde_solution_from_bracoid,
                 _asserting("braid", "right-nondegenerate"),
-                "solution-tilde.txt", "solution", files.write_solution)),
+                "solution-tilde.txt", "solution", lambda r: (r,))),
         "solution-from-brace": Pipeline(
             "brace", brace_solution,
             _asserting("braid", "bijective", "left-nondegenerate", "right-nondegenerate"),
-            "solution.txt", "solution", files.write_solution),
+            "solution.txt", "solution", lambda r: (r,)),
         "solution-from-semibrace": Pipeline(
             "semibrace", solution_from_semibrace, _asserting("braid", "left-nondegenerate"),
-            "solution.txt", "solution", files.write_solution),
+            "solution.txt", "solution", lambda r: (r,)),
     }
 
 
@@ -422,7 +421,7 @@ def cmd_derive(args) -> int:
     derived = report.build("derive", lambda: row.derive(source), row.witness)
     row.steps(report, derived)
     out = _out_dir(args)
-    _write_artifact(report, out, row.artifact, row.kind, row.text(derived))
+    _write_artifact(report, out, row.artifact, row.kind, row.values(derived))
     if args.roundtrip:
         with report.timed("roundtrip") as step:
             step.ok = roundtrip_check(source)
@@ -536,9 +535,10 @@ def _battery_artifacts(report: RunReport, instances, out: Path | None) -> None:
         return
     for inst in instances:
         with report.timed(f"artifacts-{_slug(inst)}") as step:
-            for filename, kind, text in _instance_artifacts(inst):
+            for filename, kind, values in _instance_artifacts(inst):
+                text = _write(kind, values)
                 (out / filename).write_text(text)
-                step.ok = step.ok and _canonical(kind, text)
+                step.ok = step.ok and _written(kind, text, values)
 
 
 def _suite_examples(scope: str) -> list[tuple[str, tuple[int, ...]]]:
@@ -584,9 +584,8 @@ def cmd_holomorph(args) -> int:
         witness=lambda v: f"order={v.group.order},aut={len(v.maps)}")
     report.add("transitive", is_transitive(hol.action), 0)
     out = _out_dir(args)
-    _write_artifact(report, out, "holomorph.txt", "group", files.write_group(hol.group))
-    _write_artifact(report, out, "holomorph-action.txt", "action",
-                    files.write_action(hol.action.table))
+    _write_artifact(report, out, "holomorph.txt", "group", (hol.group,))
+    _write_artifact(report, out, "holomorph-action.txt", "action", (hol.action.table,))
     return _finish(report, out)
 
 

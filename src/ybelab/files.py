@@ -59,15 +59,17 @@ class _Format(Record):
 
     Tables follow the header line in order, one blank line between two.
     `counts` is the number of integers after 'MAGIC v1', `shapes` maps them
-    to the table shapes, and `tail` is the default header tail (None: the
-    layout keeps none).
+    to the table shapes, `tail` is the default header tail (None: the
+    layout keeps none), and `fields` maps the values a writer takes to the
+    (counts, tail, tables) it prints.
     """
 
-    __slots__ = ("magic", "counts", "shapes", "tail")
+    __slots__ = ("magic", "counts", "shapes", "tail", "fields")
 
     def __init__(self, magic: str, counts: int,
-                 shapes: Callable[..., list[tuple[int, int]]], tail: str | None = None):
-        self._fill(magic, counts, shapes, tail)
+                 shapes: Callable[..., list[tuple[int, int]]], fields: Callable,
+                 tail: str | None = None):
+        self._fill(magic, counts, shapes, tail, fields)
 
     def text(self, numbers, tail: str | None, tables) -> str:
         words = [self.magic, "v1", *map(str, numbers)]
@@ -76,15 +78,53 @@ class _Format(Record):
         return " ".join(words) + "\n" + "\n".join(map(_table_text, tables))
 
 
+def _tables(*values) -> list[np.ndarray]:
+    return [np.asarray(getattr(v, "table", v), dtype=np.int32) for v in values]
+
+
+# The fields of each layout: the values its writer takes -> (counts, tail, tables).
+
+def _group_fields(G: FiniteGroup):
+    return [G.order], G.name, _tables(G)
+
+
+def _action_fields(table):
+    tables = _tables(table)
+    return list(tables[0].shape), None, tables
+
+
+def _square_fields(*values):
+    tables = _tables(*values)
+    return [len(tables[0])], None, tables
+
+
+def _bracoid_fields(G, N, act):
+    tables = _tables(G, N, act)
+    return [len(tables[0]), len(tables[1])], None, tables
+
+
+def _solution_fields(r: SolutionMap):
+    n = r.size
+    pairs = np.arange(n * n)
+    rows = np.stack([pairs // n, pairs % n, r.left.ravel(), r.right.ravel()], axis=1)
+    return [n], r.provenance, [rows]
+
+
 _FORMATS = {
-    "group": _Format("GROUP", 1, lambda n: [(n, n)], tail="G"),
-    "action": _Format("ACTION", 2, lambda g, m: [(g, m)]),
-    "brace": _Format("BRACE", 1, lambda n: [(n, n)] * 2),
-    "bracoid": _Format("BRACOID", 2, lambda n, m: [(n, n), (m, m), (n, m)]),
-    "semibrace": _Format("SEMIBRACE", 1, lambda n: [(n, n)] * 2),
+    "group": _Format("GROUP", 1, lambda n: [(n, n)], _group_fields, tail="G"),
+    "action": _Format("ACTION", 2, lambda g, m: [(g, m)], _action_fields),
+    "brace": _Format("BRACE", 1, lambda n: [(n, n)] * 2, _square_fields),
+    "bracoid": _Format("BRACOID", 2, lambda n, m: [(n, n), (m, m), (n, m)], _bracoid_fields),
+    "semibrace": _Format("SEMIBRACE", 1, lambda n: [(n, n)] * 2, _square_fields),
     # one 'x y lx ry' row per pair (x, y), in order
-    "solution": _Format("YBE", 1, lambda n: [(n * n, 4)], tail="unspecified"),
+    "solution": _Format("YBE", 1, lambda n: [(n * n, 4)], _solution_fields,
+                        tail="unspecified"),
 }
+
+
+def _write(kind: str, *values) -> str:
+    """The canonical text of a kind file for the values its writer takes."""
+    return _FORMATS[kind].text(*_FORMATS[kind].fields(*values))
 
 
 def _split(text: str) -> list[str]:
@@ -132,28 +172,48 @@ def _expect_end(lines: list[str], at: int) -> None:
         raise ParseError(at + 1, "trailing content")
 
 
-def _bulk(fmt: _Format, text: str) -> tuple[list[np.ndarray], str | None] | None:
-    """The tables and header tail of text when it is exactly fmt's canonical text, else None.
+def _parse(fmt: _Format, text: str) -> tuple[list[int], list[str], np.ndarray] | None:
+    """The header counts, the header words after them and the body values of
+    text, or None when the header or the body does not parse.
 
     The body is parsed in C by np.fromstring, with no Python object per
-    token.  The result is kept only when every header count is at least 1,
-    the body holds exactly the values the table shapes call for, and
-    printing the int32 tables gives back text itself, which a value beyond
-    int32 cannot do.  The line loop parses such text without error to the
-    same tables, so this is a shortcut with no verdict of its own.
+    token, and any run of whitespace separates two values.
     """
     head, _, body = text.partition("\n")
     try:
         numbers, rest = _parse_header([head], fmt.magic, fmt.counts)
-        values = np.fromstring(body, dtype=np.int64, sep=" ")
+        return numbers, rest, np.fromstring(body, dtype=np.int64, sep=" ")
     except ValueError:
         return None
+
+
+def _cut(fmt: _Format, numbers: list[int], values: np.ndarray) -> list[np.ndarray] | None:
+    """values cut into the tables the counts call for, or None when every
+    count is not at least 1 or the sizes do not add up."""
     shapes = fmt.shapes(*numbers)
     sizes = [rows * cols for rows, cols in shapes]
     if min(numbers) < 1 or values.size != sum(sizes):
         return None
-    parts = np.split(values.astype(np.int32), list(accumulate(sizes))[:-1])
-    tables = [part.reshape(shape) for part, shape in zip(parts, shapes)]
+    parts = np.split(values, list(accumulate(sizes))[:-1])
+    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
+
+
+def _bulk(fmt: _Format, text: str) -> tuple[list[np.ndarray], str | None] | None:
+    """The tables and header tail of text when it is exactly fmt's canonical text, else None.
+
+    The result is kept only when text parses, its values fill the tables
+    the header calls for, and printing the int32 tables gives back text
+    itself, which a value beyond int32 cannot do.  The line loop parses
+    such text without error to the same tables, so this is a shortcut with
+    no verdict of its own.
+    """
+    parsed = _parse(fmt, text)
+    if parsed is None:
+        return None
+    numbers, rest, values = parsed
+    tables = _cut(fmt, numbers, values.astype(np.int32))
+    if tables is None:
+        return None
     tail = " ".join(rest) if rest else fmt.tail
     return (tables, tail) if fmt.text(numbers, tail, tables) == text else None
 
@@ -192,23 +252,28 @@ def header_counts(kind: str, text: str) -> list[int] | None:
         return None
 
 
-def is_canonical(kind: str, text: str) -> bool:
-    """True iff text is exactly what the kind's writer prints for the value it encodes.
+def encodes(kind: str, text: str, *values) -> bool:
+    """True iff text parses to the counts, tail and tables that the kind's writer prints for values.
 
-    This is the reader's own bulk test, so it formats the value once; it
-    covers values of order at least 1.
+    Text is parsed once and never formatted again.  On text that the kind's
+    writer printed for values, this is the statement text == write(read(text)),
+    as the writer is an injective function of its fields.
+    A file from outside is left to the reader's own write-back test.
     """
-    if kind == "solution":
-        return _bulk_solution(text) is not None
-    return _bulk(_FORMATS[kind], text) is not None
-
-
-def _tables(*values) -> list[np.ndarray]:
-    return [np.asarray(getattr(v, "table", v), dtype=np.int32) for v in values]
+    fmt = _FORMATS[kind]
+    parsed = _parse(fmt, text)
+    if parsed is None:
+        return False
+    numbers, rest, body = parsed
+    counts, tail, tables = fmt.fields(*values)
+    parts = _cut(fmt, numbers, body)
+    return (numbers == list(counts) and rest == ([] if fmt.tail is None else tail.split(" "))
+            and parts is not None
+            and all(map(np.array_equal, parts, tables)))
 
 
 def write_group(G: FiniteGroup) -> str:
-    return _FORMATS["group"].text([G.order], G.name, _tables(G))
+    return _write("group", G)
 
 
 def read_group_table(text: str) -> tuple[np.ndarray, str]:
@@ -223,8 +288,7 @@ def read_group(text: str) -> FiniteGroup:
 
 
 def write_action(table) -> str:
-    (arr,) = _tables(table)
-    return _FORMATS["action"].text(arr.shape, None, [arr])
+    return _write("action", table)
 
 
 def read_action(text: str) -> np.ndarray:
@@ -233,8 +297,7 @@ def read_action(text: str) -> np.ndarray:
 
 
 def write_brace(star, dot) -> str:
-    tables = _tables(star, dot)
-    return _FORMATS["brace"].text([tables[0].shape[0]], None, tables)
+    return _write("brace", star, dot)
 
 
 def read_brace(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -243,8 +306,7 @@ def read_brace(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_bracoid(G, N, act) -> str:
-    tables = _tables(G, N, act)
-    return _FORMATS["bracoid"].text([tables[0].shape[0], tables[1].shape[0]], None, tables)
+    return _write("bracoid", G, N, act)
 
 
 def read_bracoid(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -253,8 +315,7 @@ def read_bracoid(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 
 def write_semibrace(dot, plus) -> str:
-    tables = _tables(dot, plus)
-    return _FORMATS["semibrace"].text([tables[0].shape[0]], None, tables)
+    return _write("semibrace", dot, plus)
 
 
 def read_semibrace(text: str) -> tuple[np.ndarray, np.ndarray]:
@@ -263,10 +324,7 @@ def read_semibrace(text: str) -> tuple[np.ndarray, np.ndarray]:
 
 
 def write_solution(r: SolutionMap) -> str:
-    n = r.size
-    pairs = np.arange(n * n)
-    rows = np.stack([pairs // n, pairs % n, r.left.ravel(), r.right.ravel()], axis=1)
-    return _FORMATS["solution"].text([n], r.provenance, [rows])
+    return _write("solution", r)
 
 
 def _bulk_solution(text: str) -> SolutionMap | None:

@@ -14,14 +14,13 @@ is known only here; other modules ask `Holomorph.element` for it.
 from __future__ import annotations
 
 from bisect import bisect_left
-from collections import deque
 from functools import cached_property
 from typing import Sequence
 
 import numpy as np
 
-from .checks import (Check, Record, _action_law_failure, _first_bad_row, _right_inverses,
-                     _rows_law_failure, generators, group_table_checks)
+from .checks import (Check, Record, _action_law_failure, _first_bad_row, _group_proof,
+                     _rows_law_failure, generators)
 
 # The default `--max-order`, and the one bound of the holomorph search: |Hol(N)| = |N| * |Aut(N)|.
 MAX_ORDER = 2048
@@ -82,7 +81,8 @@ class FiniteGroup:
     wrote the table and froze it hands it over, so a large table exists
     once while it is proved.  Any other input (a list, another dtype, a
     writable array, a view) is copied, so no later write to it reaches
-    `table`.
+    `table`.  The table is frozen before it is proved, and `inv` is the
+    inverse table that proof returns.
     """
 
     def __init__(self, table, name: str = "G", trusted: bool = False):
@@ -92,17 +92,15 @@ class FiniteGroup:
         arr = table if adopt else np.array(table, dtype=np.int32)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise NotLatinSquare(f"table shape {arr.shape} is not square")
-        n = arr.shape[0]
-        for check in group_table_checks(arr, check_assoc=not trusted):
+        arr.setflags(write=False)
+        checks, inv = _group_proof(arr, not trusted)
+        for check in checks:
             if not check.ok:
                 _raise_for_check(check)
-        self.order: int = n
+        self.order: int = arr.shape[0]
         self.name = name
         self.table = arr
-        inv = _right_inverses(arr)
         self.inv = inv
-        arr.setflags(write=False)
-        inv.setflags(write=False)
 
     @cached_property
     def element_orders(self) -> np.ndarray:
@@ -174,6 +172,7 @@ class GroupAction:
         arr = np.array(table, dtype=np.int32)
         if arr.ndim != 2 or arr.shape[0] != actor.order:
             raise ValueError(f"action table shape {arr.shape} does not match |G|={actor.order}")
+        arr.setflags(write=False)
         m = arr.shape[1]
         if not ((arr >= 0) & (arr < m)).all():
             raise ValueError("action table entry out of range")
@@ -187,7 +186,6 @@ class GroupAction:
         self.actor = actor
         self.space_size = m
         self.table = arr
-        arr.setflags(write=False)
 
     def __repr__(self) -> str:
         return f"GroupAction({self.actor.name!r} on {self.space_size} points)"
@@ -306,26 +304,22 @@ def direct_product(H: FiniteGroup, S: FiniteGroup, name: str | None = None) -> F
 
 def _closure(table: np.ndarray, gens: Sequence[int], cap: int | None = None) -> list[int] | None:
     """Elements of <gens> in deterministic BFS order; None if the cap is exceeded."""
+    columns = table[:, list(gens)].T.tolist()          # columns[i][a] = a * gens[i]
     seen = bytearray(table.shape[0])
     seen[0] = 1
     out = [0]
-    queue = deque([0])
     for g in gens:
         if not seen[g]:
             seen[g] = 1
             out.append(g)
-            queue.append(g)
             if cap is not None and len(out) > cap:
                 return None
-    while queue:
-        a = queue.popleft()
-        row = table[a]
-        for g in gens:
-            b = int(row[g])
+    for a in out:                                      # out is also the BFS queue
+        for col in columns:
+            b = col[a]
             if not seen[b]:
                 seen[b] = 1
                 out.append(b)
-                queue.append(b)
                 if cap is not None and len(out) > cap:
                     return None
     return out

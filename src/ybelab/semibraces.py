@@ -16,7 +16,7 @@ import numpy as np
 
 from .bracoids import ContainedBrace, SkewBracoid, transport
 from .checks import (AxiomViolated, Check, Record, Report, _action_law_holds, _assoc_failure,
-                     _first_repeat, _first_triple, by_content, group_table_checks)
+                     _distinct, _first_repeat, _first_triple, by_content, group_table_checks)
 from .groups import FiniteGroup, Subgroup, stabilizer
 
 
@@ -149,7 +149,7 @@ def _split(plus: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarr
     """
     n = plus.shape[0]
     arange = np.arange(n, dtype=np.int32)
-    hpart = np.unique(plus[:, 0])
+    hpart = _distinct(plus[:, 0], n)
     epart = np.nonzero(plus[arange, arange] == arange)[0].astype(np.int32)
     if 0 not in epart:
         raise AxiomViolated("identity is not idempotent")

@@ -1,10 +1,12 @@
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
 
+from ybelab import checks
 from ybelab.checks import (BLOCK_ENTRIES, Check, Report, _first_bad_row, _first_repeat,
-                           find_identity, group_table_checks)
+                           _group_proof, find_identity, group_table_checks)
 from ybelab.groups import cyclic_group, elementary_abelian, holomorph, semidirect_product
 
 
@@ -113,7 +115,7 @@ def test_describe_lines():
 # --- the blocked table scans against plain per-row and per-column oracles ---
 
 def _oracle_table_checks(table, check_assoc):
-    """group_table_checks written out row by row and column by column."""
+    """The checks of _group_proof written out row by row and column by column."""
     t = table.tolist()
     n = len(t)
     idx = list(range(n))
@@ -222,7 +224,7 @@ def test_table_checks_equal_the_row_and_column_oracle():
         base = bases[rng.integers(len(bases))]
         table = _damaged(rng, base, 0) if len(base) > 1 else base.copy()
         for check_assoc in (True, False):
-            got = group_table_checks.__wrapped__(table, check_assoc=check_assoc)
+            got = list(_group_proof.__wrapped__(table, check_assoc)[0])
             assert got == _oracle_table_checks(table, check_assoc)
             kinds.update((c.name, c.detail.split(" ")[0]) for c in got if not c.ok)
         if table.min() >= 0 and table.max() < len(table):
@@ -248,7 +250,7 @@ def test_table_checks_find_witnesses_in_a_later_block():
     assert group_table_checks(column_damage)[0].witness == (254,)
     for table in [row_damage, column_damage] + [_damaged(rng, base, 252) for _ in range(12)]:
         for check_assoc in (True, False):
-            got = group_table_checks.__wrapped__(table, check_assoc=check_assoc)
+            got = list(_group_proof.__wrapped__(table, check_assoc)[0])
             assert got == _oracle_table_checks(table, check_assoc)
         if table.min() >= 0 and table.max() < n:
             assert _first_repeat(table) == _oracle_first_repeat(table)
@@ -271,11 +273,15 @@ def test_table_proof_scratch_is_below_half_a_table():
     rows, columns and inverses in blocks, Light's test in row blocks)."""
     table = holomorph(elementary_abelian(2, 3)).group.table
     for check_assoc in (False, True):
-        tracemalloc.start()
-        try:
-            report = group_table_checks.__wrapped__(table, check_assoc=check_assoc)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
+        # The kernels it calls meet the table for the first time, so the memo
+        # keeps a key and no copy: its copies are bounded by MEMO_MAX_BYTES.
+        with mock.patch.dict(checks.generators.memo, clear=True), \
+                mock.patch.dict(checks._action_law_holds.memo, clear=True):
+            tracemalloc.start()
+            try:
+                report, _ = _group_proof.__wrapped__(table, check_assoc)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
         assert all(c.ok for c in report)
         assert peak < table.nbytes / 2, (check_assoc, peak, table.nbytes)

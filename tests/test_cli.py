@@ -12,6 +12,7 @@ from ybelab import catalog, cli, files, groups, semibraces
 from ybelab.cli import main
 from ybelab.files import write_brace, write_bracoid, write_group, write_semibrace
 from ybelab.groups import cyclic_group, semidirect_product
+from ybelab.ybe import SolutionMap
 
 
 def _sd32():
@@ -227,23 +228,35 @@ def test_max_order_is_read_from_the_header(tmp_path, capsys, command, kind, extr
     assert not (tmp_path / "out").exists()
 
 
-def test_non_canonical_solution_artifact_fails_its_write_step(tmp_path, capsys, monkeypatch):
-    """The write step checks the artifact with the reader's bulk test, so a
-    writer that drifts from canonical text fails it even where the line loop
-    still reads the text."""
+def test_a_writer_that_prints_another_table_fails_its_write_step(tmp_path, capsys, monkeypatch):
+    """The write step parses the artifact and compares it with the values it
+    was written from, so a writer that prints another table fails it even
+    though its text is canonical and reads back without error."""
     main(["example", "semidirect", "3", "2", "--out", str(tmp_path)])
     write = files.write_solution
     monkeypatch.setattr(files, "write_solution",
-                        lambda r: write(r).replace("\n0 0 ", "\n00 0 ", 1))
+                        lambda r: write(SolutionMap(r.right, r.left, provenance=r.provenance)))
     code = main(["derive", "solution-from-brace", str(tmp_path / "semidirect-3-2-brace.txt"),
                  "--out", str(tmp_path / "out")])
     out = capsys.readouterr().out
     assert code == 1
     assert [s.split()[:3] for s in _steps(out) if "FAIL" in s] == [
         ["STEP", "write-solution.txt", "FAIL"]]
-    text = (tmp_path / "out" / "solution.txt").read_text()
-    assert "\n00 0 " in text
-    assert files.read_solution(text).size == 6
+    swapped = files.read_solution((tmp_path / "out" / "solution.txt").read_text())
+    assert swapped.size == 6 and not np.array_equal(swapped.left, swapped.right)
+
+
+@pytest.mark.parametrize("kind", ["group", "bracoid"])
+def test_an_example_artifact_written_wrong_fails_its_write_step(tmp_path, capsys, monkeypatch,
+                                                                  kind):
+    write = getattr(files, f"write_{kind}")
+    other = cyclic_group(6)
+    wrong = {"group": lambda G: write(other),
+             "bracoid": lambda G, N, act: write(other, N, act)}[kind]
+    monkeypatch.setattr(files, f"write_{kind}", wrong)
+    assert main(["example", "semidirect", "3", "2", "--out", str(tmp_path)]) == 1
+    failed = [s.split()[1] for s in _steps(capsys.readouterr().out) if "FAIL" in s]
+    assert failed == [f"write-semidirect-3-2-{kind}.txt"]
 
 
 def test_verify_group_passes(tmp_path, capsys):

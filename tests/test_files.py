@@ -11,7 +11,7 @@ from ybelab.files import (
     _split,
     _table_text,
     header_counts,
-    is_canonical,
+    encodes,
     read_action,
     read_bracoid,
     read_brace,
@@ -493,19 +493,29 @@ def test_header_counts_read_only_the_first_line():
     assert header_counts("brace", "GROUP v1 2\n") is None
 
 
-def test_is_canonical_is_the_writer_giving_text_back():
+def test_encodes_is_the_text_parsing_to_the_written_fields():
+    """encodes parses once and compares counts, tail and tables with the
+    fields the writer prints for the values; it never formats again."""
     G = _sd32()
-    assert is_canonical("group", write_group(G))
-    assert not is_canonical("group", "GROUP v1 2\n0 1\n1 0\n")    # name left to default
+    assert encodes("group", write_group(G), G)
+    assert not encodes("group", "GROUP v1 2\n0 1\n1 0\n", cyclic_group(2))   # no name
+    assert not encodes("group", write_group(cyclic_group(6)), G)
     text = write_brace(G, G)
-    assert is_canonical("brace", text)
-    assert not is_canonical("brace", text.replace("\n1 ", "\n01 ", 1))
-    assert not is_canonical("semibrace", text)
+    assert encodes("brace", text, G, G)
+    assert not encodes("brace", text, G, cyclic_group(6))
+    assert not encodes("brace", text.replace("BRACE v1 6", "BRACE v1 6 x"), G, G)
+    assert not encodes("brace", text.replace("BRACE v1 6", "BRACE v1 5"), G, G)
+    assert not encodes("semibrace", text, G, G)
+    # Text that reads as the same fields passes; only a reader, which may
+    # meet files from outside, also asks for the writer's exact text.
+    padded = text.replace("\n1 ", "\n01 ", 1)
+    assert encodes("brace", padded, G, G) and files._bulk(files._FORMATS["brace"], padded) is None
     r = SolutionMap(np.zeros((2, 2)), np.ones((2, 2)), provenance="p")
     text = write_solution(r)
-    assert is_canonical("solution", text)
+    assert encodes("solution", text, r)
+    assert not encodes("solution", text, SolutionMap(r.left, r.right, provenance="q"))
     swapped = text.replace("0 1 0 1\n1 0 0 1\n", "1 0 0 1\n0 1 0 1\n")
-    assert swapped != text and not is_canonical("solution", swapped)
+    assert swapped != text and not encodes("solution", swapped, r)
 
 
 # --- canonical text must take the bulk path ---

@@ -32,8 +32,8 @@ def _is_memo(decorator) -> bool:
         isinstance(decorator, ast.Attribute) and decorator.attr == "by_content")
 
 
-MEMOISED = {"checks.group_table_checks", "checks.generators", "checks._action_law_holds",
-            "checks._rows_law_holds", "semibraces._split"}
+MEMOISED = {"checks._group_proof", "checks.generators", "checks._action_law_holds",
+            "checks._rows_law_holds", "checks._first_repeat", "semibraces._split"}
 IMPURE = {"random", "rng", "seed"}
 
 
@@ -62,7 +62,8 @@ def test_memoised_kernels_are_the_pure_law_kernels():
 
 def test_only_checks_decides_what_is_cached():
     """functools.cache and lru_cache stay out of the library: the one memo is
-    checks.by_content, keyed by exact contents and bounded in table size."""
+    checks.by_content, whose hits are proved on exact contents and which is
+    bounded in keys and held bytes."""
     found = []
     for path, tree in _trees():
         for node in ast.walk(tree):
@@ -195,3 +196,16 @@ def test_every_library_definition_has_a_caller():
     imported = [alias.asname or alias.name for node in init.body
                 if isinstance(node, ast.ImportFrom) for alias in node.names]
     assert sorted(ybelab.__all__) == sorted(imported)
+
+
+def test_np_unique_is_always_asked_for_indices():
+    """np.unique asked for no indices or counts imports numpy.ma to look for a
+    mask, about 10 ms in each process; checks._distinct gives the same values."""
+    bare = []
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "unique"
+                    and not {kw.arg for kw in node.keywords}
+                    & {"return_index", "return_inverse", "return_counts"}):
+                bare.append(f"{path.name}:{node.lineno}")
+    assert not bare, bare
