@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .checks import (AxiomViolated, Check, Record, Report, _distinct, _rows_law_failure,
-                     group_table_checks)
+                     frozen, group_table_checks)
 from .groups import MAX_ORDER, FiniteGroup, GroupMap, Subgroup, holomorph
 from .ybe import SolutionMap, assert_properties
 
@@ -57,11 +57,10 @@ class SkewBrace:
         witness = _rows_law_failure(star.table, gamma)      # the brace law: _compat_failure
         if witness is not None:
             raise AxiomViolated(f"brace law fails at (x, y, z) = {witness}")
-        gamma.setflags(write=False)
         self.star = star
         self.dot = dot
         self.order = star.order
-        self.gamma = gamma
+        self.gamma = frozen(gamma)
         self.abelian_data = abelian_data
 
     def __repr__(self) -> str:
@@ -71,13 +70,13 @@ class SkewBrace:
 class AbelianMapData(Record):
     """An endomorphism with abelian image plus the map phi(x) = x.psi(x)^-1."""
 
-    __slots__ = ("base", "psi", "phi")
+    __slots__ = ("G", "psi", "phi")
 
-    def __init__(self, base: FiniteGroup, psi: GroupMap, phi: np.ndarray):
-        self._fill(base, psi, phi)
+    def __init__(self, G: FiniteGroup, psi: GroupMap, phi: np.ndarray):
+        self._fill(G, psi, phi)
         img = np.asarray(self.psi.images, dtype=np.int32)
-        arange = np.arange(self.base.order, dtype=np.int32)
-        expected = self.base.table[arange, self.base.inv[img]]
+        arange = np.arange(self.G.order, dtype=np.int32)
+        expected = self.G.table[arange, self.G.inv[img]]
         if not np.array_equal(np.asarray(self.phi), expected):
             raise ValueError("phi does not agree with x . psi(x)^-1")
 
@@ -129,16 +128,15 @@ def abelian_map_brace(G: FiniteGroup, psi: GroupMap) -> SkewBrace:
     phi = G.table[arange, G.inv[img]]
     star = G.table[G.table[phi[:, None], arange[None, :]], img[:, None]]
     try:
-        star_group = FiniteGroup(star, name=f"{G.name}-star")
+        star_group = FiniteGroup(frozen(star), name=f"{G.name}-star")
     except ValueError as exc:
         raise ConstructionFailed(f"star table is not a group: {exc}") from exc
     report = verify_skew_brace(star_group.table, G.table)
     if not report.ok:
         raise ConstructionFailed(
             f"coupling law failed: {report.first_failure().describe()}")
-    phi.setflags(write=False)
     return SkewBrace(star_group, G,
-                     abelian_data=AbelianMapData(base=G, psi=psi, phi=phi))
+                     abelian_data=AbelianMapData(G=G, psi=psi, phi=frozen(phi)))
 
 
 def is_strong_left_ideal(B: SkewBrace, S: Subgroup) -> bool:
@@ -183,7 +181,7 @@ def brace_solution(B: SkewBrace) -> SolutionMap:
     left = B.gamma
     right = B.dot.table[
         B.dot.table[B.dot.inv[left], arange[:, None]], arange[None, :]]
-    r = SolutionMap(left, right, provenance="brace", carrier=B.dot)
+    r = SolutionMap(left, frozen(right), provenance="brace", carrier=B.dot)
     return assert_properties(r, "brace", "braid", "bijective",
                              "left-nondegenerate", "right-nondegenerate")
 

@@ -22,7 +22,7 @@ import numpy as np
 
 from .braces import SkewBrace, is_strong_left_ideal
 from .checks import (AxiomViolated, Check, Record, Report, _action_law_failure, _action_law_holds,
-                     _first_triple, _rows_law_failure, group_table_checks)
+                     _first_triple, _rows_law_failure, frozen, group_table_checks)
 from .groups import (
     FiniteGroup,
     GroupAction,
@@ -127,9 +127,9 @@ def from_strong_left_ideal(B: SkewBrace, S: Subgroup) -> SkewBracoid:
         raise NotStrongLeftIdeal(f"S = {S.elements} fails the ideal conditions")
     labels, cos = _left_cosets(B.star, S)
     nt = cos[B.star.table[np.ix_(labels, labels)]]
-    N = FiniteGroup(nt, name=f"{B.dot.name}/S{S.order}")
+    N = FiniteGroup(frozen(nt), name=f"{B.dot.name}/S{S.order}")
     act = cos[B.dot.table[:, labels]]
-    bracoid = SkewBracoid(B.dot, N, act)
+    bracoid = SkewBracoid(B.dot, N, frozen(act))
     stab = stabilizer(bracoid.act, 0)
     if stab.elements != S.elements:
         raise AxiomViolated(
@@ -138,12 +138,12 @@ def from_strong_left_ideal(B: SkewBrace, S: Subgroup) -> SkewBracoid:
 
 
 def from_holomorph_subgroup(hol: Holomorph, J: Subgroup) -> SkewBracoid:
-    """Bracoid from a transitive subgroup J of hol.group, acting on hol.base."""
+    """Bracoid from a transitive subgroup J of hol.group, acting on hol.N."""
     if J.parent is not hol.group:
         raise ValueError("J must be a subgroup of hol.group")
     group = J.as_group(name=f"J{J.order}")
-    action = GroupAction(group, hol.action.table[np.asarray(J.elements)])
-    return SkewBracoid(group, hol.base, action)
+    action = GroupAction(group, frozen(hol.action.table[np.asarray(J.elements)]))
+    return SkewBracoid(group, hol.N, action)
 
 
 class ContainedBrace:
@@ -171,12 +171,12 @@ class ContainedBrace:
         if not exact_factorization(G, H, S):
             raise AxiomViolated("regular complement without exact factorization")
 
-        hstar = FiniteGroup(bijinv[N.table[bij[:, None], bij]],
+        hstar = FiniteGroup(frozen(bijinv[N.table[bij[:, None], bij]]),
                             name=f"{G.name}|Hstar", trusted=True)
         star_h = hstar.table
         if not np.array_equal(N.table[bij[:, None], bij], bij[star_h]):
             raise AxiomViolated("h -> h (+) e is not a star isomorphism")
-        act_h = bijinv[act[:, bij]]
+        act_h = frozen(bijinv[act[:, bij]])
         action_h = GroupAction(G, act_h)
         if not np.array_equal(act_h[hel, 0], np.arange(m)):
             raise AxiomViolated("transported action moves H off itself")
@@ -185,8 +185,7 @@ class ContainedBrace:
 
         hdot = H.as_group(name=f"{G.name}|H")
         brace = SkewBrace(hstar, hdot)
-        gamma_h = bijinv[N.table[N.inv[act[:, 0]][:, None], act[:, bij]]]
-        gamma_h.setflags(write=False)
+        gamma_h = frozen(bijinv[N.table[N.inv[act[:, 0]][:, None], act[:, bij]]])
         if not np.array_equal(gamma_h[hel], brace.gamma):
             raise AxiomViolated("bracoid twist on H disagrees with the brace")
 
@@ -194,14 +193,12 @@ class ContainedBrace:
         # isomorphism and equivariance checks above make it the image of the
         # verified bracoid under the bijection bij.
 
-        for arr in (hel, bij, bijinv):
-            arr.setflags(write=False)
         self.bracoid = bracoid
         self.H = H
         self.S = S
-        self.Hel = hel
-        self.bij = bij
-        self.bijinv = bijinv
+        self.Hel = frozen(hel)
+        self.bij = frozen(bij)
+        self.bijinv = frozen(bijinv)
         self.starH = star_h
         self.Hstar = hstar
         self.Hdot = hdot
@@ -262,9 +259,7 @@ def lambda_rho(cb: ContainedBrace) -> LambdaRho:
     lam = cb.Hel[cb.gammaH[:, hpos]]
     rho_xy = G.table[G.table[G.inv[lam], arange[:, None]], arange[None, :]]
     rho = np.ascontiguousarray(rho_xy.T)
-    lam.setflags(write=False)
-    rho.setflags(write=False)
-    lr = LambdaRho(G, lam=lam, rho=rho)
+    lr = LambdaRho(G, lam=frozen(lam), rho=frozen(rho))
     report = lambda_rho_identity_checks(lr)
     if not report.ok:
         raise AxiomViolated(

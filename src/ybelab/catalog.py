@@ -28,7 +28,7 @@ from .bracoids import (
     from_strong_left_ideal,
     transport,
 )
-from .checks import Record, _distinct
+from .checks import Record, _distinct, frozen
 from .groups import (
     CapExceeded,
     FiniteGroup,
@@ -293,7 +293,7 @@ def promote_brace(B: SkewBrace) -> ContainedBrace:
 def _relabeled(G: FiniteGroup, perm: np.ndarray) -> FiniteGroup:
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm), dtype=perm.dtype)
-    return FiniteGroup(perm[G.table[inv[:, None], inv]], name=G.name + "~", trusted=True)
+    return FiniteGroup(frozen(perm[G.table[inv[:, None], inv]]), name=G.name + "~", trusted=True)
 
 
 def _brace_pool() -> list[SkewBrace]:
@@ -342,6 +342,8 @@ def example_order(name: str, params: tuple[int, ...] = ()) -> int:
     """|G| of the bracoid `build_example(name, params)` returns, without building it."""
     params = _example_params(name, params)
     if name == "gl3f2":
+        if params:
+            raise ValueError("gl3f2 takes no parameters")
         return GL3F2_ORDER
     if name == "trivial-brace":
         if len(params) not in (1, 2):

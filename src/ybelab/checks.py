@@ -1,13 +1,13 @@
 """The immutable record base, the pass/fail report records shared by the
-structure verifiers, the memo that proves each distinct table once per
-process (a large one twice), and the two proof shapes, the action law and
-the rows law, proved on generators once for every law stated in them."""
+structure verifiers, `frozen`, the one way a table is made immutable, the
+memo that proves each distinct table once per process (a large one once
+per frozen table object), and the two proof shapes, the action law and the
+rows law, proved on generators once for every law stated in them."""
 
 from __future__ import annotations
 
 import functools
 import weakref
-import zlib
 
 import numpy as np
 
@@ -100,84 +100,67 @@ class Report(Record):
 
 
 # A memoised call is keyed by the exact bytes of a table of at most this
-# many entries.  A larger table is keyed by its dtype, shape and a CRC-32 of
-# its bytes, and a hit on it is proved by np.array_equal against a copy the
-# memo owns.  A large table is keyed when first seen and copied only when
-# it comes back, so one proved once, as the 1344^2 table of Hol(C2^3) in
-# `suite full`, costs one digest and is never held.
+# many entries.  A larger table is keyed by its identity, and only when it
+# is a view that `frozen` made, whose contents cannot change while it
+# lives; any other large table runs its kernel unmemoised.  So a large
+# table is never hashed, copied or compared, and one proved once, as the
+# 1344^2 table of Hol(C2^3) in `suite full`, leaves nothing behind.
 MEMO_MAX_ENTRIES = 64 * 64
 # Each kernel keeps its latest this many keys, so a long-lived process does
 # not grow without end.  `suite full --seed 7` stores at most 320 per kernel;
 # a small key holds at most two int32 tables of 64^2 entries, 32 KB.
 MEMO_MAX_KEYS = 1024
-# Each kernel holds copies of large tables up to this many bytes in all,
-# dropping the oldest entry that holds one beyond it.
-MEMO_MAX_BYTES = 64 << 20
 
-_SEEN = object()        # the entry of a large content seen once: its key alone
+# The views that `frozen` made, by id, while they live.
+_FROZEN: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
+
+
+def frozen(arr: np.ndarray) -> np.ndarray:
+    """A read-only view of arr that numpy refuses to make writable again.
+
+    arr, copied first when it does not own its memory, is set read-only,
+    and a fresh view of it is returned and recorded.  The caller hands arr
+    over and keeps no writable view of it.  This is the one place a table
+    is frozen.
+    """
+    if not arr.flags.owndata:
+        arr = arr.copy()
+    arr.setflags(write=False)
+    view = arr.view()
+    _FROZEN[id(view)] = view
+    return view
+
+
+def is_frozen(value) -> bool:
+    """True iff value is a view that `frozen` made."""
+    return _FROZEN.get(id(value)) is value
+
+
+def adopted(table) -> np.ndarray:
+    """table itself when it is a C-contiguous int32 view that `frozen` made,
+    else a frozen C-contiguous int32 copy of it, which no later write to
+    table reaches."""
+    if is_frozen(table) and table.dtype == np.int32 and table.flags.c_contiguous:
+        return table
+    return frozen(np.array(table, dtype=np.int32, order="C"))
 
 
 def _content(value):
     """The key part of one argument, or None if it is not memoised.
 
     A numeric array is its dtype, shape and bytes, or for a table above
-    MEMO_MAX_ENTRIES its dtype, shape and a digest of its bytes, which only
-    finds an entry.  Scalars are their type and value.
+    MEMO_MAX_ENTRIES that `frozen` made, ("id", its id).  Scalars are their
+    type and value.
     """
     if isinstance(value, np.ndarray):
         if value.dtype.kind not in "biu":
             return None
         if value.size <= MEMO_MAX_ENTRIES:
             return value.dtype.str, value.shape, value.tobytes()
-        return value.dtype.str, value.shape, _digest(value)
+        return ("id", id(value)) if is_frozen(value) else None
     if value is None or isinstance(value, (bool, int, str)):
         return type(value).__name__, value
     return None
-
-
-def _large(values, key) -> list[tuple[tuple, np.ndarray]]:
-    """(key part, table) for each argument above MEMO_MAX_ENTRIES entries, in order."""
-    return [(part, value) for part, value in zip(key, values)
-            if isinstance(value, np.ndarray) and value.size > MEMO_MAX_ENTRIES]
-
-
-# The digests of the last MEMO_MAX_KEYS read-only arrays seen, by id, each
-# with a weak reference that tells whether the id still names that array.
-# A digest only finds an entry, so one gone stale, as when a caller makes an
-# array writable again and changes it, costs a miss and never a wrong hit.
-_DIGESTS: dict[int, tuple[weakref.ref, int]] = {}
-
-
-def _digest(table: np.ndarray) -> int:
-    """A CRC-32 of the bytes of table in row-major order, whatever its memory order.
-
-    A read-only array is digested once while it lives, not at every call.
-    """
-    if table.flags.writeable:
-        return zlib.crc32(np.ascontiguousarray(table))
-    seen = _DIGESTS.get(id(table))
-    if seen is not None and seen[0]() is table:
-        return seen[1]
-    digest = zlib.crc32(np.ascontiguousarray(table))
-    _DIGESTS[id(table)] = (weakref.ref(table), digest)
-    if len(_DIGESTS) > MEMO_MAX_KEYS:
-        del _DIGESTS[next(iter(_DIGESTS))]
-    return digest
-
-
-# The copies the memos hold, by key part, so that the kernels that meet one
-# table share one copy of it.  A copy leaves when no memo entry holds it.
-_COPIES: weakref.WeakValueDictionary = weakref.WeakValueDictionary()
-
-
-def _frozen_copy(part: tuple, table: np.ndarray) -> np.ndarray:
-    """A read-only copy of table that the memos own, under its key part."""
-    copy = _COPIES.get(part)
-    if copy is None or not np.array_equal(copy, table):
-        copy = np.array(table, order="C")
-        copy.setflags(write=False)
-        _COPIES[part] = copy
-    return copy
 
 
 def by_content(kernel):
@@ -186,15 +169,11 @@ def by_content(kernel):
     The kernel must read nothing but its arguments, so its result is a
     function of their contents.  A list result is handed out as a fresh
     copy, so no caller can change what the memo holds; a kernel that raises
-    stores nothing.  `memo` maps each content key to (result, copies of its
+    stores nothing.  `memo` maps each key to (result, weak references to its
     large tables), oldest first, and drops the oldest beyond MEMO_MAX_KEYS.
-
-    A key with a large table is stored alone at its first call.  The second
-    call with that key runs the kernel again and stores its result with
-    read-only copies of the large tables, and a later call is answered only
-    when each of its large tables equals its copy entry for entry.  A call
-    that finds the key over other contents, a digest collision, runs the
-    kernel and leaves the entry as it was.
+    A hit needs each reference to be alive: a live table is the one object
+    with its id, so an id reused by another table is a miss.  The entry
+    leaves when one of its large tables dies, as no later call can name it.
     """
     memo: dict = {}
 
@@ -206,35 +185,18 @@ def by_content(kernel):
         if None in key:
             return run(*args, **kwargs)
         entry = memo.get(key)
-        if isinstance(entry, tuple) and (not entry[1] or all(
-                map(np.array_equal, entry[1], [table for _, table in _large(values, key)]))):
+        if entry is not None and (not entry[1] or all(ref() is not None for ref in entry[1])):
             result = entry[0]
         else:
             result = run(*args, **kwargs)
-            large = _large(values, key)
-            if entry is None:
-                memo[key] = _SEEN if large else (result, ())
-                if len(memo) > MEMO_MAX_KEYS:
-                    del memo[next(iter(memo))]
-            elif entry is _SEEN:
-                memo[key] = (result, tuple(_frozen_copy(*pair) for pair in large))
-                _drop_oldest_copies(memo)
+            memo[key] = (result, tuple(weakref.ref(value, lambda _, key=key: memo.pop(key, None))
+                                       for value, part in zip(values, key) if part[0] == "id"))
+            if len(memo) > MEMO_MAX_KEYS:
+                del memo[next(iter(memo))]
         return list(result) if isinstance(result, list) else result
 
     memoised.memo = memo
     return memoised
-
-
-def _drop_oldest_copies(memo: dict) -> None:
-    """Drop the oldest entries that hold copies until those left hold at most MEMO_MAX_BYTES."""
-    sizes = {key: sum(copy.nbytes for copy in entry[1])
-             for key, entry in memo.items() if isinstance(entry, tuple) and entry[1]}
-    held = sum(sizes.values())
-    for key, size in sizes.items():
-        if held <= MEMO_MAX_BYTES:
-            break
-        del memo[key]
-        held -= size
 
 
 # The Latin, inverse and action-law scans read a table in blocks of whole rows
@@ -351,8 +313,7 @@ def _group_proof(table, check_assoc: bool) -> tuple[tuple[Check, ...], np.ndarra
     else:
         checks.append(Check("associativity", True, (), "skipped"))
 
-    rinv = _right_inverses(arr)
-    rinv.setflags(write=False)
+    rinv = frozen(_right_inverses(arr))
     has_right = arr[idx, rinv] == 0
     if not has_right.all():
         a = int(np.argmin(has_right))

@@ -11,6 +11,8 @@ else is read line by line, and that loop is the only source of ParseError.
 Readers return raw tables (not verified structures) except for groups
 and solutions, whose types carry no unverified laws beyond shape; the
 caller decides whether to run verifiers or constructors on the rest.
+Every table read is frozen (`checks.frozen`), so a constructor adopts it
+without a copy and the memo proves it once.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from typing import Callable
 
 import numpy as np
 
-from .checks import Record, _row_blocks
+from .checks import Record, _row_blocks, frozen
 from .groups import FiniteGroup
 from .ybe import SolutionMap
 
@@ -235,8 +237,8 @@ def _line_tables(fmt: _Format, text: str) -> tuple[list[np.ndarray], str | None]
 
 def _read_tables(kind: str, text: str) -> tuple[list[np.ndarray], str | None]:
     fmt = _FORMATS[kind]
-    fast = _bulk(fmt, text)
-    return fast if fast is not None else _line_tables(fmt, text)
+    tables, tail = _bulk(fmt, text) or _line_tables(fmt, text)
+    return [frozen(table) for table in tables], tail
 
 
 def header_counts(kind: str, text: str) -> list[int] | None:
@@ -379,4 +381,4 @@ def _line_solution(text: str) -> SolutionMap:
             right[x, y] = ry
         except OverflowError as exc:
             raise ParseError(2 + k, f"bad integer: {exc}") from exc
-    return SolutionMap(left, right, provenance=provenance)
+    return SolutionMap(frozen(left), frozen(right), provenance=provenance)

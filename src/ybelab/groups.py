@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .checks import (Check, Record, _action_law_failure, _first_bad_row, _group_proof,
-                     _rows_law_failure, generators)
+                     _rows_law_failure, adopted, frozen, generators)
 
 # The default `--max-order`, and the one bound of the holomorph search: |Hol(N)| = |N| * |Aut(N)|.
 MAX_ORDER = 2048
@@ -77,22 +77,17 @@ class FiniteGroup:
     always run.
 
     The group adopts `table` itself, without a copy, when it is an int32,
-    C-contiguous, read-only numpy array that owns its data: a builder that
-    wrote the table and froze it hands it over, so a large table exists
-    once while it is proved.  Any other input (a list, another dtype, a
-    writable array, a view) is copied, so no later write to it reaches
-    `table`.  The table is frozen before it is proved, and `inv` is the
-    inverse table that proof returns.
+    C-contiguous view that `checks.frozen` made: a builder that wrote the
+    table hands it over frozen, so a large table exists once while it is
+    proved.  Any other input is copied and frozen (`checks.adopted`), so no
+    later write to it reaches `table`.  `inv` is the inverse table that the
+    proof returns.
     """
 
     def __init__(self, table, name: str = "G", trusted: bool = False):
-        adopt = (isinstance(table, np.ndarray) and table.dtype == np.int32
-                 and table.flags.c_contiguous and not table.flags.writeable
-                 and table.flags.owndata)
-        arr = table if adopt else np.array(table, dtype=np.int32)
+        arr = adopted(table)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
             raise NotLatinSquare(f"table shape {arr.shape} is not square")
-        arr.setflags(write=False)
         checks, inv = _group_proof(arr, not trusted)
         for check in checks:
             if not check.ok:
@@ -114,8 +109,7 @@ class FiniteGroup:
             orders[hit] = k
             cur = self.table[cur, np.arange(n)]
             k += 1
-        orders.setflags(write=False)
-        return orders
+        return frozen(orders)
 
     def subgroup(self, elements: Sequence[int]) -> Subgroup:
         return Subgroup(self, tuple(sorted(int(e) for e in set(elements))))
@@ -162,17 +156,17 @@ class Subgroup(Record):
         pos = np.full(self.parent.order, -1, dtype=np.int32)
         pos[sub] = np.arange(len(sub), dtype=np.int32)
         table = pos[self.parent.table[sub[:, None], sub]]
-        return FiniteGroup(table, name=name or f"{self.parent.name}-sub{len(sub)}", trusted=True)
+        return FiniteGroup(frozen(table), name=name or f"{self.parent.name}-sub{len(sub)}",
+                           trusted=True)
 
 
 class GroupAction:
     """A left action of `actor` on points 0..m-1, as a |G| x m table."""
 
     def __init__(self, actor: FiniteGroup, table):
-        arr = np.array(table, dtype=np.int32)
+        arr = adopted(table)
         if arr.ndim != 2 or arr.shape[0] != actor.order:
             raise ValueError(f"action table shape {arr.shape} does not match |G|={actor.order}")
-        arr.setflags(write=False)
         m = arr.shape[1]
         if not ((arr >= 0) & (arr < m)).all():
             raise ValueError("action table entry out of range")
@@ -222,7 +216,7 @@ def cyclic_group(n: int) -> FiniteGroup:
     if n < 1:
         raise ValueError("order must be positive")
     idx = np.arange(n, dtype=np.int32)
-    return FiniteGroup((idx[:, None] + idx[None, :]) % n, name=f"C{n}", trusted=True)
+    return FiniteGroup(frozen((idx[:, None] + idx[None, :]) % n), name=f"C{n}", trusted=True)
 
 
 def is_prime(n: int) -> bool:
@@ -248,7 +242,7 @@ def elementary_abelian(p: int, k: int) -> FiniteGroup:
     summed = (digits[:, None, :] + digits[None, :, :]) % p
     weights = np.array([p**i for i in range(k)])
     table = (summed * weights).sum(axis=2).astype(np.int32)
-    return FiniteGroup(table, name=f"E{p}^{k}", trusted=True)
+    return FiniteGroup(frozen(table), name=f"E{p}^{k}", trusted=True)
 
 
 def _check_automorphism_list(H: FiniteGroup, alpha: np.ndarray) -> None:
@@ -293,8 +287,7 @@ def semidirect_product(
     hpart = H.table[:, alpha] * np.int32(ns)           # (h, s, h') -> (h * alpha_s(h')) * |S|
     table = np.empty((nh * ns, nh * ns), dtype=np.int32)
     np.add(hpart[:, :, :, None], S.table[None, :, None, :], out=table.reshape(nh, ns, nh, ns))
-    table.setflags(write=False)
-    return FiniteGroup(table, name=name or f"{H.name}:{S.name}", trusted=True)
+    return FiniteGroup(frozen(table), name=name or f"{H.name}:{S.name}", trusted=True)
 
 
 def direct_product(H: FiniteGroup, S: FiniteGroup, name: str | None = None) -> FiniteGroup:
@@ -412,7 +405,7 @@ def automorphism_group(
     order = np.argsort(codes)
     comp = parr[:, parr[:, gens]] @ weights            # (a, b) -> code of a o b
     table = order[np.searchsorted(codes[order], comp)].astype(np.int32)
-    aut = FiniteGroup(table, name=f"Aut({G.name})", trusted=True)
+    aut = FiniteGroup(frozen(table), name=f"Aut({G.name})", trusted=True)
     return aut, [GroupMap(G, G, p) for p in perms]
 
 
@@ -420,16 +413,16 @@ class Holomorph(Record):
     """Hol(N) = N x| Aut(N) with its natural transitive action (h, a).k = h * a(k).
 
     `group` is the semidirect product table, `action` its action on the
-    points of `base` = N, and `maps` lists Aut(N) in lexicographic order of
+    points of `N`, and `maps` lists Aut(N) in lexicographic order of
     images.  The pair (h, a) sits at index h * len(maps) + (position of a
     in maps); `element` is the only place that turns a pair into an index.
     """
 
-    __slots__ = ("base", "group", "action", "maps")
+    __slots__ = ("N", "group", "action", "maps")
 
-    def __init__(self, base: FiniteGroup, group: FiniteGroup, action: GroupAction,
+    def __init__(self, N: FiniteGroup, group: FiniteGroup, action: GroupAction,
                  maps: tuple[GroupMap, ...]):
-        self._fill(base, group, action, maps)
+        self._fill(N, group, action, maps)
 
     def element(self, h: int, twist: Sequence[int]) -> int | None:
         """Index of (h, twist), twist given by its images; None if it is not in Aut(N)."""

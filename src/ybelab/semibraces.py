@@ -16,7 +16,8 @@ import numpy as np
 
 from .bracoids import ContainedBrace, SkewBracoid, transport
 from .checks import (AxiomViolated, Check, Record, Report, _action_law_holds, _assoc_failure,
-                     _distinct, _first_repeat, _first_triple, by_content, group_table_checks)
+                     _distinct, _first_repeat, _first_triple, adopted, by_content, frozen,
+                     group_table_checks)
 from .groups import FiniteGroup, Subgroup, stabilizer
 
 
@@ -89,27 +90,25 @@ class Semibrace:
         L_x(y+z) = x.((x^-1 + y) + z) = x.(x^-1 + y) + L_x(z) = L_x(y) + L_x(z).
     Rows are in fact bijections (a plus row is injective and left
     translation is), but that is left to callers to observe rather than
-    assumed anywhere.
+    assumed anywhere.  `plus` is held as `checks.adopted` gives it: a frozen
+    view is kept, anything else copied.
     """
 
     def __init__(self, dot, plus):
         if not isinstance(dot, FiniteGroup):
-            dot = FiniteGroup(np.asarray(dot, dtype=np.int32))
-        plus = np.ascontiguousarray(plus, dtype=np.int32)
+            dot = FiniteGroup(dot)
+        plus = adopted(plus)
         report = verify_semibrace(dot.table, plus)
         if not report.ok:
             raise AxiomViolated(
                 f"semibrace law failed: {report.first_failure().describe()}")
-        plus.setflags(write=False)
         self.dot = dot
         self.plus = plus
         self.order = dot.order
 
     @cached_property
     def L(self) -> np.ndarray:
-        L = _L_table(self.dot, self.plus)
-        L.setflags(write=False)
-        return L
+        return frozen(_L_table(self.dot, self.plus))
 
     def __repr__(self) -> str:
         return f"Semibrace(order={self.order}, dot={self.dot.name!r})"
@@ -163,7 +162,7 @@ def _split(plus: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarr
     block = pos[plus[hpart[:, None], hpart]]
     if (block < 0).any():
         raise AxiomViolated("G+e is not closed under +")
-    block.setflags(write=False)
+    block = frozen(block)
     anchors = plus[:, 0]
     unique = (plus[anchors[:, None], epart[None, :]] == arange[:, None]).sum(axis=1) == 1
     unsplit = None if unique.all() else int(np.argmin(unique))
@@ -181,7 +180,7 @@ def bracoid_to_semibrace(cb: ContainedBrace) -> Semibrace:
     n = G.order
     arange = np.arange(n, dtype=np.int32)
     swapped = G.table[arange[:, None], lr.lam[G.inv]]
-    sb = Semibrace(G, np.ascontiguousarray(swapped.T))
+    sb = Semibrace(G, frozen(np.ascontiguousarray(swapped.T)))
     dec = decompose(sb)
     if dec.Hpart != cb.H.elements:
         raise AxiomViolated("G+e is not the complement H")
@@ -201,9 +200,9 @@ def semibrace_to_bracoid(sb: Semibrace) -> ContainedBrace:
     harr = np.asarray(dec.Hpart, dtype=np.int32)
     pos = np.full(sb.order, -1, dtype=np.int32)
     pos[harr] = np.arange(harr.size, dtype=np.int32)
-    star = np.ascontiguousarray(pos[sb.plus[harr[:, None], harr]].T)
+    star = frozen(np.ascontiguousarray(pos[sb.plus[harr[:, None], harr]].T))
     N = FiniteGroup(star, name=f"{sb.dot.name}+e")
-    act = pos[sb.plus[sb.dot.table[:, harr], 0]]
+    act = frozen(pos[sb.plus[sb.dot.table[:, harr], 0]])
     if (act < 0).any():
         raise AxiomViolated("x.h + e escaped G+e")
     bracoid = SkewBracoid(sb.dot, N, act)

@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checks import AxiomViolated, Record, _action_law_holds, _first_repeat, _first_triple
+from .checks import (AxiomViolated, Record, _action_law_holds, _first_repeat, _first_triple,
+                     adopted, frozen)
 from .groups import FiniteGroup
 
 # _braid_from_profiles runs its checks only when their work, about
@@ -59,13 +60,13 @@ class SolutionMap:
 
     ``carrier`` optionally records the group whose inversion realises the
     involution iota(x, y) = (x^-1, y^-1); it is required only by
-    :func:`conjugate_solution` with ``by="iota"``.
+    :func:`conjugate_solution` with ``by="iota"``.  The tables are held as
+    `checks.adopted` gives them: a frozen view is kept, anything else copied.
     """
 
     def __init__(self, left, right, provenance: str = "unspecified",
                  carrier: FiniteGroup | None = None):
-        left = np.ascontiguousarray(left, dtype=np.int32)
-        right = np.ascontiguousarray(right, dtype=np.int32)
+        left, right = adopted(left), adopted(right)
         if left.ndim != 2 or left.shape[0] != left.shape[1]:
             raise ValueError(f"left table is not square: shape {left.shape}")
         if right.shape != left.shape:
@@ -78,8 +79,6 @@ class SolutionMap:
         if carrier is not None and carrier.order != n:
             raise SizeMismatch(
                 f"carrier of order {carrier.order} attached to a size-{n} map")
-        left.setflags(write=False)
-        right.setflags(write=False)
         self.left = left
         self.right = right
         self.size = n
@@ -350,7 +349,7 @@ def solution_from_semibrace(sb) -> SolutionMap:
     arange = np.arange(n, dtype=np.int32)
     left = sb.L
     right = dot.table[dot.table[dot.inv[left], arange[:, None]], arange[None, :]]
-    r = SolutionMap(left, right, provenance="semibrace", carrier=dot)
+    r = SolutionMap(left, frozen(right), provenance="semibrace", carrier=dot)
     return assert_properties(r, "semibrace", "braid", "left-nondegenerate")
 
 
@@ -370,7 +369,7 @@ def solution_from_bracoid(cb) -> SolutionMap:
     pair = np.ix_(inv, inv)
     left = inv[lr.rho[pair]]
     right = inv[lr.lam[pair].T]
-    r = SolutionMap(left, right, provenance="bracoid", carrier=G)
+    r = SolutionMap(frozen(left), frozen(right), provenance="bracoid", carrier=G)
 
     via_semibrace = solution_from_semibrace(semibraces.bracoid_to_semibrace(cb))
     if not solutions_equal(r, via_semibrace):
@@ -401,7 +400,7 @@ def conjugate_solution(r: SolutionMap, by: str) -> SolutionMap:
             raise MissingCarrier("iota-conjugation needs a carrier group")
         inv = r.carrier.inv
         pair = np.ix_(inv, inv)
-        return SolutionMap(inv[r.left[pair]], inv[r.right[pair]],
+        return SolutionMap(frozen(inv[r.left[pair]]), frozen(inv[r.right[pair]]),
                            provenance=f"iota({r.provenance})", carrier=r.carrier)
     raise ValueError(f"unknown involution {by!r} (expected 'tau' or 'iota')")
 
@@ -432,7 +431,7 @@ def restrict_solution(r: SolutionMap, subset) -> SolutionMap | NotClosed:
             i, j = int(xs[0]), int(ys[0])
             return NotClosed(int(sub[i]), int(sub[j]), label,
                              int(table[i, j]))
-    return SolutionMap(pos[sub_left], pos[sub_right],
+    return SolutionMap(frozen(pos[sub_left]), frozen(pos[sub_right]),
                        provenance=f"restrict({r.provenance})")
 
 

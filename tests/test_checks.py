@@ -273,8 +273,8 @@ def test_table_proof_scratch_is_below_half_a_table():
     rows, columns and inverses in blocks, Light's test in row blocks)."""
     table = holomorph(elementary_abelian(2, 3)).group.table
     for check_assoc in (False, True):
-        # The kernels it calls meet the table for the first time, so the memo
-        # keeps a key and no copy: its copies are bounded by MEMO_MAX_BYTES.
+        # The kernels it calls meet the table for the first time, and the memo
+        # holds only weak references to a large table.
         with mock.patch.dict(checks.generators.memo, clear=True), \
                 mock.patch.dict(checks._action_law_holds.memo, clear=True):
             tracemalloc.start()

@@ -127,6 +127,14 @@ def test_example_with_wrong_param_count_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_example_gl3f2_with_parameters_exits_two(tmp_path, capsys):
+    """gl3f2 has one instance; parameters are refused before the search starts."""
+    code = main(["example", "gl3f2", "5", "7", "--out", str(tmp_path / "out")])
+    assert code == 2
+    assert "gl3f2 takes no parameters" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_broken_internal_invariant_exits_three(tmp_path, capsys, monkeypatch):
     """A post-check that fails inside the library is exit 3, not a traceback."""
     path = tmp_path / "s3.txt"

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from ybelab import groups
+from ybelab.checks import frozen
 from ybelab.groups import (
     CapExceeded,
     FiniteGroup,
@@ -88,17 +89,18 @@ def test_nonassociative_loop_rejected():
 
 
 def test_group_adopts_a_frozen_owned_int32_table():
-    table = np.array(cyclic_group(6).table)
-    table.setflags(write=False)
+    """A table that `checks.frozen` took over is adopted with no copy."""
+    table = frozen(np.array(cyclic_group(6).table))
     G = FiniteGroup(table)
-    assert G.table is table and np.shares_memory(G.table, table)
+    assert G.table is table
 
 
-@pytest.mark.parametrize("kind", ["writable", "int64", "fortran-order", "view"])
+@pytest.mark.parametrize("kind", ["writable", "frozen-by-caller", "int64", "fortran-order",
+                                  "view"])
 def test_group_copies_any_other_table(kind):
-    """A writable table, another dtype, a non-C-contiguous array or a frozen
-    view is copied: a later write to the memory it came from never reaches
-    G.table."""
+    """A writable table, one the caller set read-only itself, another dtype,
+    a non-C-contiguous array or a read-only view is copied: a later write to
+    the memory it came from never reaches G.table."""
     owner = np.array(s3().table)
     if kind == "int64":
         owner = owner.astype(np.int64)
@@ -130,7 +132,7 @@ def test_semidirect_product_table_is_built_once():
     finally:
         tracemalloc.stop()
     assert G.order == 1344 and peak < 1.25 * G.table.nbytes
-    assert G.table.dtype == np.int32 and G.table.flags.owndata
+    assert G.table.dtype == np.int32 and G.table.base.flags.owndata
     assert not G.table.flags.writeable and G.table.flags.c_contiguous
 
 

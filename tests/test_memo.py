@@ -3,11 +3,13 @@
 An array changed in place after a call must get a fresh verdict; a list
 handed out must not be the one the memo holds; an argument with no exact
 contents or a call that raises must leave the memo as it was.  A table
-above `MEMO_MAX_ENTRIES` entries is keyed by a digest, and a hit on it is
-proved against the memo's own copy, so a digest collision is a miss.  That
-each memoised kernel answers as the kernel it wraps is in test_fast_laws.py.
+above `MEMO_MAX_ENTRIES` entries is keyed by its identity when
+`checks.frozen` made it, which nothing can make writable again, and runs
+its kernel unmemoised otherwise.  That each memoised kernel answers as the
+kernel it wraps is in test_fast_laws.py.
 """
 
+import weakref
 from collections import Counter
 from unittest import mock
 
@@ -71,17 +73,16 @@ def test_the_key_is_the_exact_contents():
 
 @pytest.mark.parametrize("n, stored", [(64, 1), (65, 0)])
 def test_only_tables_within_the_bound_are_stored(n, stored):
-    """At its first call a table within the bound stores its verdict; a larger
-    one stores its key alone."""
+    """A table within the bound stores its verdict under its bytes; a larger
+    one that `checks.frozen` did not make stores nothing."""
     assert (n * n <= checks.MEMO_MAX_ENTRIES) == bool(stored)
-    G = cyclic_group(n)
+    table = cyclic_group(n).table.copy()
     with mock.patch.dict(checks._group_proof.memo, clear=True), \
             mock.patch.dict(checks._action_law_holds.memo, clear=True):
-        assert all(c.ok for c in checks.group_table_checks(G.table, check_assoc=False))
-        assert checks._action_law_holds(G.table, G.table)
+        assert all(c.ok for c in checks.group_table_checks(table, check_assoc=False))
+        assert checks._action_law_holds(table, table)
         for memo in (checks._group_proof.memo, checks._action_law_holds.memo):
-            assert len(memo) == 1
-            assert sum(isinstance(entry, tuple) for entry in memo.values()) == stored
+            assert len(memo) == stored
 
 
 def test_arguments_without_contents_are_not_stored():
@@ -125,48 +126,57 @@ def _counted(kernel):
     return mock.patch.object(kernel, "__wrapped__", counting), runs
 
 
-def test_a_large_table_is_keyed_then_copied_then_found():
-    """First sight stores the key alone, the second the memo's own read-only
-    copy, and the third is answered by comparing against that copy."""
+def test_a_frozen_table_is_found_by_identity():
+    """A frozen 65 x 65 table is proved once however often it is named; an
+    equal copy that is not frozen runs the kernel at every call."""
     table = cyclic_group(65).table
     patch, runs = _counted(checks._group_proof)
     with patch, mock.patch.dict(checks._group_proof.memo, clear=True):
-        memo = checks._group_proof.memo
-        checks._group_proof(table, True)
-        (entry,) = memo.values()
-        assert not isinstance(entry, tuple) and len(runs) == 1
-        checks._group_proof(table, True)
-        (entry,) = memo.values()
-        (copy,) = entry[1]
-        assert len(runs) == 2
-        assert copy is not table and np.array_equal(copy, table) and not copy.flags.writeable
-        checks._group_proof(table.copy(), True)
-        assert len(runs) == 2
+        for _ in range(3):
+            checks._group_proof(table, True)
+        assert len(runs) == 1
+        (key,) = checks._group_proof.memo
+        assert key[0] == ("id", id(table))
+        copy = table.copy()
+        for _ in range(2):
+            checks._group_proof(copy, True)
+        assert len(runs) == 3 and len(checks._group_proof.memo) == 1
 
 
-def test_a_forged_digest_collision_is_a_miss(monkeypatch):
-    """With every digest equal, two different 65 x 65 tables share one key, and
-    each still gets its own verdict."""
-    monkeypatch.setattr(checks, "_digest", lambda table: 0)
-    good = cyclic_group(65).table
-    bad = good.copy()
-    bad[[1, 2]] = bad[[2, 1]]
-    bad[:, [1, 2]] = bad[:, [2, 1]]
-    bad[3, 4], bad[3, 5] = bad[3, 5], bad[3, 4]
-    truth = {name: list(checks._group_proof.__wrapped__(t, True)[0])
-             for name, t in (("good", good), ("bad", bad))}
-    assert all(c.ok for c in truth["good"]) and not all(c.ok for c in truth["bad"])
-    with mock.patch.dict(checks._group_proof.memo, clear=True):
-        for name in ("good", "bad") * 3:
-            table = good if name == "good" else bad
-            assert checks.group_table_checks(table) == truth[name]
-        assert len(checks._group_proof.memo) == 1
+def test_an_entry_lives_as_long_as_its_table():
+    """The entry of a frozen table leaves when the table dies, and an entry
+    whose table died, found under its reused id, is a miss."""
+    memo = checks._group_proof.memo
+    with mock.patch.dict(memo, clear=True):
+        table = checks.frozen(np.array(cyclic_group(65).table))
+        checks.group_table_checks(table)
+        assert len(memo) == 1
+        del table
+        assert not memo
+        good, dead = cyclic_group(65).table, weakref.ref(checks.frozen(np.zeros(1)))
+        assert dead() is None
+        wrong = ((checks.Check("latin", False),), None)
+        memo[(("id", id(good)), ("bool", True))] = (wrong, (dead,))
+        assert all(c.ok for c in checks.group_table_checks(good))
+
+
+def test_a_frozen_table_cannot_be_made_writable():
+    """frozen hands out a view of a read-only owner, and numpy refuses to
+    make such a view writable; an input that does not own its memory is
+    copied first, as its owner could be."""
+    owner = np.array(cyclic_group(65).table)
+    for given in (owner, owner[:]):
+        table = checks.frozen(given)
+        with pytest.raises(ValueError):
+            table.setflags(write=True)
+        assert checks.is_frozen(table) and not checks.is_frozen(given)
+    assert not owner.flags.writeable
 
 
 def test_a_table_written_after_its_call_gets_a_fresh_verdict():
     """A caller that makes its read-only table writable again and changes it
-    is not answered from the copy of the old contents, also once it freezes
-    the table again under the digest kept for the old contents."""
+    gets a verdict on the new contents, also once it freezes the table again:
+    its own array is not frozen, so it is never memoised."""
     table = cyclic_group(65).table.copy()
     table.setflags(write=False)
     with mock.patch.dict(checks._group_proof.memo, clear=True):
@@ -180,23 +190,7 @@ def test_a_table_written_after_its_call_gets_a_fresh_verdict():
         table.setflags(write=False)
         for _ in range(3):
             assert checks.group_table_checks(table) == fresh
-
-
-def test_the_bytes_bound_drops_the_oldest_copy(monkeypatch):
-    tables = [cyclic_group(n).table for n in (65, 66, 67)]
-    monkeypatch.setattr(checks, "MEMO_MAX_BYTES", tables[1].nbytes + tables[2].nbytes)
-    with mock.patch.dict(checks.generators.memo, clear=True):
-        memo = checks.generators.memo
-        for table in tables:
-            checks.generators(table)
-            checks.generators(table)
-        held = [entry[1][0].shape for entry in memo.values()]
-        assert held == [(66, 66), (67, 67)]
-        patch, runs = _counted(checks.generators)
-        with patch:
-            checks.generators(tables[2])
-            checks.generators(tables[0])
-        assert runs == [(tables[0],)]
+        assert not checks._group_proof.memo
 
 
 def test_a_group_takes_its_inverses_from_the_proof(monkeypatch):
@@ -218,9 +212,13 @@ def test_a_group_takes_its_inverses_from_the_proof(monkeypatch):
         assert not G.inv.flags.writeable
 
 
-def test_a_roundtrip_proves_each_large_table_at_most_twice(tmp_path, capsys):
+def _large(arg) -> bool:
+    return getattr(arg, "size", 0) > checks.MEMO_MAX_ENTRIES
+
+
+def test_a_roundtrip_proves_each_frozen_table_once(tmp_path, capsys):
     """derive semibrace-from-bracoid --roundtrip on an order-132 bracoid runs
-    each memoised kernel at most twice on any one content."""
+    each memoised kernel at most once on any one frozen table object."""
     bc = catalog.abelianmap_instance(3, 11).bracoid
     assert bc.G.order == 132
     path = tmp_path / "bracoid.txt"
@@ -242,9 +240,13 @@ def test_a_roundtrip_proves_each_large_table_at_most_twice(tmp_path, capsys):
             for patch in reversed(patches):
                 patch.stop()
     assert code == 0, capsys.readouterr().out
+    # A run with a large table that is not frozen is not memoised.  The runs
+    # hold their arguments, so no id below is reused by another table.
     for name, runs in counted.items():
-        contents = Counter(tuple(a.tobytes() if isinstance(a, np.ndarray) else a for a in args)
-                           for args in runs
-                           if any(getattr(a, "size", 0) > checks.MEMO_MAX_ENTRIES for a in args))
-        assert max(contents.values(), default=0) <= 2, (name, sorted(contents.values()))
+        memoised = Counter(
+            tuple(id(a) if large else a.tobytes() if isinstance(a, np.ndarray) else a
+                  for a, large in zip(args, map(_large, args)))
+            for args in runs
+            if any(map(_large, args)) and all(map(checks.is_frozen, filter(_large, args))))
+        assert max(memoised.values(), default=0) <= 1, (name, sorted(memoised.values()))
     assert counted["_group_proof"] and counted["_action_law_holds"]

@@ -57,6 +57,17 @@ def test_plus_equal_dot_is_a_semibrace():
     assert np.array_equal(sb.L, np.tile(np.arange(6), (6, 1)))
 
 
+def test_semibrace_copies_the_callers_plus_table():
+    """The caller's plus table stays writable, and a write to it does not
+    reach the semibrace."""
+    G = _sd32()
+    plus = np.array(G.table)
+    sb = Semibrace(G, plus)
+    assert plus.flags.writeable and not np.shares_memory(sb.plus, plus)
+    plus[...] = 0
+    assert np.array_equal(sb.plus, G.table) and not sb.plus.flags.writeable
+
+
 def test_opposite_plus_is_a_semibrace_with_conjugation_L():
     G = _sd32()
     plus = np.ascontiguousarray(G.table.T)

@@ -75,6 +75,23 @@ def test_only_checks_decides_what_is_cached():
     assert not found, found
 
 
+def test_only_checks_frozen_freezes_a_table():
+    """A table is made immutable in one place, `checks.frozen`, whose views
+    the constructors adopt and the memo keys by identity; no other code sets
+    array flags, or reads an array's `.base` to reason about its owner."""
+    found = []
+    for path, tree in _trees():
+        inside = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and f"{path.stem}.{node.name}" == "checks.frozen":
+                inside = {id(inner) for inner in ast.walk(node)}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and (
+                    node.attr == "base" or (node.attr == "setflags" and id(node) not in inside)):
+                found.append(f"{path.name}:{node.lineno} .{node.attr}")
+    assert not found, found
+
+
 # The functions that may call generators(...).  A law proved on generators
 # is the action law or the rows law and goes through its kernel in checks;
 # a new reduction of its own has to be listed here on purpose.

@@ -296,6 +296,18 @@ def test_solution_map_validation():
                     np.zeros((2, 2), dtype=np.int32), carrier=cyclic_group(3))
 
 
+def test_solution_map_copies_the_callers_tables():
+    """The caller's tables stay writable, and a write to them does not reach
+    the map."""
+    left, right = np.array(cyclic_group(4).table), np.zeros((4, 4), dtype=np.int32)
+    r = SolutionMap(left, right)
+    for given, held in ((left, r.left), (right, r.right)):
+        assert given.flags.writeable and not np.shares_memory(given, held)
+    before = r.left.copy()
+    left[...] = right[...] = 3
+    assert np.array_equal(r.left, before) and not r.right.any()
+
+
 def test_projection_semibrace_solution_is_multiplication_then_identity():
     G = _sd32()
     sb = Semibrace(G, np.tile(np.arange(6, dtype=np.int32), (6, 1)))
