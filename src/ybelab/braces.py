@@ -89,8 +89,7 @@ def verify_skew_brace(star, dot) -> Report:
     same = st.shape == dt.shape
     results.append(Check("same-order", same, detail=f"{st.shape} vs {dt.shape}"))
     if same and all(c.ok for c in results):
-        witness = _compat_failure(FiniteGroup(st, trusted=True),
-                                  FiniteGroup(dt, trusted=True))
+        witness = _compat_failure(FiniteGroup(st), FiniteGroup(dt))
         results.append(Check("compat", witness is None, witness=witness or ()))
     else:
         results.append(Check("compat", False,

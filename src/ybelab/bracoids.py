@@ -29,7 +29,6 @@ from .groups import (
     Holomorph,
     Subgroup,
     _left_cosets,
-    exact_factorization,
     find_complements,
     is_transitive,
     stabilizer,
@@ -104,8 +103,7 @@ def verify_bracoid(G, N, act) -> Report:
         results.append(Check("action.transitive",
                              len(set(arr[:, 0].tolist())) == m))
         if ident and not law_witness:
-            witness = _eq2_failure(FiniteGroup(gt, trusted=True),
-                                   FiniteGroup(nt, trusted=True), arr)
+            witness = _eq2_failure(FiniteGroup(gt), FiniteGroup(nt), arr)
             results.append(Check("compat", witness is None, witness=witness or ()))
         else:
             results.append(Check("compat", False,
@@ -167,39 +165,25 @@ class ContainedBrace:
                 f"H (order {H.order}) is not regular on the {m} points")
         bijinv = np.empty(m, dtype=np.int32)
         bijinv[bij] = np.arange(m, dtype=np.int32)
-        S = stabilizer(bracoid.act, 0)
-        if not exact_factorization(G, H, S):
-            raise AxiomViolated("regular complement without exact factorization")
-
-        hstar = FiniteGroup(frozen(bijinv[N.table[bij[:, None], bij]]),
-                            name=f"{G.name}|Hstar", trusted=True)
-        star_h = hstar.table
-        if not np.array_equal(N.table[bij[:, None], bij], bij[star_h]):
-            raise AxiomViolated("h -> h (+) e is not a star isomorphism")
-        act_h = frozen(bijinv[act[:, bij]])
-        action_h = GroupAction(G, act_h)
-        if not np.array_equal(act_h[hel, 0], np.arange(m)):
-            raise AxiomViolated("transported action moves H off itself")
-        if not np.array_equal(act[:, bij], bij[act_h]):
-            raise AxiomViolated("transported action is not equivariant")
-
+        # bij is a permutation with inverse bijinv, so bij[starH] is N's star
+        # table on bij and bij[actH] the verified action on bij: h -> h (+) e
+        # is a star isomorphism and equivariant, and (Hstar, actH) is the
+        # image of the verified bracoid.  hel[0] = 0 fixes every point, so
+        # bij[0] = 0 and h_i moves position 0 to i: H sits at itself.
+        hstar = FiniteGroup(frozen(bijinv[N.table[bij[:, None], bij]]), name=f"{G.name}|Hstar")
+        action_h = GroupAction(G, frozen(bijinv[act[:, bij]]))
         hdot = H.as_group(name=f"{G.name}|H")
         brace = SkewBrace(hstar, hdot)
         gamma_h = frozen(bijinv[N.table[N.inv[act[:, 0]][:, None], act[:, bij]]])
         if not np.array_equal(gamma_h[hel], brace.gamma):
             raise AxiomViolated("bracoid twist on H disagrees with the brace")
 
-        # (hstar, action_h) is a bracoid with no further check: the star
-        # isomorphism and equivariance checks above make it the image of the
-        # verified bracoid under the bijection bij.
-
         self.bracoid = bracoid
         self.H = H
-        self.S = S
+        self.S = stabilizer(bracoid.act, 0)
         self.Hel = frozen(hel)
-        self.bij = frozen(bij)
         self.bijinv = frozen(bijinv)
-        self.starH = star_h
+        self.starH = hstar.table
         self.Hstar = hstar
         self.Hdot = hdot
         self.actH = action_h

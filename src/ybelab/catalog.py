@@ -28,14 +28,13 @@ from .bracoids import (
     from_strong_left_ideal,
     transport,
 )
-from .checks import Record, _distinct, frozen
+from .checks import Record, _distinct, closure, frozen
 from .groups import (
     CapExceeded,
     FiniteGroup,
     GroupMap,
     NotPrime,
     Subgroup,
-    _closure,
     cyclic_group,
     direct_product,
     elementary_abelian,
@@ -212,7 +211,7 @@ def _is_simple(G: FiniteGroup) -> bool:
             continue
         cls = _conjugacy_class(G, g)
         seen[cls] = True
-        generated = _closure(G.table, [int(v) for v in cls])
+        generated = closure(G.table, cls.tolist())
         if len(generated) != G.order:
             return False
     return True
@@ -232,7 +231,7 @@ def gl3f2_instance(seed: int = 0, attempt_cap: int = GL3F2_ATTEMPT_CAP) -> Catal
     for attempt in range(1, attempt_cap + 1):
         a = rng.randrange(hol.group.order)
         b = rng.randrange(hol.group.order)
-        elems = _closure(hol.group.table, [a, b], cap=GL3F2_ORDER)
+        elems = closure(hol.group.table, [a, b], cap=GL3F2_ORDER)
         if elems is None or len(elems) != GL3F2_ORDER:
             continue
         chosen = np.asarray(sorted(elems), dtype=np.int32)
@@ -293,7 +292,7 @@ def promote_brace(B: SkewBrace) -> ContainedBrace:
 def _relabeled(G: FiniteGroup, perm: np.ndarray) -> FiniteGroup:
     inv = np.empty_like(perm)
     inv[perm] = np.arange(len(perm), dtype=perm.dtype)
-    return FiniteGroup(frozen(perm[G.table[inv[:, None], inv]]), name=G.name + "~", trusted=True)
+    return FiniteGroup(frozen(perm[G.table[inv[:, None], inv]]), name=G.name + "~")
 
 
 def _brace_pool() -> list[SkewBrace]:

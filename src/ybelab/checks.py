@@ -164,7 +164,7 @@ def _content(value):
 
 
 def by_content(kernel):
-    """Memoise a pure law kernel on the exact contents of its arguments.
+    """Memoise a pure law kernel on the exact contents of its positional arguments.
 
     The kernel must read nothing but its arguments, so its result is a
     function of their contents.  A list result is handed out as a fresh
@@ -178,19 +178,18 @@ def by_content(kernel):
     memo: dict = {}
 
     @functools.wraps(kernel)
-    def memoised(*args, **kwargs):
+    def memoised(*args):
         run = memoised.__wrapped__          # looked up per call, so a test can count runs
-        values = (*args, *kwargs.values())
-        key = tuple(map(_content, values)) + tuple(kwargs)
+        key = tuple(map(_content, args))
         if None in key:
-            return run(*args, **kwargs)
+            return run(*args)
         entry = memo.get(key)
         if entry is not None and (not entry[1] or all(ref() is not None for ref in entry[1])):
             result = entry[0]
         else:
-            result = run(*args, **kwargs)
+            result = run(*args)
             memo[key] = (result, tuple(weakref.ref(value, lambda _, key=key: memo.pop(key, None))
-                                       for value, part in zip(values, key) if part[0] == "id"))
+                                       for value, part in zip(args, key) if part[0] == "id"))
             if len(memo) > MEMO_MAX_KEYS:
                 del memo[next(iter(memo))]
         return list(result) if isinstance(result, list) else result
@@ -234,12 +233,12 @@ def _right_inverses(arr: np.ndarray) -> np.ndarray:
     return out
 
 
-def group_table_checks(table, prefix: str = "", check_assoc: bool = True) -> list[Check]:
+def group_table_checks(table, prefix: str = "") -> list[Check]:
     """Axiom checks for a raw multiplication table with identity expected at 0.
 
-    The checks of _group_proof, each name led by prefix.
+    The checks of _group_proof, associativity included, each name led by prefix.
     """
-    checks, _ = _group_proof(table, check_assoc)
+    checks, _ = _group_proof(table, True)
     if not prefix:
         return list(checks)
     return [Check(prefix + c.name, c.ok, c.witness, c.detail) for c in checks]
@@ -253,7 +252,9 @@ def _group_proof(table, check_assoc: bool) -> tuple[tuple[Check, ...], np.ndarra
     order, and inv is the read-only int32 table of each row's first right
     inverse (_right_inverses), or None when the entries are not in range.
     If the table is not even a Latin square over 0..n-1 the dependent checks
-    are reported as failed without being evaluated.
+    are reported as failed without being evaluated.  check_assoc False,
+    which only `FiniteGroup(trusted=True)` asks for, reports associativity
+    as passed with detail `skipped`.
 
     Witnesses are found in this order: the first out-of-range entry in
     row-major order; else the first row, then the first column, that is not
@@ -328,41 +329,60 @@ def _group_proof(table, check_assoc: bool) -> tuple[tuple[Check, ...], np.ndarra
     return tuple(checks), rinv
 
 
+def closure(table: np.ndarray, gens, cap: int | None = None,
+            prior: list[int] | None = None) -> list[int] | None:
+    """The least set holding 0 and gens that right multiplication by gens
+    keeps, as a list; None once it has more than cap elements.
+
+    table is square with entries in 0..n-1; for a group the set is <gens>.
+    The generators join in order.  Each joins by a pass over the elements
+    reached so far, and an element reached later is multiplied by every
+    generator joined, so each element meets each generator once.  The list
+    for gens therefore extends the list for gens[:-1], which is `prior`
+    when given: the walk starts from it and joins only gens[-1].
+    """
+    gens = [int(g) for g in gens]
+    mul = table.item
+    out = [0] if prior is None else list(prior)
+    seen = bytearray(table.shape[0])
+    for a in out:
+        seen[a] = 1
+    for j in range(0 if prior is None else len(gens) - 1, len(gens)):
+        g, joined, fresh = gens[j], gens[:j + 1], len(out)
+        for b in [g] + [mul(a, g) for a in out]:
+            if not seen[b]:
+                seen[b] = 1
+                out.append(b)
+        while fresh < len(out):
+            if cap is not None and len(out) > cap:
+                return None
+            a = out[fresh]
+            fresh += 1
+            for h in joined:
+                b = mul(a, h)
+                if not seen[b]:
+                    seen[b] = 1
+                    out.append(b)
+    return out if cap is None or len(out) <= cap else None
+
+
 @by_content
 def generators(table) -> list[int]:
     """Greedy generating list of a square table with entries in 0..n-1.
 
-    Each pick is the least index not yet reached from 0 by right
-    multiplication with the earlier picks, so the closure of the list (0,
-    the picks, and every x*g with x in the closure and g a pick) is all of
-    0..n-1.  For a group the list generates it as a monoid.
+    Each pick is the least index outside the closure of the earlier picks,
+    so the closure of the list is all of 0..n-1.  For a group the list
+    generates it as a monoid.
     """
     arr = np.asarray(table)
-    n = arr.shape[0]
-    seen = bytearray(n)
-    seen[0] = 1
-    reached = [0]
     gens: list[int] = []
-    columns: list[list[int]] = []          # columns[i][a] = a * gens[i]
-    while len(reached) < n:
-        g = seen.index(0)
-        column = arr[:, g].tolist()
+    reached, g = [0], 0
+    while len(reached) < arr.shape[0]:
+        seen = set(reached)
+        while g in seen:                    # every index below the last pick is reached
+            g += 1
         gens.append(g)
-        columns.append(column)
-        # The old closure absorbs the old picks; it needs only a pass with g.
-        fresh = len(reached)
-        for b in [g] + [column[a] for a in reached]:
-            if not seen[b]:
-                seen[b] = 1
-                reached.append(b)
-        while fresh < len(reached):
-            a = reached[fresh]
-            fresh += 1
-            for col in columns:
-                b = col[a]
-                if not seen[b]:
-                    seen[b] = 1
-                    reached.append(b)
+        reached = closure(arr, gens, prior=reached)
     return gens
 
 

@@ -18,6 +18,7 @@ without a copy and the memo proves it once.
 from __future__ import annotations
 
 import math
+import warnings
 from itertools import accumulate
 from typing import Callable
 
@@ -179,13 +180,19 @@ def _parse(fmt: _Format, text: str) -> tuple[list[int], list[str], np.ndarray] |
     text, or None when the header or the body does not parse.
 
     The body is parsed in C by np.fromstring, with no Python object per
-    token, and any run of whitespace separates two values.
+    token, and any run of whitespace separates two values.  Unmatched data
+    raises ValueError in numpy 2; numpy 1.x warns with a DeprecationWarning
+    and returns the values before it, so that warning is raised here and
+    counts as the same refusal.
     """
     head, _, body = text.partition("\n")
     try:
         numbers, rest = _parse_header([head], fmt.magic, fmt.counts)
-        return numbers, rest, np.fromstring(body, dtype=np.int64, sep=" ")
-    except ValueError:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            values = np.fromstring(body, dtype=np.int64, sep=" ")
+        return numbers, rest, values
+    except (ValueError, DeprecationWarning):
         return None
 
 

@@ -189,10 +189,9 @@ def _braid_from_carrier(left: np.ndarray, right: np.ndarray, gt: np.ndarray) -> 
     that right.T is a left action of G^op, whose table is gt.T; each is
     proved on generators by _action_law_holds in O(n^2 |gens|).  Neither
     s_e = id nor t_e = id is used.  Soundness rests on FiniteGroup's
-    contract: its table is associative with identity and inverses, where
-    associativity alone is trusted, and only for tables built from
-    verified data.  The laws are sufficient, not necessary, so False
-    proves nothing and the scan decides.
+    contract: its table is proved associative, by Light's test, with
+    identity and inverses.  The laws are sufficient, not necessary, so
+    False proves nothing and the scan decides.
     """
     return (np.array_equal(gt[left, right], gt)
             and _action_law_holds(gt, left)

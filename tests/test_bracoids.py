@@ -17,6 +17,7 @@ from ybelab.groups import (
     FiniteGroup,
     GroupAction,
     GroupMap,
+    Subgroup,
     cyclic_group,
     holomorph,
     semidirect_product,
@@ -205,3 +206,17 @@ def test_lambda_rho_subscript_laws(semidirect32):
                 assert lr.lam[G.table[x, y], z] == lr.lam[x, lr.lam[y, z]]
                 assert lr.rho[G.table[x, y], z] == lr.rho[y, lr.rho[x, z]]
             assert lr.rho[G.inv[x], lr.rho[x, y]] == y
+
+
+def test_transport_onto_a_subgroup_of_an_equal_table(semidirect32):
+    """H may live in a group whose table equals the acting group's without
+    being the same object; the contained brace is then the one on G itself."""
+    cb = semidirect32.contained
+    G = cb.bracoid.G
+    copied = FiniteGroup(G.table.copy(), name=G.name)
+    again = transport(cb.bracoid, Subgroup(copied, cb.H.elements))
+    assert again.H.parent is copied and again.S == cb.S
+    for a, b in [(again.starH, cb.starH), (again.actH.table, cb.actH.table),
+                 (again.gammaH, cb.gammaH), (again.lambda_rho.lam, cb.lambda_rho.lam),
+                 (again.lambda_rho.rho, cb.lambda_rho.rho)]:
+        assert np.array_equal(a, b)

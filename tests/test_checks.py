@@ -7,7 +7,8 @@ import pytest
 from ybelab import checks
 from ybelab.checks import (BLOCK_ENTRIES, Check, Report, _first_bad_row, _first_repeat,
                            _group_proof, find_identity, group_table_checks)
-from ybelab.groups import cyclic_group, elementary_abelian, holomorph, semidirect_product
+from ybelab.groups import (FiniteGroup, NotAssociative, cyclic_group, elementary_abelian,
+                           holomorph, semidirect_product)
 
 
 def _names(checks):
@@ -80,9 +81,14 @@ def test_nonassociative_loop_witness_matches_brute_force():
 
 
 def test_associativity_can_be_skipped():
-    checks = group_table_checks(cyclic_group(64).table, check_assoc=False)
-    named = {c.name: c for c in checks}
-    assert named["associativity"].ok and named["associativity"].detail == "skipped"
+    """A loop with identity 0 and two-sided inverses that is not a group: only
+    `trusted=True`, which no library call passes, builds a FiniteGroup on it."""
+    loop = np.array([[int(c) for c in row] for row in "01234 10342 24013 32401 43120".split()])
+    named = {c.name: c for c in group_table_checks(loop)}
+    assert [c.name for c in named.values() if not c.ok] == ["associativity"]
+    with pytest.raises(NotAssociative, match="associativity FAIL at 1,1,2"):
+        FiniteGroup(loop)
+    assert FiniteGroup(loop, trusted=True).order == 5
 
 
 def test_find_identity():

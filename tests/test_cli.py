@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from ybelab import catalog, cli, files, groups, semibraces
+from ybelab import catalog, checks, cli, files, groups, semibraces
 from ybelab.cli import main
 from ybelab.files import write_brace, write_bracoid, write_group, write_semibrace
 from ybelab.groups import cyclic_group, semidirect_product
@@ -843,3 +843,25 @@ def test_reports_match_pinned_bytes(tmp_path, capsys, command):
     capsys.readouterr()
     code = main([*words, "--out", str(tmp_path / "out")])
     assert (code, (tmp_path / "out" / "report.txt").read_text()) == PINNED[command]
+
+
+def test_no_command_skips_associativity(tmp_path, monkeypatch, capsys):
+    """Every table the library proves, in `suite full` and in each derive
+    pipeline, goes through the one full proof: no call asks `_group_proof`
+    to leave associativity out."""
+    asked = []
+    proof = checks._group_proof
+
+    def recording(table, check_assoc):
+        asked.append(check_assoc)
+        return proof(table, check_assoc)
+
+    monkeypatch.setattr(checks, "_group_proof", recording)
+    monkeypatch.setattr(groups, "_group_proof", recording)
+    assert main(["suite", "full", "--seed", "7", "--out", str(tmp_path / "suite")]) == 0
+    assert main(["example", "semidirect", "3", "2", "--out", str(tmp_path)]) == 0
+    for pipeline, kind in DERIVE_INPUTS.items():
+        path = tmp_path / f"semidirect-3-2-{kind}.txt"
+        assert main(["derive", pipeline, str(path), "--out", str(tmp_path / pipeline)]) == 0
+    capsys.readouterr()
+    assert asked and all(asked), asked.count(False)

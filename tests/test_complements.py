@@ -16,9 +16,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybelab.catalog import abelianmap_instance
+from ybelab.checks import closure
 from ybelab.groups import (
     Subgroup,
-    _closure,
     _join,
     cyclic_group,
     direct_product,
@@ -49,7 +49,7 @@ def _oracle_complements(G, S):
         for g in range(1, n):
             if g in members or g in s_nontrivial or m % int(orders[g]) != 0:
                 continue
-            new = _closure(table, gens + (g,), cap=m)
+            new = closure(table, gens + (g,), cap=m)
             if new is None or m % len(new) != 0:
                 continue
             if s_nontrivial.intersection(new):

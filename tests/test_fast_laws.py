@@ -27,7 +27,8 @@ from hypothesis import strategies as st
 
 from ybelab import braces, bracoids, checks, groups, semibraces, ybe
 from ybelab.catalog import abelianmap_instance, semidirect_instance, trivial_brace_instance
-from ybelab.groups import FiniteGroup, _closure, cyclic_group, elementary_abelian
+from ybelab.checks import closure
+from ybelab.groups import FiniteGroup, cyclic_group, elementary_abelian
 from ybelab.semibraces import bracoid_to_semibrace
 
 FAST = settings(max_examples=60, deadline=None)
@@ -124,7 +125,7 @@ def random_loop(rng, n: int) -> np.ndarray:
 
 
 def group(table: np.ndarray) -> FiniteGroup:
-    return FiniteGroup(table, trusted=True)
+    return FiniteGroup(table)
 
 
 def greedy_by_closure(table: np.ndarray) -> list[int]:
@@ -133,7 +134,7 @@ def greedy_by_closure(table: np.ndarray) -> list[int]:
     closed = {0}
     while len(closed) < table.shape[0]:
         gens.append(next(i for i in range(table.shape[0]) if i not in closed))
-        closed = set(_closure(table, gens))
+        closed = set(closure(table, gens))
     return gens
 
 
@@ -216,7 +217,7 @@ def test_generators_match_the_closure_definition(rng, n):
     table = rng.integers(0, n, (n, n))
     gens = checks.generators(table)
     assert gens == greedy_by_closure(table)
-    assert sorted(_closure(table, gens)) == list(range(n))
+    assert sorted(closure(table, gens)) == list(range(n))
 
 
 @FAST

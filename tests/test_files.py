@@ -1,3 +1,4 @@
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -575,3 +576,31 @@ def test_relabelled_order_132_files_take_the_bulk_path(monkeypatch):
         elif isinstance(value, np.ndarray):
             value = (value,)
         assert all(np.array_equal(a, b) for a, b in zip(value, tables))
+
+
+def test_numpy_1_unmatched_data_goes_to_the_line_loop(monkeypatch):
+    """numpy 1.x answers unmatched data in np.fromstring with a
+    DeprecationWarning and the values before it, not a ValueError; under the
+    suite's warnings-as-errors policy that must still end in the line loop's
+    ParseError and line number."""
+    numpy_2_fromstring = np.fromstring
+
+    def numpy_1_fromstring(string, dtype=float, sep=""):
+        try:
+            return numpy_2_fromstring(string, dtype=dtype, sep=sep)
+        except ValueError:
+            warnings.warn("string or file could not be read to its end due to unmatched "
+                          "data; this will raise a ValueError in the future.",
+                          DeprecationWarning, stacklevel=2)
+            head = []
+            for token in string.split():
+                if not token.lstrip("-").isdigit():
+                    break
+                head.append(int(token))
+            return np.array(head, dtype=dtype)
+
+    monkeypatch.setattr(np, "fromstring", numpy_1_fromstring)
+    with pytest.raises(ParseError) as exc:
+        read_group("GROUP v1 2\n0 1\nx 0\n")
+    assert exc.value.line == 3
+    assert read_group(write_group(cyclic_group(3))).order == 3

@@ -79,7 +79,7 @@ def test_only_tables_within_the_bound_are_stored(n, stored):
     table = cyclic_group(n).table.copy()
     with mock.patch.dict(checks._group_proof.memo, clear=True), \
             mock.patch.dict(checks._action_law_holds.memo, clear=True):
-        assert all(c.ok for c in checks.group_table_checks(table, check_assoc=False))
+        assert all(c.ok for c in checks.group_table_checks(table))
         assert checks._action_law_holds(table, table)
         for memo in (checks._group_proof.memo, checks._action_law_holds.memo):
             assert len(memo) == stored

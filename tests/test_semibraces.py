@@ -113,7 +113,7 @@ def test_promoted_brace_plus_is_the_opposite_star(semidirect32):
     for B in (trivial_brace(_sd32()), semidirect32.brace):
         sb = bracoid_to_semibrace(promote_brace(B))
         assert np.array_equal(sb.plus, B.star.table.T)
-        opposite = SkewBrace(FiniteGroup(B.star.table.T.copy(), trusted=True), B.dot)
+        opposite = SkewBrace(FiniteGroup(B.star.table.T.copy()), B.dot)
         assert np.array_equal(sb.L, opposite.gamma)
 
 

@@ -23,6 +23,15 @@ def test_library_raises_no_assertion_errors():
     assert SOURCES and not found, found
 
 
+def test_no_library_call_passes_trusted():
+    """Every table the library builds is proved a group, associativity
+    included: `FiniteGroup(trusted=True)` is for the benchmark's corrupted
+    input writer alone, so no call in the library passes `trusted`."""
+    found = [f"{path.name}:{node.lineno}" for path, tree in _trees() for node in ast.walk(tree)
+             if isinstance(node, ast.keyword) and node.arg == "trusted"]
+    assert not found, found
+
+
 def _trees():
     return [(path, ast.parse(path.read_text(), filename=str(path))) for path in SOURCES]
 

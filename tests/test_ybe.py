@@ -324,8 +324,7 @@ def test_brace_semibrace_solution_uses_the_opposite_star(semidirect32):
     for B in (trivial_brace(_sd32()), semidirect32.brace):
         sb = bracoid_to_semibrace(promote_brace(B))
         r = solution_from_semibrace(sb)
-        opposite = brace_solution(SkewBrace(FiniteGroup(B.star.table.T.copy(), trusted=True),
-                                            B.dot))
+        opposite = brace_solution(SkewBrace(FiniteGroup(B.star.table.T.copy()), B.dot))
         assert solutions_equal(r, opposite)
 
 
@@ -397,8 +396,7 @@ def test_restriction_to_the_complement_is_the_opposite_star_brace(
         r = solution_from_bracoid(cb)
         sub = restrict_solution(r, cb.H.elements)
         assert isinstance(sub, SolutionMap)
-        expected = brace_solution(SkewBrace(FiniteGroup(cb.Hstar.table.T.copy(), trusted=True),
-                                            cb.Hdot))
+        expected = brace_solution(SkewBrace(FiniteGroup(cb.Hstar.table.T.copy()), cb.Hdot))
         assert solutions_equal(sub, expected)
 
 
