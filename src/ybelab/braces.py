@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .checks import (AxiomViolated, Check, Record, Report, _distinct, _rows_law_failure,
-                     frozen, group_table_checks)
+from .checks import (AxiomViolated, Check, Record, Report, _as_table, _distinct,
+                     _rows_law_failure, frozen, group_table_checks)
 from .groups import MAX_ORDER, FiniteGroup, GroupMap, Subgroup, holomorph
 from .ybe import SolutionMap, assert_properties
 
@@ -22,10 +22,6 @@ class NotAbelianImage(ValueError):
 
 class ConstructionFailed(ValueError):
     """A constructed table failed its unconditional re-verification."""
-
-
-def _as_table(obj) -> np.ndarray:
-    return np.asarray(getattr(obj, "table", obj), dtype=np.int32)
 
 
 def _gamma(star: FiniteGroup, dot: FiniteGroup) -> np.ndarray:

@@ -10,8 +10,8 @@ Bracoids also come from transitive subgroups J of a `Holomorph` value:
 `from_holomorph_subgroup(hol, J)` reads J's rows off `hol.action`.
 
 Index conventions: the displacement tables lambda and rho both hold
-G-indices.  ContainedBrace keeps the H-position views (starH, actH,
-gammaH) for the brace on H; Hel maps an H-position to its G-index.
+G-indices.  A ContainedBrace holds its brace, the action actH and the
+twist gammaH on H-positions; Hel maps an H-position to its G-index.
 """
 
 from __future__ import annotations
@@ -22,7 +22,7 @@ import numpy as np
 
 from .braces import SkewBrace, is_strong_left_ideal
 from .checks import (AxiomViolated, Check, Record, Report, _action_law_failure, _action_law_holds,
-                     _first_triple, _rows_law_failure, frozen, group_table_checks)
+                     _as_table, _first_triple, _rows_law_failure, frozen, group_table_checks)
 from .groups import (
     FiniteGroup,
     GroupAction,
@@ -83,9 +83,7 @@ class SkewBracoid:
 
 def verify_bracoid(G, N, act) -> Report:
     """Axiom report for candidate tables: groups, action, transitivity, law."""
-    gt = np.asarray(getattr(G, "table", G), dtype=np.int32)
-    nt = np.asarray(getattr(N, "table", N), dtype=np.int32)
-    arr = np.asarray(getattr(act, "table", act), dtype=np.int32)
+    gt, nt, arr = _as_table(G), _as_table(N), _as_table(act)
     results = list(group_table_checks(gt, prefix="G."))
     results.extend(group_table_checks(nt, prefix="N."))
     m = nt.shape[0]
@@ -118,8 +116,9 @@ def from_strong_left_ideal(B: SkewBrace, S: Subgroup) -> SkewBracoid:
     """Quotient bracoid: G acts on the star-cosets G/S by dot-translation.
 
     Cosets are labelled by their least member in ascending order, so the
-    identity coset is element 0.  The stabilizer of the identity coset is
-    verified to be S itself.
+    identity coset is element 0.  Its stabilizer is S: act[x, 0] is the
+    label of the star-coset x * S, which is 0 exactly when x is in S, as
+    is_strong_left_ideal proved S a star-subgroup.
     """
     if not is_strong_left_ideal(B, S):
         raise NotStrongLeftIdeal(f"S = {S.elements} fails the ideal conditions")
@@ -127,12 +126,7 @@ def from_strong_left_ideal(B: SkewBrace, S: Subgroup) -> SkewBracoid:
     nt = cos[B.star.table[np.ix_(labels, labels)]]
     N = FiniteGroup(frozen(nt), name=f"{B.dot.name}/S{S.order}")
     act = cos[B.dot.table[:, labels]]
-    bracoid = SkewBracoid(B.dot, N, frozen(act))
-    stab = stabilizer(bracoid.act, 0)
-    if stab.elements != S.elements:
-        raise AxiomViolated(
-            f"stabilizer {stab.elements} differs from the ideal {S.elements}")
-    return bracoid
+    return SkewBracoid(B.dot, N, frozen(act))
 
 
 def from_holomorph_subgroup(hol: Holomorph, J: Subgroup) -> SkewBracoid:
@@ -147,9 +141,13 @@ def from_holomorph_subgroup(hol: Holomorph, J: Subgroup) -> SkewBracoid:
 class ContainedBrace:
     """A bracoid pulled back onto a regular complement H of the stabilizer.
 
-    Carries the transported star table on H-positions, the transported
-    action of G on H-positions, the brace (H, *_H, .), and the twist
-    table gammaH[x, i] = position of (x (+) e)^{-*} * (x (+) h_i).
+    h -> h (+) e is a bijection bij from H onto the points; along it, N's
+    star table gives the brace (H, *_H, .), the action gives actH on
+    H-positions, and gammaH[x, i] is the position of
+    (x (+) e)^{-*} * (x (+) h_i).  On H, gammaH is the brace's gamma: bij
+    is a star isomorphism and h_i . h_j moves e to h_i (+) bij[j] by the
+    action law, so bij[gamma[i, j]] = bij[i]^{-*} * (h_i (+) bij[j]) =
+    bij[gammaH[h_i, j]], and bij is injective.
     """
 
     def __init__(self, bracoid: SkewBracoid, H: Subgroup):
@@ -165,30 +163,20 @@ class ContainedBrace:
                 f"H (order {H.order}) is not regular on the {m} points")
         bijinv = np.empty(m, dtype=np.int32)
         bijinv[bij] = np.arange(m, dtype=np.int32)
-        # bij is a permutation with inverse bijinv, so bij[starH] is N's star
+        # bij is a permutation with inverse bijinv, so bij[star] is N's star
         # table on bij and bij[actH] the verified action on bij: h -> h (+) e
-        # is a star isomorphism and equivariant, and (Hstar, actH) is the
+        # is a star isomorphism and equivariant, and (star, actH) is the
         # image of the verified bracoid.  hel[0] = 0 fixes every point, so
         # bij[0] = 0 and h_i moves position 0 to i: H sits at itself.
-        hstar = FiniteGroup(frozen(bijinv[N.table[bij[:, None], bij]]), name=f"{G.name}|Hstar")
-        action_h = GroupAction(G, frozen(bijinv[act[:, bij]]))
-        hdot = H.as_group(name=f"{G.name}|H")
-        brace = SkewBrace(hstar, hdot)
-        gamma_h = frozen(bijinv[N.table[N.inv[act[:, 0]][:, None], act[:, bij]]])
-        if not np.array_equal(gamma_h[hel], brace.gamma):
-            raise AxiomViolated("bracoid twist on H disagrees with the brace")
-
+        star = FiniteGroup(frozen(bijinv[N.table[bij[:, None], bij]]), name=f"{G.name}|H-star")
+        self.actH = GroupAction(G, frozen(bijinv[act[:, bij]]))
+        self.brace = SkewBrace(star, H.as_group(name=f"{G.name}|H"))
+        self.gammaH = frozen(bijinv[N.table[N.inv[act[:, 0]][:, None], act[:, bij]]])
         self.bracoid = bracoid
         self.H = H
         self.S = stabilizer(bracoid.act, 0)
         self.Hel = frozen(hel)
         self.bijinv = frozen(bijinv)
-        self.starH = hstar.table
-        self.Hstar = hstar
-        self.Hdot = hdot
-        self.actH = action_h
-        self.brace = brace
-        self.gammaH = gamma_h
 
     @cached_property
     def lambda_rho(self) -> LambdaRho:
@@ -199,23 +187,18 @@ class ContainedBrace:
                 f" |H|={self.H.order}, |S|={self.S.order})")
 
 
-def transport(bracoid: SkewBracoid, H: Subgroup) -> ContainedBrace:
-    """Pull the bracoid back onto a regular complement H."""
-    return ContainedBrace(bracoid, H)
-
-
 def contains_brace(bracoid: SkewBracoid) -> ContainedBrace | None:
     """Locate a brace inside the bracoid, or certify there is none.
 
     Complements of the point stabilizer are enumerated exhaustively; the
-    lexicographically first one is transported.  A None return is a
-    certificate of nonexistence, not a search giving up.
+    brace is pulled back onto the lexicographically first one.  A None
+    return is a certificate of nonexistence, not a search giving up.
     """
     S = stabilizer(bracoid.act, 0)
     complements = find_complements(bracoid.G, S)
     if not complements:
         return None
-    return transport(bracoid, complements[0])
+    return ContainedBrace(bracoid, complements[0])
 
 
 class LambdaRho(Record):

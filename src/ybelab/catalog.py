@@ -26,7 +26,6 @@ from .bracoids import (
     contains_brace,
     from_holomorph_subgroup,
     from_strong_left_ideal,
-    transport,
 )
 from .checks import Record, _distinct, closure, frozen
 from .groups import (
@@ -286,7 +285,7 @@ def cyclic_pq_instance(p: int, q: int) -> CatalogInstance:
 def promote_brace(B: SkewBrace) -> ContainedBrace:
     """View a brace as a bracoid: quotient by the trivial ideal, H = all of G."""
     bracoid = from_strong_left_ideal(B, B.dot.subgroup([0]))
-    return transport(bracoid, bracoid.G.subgroup(range(B.order)))
+    return ContainedBrace(bracoid, bracoid.G.subgroup(range(B.order)))
 
 
 def _relabeled(G: FiniteGroup, perm: np.ndarray) -> FiniteGroup:

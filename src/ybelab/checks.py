@@ -145,6 +145,11 @@ def adopted(table) -> np.ndarray:
     return frozen(np.array(table, dtype=np.int32, order="C"))
 
 
+def _as_table(value) -> np.ndarray:
+    """The int32 table of a group or an action, or of an array given as one."""
+    return np.asarray(getattr(value, "table", value), dtype=np.int32)
+
+
 def _content(value):
     """The key part of one argument, or None if it is not memoised.
 

@@ -5,8 +5,8 @@ Stdout carries real timings; report files written under --out zero the
 micros column so identical runs produce identical bytes.  Exit status is
 0 iff every asserted step passed, 1 on a failed step, 2 on unusable input
 (parse errors, unknown names, precondition failures, tables too large for
-memory), 3 when the library broke one of its own invariants
-(`InternalError`, or `AxiomViolated` from a derived construction).
+memory), 3 when the library broke one of its own invariants (an
+`AxiomViolated` raised by a derived construction).
 
 The file-kind and pipeline tables are built per call, so their rows look up
 library names at run time, as direct calls do (a tracer may rebind them).
@@ -42,7 +42,6 @@ from .files import ParseError
 from .groups import (
     MAX_ORDER,
     FiniteGroup,
-    InternalError,
     find_complements,
     holomorph,
     is_transitive,
@@ -254,7 +253,7 @@ def _instance_artifacts(inst: CatalogInstance) -> list[tuple[str, str, tuple]]:
     arts.append((f"{slug}-bracoid.txt", "bracoid", (bc.G, bc.N, bc.act.table)))
     cb = inst.contained
     if cb is not None:
-        arts.append((f"{slug}-contained-brace.txt", "brace", (cb.Hstar, cb.Hdot)))
+        arts.append((f"{slug}-contained-brace.txt", "brace", (cb.brace.star, cb.brace.dot)))
         sb = bracoid_to_semibrace(cb)
         arts.append((f"{slug}-semibrace.txt", "semibrace", (sb.dot, sb.plus)))
         arts.append((f"{slug}-solution.txt", "solution", (solution_from_bracoid(cb),)))
@@ -678,7 +677,7 @@ def main(argv=None) -> int:
     except (ParseError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except (InternalError, AxiomViolated) as exc:
+    except AxiomViolated as exc:
         # _load turns a law-breaking input into PreconditionFailed, so an
         # AxiomViolated that gets here was raised by a derived construction.
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -24,7 +24,7 @@ from typing import Callable
 
 import numpy as np
 
-from .checks import Record, _row_blocks, frozen
+from .checks import Record, _as_table, _row_blocks, frozen
 from .groups import FiniteGroup
 from .ybe import SolutionMap
 
@@ -81,28 +81,24 @@ class _Format(Record):
         return " ".join(words) + "\n" + "\n".join(map(_table_text, tables))
 
 
-def _tables(*values) -> list[np.ndarray]:
-    return [np.asarray(getattr(v, "table", v), dtype=np.int32) for v in values]
-
-
 # The fields of each layout: the values its writer takes -> (counts, tail, tables).
 
 def _group_fields(G: FiniteGroup):
-    return [G.order], G.name, _tables(G)
+    return [G.order], G.name, [_as_table(G)]
 
 
 def _action_fields(table):
-    tables = _tables(table)
-    return list(tables[0].shape), None, tables
+    table = _as_table(table)
+    return list(table.shape), None, [table]
 
 
 def _square_fields(*values):
-    tables = _tables(*values)
+    tables = list(map(_as_table, values))
     return [len(tables[0])], None, tables
 
 
 def _bracoid_fields(G, N, act):
-    tables = _tables(G, N, act)
+    tables = list(map(_as_table, (G, N, act)))
     return [len(tables[0]), len(tables[1])], None, tables
 
 
@@ -146,6 +142,8 @@ def _parse_header(lines: list[str], magic: str, counts: int) -> tuple[list[int],
         numbers = [int(t) for t in tokens[2:2 + counts]]
     except ValueError as exc:
         raise ParseError(1, f"bad header count: {exc}") from exc
+    if min(numbers) < 0:
+        raise ParseError(1, f"negative header count {min(numbers)}")
     return numbers, tokens[2 + counts:]
 
 

@@ -54,10 +54,6 @@ class CapExceeded(ValueError):
     pass
 
 
-class InternalError(RuntimeError):
-    """A result the library just computed broke an invariant it guarantees."""
-
-
 def _raise_for_check(check: Check) -> None:
     msg = check.describe()
     if check.name == "latin":
@@ -428,12 +424,9 @@ def is_transitive(action: GroupAction) -> bool:
 
 
 def stabilizer(action: GroupAction, point: int) -> Subgroup:
+    """The stabilizer of point; |orbit| * |stabilizer| = |G| holds for every action."""
     elems = tuple(int(g) for g in np.nonzero(action.table[:, point] == point)[0])
-    sub = Subgroup(action.actor, elems)
-    orbit = len(set(action.table[:, point].tolist()))
-    if orbit * len(elems) != action.actor.order:
-        raise InternalError("orbit-stabilizer count mismatch")
-    return sub
+    return Subgroup(action.actor, elems)
 
 
 def _left_cosets(G: FiniteGroup, S: Subgroup) -> tuple[np.ndarray, np.ndarray]:
@@ -464,7 +457,13 @@ def find_complements(G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
     to K, the element added at each node is the one member of K in that
     node's least unmet coset, so K fixes its own path and the search keeps
     no visited set.
+
+    Every subgroup found meets each of the m cosets once, so it meets S,
+    the coset of 0, in 0 alone and has m * |S| = |G| elements: it is a
+    complement, and Subgroup proves it closed.
     """
+    if S.parent is not G:
+        raise ValueError("S must be a subgroup of G")
     table = G.table
     reps, label = _left_cosets(G, S)
     m = len(reps)
@@ -485,11 +484,7 @@ def find_complements(G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
             child = _join(table, point, elems, owner, g)
             if child is not None and m % len(child[0]) == 0:
                 stack.append(child)
-    out = [Subgroup(G, k) for k in sorted(found)]
-    for H in out:
-        if not exact_factorization(G, H, S):
-            raise InternalError("complement search produced a non-complement")
-    return out
+    return [Subgroup(G, k) for k in sorted(found)]
 
 
 def _join(table: np.ndarray, point: list[int], elems: list[int], owner: list[int],
@@ -522,10 +517,3 @@ def _join(table: np.ndarray, point: list[int], elems: list[int], owner: list[int
             return out, owner
         z = mul(out[i], g)
         i += 1
-
-
-def exact_factorization(G: FiniteGroup, H: Subgroup, S: Subgroup) -> bool:
-    """True iff G = HS with H ∩ S = {e}."""
-    if H.parent is not G or S.parent is not G:
-        raise ValueError("H and S must be subgroups of G")
-    return set(H.elements) & set(S.elements) == {0} and H.order * S.order == G.order

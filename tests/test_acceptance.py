@@ -1,6 +1,7 @@
 """Acceptance battery; each test prints one CRITERION line when it holds."""
 
 import filecmp
+import hashlib
 import os
 import random
 import subprocess
@@ -157,3 +158,20 @@ def test_criterion_8_determinism(tmp_path):
                                               shallow=False)
     assert not different and not funny, (different, funny)
     print("CRITERION 8 PASS")
+
+
+# sha256 over the artifact bytes of `suite quick --seed 7`, in sorted file name order.
+QUICK_SEED_7_DIGEST = "4903cb0c26f1cf14d0dd9a963db1ee4e8e2b3e13d63a42cf04b585b67da18f61"
+
+
+def test_suite_quick_seed_7_digest(tmp_path):
+    """The quick suite writes the same 59 files, byte for byte, as ROADMAP's golden digest."""
+    env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+    proc = subprocess.run(
+        [sys.executable, "-m", "ybelab", "suite", "quick", "--seed", "7", "--out", str(tmp_path)],
+        env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    names = sorted(p.name for p in tmp_path.iterdir())
+    digest = hashlib.sha256(b"".join((tmp_path / name).read_bytes() for name in names))
+    assert len(names) == 59
+    assert digest.hexdigest() == QUICK_SEED_7_DIGEST

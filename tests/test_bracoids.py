@@ -1,8 +1,11 @@
+import random
+
 import numpy as np
 import pytest
 
-from ybelab.braces import AxiomViolated, SkewBrace, trivial_brace
+from ybelab.braces import AxiomViolated, SkewBrace, is_strong_left_ideal, trivial_brace
 from ybelab.bracoids import (
+    ContainedBrace,
     NotRegular,
     NotStrongLeftIdeal,
     NotTransitive,
@@ -10,9 +13,9 @@ from ybelab.bracoids import (
     contains_brace,
     from_holomorph_subgroup,
     from_strong_left_ideal,
-    transport,
     verify_bracoid,
 )
+from ybelab.catalog import promote_brace, seeded_braces
 from ybelab.groups import (
     FiniteGroup,
     GroupAction,
@@ -22,7 +25,9 @@ from ybelab.groups import (
     holomorph,
     semidirect_product,
     stabilizer,
+    subgroup_generated,
 )
+from ybelab.semibraces import bracoid_to_semibrace, decompose, semibrace_to_bracoid
 
 
 # Oracle: the transitive coupling law on raw triples, one at a time.
@@ -165,30 +170,30 @@ def test_contains_brace_catalog_answers(semidirect32, gl3f2, cyclicpq52):
 
 def test_transport_structures(semidirect32, gl3f2):
     cb = semidirect32.contained
-    assert sorted(cb.Hstar.element_orders) == [1, 3, 3]
-    assert cb.Hdot.order == 3
-    orders = set(gl3f2.contained.Hstar.element_orders)
+    assert sorted(cb.brace.star.element_orders) == [1, 3, 3]
+    assert cb.brace.dot.order == 3
+    orders = set(gl3f2.contained.brace.star.element_orders)
     assert orders == {1, 2}
 
 
 def test_transport_rejects_wrong_size_complement(semidirect32):
     bracoid = semidirect32.bracoid
     with pytest.raises(NotRegular):
-        transport(bracoid, bracoid.G.subgroup((0, 1)))
+        ContainedBrace(bracoid, bracoid.G.subgroup((0, 1)))
 
 
 def test_bracoid_gamma_is_a_star_automorphism(semidirect32):
     cb = semidirect32.contained
     for x in range(cb.bracoid.G.order):
-        twist = GroupMap(cb.Hstar, cb.Hstar, tuple(int(v) for v in cb.gammaH[x]))
-        assert sorted(twist.images) == list(range(cb.Hstar.order))
+        twist = GroupMap(cb.brace.star, cb.brace.star, tuple(int(v) for v in cb.gammaH[x]))
+        assert sorted(twist.images) == list(range(cb.brace.star.order))
 
 
 def test_lambda_is_plain_position_for_a_trivial_brace():
     G = _sd32()
     B = trivial_brace(G)
     bracoid = from_strong_left_ideal(B, B.dot.subgroup([0]))
-    cb = transport(bracoid, bracoid.G.subgroup(range(6)))
+    cb = ContainedBrace(bracoid, bracoid.G.subgroup(range(6)))
     lr = cb.lambda_rho
     assert np.array_equal(lr.lam, np.tile(np.arange(6), (6, 1)))
     for y in range(6):
@@ -214,9 +219,74 @@ def test_transport_onto_a_subgroup_of_an_equal_table(semidirect32):
     cb = semidirect32.contained
     G = cb.bracoid.G
     copied = FiniteGroup(G.table.copy(), name=G.name)
-    again = transport(cb.bracoid, Subgroup(copied, cb.H.elements))
+    again = ContainedBrace(cb.bracoid, Subgroup(copied, cb.H.elements))
     assert again.H.parent is copied and again.S == cb.S
-    for a, b in [(again.starH, cb.starH), (again.actH.table, cb.actH.table),
+    for a, b in [(again.brace.star.table, cb.brace.star.table), (again.actH.table, cb.actH.table),
                  (again.gammaH, cb.gammaH), (again.lambda_rho.lam, cb.lambda_rho.lam),
                  (again.lambda_rho.rho, cb.lambda_rho.rho)]:
         assert np.array_equal(a, b)
+
+
+# --- the facts the constructions prove, checked on the acceptance battery
+# and on promoted seeded braces ---
+
+def _seeded():
+    return seeded_braces(random.Random(20261019), 30)
+
+
+def _contained(catalog):
+    """The acceptance contained braces, the promoted seeded braces, and the
+    contained braces semibrace_to_bracoid gives back for all of them."""
+    first = [inst.contained for inst in catalog if inst.contained is not None]
+    first += [promote_brace(B) for B in _seeded()]
+    return first + [semibrace_to_bracoid(bracoid_to_semibrace(cb)) for cb in first]
+
+
+def test_the_quotient_by_an_ideal_is_stabilized_by_the_ideal(catalog):
+    """Each catalog ideal, and every cyclic ideal and the whole group of
+    each catalog and seeded brace, is the stabilizer of its quotient."""
+    cases = [(inst.brace, inst.detail.get("ideal", (0,))) for inst in catalog
+             if inst.brace is not None] + [(B, (0,)) for B in _seeded()]
+    seen = 0
+    for B, ideal in cases:
+        cyclic = [subgroup_generated(B.dot, [g]) for g in range(B.order)]
+        for S in [B.dot.subgroup(ideal), B.dot.subgroup(range(B.order)), *cyclic]:
+            if is_strong_left_ideal(B, S):
+                stab = stabilizer(from_strong_left_ideal(B, S).act, 0)
+                assert stab.parent is B.dot and stab.elements == S.elements
+                seen += 1
+    assert seen > 3 * len(cases)
+
+
+def test_the_stabilizer_of_e_is_the_idempotent_set(catalog):
+    for cb in _contained(catalog):
+        sb = bracoid_to_semibrace(cb)
+        assert semibrace_to_bracoid(sb).S.elements == decompose(sb).Epart
+
+
+def test_the_contained_brace_keeps_the_tables_built_on_g_plus_e(catalog):
+    for cb in _contained(catalog):
+        sb = bracoid_to_semibrace(cb)
+        plus, dot, n = sb.plus, sb.dot.table, sb.order
+        hel = sorted({int(plus[x, 0]) for x in range(n)})
+        pos = {h: i for i, h in enumerate(hel)}
+        star = [[pos[int(plus[k, h])] for k in hel] for h in hel]      # h * k = k + h
+        act = [[pos[int(plus[dot[x, h], 0])] for h in hel] for x in range(n)]
+        back = semibrace_to_bracoid(sb)
+        assert back.brace.star.table.tolist() == star
+        assert back.actH.table.tolist() == act
+
+
+def test_the_twist_on_h_is_the_brace_gamma(catalog):
+    for cb in _contained(catalog):
+        assert np.array_equal(cb.gammaH[np.asarray(cb.H.elements)], cb.brace.gamma)
+
+
+def test_orbit_times_stabilizer_is_the_group_order(catalog):
+    actions = [inst.bracoid.act for inst in catalog]
+    actions += [cb.bracoid.act for cb in _contained(catalog)]
+    actions += [holomorph(N).action for N in (cyclic_group(6), _sd32())]
+    for action in actions:
+        for point in range(action.space_size):
+            orbit = set(action.table[:, point].tolist())
+            assert len(orbit) * stabilizer(action, point).order == action.actor.order

@@ -108,7 +108,7 @@ def test_promote_brace_keeps_the_tables(semidirect32):
     B = semidirect32.brace
     cb = promote_brace(B)
     assert cb.S.elements == (0,)
-    assert np.array_equal(cb.starH, B.star.table)
+    assert np.array_equal(cb.brace.star.table, B.star.table)
     assert np.array_equal(cb.brace.dot.table, B.dot.table)
 
 

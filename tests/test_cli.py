@@ -135,18 +135,6 @@ def test_example_gl3f2_with_parameters_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_broken_internal_invariant_exits_three(tmp_path, capsys, monkeypatch):
-    """A post-check that fails inside the library is exit 3, not a traceback."""
-    path = tmp_path / "s3.txt"
-    path.write_text(write_group(_sd32()))
-    monkeypatch.setattr(groups, "exact_factorization", lambda G, H, S: False)
-    code = main(["complements", str(path), "1", "--out", str(tmp_path / "out")])
-    captured = capsys.readouterr()
-    assert code == 3
-    assert captured.err == "error: InternalError: complement search produced a non-complement\n"
-    assert "Traceback" not in captured.err
-
-
 def _poked_semibrace():
     """The order-6 semibrace of the catalog with one + entry changed: + is no
     longer cancellative, so the semibrace laws fail."""
@@ -314,6 +302,25 @@ def test_verify_integer_beyond_int32_exits_two(tmp_path, capsys, kind, text, lin
     assert code == 2
     assert err == (f"error: line {line}: bad integer: Python integer 99999999999"
                    " out of bounds for int32\n")
+    assert "STEP" not in out
+
+
+@pytest.mark.parametrize("argv, text", [
+    (["verify", "group"], "GROUP v1 -1 G\n"),
+    (["verify", "solution"], "YBE v1 -1\n0 0 0 0\n"),
+    (["verify", "bracoid"], "BRACOID v1 2 -1\n"),
+    (["derive", "solution-from-brace"], "BRACE v1 -1\n"),
+    (["complements"], "GROUP v1 -2\n"),
+])
+def test_negative_header_count_exits_two(tmp_path, capsys, argv, text):
+    """A negative count is bad input on line 1, not a failed verification."""
+    path = tmp_path / "f.txt"
+    path.write_text(text)
+    code = main([*argv, str(path), *(["1"] if argv == ["complements"] else []),
+                 "--out", str(tmp_path / "out")])
+    out, err = capsys.readouterr()
+    assert code == 2
+    assert err.startswith("error: line 1: negative header count")
     assert "STEP" not in out
 
 

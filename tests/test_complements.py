@@ -7,6 +7,7 @@ exhaustive, so the fast search must return the same element tuples in the
 same order on every input below.
 """
 
+import random
 from collections import deque
 from functools import cache
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybelab.catalog import abelianmap_instance
+from ybelab.catalog import abelianmap_instance, promote_brace, seeded_braces
 from ybelab.checks import closure
 from ybelab.groups import (
     Subgroup,
@@ -23,7 +24,6 @@ from ybelab.groups import (
     cyclic_group,
     direct_product,
     elementary_abelian,
-    exact_factorization,
     find_complements,
     holomorph,
     stabilizer,
@@ -59,8 +59,8 @@ def _oracle_complements(G, S):
                 visited[key] = gens + (g,)
                 queue.append((key, gens + (g,)))
     out = [Subgroup(G, k) for k in sorted(results)]
-    for H in out:
-        assert exact_factorization(G, H, S)
+    for H in out:                   # an exact factorization G = HS
+        assert set(H.elements) & set(S.elements) == {0} and H.order * S.order == n
     return out
 
 
@@ -77,6 +77,13 @@ def test_catalog_stabilizers_match_the_oracle(catalog):
         assert (inst.contained is None) == (not comps)
         if inst.name == "cyclic-pq":
             assert comps == []
+
+
+def test_promoted_brace_stabilizers_match_the_oracle():
+    for B in seeded_braces(random.Random(20261019), 30):
+        bc = promote_brace(B).bracoid
+        assert [H.elements for H in _same_as_oracle(bc.G, stabilizer(bc.act, 0))] == [
+            tuple(range(B.order))]
 
 
 @pytest.mark.parametrize("p, q", [(3, 11), (5, 13)])

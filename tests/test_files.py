@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from ybelab.files import (
     ParseError,
-    _parse_header,
     _split,
     _table_text,
     header_counts,
@@ -120,6 +119,36 @@ def test_bad_magic_is_line_one():
     assert exc.value.line == 1
 
 
+@pytest.mark.parametrize("kind, text", [
+    ("group", "GROUP v1 -1 G\n"),
+    ("action", "ACTION v1 2 -1\n"),
+    ("brace", "BRACE v1 -1\n"),
+    ("bracoid", "BRACOID v1 -3 2\n"),
+    ("semibrace", "SEMIBRACE v1 -1\n"),
+    ("solution", "YBE v1 -1\n0 0 0 0\n"),
+])
+def test_negative_header_count_is_line_one(kind, text):
+    """Every reader and its oracle refuse a negative count on line 1."""
+    if kind == "solution":
+        read, oracle_read, seen = read_solution, oracle_read_solution, outcome
+    else:
+        _, read, _, oracle_read = TABLE_FORMATS[kind]
+        seen = table_outcome
+    with pytest.raises(ParseError) as exc:
+        read(text)
+    assert exc.value.line == 1
+    assert str(exc.value).startswith("line 1: negative header count")
+    assert seen(read, text) == seen(oracle_read, text)
+
+
+def test_a_header_count_of_zero_is_legal():
+    empty = np.zeros((0, 0), dtype=np.int32)
+    text = write_solution(SolutionMap(empty, empty))
+    assert text == "YBE v1 0 unspecified\n"
+    assert read_solution(text).size == 0
+    assert read_group_table("GROUP v1 0 G\n")[0].shape == (0, 0)
+
+
 def test_missing_final_newline():
     with pytest.raises(ParseError) as exc:
         read_group("GROUP v1 2\n0 1\n1 0")
@@ -186,11 +215,28 @@ def oracle_write_solution(r: SolutionMap) -> str:
     return "\n".join([head] + body) + "\n"
 
 
+def oracle_header(lines, magic, counts):
+    """The header line as first written, apart from refusing a negative count."""
+    if not lines:
+        raise ParseError(1, "empty file")
+    tokens = lines[0].split(" ")
+    if len(tokens) < 2 + counts or tokens[0] != magic or tokens[1] != "v1":
+        raise ParseError(1, f"expected '{magic} v1' header")
+    try:
+        numbers = [int(t) for t in tokens[2:2 + counts]]
+    except ValueError as exc:
+        raise ParseError(1, f"bad header count: {exc}") from exc
+    if min(numbers) < 0:
+        raise ParseError(1, f"negative header count {min(numbers)}")
+    return numbers, tokens[2 + counts:]
+
+
 def oracle_read_solution(text: str) -> SolutionMap:
     """The line loop, as first written apart from turning an int32 overflow
-    into a ParseError like any other bad integer."""
+    into a ParseError like any other bad integer and the header rule of
+    oracle_header."""
     lines = _split(text)
-    (n,), rest = _parse_header(lines, "YBE", 1)
+    (n,), rest = oracle_header(lines, "YBE", 1)
     provenance = " ".join(rest) if rest else "unspecified"
     if len(lines) != 1 + n * n:
         raise ParseError(len(lines), f"expected {n * n} entry lines")
@@ -323,7 +369,7 @@ def oracle_expect(lines, at, blank):
 
 def oracle_read_group(text):
     lines = _split(text)
-    (n,), rest = _parse_header(lines, "GROUP", 1)
+    (n,), rest = oracle_header(lines, "GROUP", 1)
     table = oracle_parse_table(lines, 1, n, n)
     oracle_expect(lines, 1 + n, blank=False)
     return table, " ".join(rest) if rest else "G"
@@ -331,7 +377,7 @@ def oracle_read_group(text):
 
 def oracle_read_action(text):
     lines = _split(text)
-    (g, m), _ = _parse_header(lines, "ACTION", 2)
+    (g, m), _ = oracle_header(lines, "ACTION", 2)
     table = oracle_parse_table(lines, 1, g, m)
     oracle_expect(lines, 1 + g, blank=False)
     return table
@@ -339,7 +385,7 @@ def oracle_read_action(text):
 
 def oracle_read_pair(text, magic):
     lines = _split(text)
-    (n,), _ = _parse_header(lines, magic, 1)
+    (n,), _ = oracle_header(lines, magic, 1)
     first = oracle_parse_table(lines, 1, n, n)
     oracle_expect(lines, 1 + n, blank=True)
     second = oracle_parse_table(lines, 2 + n, n, n)
@@ -349,7 +395,7 @@ def oracle_read_pair(text, magic):
 
 def oracle_read_bracoid(text):
     lines = _split(text)
-    (n, m), _ = _parse_header(lines, "BRACOID", 2)
+    (n, m), _ = oracle_header(lines, "BRACOID", 2)
     gt = oracle_parse_table(lines, 1, n, n)
     oracle_expect(lines, 1 + n, blank=True)
     nt = oracle_parse_table(lines, 2 + n, m, m)

@@ -23,7 +23,6 @@ from ybelab.groups import (
     cyclic_group,
     direct_product,
     elementary_abelian,
-    exact_factorization,
     find_complements,
     holomorph,
     is_transitive,
@@ -398,14 +397,11 @@ def test_find_complements_in_s3():
     assert [c.elements for c in comps] == [(0, 2, 4)]
 
 
-def test_exact_factorization():
+def test_find_complements_refuses_a_subgroup_of_another_group():
     G = s3()
-    whole = Subgroup(G, tuple(range(6)))
-    trivial = Subgroup(G, (0,))
-    rot = Subgroup(G, (0, 2, 4))
-    assert exact_factorization(G, whole, trivial)
-    assert not exact_factorization(G, rot, rot)
-    assert exact_factorization(G, rot, Subgroup(G, (0, 1)))
+    other = FiniteGroup(G.table.copy())
+    with pytest.raises(ValueError):
+        find_complements(G, Subgroup(other, (0, 1)))
 
 
 def test_group_map_rejects_non_homomorphism():

@@ -13,7 +13,8 @@ SOURCES = sorted(Path(ybelab.__file__).parent.glob("*.py"))
 
 def test_library_raises_no_assertion_errors():
     """`assert` vanishes under `python -O` and an AssertionError escapes the
-    CLI as a traceback; a broken invariant raises InternalError (exit 3)."""
+    CLI as a traceback; a derived construction that breaks a law raises
+    AxiomViolated (exit 3)."""
     found = []
     for path in SOURCES:
         for node in ast.walk(ast.parse(path.read_text(), filename=str(path))):

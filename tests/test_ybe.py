@@ -396,7 +396,8 @@ def test_restriction_to_the_complement_is_the_opposite_star_brace(
         r = solution_from_bracoid(cb)
         sub = restrict_solution(r, cb.H.elements)
         assert isinstance(sub, SolutionMap)
-        expected = brace_solution(SkewBrace(FiniteGroup(cb.Hstar.table.T.copy()), cb.Hdot))
+        opposite = FiniteGroup(cb.brace.star.table.T.copy())
+        expected = brace_solution(SkewBrace(opposite, cb.brace.dot))
         assert solutions_equal(sub, expected)
 
 
