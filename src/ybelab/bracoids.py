@@ -182,6 +182,15 @@ class ContainedBrace:
     def lambda_rho(self) -> LambdaRho:
         return lambda_rho(self)
 
+    @cached_property
+    def plus(self) -> np.ndarray:
+        """The frozen + table of the semibrace on G, x + y = y . lambda_{y^-1}(x),
+        which semibraces.bracoid_to_semibrace proves."""
+        G = self.bracoid.G
+        arange = np.arange(G.order, dtype=np.int32)
+        swapped = G.table[arange[:, None], self.lambda_rho.lam[G.inv]]
+        return frozen(np.ascontiguousarray(swapped.T))
+
     def __repr__(self) -> str:
         return (f"ContainedBrace(|G|={self.bracoid.G.order},"
                 f" |H|={self.H.order}, |S|={self.S.order})")
@@ -253,7 +262,7 @@ def lambda_rho_identity_checks(lr: LambdaRho) -> Report:
     ]
     names = ("lambda-compose", "rho-compose", "rho-inverse", "lambda-product-rule")
     if shaped and all(((t >= 0) & (t < n)).all() for t in (lam, rho)):
-        witnesses = _displacement_witnesses(G.table, G.inv, lam, rho)
+        witnesses = _displacement_witnesses(G, lam, rho)
         results.extend(Check(name, not w, witness=w, detail="exhaustive")
                        for name, w in zip(names, witnesses))
     else:
@@ -262,18 +271,18 @@ def lambda_rho_identity_checks(lr: LambdaRho) -> Report:
     return Report(tuple(results))
 
 
-def _displacement_witnesses(gt: np.ndarray, ginv: np.ndarray, lam: np.ndarray,
+def _displacement_witnesses(G: FiniteGroup, lam: np.ndarray,
                             rho: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """First witnesses of lambda-compose, rho-compose, rho-inverse and the product rule.
 
     Every triple is covered in O(n^2 |gens|); () means the law holds.  gt is
-    a group table, as a verified group's is.
+    G's table, a group table as a verified group's is.
 
     - lambda-compose, lam[x*y, z] = lam[x, lam[y, z]], says lam is a left
       action of G on its own carrier: _action_law_failure proves it on y in
       0 and the generators, and names the first (x, y, z) when it fails.
     - rho-compose, rho[x*y, z] = rho[y, rho[x, z]], is the same law for rho
-      over G^op, whose table gt.T has (y, x) -> x*y.
+      over G^op, whose table G.opposite has (y, x) -> x*y.
     - lambda-product-rule, lam[x, y*z] = lam[x, y] . lam[rho[y, x], z],
       follows from rho-compose and the product law
       (P) lam[x, y] . rho[y, x] = x . y, one n^2 gather.  By (P),
@@ -287,9 +296,9 @@ def _displacement_witnesses(gt: np.ndarray, ginv: np.ndarray, lam: np.ndarray,
     When a proof does not go through, that law's full scan names its first
     triple, so every witness is that of a complete scan.
     """
-    n = gt.shape[0]
+    gt, ginv, n = G.table, G.inv, G.order
     lam_w = _action_law_failure(gt, lam) or ()
-    rho_ok = _action_law_holds(gt.T, rho)
+    rho_ok = _action_law_holds(G.opposite, rho)
     rho_w = () if rho_ok else _first_triple(n, lambda x: rho[gt[x]] != rho[:, rho[x]])
     bad = rho[ginv[:, None], rho] != np.arange(n)
     inv_w = tuple(map(int, np.argwhere(bad)[0])) if bad.any() else ()

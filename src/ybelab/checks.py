@@ -131,6 +131,20 @@ def frozen(arr: np.ndarray) -> np.ndarray:
     return view
 
 
+def frozen_transpose(table: np.ndarray) -> np.ndarray:
+    """The transpose of a table that `frozen` made, as a view recorded as frozen.
+
+    The view shares the table's memory, which numpy refuses to make
+    writable through any view of it, so its contents cannot change while it
+    lives either: it is memoised by identity like the table, at no copy.
+    """
+    if not is_frozen(table):
+        raise ValueError("only a table that frozen made has a frozen transpose")
+    view = table.T
+    _FROZEN[id(view)] = view
+    return view
+
+
 def is_frozen(value) -> bool:
     """True iff value is a view that `frozen` made."""
     return _FROZEN.get(id(value)) is value
@@ -255,11 +269,21 @@ def _group_proof(table, check_assoc: bool) -> tuple[tuple[Check, ...], np.ndarra
 
     The checks are latin / identity / associativity / inverses in that
     order, and inv is the read-only int32 table of each row's first right
-    inverse (_right_inverses), or None when the entries are not in range.
-    If the table is not even a Latin square over 0..n-1 the dependent checks
-    are reported as failed without being evaluated.  check_assoc False,
-    which only `FiniteGroup(trusted=True)` asks for, reports associativity
-    as passed with detail `skipped`.
+    inverse (_right_inverses), or None for a table that is not square, is
+    empty or has an entry out of range.  If the entries are not all in
+    0..n-1 the dependent checks are reported as failed without being
+    evaluated.  check_assoc False, which only `FiniteGroup(trusted=True)`
+    asks for, reports associativity as passed with detail `skipped`.  A
+    0 x 0 table is square, and vacuously Latin, associative and closed
+    under inverses; what it lacks is an identity.
+
+    Identity, associativity and inverses are decided first.  When all three
+    pass and associativity was proved, the table is a group, so it is a
+    Latin square and latin passes with no scan: left multiplication by a has
+    the inverse x -> a^-1 * x, since a^-1 * (a * x) = (a^-1 * a) * x = x and
+    a * (a^-1 * x) = x, so row a is a permutation, and column b likewise
+    (Clifford-Preston, The Algebraic Theory of Semigroups I, 1961, 1.1).
+    Otherwise the rows, then the columns, are scanned for the witness.
 
     Witnesses are found in this order: the first out-of-range entry in
     row-major order; else the first row, then the first column, that is not
@@ -274,64 +298,59 @@ def _group_proof(table, check_assoc: bool) -> tuple[tuple[Check, ...], np.ndarra
     builds an n x n mask, to name its witness.
     """
     arr = np.asarray(table)
-    checks: list[Check] = []
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
+    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         bad = Check("latin", False, (), f"table shape {arr.shape} is not square")
         return (bad, *(Check(nm, False, (), "not evaluated: malformed table")
                        for nm in ("identity", "associativity", "inverses"))), None
     n = arr.shape[0]
-    idx = np.arange(n)
-
-    in_range = bool(arr.min() >= 0 and arr.max() < n)
-    latin_ok = in_range
-    latin_witness: tuple[int, ...] = ()
-    latin_detail = ""
-    if not in_range:
+    assoc = Check("associativity", True, (), "" if check_assoc else "skipped")
+    if n == 0:
+        return (Check("latin", True), Check("identity", False, (), "no two-sided identity"),
+                assoc, Check("inverses", True)), None
+    if not (arr.min() >= 0 and arr.max() < n):
         r, c = map(int, np.argwhere((arr < 0) | (arr >= n))[0])
-        latin_witness, latin_detail = (r, c), f"entry {int(arr[r, c])} out of range"
-    elif (r := _first_bad_row(arr)) is not None:
-        latin_ok, latin_witness, latin_detail = False, (r,), f"row {r} is not a permutation"
-    elif (c := _first_bad_row(arr.T)) is not None:
-        latin_ok, latin_witness, latin_detail = False, (c,), f"column {c} is not a permutation"
-    checks.append(Check("latin", latin_ok, latin_witness, latin_detail))
-
-    if not in_range:
-        checks.extend(
-            Check(nm, False, (), "not evaluated: entries out of range")
-            for nm in ("identity", "associativity", "inverses")
-        )
-        return tuple(checks), None
+        return (Check("latin", False, (r, c), f"entry {int(arr[r, c])} out of range"),
+                *(Check(nm, False, (), "not evaluated: entries out of range")
+                  for nm in ("identity", "associativity", "inverses"))), None
+    idx = np.arange(n)
 
     # find_identity returns the least two-sided identity, so it is 0 exactly
     # when row 0 and column 0 are the identity map, which takes O(n) to see.
     zero_is_unit = np.array_equal(arr[0], idx) and np.array_equal(arr[:, 0], idx)
     e = 0 if zero_is_unit else find_identity(arr)
     if e is None:
-        checks.append(Check("identity", False, (), "no two-sided identity"))
+        identity = Check("identity", False, (), "no two-sided identity")
     elif e != 0:
-        checks.append(Check("identity", False, (e,), f"identity at index {e}, not 0"))
+        identity = Check("identity", False, (e,), f"identity at index {e}, not 0")
     else:
-        checks.append(Check("identity", True))
+        identity = Check("identity", True)
 
     if check_assoc:
         witness = _assoc_failure(arr)
-        checks.append(Check("associativity", witness is None, witness or ()))
-    else:
-        checks.append(Check("associativity", True, (), "skipped"))
+        assoc = Check("associativity", witness is None, witness or ())
 
     rinv = frozen(_right_inverses(arr))
     has_right = arr[idx, rinv] == 0
     if not has_right.all():
         a = int(np.argmin(has_right))
-        checks.append(Check("inverses", False, (a,), "no right inverse"))
+        inverses = Check("inverses", False, (a,), "no right inverse")
     else:
         two_sided = arr[rinv, idx] == 0
         if two_sided.all():
-            checks.append(Check("inverses", True))
+            inverses = Check("inverses", True)
         else:
             a = int(np.argmin(two_sided))
-            checks.append(Check("inverses", False, (a,), "right inverse is not left inverse"))
-    return tuple(checks), rinv
+            inverses = Check("inverses", False, (a,), "right inverse is not left inverse")
+
+    if check_assoc and identity.ok and assoc.ok and inverses.ok:
+        latin = Check("latin", True)
+    elif (r := _first_bad_row(arr)) is not None:
+        latin = Check("latin", False, (r,), f"row {r} is not a permutation")
+    elif (c := _first_bad_row(arr.T)) is not None:
+        latin = Check("latin", False, (c,), f"column {c} is not a permutation")
+    else:
+        latin = Check("latin", True)
+    return (latin, identity, assoc, inverses), rinv
 
 
 def closure(table: np.ndarray, gens, cap: int | None = None,
@@ -427,10 +446,14 @@ def _action_law_holds(gt: np.ndarray, act: np.ndarray) -> bool:
     h, k are in T then so is h*k:  act[g*(h*k)] = act[(g*h)*k]
     = act[g*h] o act[k] = act[g] o act[h] o act[k] = act[g] o act[h*k], the
     last step being k in T at g = h.  So T holds the closure of 0 and the
-    generators, which is all of G.
+    generators, which is all of G.  When gt[:, 0] and act[0] are both
+    identity maps, 0 is in T with no test: act[g*0] = act[g] = act[g] o act[0].
     """
+    zero_is_unit = (np.array_equal(gt[:, 0], np.arange(gt.shape[0]))
+                    and np.array_equal(act[0], np.arange(act.shape[1])))
+    hs = generators(gt) if zero_is_unit else [0, *generators(gt)]
     return all(np.array_equal(act[gt[r:r + len(rows), h]], rows[:, act[h]])
-               for h in [0, *generators(gt)] for r, rows in _row_blocks(act))
+               for h in hs for r, rows in _row_blocks(act))
 
 
 def _action_law_failure(gt: np.ndarray, act: np.ndarray) -> tuple[int, int, int] | None:

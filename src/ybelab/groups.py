@@ -20,7 +20,7 @@ from typing import Sequence
 import numpy as np
 
 from .checks import (Check, Record, _action_law_failure, _first_bad_row, _group_proof,
-                     _rows_law_failure, adopted, closure, frozen, generators)
+                     _rows_law_failure, adopted, closure, frozen, frozen_transpose, generators)
 
 # The default `--max-order`, and the one bound of the holomorph search: |Hol(N)| = |N| * |Aut(N)|.
 MAX_ORDER = 2048
@@ -78,13 +78,13 @@ class FiniteGroup:
     table hands it over frozen, so a large table exists once while it is
     proved.  Any other input is copied and frozen (`checks.adopted`), so no
     later write to it reaches `table`.  `inv` is the inverse table that the
-    proof returns.
+    proof returns.  `opposite`, the table of G^op, is `table`'s transpose as
+    a frozen view (`checks.frozen_transpose`), made once per group, so a law
+    stated over G^op is memoised on it at no copy.
     """
 
     def __init__(self, table, name: str = "G", trusted: bool = False):
         arr = adopted(table)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] == 0:
-            raise NotLatinSquare(f"table shape {arr.shape} is not square")
         checks, inv = _group_proof(arr, not trusted)
         for check in checks:
             if not check.ok:
@@ -93,6 +93,11 @@ class FiniteGroup:
         self.name = name
         self.table = arr
         self.inv = inv
+
+    @cached_property
+    def opposite(self) -> np.ndarray:
+        """The frozen table of the opposite group G^op, opposite[a, b] = b*a."""
+        return frozen_transpose(self.table)
 
     @cached_property
     def element_orders(self) -> np.ndarray:

@@ -21,10 +21,18 @@ from .checks import (AxiomViolated, Check, Record, Report, _action_law_holds, _a
 from .groups import FiniteGroup, Subgroup
 
 
-def _L_table(dot: FiniteGroup, plus: np.ndarray) -> np.ndarray:
-    """L[x, y] = x.(x^-1 + y)."""
-    arange = np.arange(dot.order, dtype=np.int32)
-    return dot.table[arange[:, None], plus[dot.inv]]
+def _L_table(table: np.ndarray, inv: np.ndarray, plus: np.ndarray) -> np.ndarray:
+    """L[x, y] = x.(x^-1 + y), for the dot table and its inverse table."""
+    arange = np.arange(table.shape[0], dtype=np.int32)
+    return table[arange[:, None], plus[inv]]
+
+
+@by_content
+def _relation_holds(table: np.ndarray, inv: np.ndarray, plus: np.ndarray) -> bool:
+    """True iff x.(y+z) = x.y + x.(x^-1 + z) for all x, y, z: the action law
+    of L over (G, .), as _relation_failure proves.  Memoised on the three
+    tables, so L is built only when they are new."""
+    return _action_law_holds(table, _L_table(table, inv, plus))
 
 
 def _relation_failure(dot: FiniteGroup, plus: np.ndarray) -> tuple[int, int, int] | None:
@@ -38,7 +46,7 @@ def _relation_failure(dot: FiniteGroup, plus: np.ndarray) -> tuple[int, int, int
     triples are matched up differently, so when the law fails, the full
     scan of the relation names its own first triple.
     """
-    if _action_law_holds(dot.table, _L_table(dot, plus)):
+    if _relation_holds(dot.table, dot.inv, plus):
         return None
     return _brute_relation(dot, plus)
 
@@ -108,7 +116,7 @@ class Semibrace:
 
     @cached_property
     def L(self) -> np.ndarray:
-        return frozen(_L_table(self.dot, self.plus))
+        return frozen(_L_table(self.dot.table, self.dot.inv, self.plus))
 
     def __repr__(self) -> str:
         return f"Semibrace(order={self.order}, dot={self.dot.name!r})"
@@ -172,15 +180,12 @@ def _split(plus: np.ndarray) -> tuple[tuple[int, ...], tuple[int, ...], np.ndarr
 def bracoid_to_semibrace(cb: ContainedBrace) -> Semibrace:
     """Semibrace on the acting group: x + y = y . lambda_{y^-1}(x).
 
-    The carrier keeps G's element indexing.  G+e is checked to be H and
-    the idempotents to be S.
+    The carrier keeps G's element indexing.  The + table is the contained
+    brace's own (ContainedBrace.plus), built once, so every semibrace built
+    from cb shares it and its proofs.  G+e is checked to be H and the
+    idempotents to be S.
     """
-    G = cb.bracoid.G
-    lr = cb.lambda_rho
-    n = G.order
-    arange = np.arange(n, dtype=np.int32)
-    swapped = G.table[arange[:, None], lr.lam[G.inv]]
-    sb = Semibrace(G, frozen(np.ascontiguousarray(swapped.T)))
+    sb = Semibrace(cb.bracoid.G, cb.plus)
     dec = decompose(sb)
     if dec.Hpart != cb.H.elements:
         raise AxiomViolated("G+e is not the complement H")

@@ -20,11 +20,12 @@ returned map is already known to satisfy the braid relation.
 
 from __future__ import annotations
 
+from functools import cached_property
 
 import numpy as np
 
 from .checks import (AxiomViolated, Record, _action_law_holds, _first_repeat, _first_triple,
-                     adopted, frozen)
+                     adopted, frozen, frozen_transpose)
 from .groups import FiniteGroup
 
 # _braid_from_profiles runs its checks only when their work, about
@@ -62,6 +63,9 @@ class SolutionMap:
     involution iota(x, y) = (x^-1, y^-1); it is required only by
     :func:`conjugate_solution` with ``by="iota"``.  The tables are held as
     `checks.adopted` gives them: a frozen view is kept, anything else copied.
+    ``right_t`` is the transpose of ``right`` as a frozen view
+    (`checks.frozen_transpose`), made once per map, so the laws read on it
+    are memoised at no copy.
     """
 
     def __init__(self, left, right, provenance: str = "unspecified",
@@ -84,6 +88,11 @@ class SolutionMap:
         self.size = n
         self.provenance = provenance
         self.carrier = carrier
+
+    @cached_property
+    def right_t(self) -> np.ndarray:
+        """right_t[y, x] = t_y(x), a frozen view of ``right``."""
+        return frozen_transpose(self.right)
 
     def __repr__(self) -> str:
         return f"SolutionMap(size={self.size}, provenance={self.provenance!r})"
@@ -168,8 +177,8 @@ def _braid_masks(left: np.ndarray, right: np.ndarray):
     return bad_at
 
 
-def _braid_from_carrier(left: np.ndarray, right: np.ndarray, gt: np.ndarray) -> bool:
-    """True when three laws on the carrier group gt prove the braid relation.
+def _braid_from_carrier(r: SolutionMap) -> bool:
+    """True when three laws on the carrier group of r prove the braid relation.
 
     Write r(x, y) = (s_x(y), t_y(x)), so s_x = left[x] and t_y = right[:, y].
     Suppose
@@ -186,16 +195,17 @@ def _braid_from_carrier(left: np.ndarray, right: np.ndarray, gt: np.ndarray) -> 
         of the three coordinates, so both sides multiply to xyz; the outer
         coordinates agree, and a group is cancellative.
     (P) is one n^2 gather.  (L) says left is a left action of G, and (R)
-    that right.T is a left action of G^op, whose table is gt.T; each is
-    proved on generators by _action_law_holds in O(n^2 |gens|).  Neither
+    that right_t is a left action of G^op, whose table is G.opposite; each
+    is proved on generators by _action_law_holds in O(n^2 |gens|).  Neither
     s_e = id nor t_e = id is used.  Soundness rests on FiniteGroup's
     contract: its table is proved associative, by Light's test, with
     identity and inverses.  The laws are sufficient, not necessary, so
     False proves nothing and the scan decides.
     """
-    return (np.array_equal(gt[left, right], gt)
-            and _action_law_holds(gt, left)
-            and _action_law_holds(gt.T, right.T))
+    gt = r.carrier.table
+    return (np.array_equal(gt[r.left, r.right], gt)
+            and _action_law_holds(gt, r.left)
+            and _action_law_holds(r.carrier.opposite, r.right_t))
 
 
 def _classes(rows: np.ndarray, seen: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
@@ -287,7 +297,7 @@ def check_braid(r: SolutionMap) -> SolutionReport:
     """
     left, right = r.left, r.right
     n = r.size
-    if ((r.carrier is not None and _braid_from_carrier(left, right, r.carrier.table))
+    if ((r.carrier is not None and _braid_from_carrier(r))
             or _braid_from_profiles(left, right)):
         braid_witness = ()
     else:
@@ -311,7 +321,7 @@ def check_braid(r: SolutionMap) -> SolutionReport:
         inv_witness = (int(xs[0]), int(ys[0]))
 
     lnd_witness = _first_repeat(left) or ()
-    rnd_witness = _first_repeat(right.T) or ()
+    rnd_witness = _first_repeat(r.right_t) or ()
 
     return SolutionReport(
         size=n,

@@ -7,8 +7,8 @@ import pytest
 from ybelab import checks
 from ybelab.checks import (BLOCK_ENTRIES, Check, Report, _first_bad_row, _first_repeat,
                            _group_proof, find_identity, group_table_checks)
-from ybelab.groups import (FiniteGroup, NotAssociative, cyclic_group, elementary_abelian,
-                           holomorph, semidirect_product)
+from ybelab.groups import (FiniteGroup, NotAssociative, NotLatinSquare, cyclic_group,
+                           elementary_abelian, holomorph, semidirect_product)
 
 
 def _names(checks):
@@ -261,6 +261,31 @@ def test_table_checks_find_witnesses_in_a_later_block():
         if table.min() >= 0 and table.max() < n:
             assert _first_repeat(table) == _oracle_first_repeat(table)
             assert _first_repeat(table.T) == _oracle_first_repeat(table.T)
+
+
+def _catalog_groups(inst):
+    yield inst.bracoid.G
+    yield inst.bracoid.N
+    for brace in (inst.brace, inst.contained and inst.contained.brace):
+        if brace is not None:
+            yield brace.star
+            yield brace.dot
+
+
+def test_a_group_is_proved_latin_without_a_scan(catalog):
+    """Identity, associativity and inverses make a table a group, and a group
+    is a Latin square: on a cleared memo, no catalog group and not Hol(C2^3)
+    sorts a row or a column, while a table that fails them is still scanned."""
+    tables = [G.table for inst in catalog for G in _catalog_groups(inst)]
+    tables.append(holomorph(elementary_abelian(2, 3)).group.table)
+    with mock.patch.dict(_group_proof.memo, clear=True), \
+            mock.patch.object(checks, "_first_bad_row", wraps=_first_bad_row) as scan:
+        for table in tables:
+            FiniteGroup(table)
+        assert len(_group_proof.memo) > 10 and scan.call_count == 0
+        with pytest.raises(NotLatinSquare, match="row 1 is not a permutation"):
+            FiniteGroup(np.array([[0, 1], [1, 1]]))
+        assert scan.call_count == 1
 
 
 def test_first_bad_row_on_rows_longer_than_a_block():

@@ -579,6 +579,27 @@ def test_complements_enumeration(tmp_path, capsys):
     assert "STEP complement-0 PASS" in out and "(0,2,4)" in out
 
 
+@pytest.mark.parametrize("words, code", [
+    (["verify", "group", "g0.txt"], 1), (["holomorph", "g0.txt"], 2),
+    (["complements", "g0.txt", "0"], 2)], ids=["verify", "holomorph", "complements"])
+def test_an_empty_group_file_lacks_an_identity(tmp_path, capsys, words, code):
+    """A 0 x 0 table is square; what the order-0 group file lacks is an
+    identity, so the report fails identity alone and the builders raise
+    NoIdentity."""
+    path = tmp_path / "g0.txt"
+    path.write_text("GROUP v1 0 G\n")
+    argv = [str(path) if word == path.name else word for word in words]
+    assert main([*argv, "--out", str(tmp_path / "out")]) == code
+    captured = capsys.readouterr()
+    if code == 1:
+        assert _steps(captured.out)[1:] == [
+            "STEP latin PASS 0", "STEP identity FAIL 0 no-two-sided-identity",
+            "STEP associativity PASS 0", "STEP inverses PASS 0"]
+    else:
+        assert captured.err == "error: NoIdentity: identity FAIL no two-sided identity\n"
+    assert "not square" not in captured.out + captured.err
+
+
 @pytest.mark.parametrize("words", [
     ["verify", "group", "g.txt"], ["derive", "solution-from-brace", "b.txt"],
     ["holomorph", "g.txt"], ["complements", "g.txt", "1"]], ids=lambda w: w[0])

@@ -426,6 +426,37 @@ def test_action_and_coupling_on_every_small_table():
             check_coupling(g, n, act)
 
 
+def idempotent_rows(rng, rows: int, m: int) -> np.ndarray:
+    """rows copies of one random map f of 0..m-1 with f o f = f, not the
+    identity when m > 1: an action of any associative table."""
+    k = int(rng.integers(1, m)) if m > 1 else 1
+    image = rng.choice(m, k, replace=False)
+    f = image[rng.integers(k, size=m)]
+    f[image] = image
+    return np.tile(f, (rows, 1))
+
+
+@FAST
+@given(bases, rngs)
+def test_action_law_off_the_identity_equals_full_scan(base, rng):
+    """The kernel skips h = 0 only when gt[:, 0] and act[0] are identity
+    maps.  Where either is not, on associative tables, valid and with one
+    entry changed, it agrees with the scan: a group relabelled to move its
+    identity off 0 acting on itself, a group acting by one idempotent map,
+    the right-zero band x*y = y, and a semibrace's + acting on itself."""
+    n = base.g.shape[0]
+    perm = np.roll(fixing_zero(rng, n), int(rng.integers(1, n)))
+    moved = relabel(base.g, perm, perm, perm)
+    band = np.tile(np.arange(n), (n, 1))
+    idem = idempotent_rows(rng, n, n)
+    identity = lambda v: np.array_equal(v, np.arange(len(v)))
+    assert not identity(moved[:, 0]) and not identity(band[:, 0]) and not identity(idem[0])
+    for g, act in ((moved, moved), (base.g, idem), (band, idem), (base.plus, base.plus)):
+        for case in (act, poke(act, rng)):
+            if not (identity(g[:, 0]) and identity(case[0])):
+                check_action(g, case)
+
+
 def test_compat_on_every_pair_of_small_groups():
     tables = []
     for base in (cyclic_group(2), cyclic_group(3), cyclic_group(4), elementary_abelian(2, 2)):
@@ -467,7 +498,9 @@ def memo_calls(base: Base, rng) -> list[tuple]:
         out += [(checks._action_law_holds, (base.g, act), {}),
                 (checks._rows_law_holds, (N.table, coupling_rows(N, act)), {})]
     for plus in (base.plus, poke(base.plus, rng), base.g):
-        out.append((checks._action_law_holds, (G.table, semibraces._L_table(G, plus)), {}))
+        L = semibraces._L_table(G.table, G.inv, plus)
+        out += [(checks._action_law_holds, (G.table, L), {}),
+                (semibraces._relation_holds, (G.table, G.inv, plus), {})]
     return out
 
 
@@ -538,7 +571,7 @@ def derived(k: int) -> tuple[ybe.SolutionMap, ...]:
 
 
 def carrier_laws(left, right, gt) -> bool:
-    return ybe._braid_from_carrier(np.asarray(left), np.asarray(right), np.asarray(gt))
+    return ybe._braid_from_carrier(ybe.SolutionMap(left, right, carrier=group(gt)))
 
 
 def test_every_derived_solution_passes_the_carrier_laws():

@@ -18,6 +18,7 @@ import pytest
 
 from ybelab import braces, catalog, checks, cli, files
 from ybelab.groups import FiniteGroup, cyclic_group
+from ybelab.ybe import SolutionMap
 
 KERNELS = (checks._group_proof, checks.generators, checks._action_law_holds,
            checks._rows_law_holds, checks._first_repeat)
@@ -171,6 +172,27 @@ def test_a_frozen_table_cannot_be_made_writable():
             table.setflags(write=True)
         assert checks.is_frozen(table) and not checks.is_frozen(given)
     assert not owner.flags.writeable
+
+
+def test_a_frozen_transpose_is_a_frozen_view():
+    """The transpose of a frozen table shares its read-only memory, so it is
+    found by identity like the table, at no copy; a group and a solution map
+    each make theirs once.  Only a table that frozen made has one."""
+    G = cyclic_group(65)
+    view = G.opposite
+    assert view is G.opposite and checks.is_frozen(view)
+    assert np.shares_memory(view, G.table) and np.array_equal(view, G.table.T)
+    with pytest.raises(ValueError):
+        view.setflags(write=True)
+    r = SolutionMap(G.table, G.table)
+    assert r.right_t is r.right_t and np.shares_memory(r.right_t, r.right)
+    patch, runs = _counted(checks._first_repeat)
+    with patch, mock.patch.dict(checks._first_repeat.memo, clear=True):
+        for _ in range(3):
+            assert checks._first_repeat(view) is None
+        assert len(runs) == 1
+    with pytest.raises(ValueError, match="only a table that frozen made"):
+        checks.frozen_transpose(np.array(G.table))
 
 
 def test_a_table_written_after_its_call_gets_a_fresh_verdict():

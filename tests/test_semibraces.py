@@ -5,7 +5,7 @@ from unittest import mock
 import numpy as np
 import pytest
 
-from ybelab import semibraces
+from ybelab import checks, semibraces
 
 from ybelab.braces import AxiomViolated, SkewBrace, trivial_brace
 from ybelab.bracoids import contains_brace, from_strong_left_ideal
@@ -267,3 +267,23 @@ def test_decompose_shares_no_writable_table(semidirect32):
     block = semibraces._split(sb.plus)[2]
     assert not block.flags.writeable
     assert decompose(sb) == decompose_as_first_written(sb)
+
+
+def test_a_contained_brace_hands_every_semibrace_one_plus_table(gl3f2):
+    """ContainedBrace.plus is built once: every semibrace built from the
+    contained brace holds that frozen table, so the associativity of + (the
+    action law of + on itself) runs once however often it is derived."""
+    cb = gl3f2.contained
+    runs = []
+    inner = checks._action_law_holds.__wrapped__
+
+    def counting(gt, act):
+        runs.append((gt, act))
+        return inner(gt, act)
+
+    with mock.patch.object(checks._action_law_holds, "__wrapped__", counting), \
+            mock.patch.dict(checks._action_law_holds.memo, clear=True):
+        built = [bracoid_to_semibrace(cb) for _ in range(3)]
+    assert cb.plus.size > checks.MEMO_MAX_ENTRIES and checks.is_frozen(cb.plus)
+    assert all(sb.plus is cb.plus for sb in built)
+    assert sum(gt is cb.plus and act is cb.plus for gt, act in runs) == 1

@@ -43,7 +43,8 @@ def _is_memo(decorator) -> bool:
 
 
 MEMOISED = {"checks._group_proof", "checks.generators", "checks._action_law_holds",
-            "checks._rows_law_holds", "checks._first_repeat", "semibraces._split"}
+            "checks._rows_law_holds", "checks._first_repeat", "semibraces._split",
+            "semibraces._relation_holds"}
 IMPURE = {"random", "rng", "seed"}
 
 
