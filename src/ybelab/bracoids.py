@@ -77,6 +77,11 @@ class SkewBracoid:
         self.N = N
         self.act = act
 
+    @cached_property
+    def S(self) -> Subgroup:
+        """The stabilizer of the point 0 (the identity of N) in G."""
+        return stabilizer(self.act, 0)
+
     def __repr__(self) -> str:
         return f"SkewBracoid(|G|={self.G.order}, |N|={self.N.order})"
 
@@ -174,7 +179,7 @@ class ContainedBrace:
         self.gammaH = frozen(bijinv[N.table[N.inv[act[:, 0]][:, None], act[:, bij]]])
         self.bracoid = bracoid
         self.H = H
-        self.S = stabilizer(bracoid.act, 0)
+        self.S = bracoid.S
         self.Hel = frozen(hel)
         self.bijinv = frozen(bijinv)
 
@@ -203,8 +208,7 @@ def contains_brace(bracoid: SkewBracoid) -> ContainedBrace | None:
     brace is pulled back onto the lexicographically first one.  A None
     return is a certificate of nonexistence, not a search giving up.
     """
-    S = stabilizer(bracoid.act, 0)
-    complements = find_complements(bracoid.G, S)
+    complements = find_complements(bracoid.G, bracoid.S)
     if not complements:
         return None
     return ContainedBrace(bracoid, complements[0])

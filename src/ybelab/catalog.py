@@ -40,7 +40,6 @@ from .groups import (
     holomorph,
     is_prime,
     semidirect_product,
-    stabilizer,
     subgroup_generated,
 )
 
@@ -245,7 +244,7 @@ def gl3f2_instance(seed: int = 0, attempt_cap: int = GL3F2_ATTEMPT_CAP) -> Catal
                                detail={"attempts": attempt,
                                        "generators": (a, b),
                                        "hol_order": hol.group.order,
-                                       "stabilizer": stabilizer(bracoid.act, 0).order})
+                                       "stabilizer": bracoid.S.order})
     raise SearchExhausted(
         f"no simple transitive order-{GL3F2_ORDER} subgroup in {attempt_cap} attempts")
 
@@ -279,7 +278,7 @@ def cyclic_pq_instance(p: int, q: int) -> CatalogInstance:
     return CatalogInstance("cyclic-pq", (p, q), None, bracoid, cb,
                            detail={"twist": u,
                                    "J_order": J.order,
-                                   "stabilizer": stabilizer(bracoid.act, 0).order})
+                                   "stabilizer": bracoid.S.order})
 
 
 def promote_brace(B: SkewBrace) -> ContainedBrace:

@@ -6,9 +6,9 @@ Conventions used throughout the package:
   - all tables are numpy int32 arrays frozen after construction.
 
 `holomorph(N)` returns a `Holomorph` value: Hol(N) = N x| Aut(N) as a
-table group, its natural action on the points of N and the list of
-automorphisms.  How a (translation, twist) pair is laid out as an index
-is known only here; other modules ask `Holomorph.element` for it.
+table group, its natural action on the points of N, and Aut(N) as image
+tuples and as a table group.  How a (translation, twist) pair is laid out
+as an index is known only here; other modules ask `Holomorph.element`.
 """
 
 from __future__ import annotations
@@ -304,14 +304,12 @@ def subgroup_generated(G: FiniteGroup, gens: Sequence[int]) -> Subgroup:
     return Subgroup(G, tuple(sorted(closure(G.table, gens))))
 
 
-def automorphism_group(
-    G: FiniteGroup, max_order: int = MAX_ORDER
-) -> tuple[FiniteGroup, list[GroupMap]]:
+def automorphism_group(G: FiniteGroup, max_order: int = MAX_ORDER) -> list[tuple[int, ...]]:
     """All automorphisms of G by backtracking over the images of its generators.
 
-    Returns Aut(G) as a table group (identity at 0) and its maps, sorted by
-    images.  `max_order` bounds |Hol(G)| = |G| * |Aut(G)|: CapExceeded is
-    raised at once if |G| > max_order, else on finding map max_order // |G| + 1.
+    Returns the maps as sorted image tuples, the identity first.  `max_order`
+    bounds |Hol(G)| = |G| * |Aut(G)|: CapExceeded is raised at once if
+    |G| > max_order, else on finding map max_order // |G| + 1.
 
     With gens = generators(G.table), stage i takes, breadth first from 0,
     each step x -> x * g with x in <gens[:i + 1]> and g in gens[:i + 1] that
@@ -370,58 +368,56 @@ def automorphism_group(
             used.difference_update(hit)
 
     search(0)
-    perms = sorted(found)
-    parr = np.array(perms, dtype=np.int32)
-    # An automorphism is fixed by its images of gens: code them as base-n
-    # digits and find each composite a o b, whose images are a[b[gens]], by
-    # its code.  There are at most log2(n) gens, as each pick at least
-    # doubles the subgroup reached, so the codes fit int64 for n below 245.
-    if n ** len(gens) >= 2**63:
-        raise CapExceeded(f"|G| = {n} with {len(gens)} generators overflows the map codes")
-    weights = n ** np.arange(len(gens), dtype=np.int64)
-    codes = parr[:, gens] @ weights
-    order = np.argsort(codes)
-    comp = parr[:, parr[:, gens]] @ weights            # (a, b) -> code of a o b
-    table = order[np.searchsorted(codes[order], comp)].astype(np.int32)
-    aut = FiniteGroup(frozen(table), name=f"Aut({G.name})")
-    return aut, [GroupMap(G, G, p) for p in perms]
+    return sorted(found)
 
 
 class Holomorph(Record):
     """Hol(N) = N x| Aut(N) with its natural transitive action (h, a).k = h * a(k).
 
-    `group` is the semidirect product table, `action` its action on the
-    points of `N`, and `maps` lists Aut(N) in lexicographic order of
-    images.  The pair (h, a) sits at index h * len(maps) + (position of a
-    in maps); `element` is the only place that turns a pair into an index.
+    `maps` lists Aut(N) as image tuples in lexicographic order, and `aut`
+    is Aut(N) as a table group, map i at index i.  `group` is the
+    semidirect product table and `action` its action on the points of `N`.
+    The pair (h, a) sits at index h * len(maps) + (position of a in maps);
+    `element` is the only place that turns a pair into an index.
     """
 
-    __slots__ = ("N", "group", "action", "maps")
+    __slots__ = ("N", "maps", "aut", "group", "action")
 
-    def __init__(self, N: FiniteGroup, group: FiniteGroup, action: GroupAction,
-                 maps: tuple[GroupMap, ...]):
-        self._fill(N, group, action, maps)
+    def __init__(self, N: FiniteGroup, maps: tuple[tuple[int, ...], ...], aut: FiniteGroup,
+                 group: FiniteGroup, action: GroupAction):
+        self._fill(N, maps, aut, group, action)
 
     def element(self, h: int, twist: Sequence[int]) -> int | None:
         """Index of (h, twist), twist given by its images; None if it is not in Aut(N)."""
         images = tuple(int(v) for v in twist)
-        slot = bisect_left(self.maps, images, key=lambda m: m.images)
-        if slot == len(self.maps) or self.maps[slot].images != images:
+        slot = bisect_left(self.maps, images)
+        if slot == len(self.maps) or self.maps[slot] != images:
             return None
         return int(h) * len(self.maps) + slot
+
+
+def _composition_table(alpha: np.ndarray) -> np.ndarray:
+    """[a, b] -> the row of a o b (images a[b]), rows sorted and closed under o.  A row
+    is keyed by its bytes as big-endian int32, which compare as the image tuples do."""
+    big = alpha.astype(">i4")
+    key = np.dtype((np.void, big.strides[0]))
+    composites = np.take(big, alpha, axis=1).view(key)[..., 0]
+    return frozen(np.searchsorted(big.view(key).ravel(), composites).astype(np.int32))
 
 
 def holomorph(N: FiniteGroup, max_order: int = MAX_ORDER) -> Holomorph:
     """Hol(N), refused by `automorphism_group` once its order exceeds max_order.
 
-    The action is transitive: every automorphism fixes 0, so (h, a) sends
-    the point 0 to h * a(0) = h.
+    Aut's table is composed from the maps, which are all of Aut(N).  The
+    action is transitive: every automorphism fixes 0, so (h, a) sends the
+    point 0 to h * a(0) = h.
     """
-    aut, maps = automorphism_group(N, max_order=max_order)
-    alpha = np.array([m.images for m in maps], dtype=np.int32)
+    maps = automorphism_group(N, max_order=max_order)
+    alpha = np.array(maps, dtype=np.int32)
+    aut = FiniteGroup(_composition_table(alpha), name=f"Aut({N.name})")
     group = semidirect_product(N, aut, alpha, name=f"Hol({N.name})")
     action = GroupAction(group, N.table[:, alpha].reshape(group.order, N.order))
-    return Holomorph(N, group, action, tuple(maps))
+    return Holomorph(N, tuple(maps), aut, group, action)
 
 
 def is_transitive(action: GroupAction) -> bool:

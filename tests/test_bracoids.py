@@ -144,7 +144,7 @@ def test_holomorph_subgroup_instances(gl3f2, cyclicpq52):
 def test_non_transitive_holomorph_subgroup_rejected():
     N = cyclic_group(3)
     hol = holomorph(N)
-    twists = hol.group.subgroup([hol.element(0, m.images) for m in hol.maps])
+    twists = hol.group.subgroup([hol.element(0, m) for m in hol.maps])
     with pytest.raises(NotTransitive):
         from_holomorph_subgroup(hol, twists)
 
@@ -166,6 +166,16 @@ def test_contains_brace_catalog_answers(semidirect32, gl3f2, cyclicpq52):
     # None is a certificate: every complement candidate was enumerated.
     assert cyclicpq52.contained is None
     assert contains_brace(cyclicpq52.bracoid) is None
+
+
+def test_a_bracoid_builds_its_point_stabilizer_once(semidirect32, gl3f2, cyclicpq52):
+    """The stabilizer of point 0 is one cached Subgroup per bracoid, which
+    the complement search, the contained brace and the catalog detail share."""
+    for inst in (semidirect32, gl3f2, cyclicpq52):
+        S = inst.bracoid.S
+        assert S is inst.bracoid.S and S == stabilizer(inst.bracoid.act, 0)
+        assert inst.contained is None or inst.contained.S is S
+    assert gl3f2.detail["stabilizer"] == 21 and cyclicpq52.detail["stabilizer"] == 2
 
 
 def test_transport_structures(semidirect32, gl3f2):
