@@ -33,6 +33,7 @@ from .groups import (
     is_transitive,
     stabilizer,
 )
+from .ybe import _complement
 
 class NotStrongLeftIdeal(ValueError):
     """The subgroup handed to the quotient construction is not usable."""
@@ -233,12 +234,9 @@ class LambdaRho(Record):
 def lambda_rho(cb: ContainedBrace) -> LambdaRho:
     """Build the displacement tables and verify their composition laws."""
     G = cb.bracoid.G
-    n = G.order
-    arange = np.arange(n, dtype=np.int32)
     hpos = cb.bijinv[cb.bracoid.act.table[:, 0]]
     lam = cb.Hel[cb.gammaH[:, hpos]]
-    rho_xy = G.table[G.table[G.inv[lam], arange[:, None]], arange[None, :]]
-    rho = np.ascontiguousarray(rho_xy.T)
+    rho = np.ascontiguousarray(_complement(G, lam).T)
     lr = LambdaRho(G, lam=frozen(lam), rho=frozen(rho))
     report = lambda_rho_identity_checks(lr)
     if not report.ok:

@@ -215,7 +215,7 @@ def _is_simple(G: FiniteGroup) -> bool:
     return True
 
 
-def gl3f2_instance(seed: int = 0, attempt_cap: int = GL3F2_ATTEMPT_CAP) -> CatalogInstance:
+def gl3f2_instance(seed: int = 0) -> CatalogInstance:
     """Seeded search for a simple transitive order-168 subgroup of Hol(C2^3).
 
     Generator pairs are drawn in seeded order; each candidate closure is
@@ -226,7 +226,7 @@ def gl3f2_instance(seed: int = 0, attempt_cap: int = GL3F2_ATTEMPT_CAP) -> Catal
     hol = holomorph(N)
     rng = random.Random(seed)
     points = hol.action.table[:, 0]
-    for attempt in range(1, attempt_cap + 1):
+    for attempt in range(1, GL3F2_ATTEMPT_CAP + 1):
         a = rng.randrange(hol.group.order)
         b = rng.randrange(hol.group.order)
         elems = closure(hol.group.table, [a, b], cap=GL3F2_ORDER)
@@ -246,7 +246,7 @@ def gl3f2_instance(seed: int = 0, attempt_cap: int = GL3F2_ATTEMPT_CAP) -> Catal
                                        "hol_order": hol.group.order,
                                        "stabilizer": bracoid.S.order})
     raise SearchExhausted(
-        f"no simple transitive order-{GL3F2_ORDER} subgroup in {attempt_cap} attempts")
+        f"no simple transitive order-{GL3F2_ORDER} subgroup in {GL3F2_ATTEMPT_CAP} attempts")
 
 
 def cyclic_pq_instance(p: int, q: int) -> CatalogInstance:

@@ -79,9 +79,8 @@ class Step:
 
     __slots__ = ("name", "ok", "micros", "witness", "asserted")
 
-    def __init__(self, name: str, ok: bool, micros: int = 0, witness: str = "",
-                 asserted: bool = True):
-        self.name, self.ok, self.micros = name, ok, micros
+    def __init__(self, name: str, ok: bool, witness: str = "", asserted: bool = True):
+        self.name, self.ok, self.micros = name, ok, 0
         self.witness, self.asserted = witness, asserted
 
     def line(self, zero_timings: bool = False) -> str:
@@ -102,9 +101,8 @@ class RunReport:
     def ok(self) -> bool:
         return all(s.ok for s in self.steps if s.asserted)
 
-    def add(self, name: str, ok: bool, micros: int = 0, witness: str = "",
-            asserted: bool = True) -> None:
-        self.steps.append(Step(name, bool(ok), int(micros), str(witness), asserted))
+    def add(self, name: str, ok: bool, witness: str = "", asserted: bool = True) -> None:
+        self.steps.append(Step(name, bool(ok), str(witness), asserted))
 
     @contextmanager
     def timed(self, name: str):
@@ -131,7 +129,7 @@ class RunReport:
                 text = _compact(c.detail)
             else:
                 text = ""
-            self.add(prefix + c.name, c.ok, 0, text)
+            self.add(prefix + c.name, c.ok, text)
 
     def render(self, zero_timings: bool) -> str:
         return "".join(s.line(zero_timings) + "\n" for s in self.steps)
@@ -294,7 +292,7 @@ def cmd_example(args) -> int:
         "verify-bracoid", lambda: verify_bracoid(bc.G, bc.N, bc.act.table)))
     cb = inst.contained
     witness = "NotFound" if cb is None else f"H={cb.H.order},S={cb.S.order}"
-    report.add("contains-brace", True, 0, witness)
+    report.add("contains-brace", True, witness)
     if cb is not None:
         sb = bracoid_to_semibrace(cb)
         report.absorb("semibrace.", report.build(
@@ -322,7 +320,7 @@ def cmd_verify(args) -> int:
         # unusable input (exit 2), not become a failed step.
         raise
     except ValueError as exc:
-        report.add("parse", False, 0, _compact(str(exc)))
+        report.add("parse", False, _compact(str(exc)))
         return _finish(report, _out_dir(args))
     _solution_steps(report, r, asserted=("braid",))
     return _finish(report, _out_dir(args))
@@ -332,9 +330,9 @@ def _solution_steps(report: RunReport, r, asserted: tuple[str, ...]) -> None:
     sr = report.build("scan", lambda: check_braid(r))
     for prop, ok, wit in sr.properties():
         if prop in asserted:
-            report.add(prop, ok, 0, _indices(wit))
+            report.add(prop, ok, _indices(wit))
         else:
-            report.add(f"info-{prop}", ok, 0, _indices(wit), asserted=False)
+            report.add(f"info-{prop}", ok, _indices(wit), asserted=False)
 
 
 def _decomposition(sb: Semibrace) -> str:
@@ -343,7 +341,7 @@ def _decomposition(sb: Semibrace) -> str:
 
 
 def _semibrace_steps(report: RunReport, sb: Semibrace) -> None:
-    report.add("decompose", True, 0, _decomposition(sb))
+    report.add("decompose", True, _decomposition(sb))
     report.absorb("semibrace.", verify_semibrace(sb.dot, sb.plus))
 
 
@@ -511,14 +509,14 @@ def _battery_quantities(report: RunReport, instances) -> None:
         if inst.name == "gl3f2":
             horder = inst.contained.H.order if inst.contained is not None else 0
             got = (inst.bracoid.G.order, inst.detail.get("stabilizer"), horder)
-            report.add("quantities-gl3f2", got == (168, 21, 8), 0,
+            report.add("quantities-gl3f2", got == (168, 21, 8),
                        f"J={got[0]},S={got[1]},H={got[2]}")
         elif inst.name == "cyclic-pq" and inst.params == (5, 2):
             got = (inst.detail.get("J_order"), inst.detail.get("stabilizer"))
             ok = got == (20, 2) and inst.contained is None
             wit = f"J={got[0]},S={got[1]}," + (
                 "NotFound" if inst.contained is None else "found")
-            report.add("quantities-cyclic-pq", ok, 0, wit)
+            report.add("quantities-cyclic-pq", ok, wit)
 
 
 def _battery_semibrace_structure(report: RunReport, with_brace) -> None:
@@ -581,7 +579,7 @@ def cmd_holomorph(args) -> int:
     hol = report.build(
         "build-holomorph", lambda: holomorph(G, max_order=args.max_order),
         witness=lambda v: f"order={v.group.order},aut={len(v.maps)}")
-    report.add("transitive", is_transitive(hol.action), 0)
+    report.add("transitive", is_transitive(hol.action))
     out = _out_dir(args)
     _write_artifact(report, out, "holomorph.txt", "group", (hol.group,))
     _write_artifact(report, out, "holomorph-action.txt", "action", (hol.action.table,))
@@ -601,7 +599,7 @@ def cmd_complements(args) -> int:
     comps = report.build("complements", lambda: find_complements(G, S),
                          witness=lambda v: f"count={len(v)}")
     for i, H in enumerate(comps):
-        report.add(f"complement-{i}", True, 0, _indices(H.elements))
+        report.add(f"complement-{i}", True, _indices(H.elements))
     return _finish(report, _out_dir(args))
 
 

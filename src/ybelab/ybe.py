@@ -177,6 +177,14 @@ def _braid_masks(left: np.ndarray, right: np.ndarray):
     return bad_at
 
 
+def _complement(carrier: FiniteGroup, left: np.ndarray) -> np.ndarray:
+    """t[x, y] = (s[x, y]^-1 . x) . y, the one right table that makes (P) of
+    _braid_from_carrier hold for left table s: xy = s_x(y) t_y(x)."""
+    gt = carrier.table
+    arange = np.arange(carrier.order, dtype=np.int32)
+    return gt[gt[carrier.inv[left], arange[:, None]], arange[None, :]]
+
+
 def _braid_from_carrier(r: SolutionMap) -> bool:
     """True when three laws on the carrier group of r prove the braid relation.
 
@@ -354,11 +362,8 @@ def solution_from_semibrace(sb) -> SolutionMap:
     before returning.
     """
     dot = sb.dot
-    n = dot.order
-    arange = np.arange(n, dtype=np.int32)
-    left = sb.L
-    right = dot.table[dot.table[dot.inv[left], arange[:, None]], arange[None, :]]
-    r = SolutionMap(left, frozen(right), provenance="semibrace", carrier=dot)
+    r = SolutionMap(sb.L, frozen(_complement(dot, sb.L)), provenance="semibrace",
+                    carrier=dot)
     return assert_properties(r, "semibrace", "braid", "left-nondegenerate")
 
 

@@ -12,10 +12,14 @@ from ybelab.braces import (
     trivial_brace,
     verify_skew_brace,
 )
+from ybelab.catalog import abelianmap_instance
 from ybelab.groups import (
     GroupMap,
+    Subgroup,
+    closure,
     cyclic_group,
     elementary_abelian,
+    holomorph,
     semidirect_product,
 )
 
@@ -43,6 +47,18 @@ def _sd32():
 def _sd32_brace():
     from ybelab.groups import direct_product
     return SkewBrace(direct_product(cyclic_group(3), cyclic_group(2)), _sd32())
+
+
+def _phi(G, psi):
+    """phi(x) = x . psi(x)^-1, one element at a time."""
+    return np.array([G.table[x, G.inv[psi.images[x]]] for x in range(G.order)])
+
+
+def _abelian_map_star(G, psi):
+    """x * y = phi(x) . y . psi(x), one entry at a time."""
+    phi, n = _phi(G, psi), G.order
+    return np.array([[G.table[G.table[phi[x], y], psi.images[x]] for y in range(n)]
+                     for x in range(n)])
 
 
 def _relabelled_c4():
@@ -139,7 +155,8 @@ def test_abelian_map_inversion_on_cyclic_group():
     psi = GroupMap(G, G, tuple((-i) % 5 for i in range(5)))
     B = abelian_map_brace(G, psi)
     # phi(x) = x . psi(x)^-1 = 2x, star(x, y) = 2x + y - x = x + y here.
-    assert np.array_equal(B.abelian_data.phi, (2 * np.arange(5)) % 5)
+    assert np.array_equal(_phi(G, psi), (2 * np.arange(5)) % 5)
+    assert np.array_equal(B.star.table, _abelian_map_star(G, psi))
     assert _first_coupling_failure(B.star, G) is None
 
 
@@ -151,7 +168,8 @@ def test_abelian_map_projection_on_order60_group():
     G = semidirect_product(cyclic_group(m), elementary_abelian(2, 2), alpha)
     psi = GroupMap(G, G, tuple(i % 4 for i in range(60)))
     B = abelian_map_brace(G, psi)
-    assert np.array_equal(B.abelian_data.phi, 4 * (np.arange(60) // 4))
+    assert np.array_equal(_phi(G, psi), 4 * (np.arange(60) // 4))
+    assert np.array_equal(B.star.table, _abelian_map_star(G, psi))
     assert (B.star.table == B.star.table.T).all()
     assert _first_coupling_failure(B.star, G) is None
     # gamma stays multiplicative out here too.
@@ -186,6 +204,55 @@ def test_strong_left_ideal_on_abelian_map_brace():
     assert not is_strong_left_ideal(B, G.subgroup((0, 1)))
 
 
+def test_strong_left_ideal_needs_gamma_stability(gl3f2):
+    B = gl3f2.contained.brace
+    # (G, *) is abelian and 2 has star order 2, so S is a star-normal subgroup.
+    assert (B.star.table == B.star.table.T).all() and B.star.table[2, 2] == 0
+    S = B.dot.subgroup((0, 2))
+    assert set(B.gamma[:, 2].tolist()) - {0, 2}    # some gamma_x moves 2 out of S
+    assert not is_strong_left_ideal(B, S)
+
+
+def _abelian_map_braces():
+    """(brace, psi) for the six dihedral braces of the catalog pool and the
+    order-60 and order-84 abelianmap braces."""
+    out = []
+    for m in range(3, 9):
+        arange = np.arange(m, dtype=np.int32)
+        G = semidirect_product(cyclic_group(m), cyclic_group(2),
+                               np.stack([arange, (-arange) % m]).astype(np.int32))
+        psi = GroupMap(G, G, tuple(i % 2 for i in range(2 * m)))
+        out.append((abelian_map_brace(G, psi), psi))
+    for p, q in ((3, 5), (3, 7)):
+        B = abelianmap_instance(p, q).brace
+        out.append((B, GroupMap(B.dot, B.dot, tuple(i % 4 for i in range(B.order)))))
+    return out
+
+
+def _commutator_criterion(G, phi, S):
+    """[G, phi(S)] <= S: every g . f . g^-1 . f^-1 with f in phi(S) lies in S."""
+    members, image = set(S.elements), {int(phi[s]) for s in S.elements}
+    t, inv = G.table, G.inv
+    return all(int(t[t[t[g, f], inv[g]], inv[f]]) in members
+               for g in range(G.order) for f in image)
+
+
+def test_strong_left_ideal_matches_the_commutator_criterion():
+    compared = ideals = 0
+    for B, psi in _abelian_map_braces():
+        G = B.dot
+        phi = _phi(G, psi)
+        subgroups = {tuple(sorted(closure(G.table, [a, b])))
+                     for a in range(G.order) for b in range(a, G.order)}
+        for elements in sorted(subgroups):
+            S = Subgroup(G, elements)
+            answer = is_strong_left_ideal(B, S)
+            assert answer == _commutator_criterion(G, phi, S), (B, elements)
+            compared += 1
+            ideals += answer
+    assert (compared, ideals) == (253, 81)
+
+
 def test_trivial_brace_solution_is_conjugation():
     G = _sd32()
     r = brace_solution(trivial_brace(G))
@@ -215,15 +282,24 @@ def test_semidirect_brace_solution_satisfies_braid_pointwise():
                 assert lhs == rhs
 
 
+def _assert_regular(B, sub, **kw):
+    """The image moves the point 0 to every point exactly once."""
+    orbit = holomorph(B.star, **kw).action.table[list(sub.elements), 0]
+    assert sorted(orbit.tolist()) == list(range(B.order))
+
+
 def test_regular_rep_lands_in_the_holomorph():
     B = trivial_brace(cyclic_group(4))
     sub = regular_rep_in_holomorph(B)
     # Aut(C4) has order 2; pure translations sit at even indices.
     assert sub.elements == (0, 2, 4, 6)
+    _assert_regular(B, sub)
 
-    sub = regular_rep_in_holomorph(_sd32_brace())
+    B = _sd32_brace()
+    sub = regular_rep_in_holomorph(B)
     assert len(sub.elements) == 6
     assert sub.as_group().order == 6
+    _assert_regular(B, sub)
 
 
 def test_regular_rep_of_order60_abelian_map_brace():
@@ -235,3 +311,4 @@ def test_regular_rep_of_order60_abelian_map_brace():
     B = abelian_map_brace(G, GroupMap(G, G, tuple(i % 4 for i in range(60))))
     sub = regular_rep_in_holomorph(B, max_order=2880)    # |Hol| = 60 * 48
     assert len(sub.elements) == 60
+    _assert_regular(B, sub, max_order=2880)

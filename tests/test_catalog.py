@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from ybelab import catalog
 from ybelab.braces import verify_skew_brace
 from ybelab.catalog import (
     CATALOG_NAMES,
@@ -52,7 +53,12 @@ def test_semidirect_rejects_bad_parameters():
 def test_abelianmap_structure(abelianmap35):
     B = abelianmap35.brace
     assert B.order == 60
-    assert np.array_equal(B.abelian_data.phi, 4 * (np.arange(60) // 4))
+    # x * y = phi(x) . y . psi(x) with psi(x) = x mod 4 and phi(x) = x . psi(x)^-1.
+    G, psi = B.dot, np.arange(60) % 4
+    phi = G.table[np.arange(60), G.inv[psi]]
+    assert np.array_equal(phi, 4 * (np.arange(60) // 4))
+    assert all(B.star.table[x, y] == G.table[G.table[phi[x], y], psi[x]]
+               for x in range(60) for y in range(60))
     assert abelianmap35.bracoid.N.order == 10
     assert len(abelianmap35.detail["ideal"]) == 6
     assert abelianmap35.contained.H.order == 10
@@ -75,9 +81,10 @@ def test_gl3f2_instance_is_deterministic_per_seed(gl3f2):
     assert np.array_equal(again.bracoid.G.table, gl3f2.bracoid.G.table)
 
 
-def test_gl3f2_search_can_exhaust():
+def test_gl3f2_search_can_exhaust(monkeypatch):
+    monkeypatch.setattr(catalog, "GL3F2_ATTEMPT_CAP", 2)
     with pytest.raises(SearchExhausted):
-        gl3f2_instance(seed=0, attempt_cap=2)
+        gl3f2_instance(seed=0)
 
 
 def test_cyclic_pq_quantities(cyclicpq52):

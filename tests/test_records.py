@@ -4,33 +4,24 @@ field, immutability for the frozen ones and the validation messages."""
 
 import re
 
-import numpy as np
 import pytest
 
 from ybelab import checks, cli, files
-from ybelab.braces import AbelianMapData
 from ybelab.checks import Check, Record, Report
 from ybelab.groups import GroupMap, NotHomomorphism, Subgroup, cyclic_group, holomorph
 from ybelab.semibraces import Decomposition, bracoid_to_semibrace, decompose
 from ybelab.ybe import NotClosed, SolutionReport
 
 
-def _c4_quarter():
-    """C4 with psi(x) = 2x, an endomorphism with abelian image, and phi(x) = x - psi(x)."""
-    G = cyclic_group(4)
-    return G, GroupMap(G, G, (0, 2, 0, 2)), np.array([0, 3, 2, 1], dtype=np.int32)
-
-
 def _records(trivial_c4):
     """One instance of every frozen record class of the library."""
-    G, psi, phi = _c4_quarter()
+    G = cyclic_group(4)
     return [
         Check("a", True),
         Report((Check("a", True),)),
         Subgroup(G, (0, 2)),
-        psi,
+        GroupMap(G, G, (0, 2, 0, 2)),
         holomorph(G),
-        AbelianMapData(G, psi, phi),
         trivial_c4.contained.lambda_rho,
         decompose(bracoid_to_semibrace(trivial_c4.contained)),
         NotClosed(1, 2, "left", 3),
@@ -136,9 +127,3 @@ def test_group_map_refuses_a_non_homomorphism_with_its_messages():
         GroupMap(G, G, (0, 2, 1, 3))
     assert GroupMap(G, G, (0, 3, 2, 1))(1) == 3
 
-
-def test_abelian_map_data_refuses_a_wrong_phi_with_its_message():
-    G, psi, phi = _c4_quarter()
-    assert AbelianMapData(G, psi, phi).phi is phi
-    with _refused(ValueError, "phi does not agree with x . psi(x)^-1"):
-        AbelianMapData(G, psi, np.arange(4, dtype=np.int32))
