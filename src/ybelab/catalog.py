@@ -31,7 +31,6 @@ from .checks import Record, _distinct, closure, frozen
 from .groups import (
     CapExceeded,
     FiniteGroup,
-    GroupMap,
     NotPrime,
     Subgroup,
     cyclic_group,
@@ -187,8 +186,7 @@ def abelianmap_instance(p: int, q: int) -> CatalogInstance:
     flip = (-arange) % m
     alpha = np.stack([arange, flip, flip, arange]).astype(np.int32)
     G = semidirect_product(carrier, klein, alpha, name=f"C{m}:V4")
-    psi = GroupMap(G, G, tuple(i % 4 for i in range(4 * m)))
-    B = abelian_map_brace(G, psi)
+    B = abelian_map_brace(G, tuple(i % 4 for i in range(4 * m)))
     ideal = subgroup_generated(G, [4 * q, 2])
     bracoid = from_strong_left_ideal(B, ideal)
     cb = contains_brace(bracoid)
@@ -310,8 +308,7 @@ def _brace_pool() -> list[SkewBrace]:
         arange = np.arange(m, dtype=np.int32)
         alpha = np.stack([arange, (-arange) % m]).astype(np.int32)
         G = semidirect_product(carrier, cyclic_group(2), alpha, name=f"D{m}")
-        psi = GroupMap(G, G, tuple(i % 2 for i in range(2 * m)))
-        pool.append(abelian_map_brace(G, psi))
+        pool.append(abelian_map_brace(G, tuple(i % 2 for i in range(2 * m))))
     return pool
 
 

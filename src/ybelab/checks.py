@@ -186,10 +186,10 @@ def by_content(kernel):
     """Memoise a pure law kernel on the exact contents of its positional arguments.
 
     The kernel must read nothing but its arguments, so its result is a
-    function of their contents.  A list result is handed out as a fresh
-    copy, so no caller can change what the memo holds; a kernel that raises
-    stores nothing.  `memo` maps each key to (result, weak references to its
-    large tables), oldest first, and drops the oldest beyond MEMO_MAX_KEYS.
+    function of their contents.  Every caller shares that result, so a
+    kernel returns tuples and read-only tables; a kernel that raises stores
+    nothing.  `memo` maps each key to (result, weak references to its large
+    tables), oldest first, and drops the oldest beyond MEMO_MAX_KEYS.
     A hit needs each reference to be alive: a live table is the one object
     with its id, so an id reused by another table is a miss.  The entry
     leaves when one of its large tables dies, as no later call can name it.
@@ -211,7 +211,7 @@ def by_content(kernel):
                                        for value, part in zip(args, key) if part[0] == "id"))
             if len(memo) > MEMO_MAX_KEYS:
                 del memo[next(iter(memo))]
-        return list(result) if isinstance(result, list) else result
+        return result
 
     memoised.memo = memo
     return memoised
@@ -391,7 +391,7 @@ def closure(table: np.ndarray, gens, cap: int | None = None,
 
 
 @by_content
-def generators(table) -> list[int]:
+def generators(table) -> tuple[int, ...]:
     """Greedy generating list of a square table with entries in 0..n-1.
 
     Each pick is the least index outside the closure of the earlier picks,
@@ -407,7 +407,7 @@ def generators(table) -> list[int]:
             g += 1
         gens.append(g)
         reached = closure(arr, gens, prior=reached)
-    return gens
+    return tuple(gens)
 
 
 # --- the two proof shapes ---

@@ -520,8 +520,9 @@ def _battery_quantities(report: RunReport, instances) -> None:
 
 
 def _battery_semibrace_structure(report: RunReport, with_brace) -> None:
-    # decompose and bracoid_to_semibrace assert every structural claim
-    # (E is S, G+e is H, unique factorization); the step records the split.
+    # bracoid_to_semibrace asserts E is S and G+e is H, and decompose proves
+    # G+e a group (the rest of the split is its docstring's theorem); the
+    # step records the split.
     for inst in with_brace:
         with report.timed(f"semibrace-structure-{_slug(inst)}") as step:
             step.witness = _decomposition(bracoid_to_semibrace(inst.contained))

@@ -1,9 +1,12 @@
+import re
+
 import numpy as np
 import pytest
 
+from ybelab import catalog
 from ybelab.braces import (
     AxiomViolated,
-    NotAbelianImage,
+    ConstructionFailed,
     SkewBrace,
     abelian_map_brace,
     brace_solution,
@@ -14,7 +17,6 @@ from ybelab.braces import (
 )
 from ybelab.catalog import abelianmap_instance
 from ybelab.groups import (
-    GroupMap,
     Subgroup,
     closure,
     cyclic_group,
@@ -51,13 +53,13 @@ def _sd32_brace():
 
 def _phi(G, psi):
     """phi(x) = x . psi(x)^-1, one element at a time."""
-    return np.array([G.table[x, G.inv[psi.images[x]]] for x in range(G.order)])
+    return np.array([G.table[x, G.inv[psi[x]]] for x in range(G.order)])
 
 
 def _abelian_map_star(G, psi):
     """x * y = phi(x) . y . psi(x), one entry at a time."""
     phi, n = _phi(G, psi), G.order
-    return np.array([[G.table[G.table[phi[x], y], psi.images[x]] for y in range(n)]
+    return np.array([[G.table[G.table[phi[x], y], psi[x]] for y in range(n)]
                      for x in range(n)])
 
 
@@ -115,7 +117,6 @@ def test_verify_rejects_broken_table_before_compat():
 def test_trivial_brace_gamma_is_identity():
     B = trivial_brace(cyclic_group(4))
     assert np.array_equal(B.gamma, np.tile(np.arange(4), (4, 1)))
-    assert GroupMap(B.star, B.star, tuple(int(v) for v in B.gamma[3])).images == (0, 1, 2, 3)
 
 
 def test_semidirect_brace_gamma_twists_only_the_normal_part():
@@ -145,14 +146,14 @@ def test_gamma_rows_are_star_automorphisms():
 
 def test_abelian_map_constant_psi_gives_trivial_brace():
     G = _sd32()
-    psi = GroupMap(G, G, (0,) * 6)
+    psi = (0,) * 6
     B = abelian_map_brace(G, psi)
     assert np.array_equal(B.star.table, G.table)
 
 
 def test_abelian_map_inversion_on_cyclic_group():
     G = cyclic_group(5)
-    psi = GroupMap(G, G, tuple((-i) % 5 for i in range(5)))
+    psi = tuple((-i) % 5 for i in range(5))
     B = abelian_map_brace(G, psi)
     # phi(x) = x . psi(x)^-1 = 2x, star(x, y) = 2x + y - x = x + y here.
     assert np.array_equal(_phi(G, psi), (2 * np.arange(5)) % 5)
@@ -166,7 +167,7 @@ def test_abelian_map_projection_on_order60_group():
     alpha = np.stack([np.arange(m, dtype=np.int32), flip, flip,
                       np.arange(m, dtype=np.int32)])
     G = semidirect_product(cyclic_group(m), elementary_abelian(2, 2), alpha)
-    psi = GroupMap(G, G, tuple(i % 4 for i in range(60)))
+    psi = tuple(i % 4 for i in range(60))
     B = abelian_map_brace(G, psi)
     assert np.array_equal(_phi(G, psi), 4 * (np.arange(60) // 4))
     assert np.array_equal(B.star.table, _abelian_map_star(G, psi))
@@ -177,10 +178,50 @@ def test_abelian_map_projection_on_order60_group():
 
 
 def test_abelian_map_rejects_nonabelian_image():
+    """An automorphism of S3, whose image is all of S3, gives a star table
+    that is not associative; the refusal names that law."""
     G = _sd32()
-    psi = GroupMap(G, G, tuple(range(6)))
-    with pytest.raises(NotAbelianImage):
+    psi = (0, 3, 2, 5, 4, 1)
+    assert all(psi[G.table[a, b]] == G.table[psi[a], psi[b]] for a in range(6) for b in range(6))
+    with pytest.raises(ConstructionFailed,
+                       match=r"^star table is not a group: associativity FAIL at 1,1,1$"):
         abelian_map_brace(G, psi)
+
+
+def test_abelian_map_judges_psi_by_its_result():
+    """The brace proof is the one guard: the identity map of S3, whose image
+    is not abelian, gives the opposite brace; a psi whose star table is not a
+    group, or whose pair breaks the brace law, is refused naming the law."""
+    G = _sd32()
+    B = abelian_map_brace(G, tuple(range(6)))
+    assert np.array_equal(B.star.table, G.table.T)
+    assert _first_coupling_failure(B.star, G) is None
+    refusals = {
+        (0, 1, 4, 5, 2, 3):
+            "star table is not a group: latin FAIL at 1 column 1 is not a permutation",
+        (1, 0, 1, 4, 1, 2): "star table is not a group: identity FAIL no two-sided identity",
+        (0, 2, 2, 0, 4, 4): "coupling law failed: compat FAIL at 1,1,1",
+    }
+    for psi, message in refusals.items():
+        with pytest.raises(ConstructionFailed, match="^" + re.escape(message) + "$"):
+            abelian_map_brace(G, psi)
+    for psi in ((0,) * 5, (0,) * 5 + (6,), (0,) * 5 + (-1,)):
+        with pytest.raises(ValueError):
+            abelian_map_brace(G, psi)
+
+
+def test_abelian_map_braces_of_the_catalog_are_the_formula():
+    """Each abelian-map brace of the catalog, the dihedral ones of the stock
+    pool with psi(i) = i mod 2 and the abelianmap ones with psi(i) = i mod 4,
+    has the star table of x * y = x . psi(x)^-1 . y . psi(x), byte for byte."""
+    dihedral = [B for B in catalog._brace_pool() if B.dot.name.startswith("D")]
+    cases = [(B, tuple(i % 2 for i in range(B.order))) for B in dihedral]
+    cases += [(abelianmap_instance(p, q).brace, tuple(i % 4 for i in range(4 * p * q)))
+              for p, q in ((3, 5), (3, 7))]
+    assert len(cases) == 8
+    for B, psi in cases:
+        expected = _abelian_map_star(B.dot, psi).astype(np.int32)
+        assert B.star.table.tobytes() == expected.tobytes()
 
 
 def test_strong_left_ideal_whole_group_and_twist_kernel():
@@ -199,7 +240,7 @@ def test_strong_left_ideal_rejects_non_normal_subgroup():
 
 def test_strong_left_ideal_on_abelian_map_brace():
     G = _sd32()
-    B = abelian_map_brace(G, GroupMap(G, G, (0,) * 6))
+    B = abelian_map_brace(G, (0,) * 6)
     assert is_strong_left_ideal(B, G.subgroup((0, 2, 4)))
     assert not is_strong_left_ideal(B, G.subgroup((0, 1)))
 
@@ -221,11 +262,11 @@ def _abelian_map_braces():
         arange = np.arange(m, dtype=np.int32)
         G = semidirect_product(cyclic_group(m), cyclic_group(2),
                                np.stack([arange, (-arange) % m]).astype(np.int32))
-        psi = GroupMap(G, G, tuple(i % 2 for i in range(2 * m)))
+        psi = tuple(i % 2 for i in range(2 * m))
         out.append((abelian_map_brace(G, psi), psi))
     for p, q in ((3, 5), (3, 7)):
         B = abelianmap_instance(p, q).brace
-        out.append((B, GroupMap(B.dot, B.dot, tuple(i % 4 for i in range(B.order)))))
+        out.append((B, tuple(i % 4 for i in range(B.order))))
     return out
 
 
@@ -308,7 +349,7 @@ def test_regular_rep_of_order60_abelian_map_brace():
     alpha = np.stack([np.arange(m, dtype=np.int32), flip, flip,
                       np.arange(m, dtype=np.int32)])
     G = semidirect_product(cyclic_group(m), elementary_abelian(2, 2), alpha)
-    B = abelian_map_brace(G, GroupMap(G, G, tuple(i % 4 for i in range(60))))
+    B = abelian_map_brace(G, tuple(i % 4 for i in range(60)))
     sub = regular_rep_in_holomorph(B, max_order=2880)    # |Hol| = 60 * 48
     assert len(sub.elements) == 60
     _assert_regular(B, sub, max_order=2880)

@@ -19,7 +19,6 @@ from ybelab.catalog import promote_brace, seeded_braces
 from ybelab.groups import (
     FiniteGroup,
     GroupAction,
-    GroupMap,
     Subgroup,
     cyclic_group,
     holomorph,
@@ -194,9 +193,11 @@ def test_transport_rejects_wrong_size_complement(semidirect32):
 
 def test_bracoid_gamma_is_a_star_automorphism(semidirect32):
     cb = semidirect32.contained
+    st = cb.brace.star.table
     for x in range(cb.bracoid.G.order):
-        twist = GroupMap(cb.brace.star, cb.brace.star, tuple(int(v) for v in cb.gammaH[x]))
-        assert sorted(twist.images) == list(range(cb.brace.star.order))
+        twist = cb.gammaH[x]
+        assert np.array_equal(twist[st], st[np.ix_(twist, twist)])
+        assert sorted(twist.tolist()) == list(range(cb.brace.star.order))
 
 
 def test_lambda_is_plain_position_for_a_trivial_brace():

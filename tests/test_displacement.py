@@ -194,7 +194,7 @@ def test_product_rule_needs_rho_compose():
     needs rho-compose.  Each pair gets the scan's report, and some break the
     rule only off the generators."""
     lr = tables_on(cyclic_group(4))
-    assert generators(lr.G.table) == [1]
+    assert generators(lr.G.table) == (1,)
     rng = np.random.default_rng(7)
     hidden = 0
     for _ in range(60):

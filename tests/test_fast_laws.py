@@ -11,9 +11,11 @@ each verifier twice, once with the fast checks and once with the oracles
 patched in, and require identical reports.  The braid relation proved from
 a carrier's group laws is held to the scan of the same map with no carrier.
 Each kernel memoised by content must answer as the kernel it wraps, on
-fresh and on repeated contents.
+fresh and on repeated contents.  The facts of the semibrace split that
+`decompose` proves rather than checks hold on every semibrace built here.
 """
 
+import random
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cache
@@ -26,10 +28,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybelab import braces, bracoids, checks, groups, semibraces, ybe
-from ybelab.catalog import abelianmap_instance, semidirect_instance, trivial_brace_instance
+from ybelab.catalog import (abelianmap_instance, promote_brace, seeded_braces, semidirect_instance,
+                            trivial_brace_instance)
 from ybelab.checks import closure
 from ybelab.groups import FiniteGroup, cyclic_group, elementary_abelian
-from ybelab.semibraces import bracoid_to_semibrace
+from ybelab.semibraces import Semibrace, bracoid_to_semibrace, decompose
 
 FAST = settings(max_examples=60, deadline=None)
 
@@ -128,14 +131,14 @@ def group(table: np.ndarray) -> FiniteGroup:
     return FiniteGroup(table)
 
 
-def greedy_by_closure(table: np.ndarray) -> list[int]:
+def greedy_by_closure(table: np.ndarray) -> tuple[int, ...]:
     """The generating list as first defined: recompute the closure per pick."""
     gens: list[int] = []
     closed = {0}
     while len(closed) < table.shape[0]:
         gens.append(next(i for i in range(table.shape[0]) if i not in closed))
         closed = set(closure(table, gens))
-    return gens
+    return tuple(gens)
 
 
 # --- the full scans in each law's own form ---
@@ -520,6 +523,51 @@ def test_memoised_kernels_equal_the_kernels_they_wrap(base, rng):
         expected = plain(kernel.__wrapped__(*args, **kwargs))
         assert plain(kernel(*args, **kwargs)) == expected
         assert plain(kernel(*args, **kwargs)) == expected        # now from the memo
+
+
+# --- the semibrace split ---
+
+def split_facts(plus: np.ndarray) -> dict[str, bool]:
+    """The five facts of the split G = (G+e) + E that `decompose` proves from
+    the right-group theorem, each checked on the table as decompose once
+    asserted it."""
+    arange = np.arange(plus.shape[0])
+    anchors = plus[:, 0]                                        # g + e
+    idempotents = np.flatnonzero(plus[arange, arange] == arange)
+    hpart = np.unique(anchors)
+    factors = plus[anchors[:, None], idempotents] == arange[:, None]
+    return {
+        "e + e = e": plus[0, 0] == 0,
+        "x + x = x iff x + e = e": np.array_equal(idempotents, np.flatnonzero(anchors == 0)),
+        "idempotent rows are the identity": (plus[idempotents] == arange).all(),
+        "G+e is closed under +": np.isin(plus[np.ix_(hpart, hpart)], hpart).all(),
+        "g = (g+e) + eps for one idempotent eps": (factors.sum(axis=1) == 1).all(),
+    }
+
+
+def assert_split(sb: Semibrace) -> None:
+    facts = split_facts(sb.plus)
+    assert all(facts.values()), facts
+    dec = decompose(sb)
+    assert dec.Hpart == tuple(np.unique(sb.plus[:, 0]).tolist())
+    assert dec.Epart == tuple(np.flatnonzero(np.diagonal(sb.plus) == np.arange(sb.order)).tolist())
+
+
+@FAST
+@given(bases, rngs)
+def test_the_split_facts_hold_on_relabelled_semibraces(base, rng):
+    b = relabelled(base, rng)
+    assert_split(Semibrace(b.g, b.plus))
+
+
+def test_the_split_facts_hold_on_the_catalog_semibraces(catalog):
+    """Every contained brace of the catalog and every promoted brace of its
+    stock pool gives a semibrace whose split has the five facts."""
+    built = [bracoid_to_semibrace(i.contained) for i in catalog if i.contained is not None]
+    built += [bracoid_to_semibrace(promote_brace(B)) for B in seeded_braces(random.Random(7), 40)]
+    assert {len(decompose(sb).Epart) > 1 for sb in built} == {True, False}
+    for sb in built:
+        assert_split(sb)
 
 
 # --- whole reports ---

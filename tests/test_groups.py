@@ -1,20 +1,18 @@
 import random
 import tracemalloc
+from collections import Counter
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from ybelab import groups
 from ybelab.checks import frozen
 from ybelab.groups import (
     CapExceeded,
     FiniteGroup,
     GroupAction,
-    GroupMap,
     NoIdentity,
     NotAssociative,
-    NotAutomorphism,
     NotHomomorphism,
     NotLatinSquare,
     NotPrime,
@@ -421,12 +419,6 @@ def test_find_complements_refuses_a_subgroup_of_another_group():
         find_complements(G, Subgroup(other, (0, 1)))
 
 
-def test_group_map_rejects_non_homomorphism():
-    G = cyclic_group(4)
-    with pytest.raises(ValueError):
-        GroupMap(G, G, (0, 2, 1, 3))
-
-
 def test_random_relabelled_tables_stay_groups():
     rng = random.Random(7)
     for _ in range(20):
@@ -442,37 +434,21 @@ def test_random_relabelled_tables_stay_groups():
         assert sorted(G.element_orders) == sorted(base.element_orders)
 
 
-def _old_check_automorphism_list(H, alpha):
-    """The per-map loop the automorphism-list check replaced."""
+def _old_semidirect_refusal(H, S, alpha):
+    """Why the twist-list checks that semidirect_product ran before its table
+    proof refused alpha, or None: each map a permutation of H fixing 0 and a
+    homomorphism, judged map by map, then alpha_{s*t} = alpha_s o alpha_t."""
     idx = np.arange(alpha.shape[1])
     for s in range(alpha.shape[0]):
         perm = alpha[s]
         if not (np.sort(perm) == idx).all():
-            raise NotAutomorphism(f"map {s} is not a permutation")
+            return f"map {s} is not a permutation"
         if perm[0] != 0:
-            raise NotAutomorphism(f"map {s} moves the identity")
-        lhs = perm[H.table]
-        rhs = H.table[np.ix_(perm, perm)]
-        if (lhs != rhs).any():
-            a, b = map(int, np.argwhere(lhs != rhs)[0])
-            raise NotAutomorphism(f"map {s} is not a homomorphism at ({a},{b})")
-
-
-def _old_semidirect_refusal(H, S, alpha):
-    """The old checks of semidirect_product: the loop above, then the n^3 tensor."""
-    _old_check_automorphism_list(H, alpha)
-    comp = alpha[:, alpha]
-    expected = alpha[S.table]
-    if (comp != expected).any():
-        s, t, _ = map(int, np.argwhere(comp != expected)[0])
-        raise NotHomomorphism(f"alpha({s}*{t}) != alpha({s})∘alpha({t})")
-
-
-def _outcome(call):
-    try:
-        call()
-    except (NotAutomorphism, NotHomomorphism) as exc:
-        return type(exc), str(exc)
+            return f"map {s} moves the identity"
+        if (perm[H.table] != H.table[np.ix_(perm, perm)]).any():
+            return f"map {s} is not a homomorphism"
+    if (alpha[:, alpha] != alpha[S.table]).any():
+        return "alpha is not multiplicative"
     return None
 
 
@@ -498,48 +474,36 @@ def _twist_list(rng, H, S, auts):
     return np.array(rows, dtype=np.int32)
 
 
-def test_first_failing_map_in_the_middle_of_the_list():
-    """k is the first map that fails a unit check; only maps before it face
-    the homomorphism law, and map k's permutation test comes first."""
-    H = cyclic_group(5)
-    ident, doubling, bad = np.arange(5), np.array([0, 2, 4, 1, 3]), np.array([0, 1, 1, 3, 4])
-    moved = np.array([1, 2, 3, 4, 0])
-    swap = np.array([0, 2, 1, 3, 4])              # a permutation fixing 0, not a homomorphism
-    cases = [
-        ([ident, doubling, bad, ident], "map 2 is not a permutation"),
-        ([ident, doubling, bad, moved], "map 2 is not a permutation"),
-        ([ident, moved, bad, ident], "map 1 moves the identity"),
-        ([ident, bad[::-1], ident], "map 1 is not a permutation"),
-        ([ident, swap, bad, ident], "map 1 is not a homomorphism at (1,1)"),
-        ([doubling, ident, doubling, moved], "map 3 moves the identity"),
-    ]
-    for rows, message in cases:
-        alpha = np.array(rows, dtype=np.int32)
-        with pytest.raises(NotAutomorphism) as err:
-            groups._check_automorphism_list(H, alpha)
-        assert str(err.value) == message
-        old = _outcome(lambda: _old_check_automorphism_list(H, alpha))
-        assert old == (NotAutomorphism, message)
-    groups._check_automorphism_list(H, np.array([ident, doubling], dtype=np.int32))
-
-
-def test_twist_list_refusals_keep_their_old_messages():
+def test_semidirect_product_is_a_group_exactly_when_the_old_checks_pass():
+    """The table proof decides the twist-list checks it replaced: over random
+    twist lists, semidirect_product succeeds exactly when they pass.  It
+    refuses an in-range list by the first group law its table breaks, and a
+    list with an entry outside H by its range check."""
     rng = np.random.default_rng(11)
     d4 = semidirect_product(cyclic_group(4), cyclic_group(2),
                             np.array([[0, 1, 2, 3], [0, 3, 2, 1]], dtype=np.int32))
     Hs = (cyclic_group(3), cyclic_group(5), elementary_abelian(2, 2), s3(), d4, _q8())
     Ss = (cyclic_group(2), cyclic_group(3), cyclic_group(4), elementary_abelian(2, 2))
     auts = {H.name: [np.array(m) for m in automorphism_group(H)] for H in Hs}
-    refusals = {"permutation": "is not a permutation", "identity": "moves the identity",
-                "homomorphism": "is not a homomorphism", "composition": "∘"}
-    seen, passed = set(), 0
+    seen, reasons = Counter(), set()
     for _ in range(600):
         H, S = Hs[rng.integers(len(Hs))], Ss[rng.integers(len(Ss))]
         alpha = _twist_list(rng, H, S, auts[H.name])
-        old = _outcome(lambda: _old_check_automorphism_list(H, alpha))
-        assert _outcome(lambda: groups._check_automorphism_list(H, alpha)) == old
-        old = _outcome(lambda: _old_semidirect_refusal(H, S, alpha))
-        assert _outcome(lambda: semidirect_product(H, S, alpha)) == old
-        passed += old is None
-        seen.update(k for k, text in refusals.items() if old and text in old[1])
-    assert seen == set(refusals) and passed
+        old = _old_semidirect_refusal(H, S, alpha)
+        reasons.add(old and old.split(" ", 2)[-1])
+        in_range = bool(((alpha >= 0) & (alpha < H.order)).all())
+        try:
+            G = semidirect_product(H, S, alpha)
+        except (NotLatinSquare, NoIdentity, NotAssociative) as exc:
+            assert old is not None and in_range, (old, exc)
+            seen[type(exc).__name__] += 1
+        except NotHomomorphism:
+            assert old is not None and not in_range
+            seen["out of range"] += 1
+        else:
+            assert old is None and G.order == H.order * S.order
+            seen["accepted"] += 1
+    assert set(seen) == {"accepted", "out of range", "NotLatinSquare", "NoIdentity",
+                         "NotAssociative"}, seen
+    assert reasons == {None, "is not a permutation", "moves the identity",
+                       "is not a homomorphism", "not multiplicative"}, reasons

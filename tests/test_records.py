@@ -8,7 +8,7 @@ import pytest
 
 from ybelab import checks, cli, files
 from ybelab.checks import Check, Record, Report
-from ybelab.groups import GroupMap, NotHomomorphism, Subgroup, cyclic_group, holomorph
+from ybelab.groups import Subgroup, cyclic_group, holomorph
 from ybelab.semibraces import Decomposition, bracoid_to_semibrace, decompose
 from ybelab.ybe import NotClosed, SolutionReport
 
@@ -20,7 +20,6 @@ def _records(trivial_c4):
         Check("a", True),
         Report((Check("a", True),)),
         Subgroup(G, (0, 2)),
-        GroupMap(G, G, (0, 2, 0, 2)),
         holomorph(G),
         trivial_c4.contained.lambda_rho,
         decompose(bracoid_to_semibrace(trivial_c4.contained)),
@@ -113,17 +112,4 @@ def test_subgroup_refuses_bad_elements_with_its_messages():
     with _refused(ValueError, "not closed: 1*1 = 2 escapes the subset"):
         Subgroup(G, (0, 1))
     assert Subgroup(G, (0, 2)).order == 2
-
-
-def test_group_map_refuses_a_non_homomorphism_with_its_messages():
-    G = cyclic_group(4)
-    with _refused(NotHomomorphism, "image list has length (2,), expected 4"):
-        GroupMap(G, G, (0, 1))
-    with _refused(NotHomomorphism, "image out of range"):
-        GroupMap(G, G, (0, 1, 2, 7))
-    with _refused(NotHomomorphism, "identity must map to identity"):
-        GroupMap(G, G, (1, 2, 3, 0))
-    with _refused(NotHomomorphism, "f(1*1) != f(1)*f(1)"):
-        GroupMap(G, G, (0, 2, 1, 3))
-    assert GroupMap(G, G, (0, 3, 2, 1))(1) == 3
 

@@ -1,5 +1,3 @@
-from collections import Counter
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -208,58 +206,6 @@ def decompose_as_first_written(sb) -> Decomposition:
         g = int(np.argmin(matches.sum(axis=1) == 1))
         raise AxiomViolated(f"{g} does not split uniquely as (g+e) + eps")
     return Decomposition(tuple(int(v) for v in hpart), tuple(int(v) for v in epart))
-
-
-def split_outcome(split, plus):
-    """The decomposition, or the type and message of what the split raised."""
-    try:
-        return split(SimpleNamespace(plus=plus))
-    except Exception as exc:
-        return type(exc), str(exc)
-
-
-def splits_uniquely(plus) -> bool:
-    n = plus.shape[0]
-    arange = np.arange(n)
-    eps = np.nonzero(plus[arange, arange] == arange)[0]
-    return bool(((plus[plus[:, 0][:, None], eps] == arange[:, None]).sum(axis=1) == 1).all())
-
-
-SPLIT_CLAIMS = ("not idempotent", "different sets", "not the identity map", "not closed",
-                "split uniquely")
-
-
-def test_decompose_on_poked_tables_raises_as_before_cold_and_warm(semidirect32, trivial_c4):
-    """Every poked table gets the first-written outcome from a cold memo and a
-    warm one.  Tables whose G+e is not a group but that also fail to split
-    raise FiniteGroup's error, as the unmemoised split did."""
-    bases = [bracoid_to_semibrace(inst.contained).plus for inst in (semidirect32, trivial_c4)]
-    bases.append(bracoid_to_semibrace(promote_brace(trivial_brace(cyclic_group(10)))).plus)
-    rng = np.random.default_rng(20261018)
-    seen, group_first = Counter(), 0
-    for _ in range(400):
-        for base in bases:
-            plus = base.copy()
-            n = plus.shape[0]
-            for _ in range(int(rng.integers(1, 4))):
-                i, j = (int(v) for v in rng.integers(n, size=2))
-                plus[i, j] = rng.integers(n)
-            expected = split_outcome(decompose_as_first_written, plus)
-            with mock.patch.dict(semibraces._split.memo, clear=True):
-                assert split_outcome(decompose, plus) == expected          # cold
-                stored = len(semibraces._split.memo)
-                assert split_outcome(decompose, plus) == expected          # warm
-            if isinstance(expected, Decomposition):
-                seen["split"] += 1
-            else:
-                kind, message = expected
-                seen[kind.__name__ if kind is not AxiomViolated
-                     else next(claim for claim in SPLIT_CLAIMS if claim in message)] += 1
-                # The kernel keeps what it returns and nothing it raised.
-                assert stored == (kind is not AxiomViolated or "uniquely" in message)
-                group_first += kind is not AxiomViolated and not splits_uniquely(plus)
-    assert set(seen) >= {"split", "NotLatinSquare", *SPLIT_CLAIMS}
-    assert group_first > 0
 
 
 def test_decompose_shares_no_writable_table(semidirect32):
