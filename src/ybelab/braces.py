@@ -12,7 +12,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import (AxiomViolated, Check, Report, _as_table, _rows_law_failure, frozen,
+from .checks import (AxiomViolated, Check, Report, _rows_law_failure, adopted, frozen,
                      group_table_checks)
 from .groups import MAX_ORDER, FiniteGroup, Subgroup, holomorph
 from .ybe import SolutionMap, _complement, assert_properties
@@ -61,7 +61,7 @@ class SkewBrace:
 
 def verify_skew_brace(star, dot) -> Report:
     """Axiom report for a candidate pair: group laws, sizes, coupling law."""
-    st, dt = _as_table(star), _as_table(dot)
+    st, dt = adopted(star), adopted(dot)
     results = list(group_table_checks(st, prefix="star."))
     results.extend(group_table_checks(dt, prefix="dot."))
     same = st.shape == dt.shape
@@ -91,7 +91,7 @@ def abelian_map_brace(G: FiniteGroup, psi: Sequence[int]) -> SkewBrace:
     A list of the wrong length or with an entry outside 0..|G|-1 is a
     ValueError.
     """
-    img = np.asarray(psi, dtype=np.int32)
+    img = adopted(psi)
     if img.shape != (G.order,):
         raise ValueError(f"psi has shape {img.shape}, expected ({G.order},)")
     if not ((img >= 0) & (img < G.order)).all():

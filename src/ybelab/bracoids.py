@@ -22,7 +22,7 @@ import numpy as np
 
 from .braces import SkewBrace, is_strong_left_ideal
 from .checks import (AxiomViolated, Check, Record, Report, _action_law_failure, _action_law_holds,
-                     _as_table, _first_triple, _rows_law_failure, frozen, group_table_checks)
+                     _first_triple, _rows_law_failure, adopted, frozen, group_table_checks)
 from .groups import (
     FiniteGroup,
     GroupAction,
@@ -89,7 +89,7 @@ class SkewBracoid:
 
 def verify_bracoid(G, N, act) -> Report:
     """Axiom report for candidate tables: groups, action, transitivity, law."""
-    gt, nt, arr = _as_table(G), _as_table(N), _as_table(act)
+    gt, nt, arr = adopted(G), adopted(N), adopted(act)
     results = list(group_table_checks(gt, prefix="G."))
     results.extend(group_table_checks(nt, prefix="N."))
     m = nt.shape[0]
@@ -148,12 +148,16 @@ class ContainedBrace:
     """A bracoid pulled back onto a regular complement H of the stabilizer.
 
     h -> h (+) e is a bijection bij from H onto the points; along it, N's
-    star table gives the brace (H, *_H, .), the action gives actH on
-    H-positions, and gammaH[x, i] is the position of
-    (x (+) e)^{-*} * (x (+) h_i).  On H, gammaH is the brace's gamma: bij
+    star table gives the brace (H, *_H, .), and gammaH[x, i] is the position
+    of (x (+) e)^{-*} * (x (+) h_i).  On H, gammaH is the brace's gamma: bij
     is a star isomorphism and h_i . h_j moves e to h_i (+) bij[j] by the
     action law, so bij[gamma[i, j]] = bij[i]^{-*} * (h_i (+) bij[j]) =
     bij[gammaH[h_i, j]], and bij is injective.
+
+    actH[x, i] = bijinv[x (+) bij[i]] is the frozen table of G's action on
+    H-positions, not re-proved as a GroupAction: it is the verified action
+    conjugated by the permutation bij, so actH[0] = bijinv o act[0] o bij = id
+    and actH[g] o actH[h] = bijinv o act[g] o act[h] o bij = actH[g*h].
     """
 
     def __init__(self, bracoid: SkewBracoid, H: Subgroup):
@@ -170,12 +174,11 @@ class ContainedBrace:
         bijinv = np.empty(m, dtype=np.int32)
         bijinv[bij] = np.arange(m, dtype=np.int32)
         # bij is a permutation with inverse bijinv, so bij[star] is N's star
-        # table on bij and bij[actH] the verified action on bij: h -> h (+) e
-        # is a star isomorphism and equivariant, and (star, actH) is the
-        # image of the verified bracoid.  hel[0] = 0 fixes every point, so
-        # bij[0] = 0 and h_i moves position 0 to i: H sits at itself.
+        # table on bij: h -> h (+) e is a star isomorphism onto the verified
+        # N.  hel[0] = 0 fixes every point, so bij[0] = 0 and h_i moves
+        # position 0 to i: H sits at itself.
         star = FiniteGroup(frozen(bijinv[N.table[bij[:, None], bij]]), name=f"{G.name}|H-star")
-        self.actH = GroupAction(G, frozen(bijinv[act[:, bij]]))
+        self.actH = frozen(bijinv[act[:, bij]])
         self.brace = SkewBrace(star, H.as_group(name=f"{G.name}|H"))
         self.gammaH = frozen(bijinv[N.table[N.inv[act[:, 0]][:, None], act[:, bij]]])
         self.bracoid = bracoid

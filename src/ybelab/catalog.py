@@ -327,24 +327,24 @@ def seeded_braces(rng: random.Random, count: int) -> list[SkewBrace]:
 
 
 def _example_params(name: str, params: tuple[int, ...]) -> tuple[int, ...]:
+    """params, or the stock ones when empty; refuses a name or count the example does not take."""
     if name not in CATALOG_NAMES:
         raise UnknownExample(f"unknown example {name!r} (choose from {CATALOG_NAMES})")
-    return tuple(params) or DEFAULT_PARAMS[name]
+    params = tuple(params) or DEFAULT_PARAMS[name]
+    counts, takes = {"gl3f2": ((0,), "no parameters"),
+                     "trivial-brace": ((1, 2), "n or (p, q)")}.get(name, ((2,), "(p, q)"))
+    if len(params) not in counts:
+        raise ValueError(f"{name} takes {takes}")
+    return params
 
 
 def example_order(name: str, params: tuple[int, ...] = ()) -> int:
     """|G| of the bracoid `build_example(name, params)` returns, without building it."""
     params = _example_params(name, params)
     if name == "gl3f2":
-        if params:
-            raise ValueError("gl3f2 takes no parameters")
         return GL3F2_ORDER
     if name == "trivial-brace":
-        if len(params) not in (1, 2):
-            raise ValueError("trivial-brace takes n or (p, q)")
         return math.prod(params)
-    if len(params) != 2:
-        raise ValueError(f"{name} takes (p, q)")
     p, q = params
     return {"semidirect": p * q, "abelianmap": 4 * p * q, "cyclic-pq": p * q * q}[name]
 

@@ -151,17 +151,27 @@ def is_frozen(value) -> bool:
 
 
 def adopted(table) -> np.ndarray:
-    """table itself when it is a C-contiguous int32 view that `frozen` made,
-    else a frozen C-contiguous int32 copy of it, which no later write to
-    table reaches."""
+    """The one conversion of a caller's array, or of a group's or action's `.table`:
+    table itself when it is a C-contiguous int32 view that `frozen` made, else
+    a frozen C-contiguous int32 copy, which no later write to table reaches.
+
+    A copy that would change an entry (1.5, NaN, 2**32) is refused with a
+    ValueError naming the first one, as is a dtype other than bool, integer
+    or float (an int beyond int64 makes an object array).
+    """
+    table = getattr(table, "table", table)
     if is_frozen(table) and table.dtype == np.int32 and table.flags.c_contiguous:
         return table
-    return frozen(np.array(table, dtype=np.int32, order="C"))
-
-
-def _as_table(value) -> np.ndarray:
-    """The int32 table of a group or an action, or of an array given as one."""
-    return np.asarray(getattr(value, "table", value), dtype=np.int32)
+    arr = np.asarray(table)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"table entries of dtype {arr.dtype} are not numbers")
+    with np.errstate(invalid="ignore"):         # a NaN or out-of-range float is refused below
+        out = np.array(arr, dtype=np.int32, order="C")
+    if arr.dtype != np.int32 and (lost := out != arr).any():
+        k = int(np.argmax(lost))
+        at = tuple(map(int, np.unravel_index(k, arr.shape)))
+        raise ValueError(f"table entry {arr.flat[k].item()!r} at {at} is not an int32")
+    return frozen(out)
 
 
 def _content(value):
@@ -255,16 +265,17 @@ def _right_inverses(arr: np.ndarray) -> np.ndarray:
 def group_table_checks(table, prefix: str = "") -> list[Check]:
     """Axiom checks for a raw multiplication table with identity expected at 0.
 
-    The checks of _group_proof, associativity included, each name led by prefix.
+    The checks of _group_proof on `adopted(table)`, associativity included,
+    each name led by prefix.
     """
-    checks, _ = _group_proof(table, True)
+    checks, _ = _group_proof(adopted(table), True)
     if not prefix:
         return list(checks)
     return [Check(prefix + c.name, c.ok, c.witness, c.detail) for c in checks]
 
 
 @by_content
-def _group_proof(table, check_assoc: bool) -> tuple[tuple[Check, ...], np.ndarray | None]:
+def _group_proof(arr, check_assoc: bool) -> tuple[tuple[Check, ...], np.ndarray | None]:
     """(checks, inv) for a raw multiplication table with identity expected at 0.
 
     The checks are latin / identity / associativity / inverses in that
@@ -297,7 +308,6 @@ def _group_proof(table, check_assoc: bool) -> tuple[tuple[Check, ...], np.ndarra
     most BLOCK_ENTRIES entries.  Only a failing range or identity check
     builds an n x n mask, to name its witness.
     """
-    arr = np.asarray(table)
     if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
         bad = Check("latin", False, (), f"table shape {arr.shape} is not square")
         return (bad, *(Check(nm, False, (), "not evaluated: malformed table")

@@ -211,21 +211,19 @@ def _load(report: RunReport, kind: str, text: str, max_order: int):
         raise PreconditionFailed(f"input is not a {kind}: {exc}") from exc
 
 
-def _write(kind: str, values: tuple) -> str:
-    """The text of an artifact, printed by the files writer of its kind."""
-    writers = {"group": files.write_group, "action": files.write_action,
-               "brace": files.write_brace, "bracoid": files.write_bracoid,
-               "semibrace": files.write_semibrace, "solution": files.write_solution}
-    return writers[kind](*values)
-
-
-def _written(kind: str, text: str, values: tuple) -> bool:
-    """Whether an artifact parses to exactly the fields it was written from.
+def _put(out: Path, filename: str, kind: str, values: tuple) -> bool:
+    """Write an artifact into out with the files writer of its kind; whether
+    its text parses to exactly the fields it was written from.
 
     The text is parsed once, not formatted a second time.  A group's table
     still builds a FiniteGroup, which the benchmark counts; the table was
     proved when its group was built, so the build is a memo hit.
     """
+    writers = {"group": files.write_group, "action": files.write_action,
+               "brace": files.write_brace, "bracoid": files.write_bracoid,
+               "semibrace": files.write_semibrace, "solution": files.write_solution}
+    text = writers[kind](*values)
+    (out / filename).write_text(text)
     if not files.encodes(kind, text, *values):
         return False
     if kind == "group":
@@ -235,10 +233,8 @@ def _written(kind: str, text: str, values: tuple) -> bool:
 
 def _write_artifact(report: RunReport, out: Path, filename: str, kind: str,
                     values: tuple) -> None:
-    text = _write(kind, values)
     with report.timed(f"write-{filename}") as step:
-        (out / filename).write_text(text)
-        step.ok = _written(kind, text, values)
+        step.ok = _put(out, filename, kind, values)
 
 
 def _instance_artifacts(inst: CatalogInstance) -> list[tuple[str, str, tuple]]:
@@ -534,9 +530,7 @@ def _battery_artifacts(report: RunReport, instances, out: Path | None) -> None:
     for inst in instances:
         with report.timed(f"artifacts-{_slug(inst)}") as step:
             for filename, kind, values in _instance_artifacts(inst):
-                text = _write(kind, values)
-                (out / filename).write_text(text)
-                step.ok = step.ok and _written(kind, text, values)
+                step.ok = _put(out, filename, kind, values) and step.ok
 
 
 def _suite_examples(scope: str) -> list[tuple[str, tuple[int, ...]]]:

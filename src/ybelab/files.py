@@ -1,12 +1,16 @@
 """Plain-text serialization for every structure in the package.
 
 All formats are line-oriented, 0-based decimal, single spaces, every
-line newline-terminated.  Writers emit canonical text; readers accept
-exactly that text, so parse(print(v)) reproduces v bit for bit.
+line newline-terminated.  Writers emit canonical text, and
+parse(print(v)) reproduces v bit for bit.
 
-Canonical text is read in bulk, by one np.fromstring pass over the body
-that is kept only when the writer gives the text back exactly; anything
-else is read line by line, and that loop is the only source of ParseError.
+Every kind is read by `_read_tables`.  Canonical text is read in bulk, by
+one np.fromstring pass over the body that is kept only when the writer
+gives the text back exactly; anything else is read line by line, and that
+loop is the only source of ParseError.  It splits lines on single spaces
+and takes any token int() takes, so it reads more than canonical text:
+'+1', '01', '1_0' and non-ASCII digits such as '\u0663' read as their
+value, and a tab or carriage return beside a number is dropped.
 
 Readers return raw tables (not verified structures) except for groups
 and solutions, whose types carry no unverified laws beyond shape; the
@@ -24,7 +28,7 @@ from typing import Callable
 
 import numpy as np
 
-from .checks import Record, _as_table, _row_blocks, frozen
+from .checks import Record, _row_blocks, adopted, frozen
 from .groups import FiniteGroup
 from .ybe import SolutionMap
 
@@ -84,21 +88,21 @@ class _Format(Record):
 # The fields of each layout: the values its writer takes -> (counts, tail, tables).
 
 def _group_fields(G: FiniteGroup):
-    return [G.order], G.name, [_as_table(G)]
+    return [G.order], G.name, [adopted(G)]
 
 
 def _action_fields(table):
-    table = _as_table(table)
+    table = adopted(table)
     return list(table.shape), None, [table]
 
 
 def _square_fields(*values):
-    tables = list(map(_as_table, values))
+    tables = list(map(adopted, values))
     return [len(tables[0])], None, tables
 
 
 def _bracoid_fields(G, N, act):
-    tables = list(map(_as_table, (G, N, act)))
+    tables = list(map(adopted, (G, N, act)))
     return [len(tables[0]), len(tables[1])], None, tables
 
 
@@ -132,10 +136,8 @@ def _split(text: str) -> list[str]:
     return text.split("\n")[:-1]
 
 
-def _parse_header(lines: list[str], magic: str, counts: int) -> tuple[list[int], list[str]]:
-    if not lines:
-        raise ParseError(1, "empty file")
-    tokens = lines[0].split(" ")
+def _parse_header(line: str, magic: str, counts: int) -> tuple[list[int], list[str]]:
+    tokens = line.split(" ")
     if len(tokens) < 2 + counts or tokens[0] != magic or tokens[1] != "v1":
         raise ParseError(1, f"expected '{magic} v1' header")
     try:
@@ -185,7 +187,7 @@ def _parse(fmt: _Format, text: str) -> tuple[list[int], list[str], np.ndarray] |
     """
     head, _, body = text.partition("\n")
     try:
-        numbers, rest = _parse_header([head], fmt.magic, fmt.counts)
+        numbers, rest = _parse_header(head, fmt.magic, fmt.counts)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
             values = np.fromstring(body, dtype=np.int64, sep=" ")
@@ -228,7 +230,7 @@ def _bulk(fmt: _Format, text: str) -> tuple[list[np.ndarray], str | None] | None
 def _line_tables(fmt: _Format, text: str) -> tuple[list[np.ndarray], str | None]:
     """The line loop: the tables and header tail of text, or the ParseError of its first bad line."""
     lines = _split(text)
-    numbers, rest = _parse_header(lines, fmt.magic, fmt.counts)
+    numbers, rest = _parse_header(lines[0], fmt.magic, fmt.counts)
     tables, at = [], 1
     for k, (rows, cols) in enumerate(fmt.shapes(*numbers)):
         if k:
@@ -254,7 +256,7 @@ def header_counts(kind: str, text: str) -> list[int] | None:
     """
     fmt = _FORMATS[kind]
     try:
-        return _parse_header([text.partition("\n")[0]], fmt.magic, fmt.counts)[0]
+        return _parse_header(text.partition("\n")[0], fmt.magic, fmt.counts)[0]
     except ParseError:
         return None
 
@@ -334,56 +336,18 @@ def write_solution(r: SolutionMap) -> str:
     return _write("solution", r)
 
 
-def _bulk_solution(text: str) -> SolutionMap | None:
-    """The map that text encodes when text is exactly write_solution's output, else None.
+def read_solution(text: str) -> SolutionMap:
+    """Parse a YBE file: n^2 'x y lx ry' rows as `_read_tables` reads them.
 
-    _bulk gives the n^2 'x y lx ry' rows; they must list the pairs in order
-    with every value in 0..n-1.
+    A row whose (x, y) is out of order is a ParseError at its line; an lx or
+    ry outside 0..n-1 is the ValueError of SolutionMap.
     """
-    fast = _bulk(_FORMATS["solution"], text)
-    if fast is None:
-        return None
-    (rows,), provenance = fast
+    (rows,), provenance = _read_tables("solution", text)
     n = math.isqrt(len(rows))
     x, y, lx, ry = rows.T
     pairs = np.arange(n * n)
-    if not (np.array_equal(x, pairs // n) and np.array_equal(y, pairs % n)
-            and min(lx.min(), ry.min()) >= 0 and max(lx.max(), ry.max()) < n):
-        return None
+    bad = (x != pairs // n) | (y != pairs % n)
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise ParseError(2 + k, f"pairs out of order at ({x[k]}, {y[k]})")
     return SolutionMap(lx.reshape(n, n), ry.reshape(n, n), provenance=provenance)
-
-
-def read_solution(text: str) -> SolutionMap:
-    """Parse a YBE file; canonical text in bulk, anything else line by line.
-
-    The line loop is the only source of ParseError, so every message and
-    line number comes from it.
-    """
-    fast = _bulk_solution(text)
-    return fast if fast is not None else _line_solution(text)
-
-
-def _line_solution(text: str) -> SolutionMap:
-    lines = _split(text)
-    (n,), rest = _parse_header(lines, "YBE", 1)
-    provenance = " ".join(rest) if rest else "unspecified"
-    if len(lines) != 1 + n * n:
-        raise ParseError(len(lines), f"expected {n * n} entry lines")
-    left = np.empty((n, n), dtype=np.int32)
-    right = np.empty((n, n), dtype=np.int32)
-    for k in range(n * n):
-        parts = lines[1 + k].split(" ")
-        if len(parts) != 4:
-            raise ParseError(2 + k, "expected 'x y lx ry'")
-        try:
-            x, y, lx, ry = (int(p) for p in parts)
-        except ValueError as exc:
-            raise ParseError(2 + k, f"bad integer: {exc}") from exc
-        if x != k // n or y != k % n:
-            raise ParseError(2 + k, f"pairs out of order at ({x}, {y})")
-        try:
-            left[x, y] = lx
-            right[x, y] = ry
-        except OverflowError as exc:
-            raise ParseError(2 + k, f"bad integer: {exc}") from exc
-    return SolutionMap(frozen(left), frozen(right), provenance=provenance)

@@ -128,7 +128,7 @@ class Subgroup(Record):
             raise ValueError(f"subgroup elements must be sorted, unique, and contain 0: {elems}")
         if elems[-1] >= self.parent.order:
             raise ValueError(f"element {elems[-1]} out of range 0..{self.parent.order - 1}")
-        sub = np.asarray(elems, dtype=np.int32)
+        sub = adopted(elems)
         member = np.zeros(self.parent.order, dtype=bool)
         member[sub] = True
         tab = self.parent.table[sub[:, None], sub]
@@ -236,7 +236,7 @@ def semidirect_product(
     So a twist list that is not such a homomorphism is refused by the first
     group law its table breaks (NotLatinSquare, NoIdentity, NotAssociative).
     """
-    alpha = np.asarray(alpha, dtype=np.int32)
+    alpha = adopted(alpha)
     if alpha.shape != (S.order, H.order):
         raise NotHomomorphism(f"alpha must have shape ({S.order}, {H.order})")
     if not ((alpha >= 0) & (alpha < H.order)).all():

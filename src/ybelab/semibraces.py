@@ -15,9 +15,9 @@ from functools import cached_property
 import numpy as np
 
 from .bracoids import ContainedBrace, SkewBracoid
-from .checks import (AxiomViolated, Check, Record, Report, _action_law_holds, _as_table,
-                     _assoc_failure, _distinct, _first_repeat, _first_triple, adopted, by_content,
-                     frozen, group_table_checks)
+from .checks import (AxiomViolated, Check, Record, Report, _action_law_holds, _assoc_failure,
+                     _distinct, _first_repeat, _first_triple, adopted, by_content, frozen,
+                     group_table_checks)
 from .groups import FiniteGroup, Subgroup
 
 
@@ -62,8 +62,7 @@ def _brute_relation(dot: FiniteGroup, plus: np.ndarray) -> tuple[int, int, int] 
 def verify_semibrace(dot, plus) -> Report:
     """Axiom report: dot group laws, plus associativity and cancellativity,
     and the coupling relation, each with a first counterexample."""
-    dt = _as_table(dot)
-    pt = np.asarray(plus, dtype=np.int32)
+    dt, pt = adopted(dot), adopted(plus)
     results = list(group_table_checks(dt, prefix="dot."))
     shaped = pt.ndim == 2 and pt.shape == dt.shape
     results.append(Check("same-order", shaped, detail=f"{dt.shape} vs {pt.shape}"))
@@ -213,7 +212,7 @@ def roundtrip_check(value: ContainedBrace | Semibrace) -> bool:
             and back.H.elements == value.H.elements
             and back.S.elements == value.S.elements
             and np.array_equal(back.brace.star.table, value.brace.star.table)
-            and np.array_equal(back.actH.table, value.actH.table))
+            and np.array_equal(back.actH, value.actH))
     if isinstance(value, Semibrace):
         again = bracoid_to_semibrace(semibrace_to_bracoid(value))
         return bool(np.array_equal(again.dot.table, value.dot.table)

@@ -426,7 +426,7 @@ def restrict_solution(r: SolutionMap, subset) -> SolutionMap | NotClosed:
     lexicographic order, left coordinate before right) whose image leaves
     the subset is returned as a :class:`NotClosed` witness.
     """
-    sub = np.asarray(subset, dtype=np.int32)
+    sub = adopted(subset)
     if sub.ndim != 1 or sub.size == 0:
         raise ValueError("subset must be a nonempty 1-d index list")
     if (np.diff(sub) <= 0).any():

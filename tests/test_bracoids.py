@@ -232,7 +232,7 @@ def test_transport_onto_a_subgroup_of_an_equal_table(semidirect32):
     copied = FiniteGroup(G.table.copy(), name=G.name)
     again = ContainedBrace(cb.bracoid, Subgroup(copied, cb.H.elements))
     assert again.H.parent is copied and again.S == cb.S
-    for a, b in [(again.brace.star.table, cb.brace.star.table), (again.actH.table, cb.actH.table),
+    for a, b in [(again.brace.star.table, cb.brace.star.table), (again.actH, cb.actH),
                  (again.gammaH, cb.gammaH), (again.lambda_rho.lam, cb.lambda_rho.lam),
                  (again.lambda_rho.rho, cb.lambda_rho.rho)]:
         assert np.array_equal(a, b)
@@ -285,7 +285,18 @@ def test_the_contained_brace_keeps_the_tables_built_on_g_plus_e(catalog):
         act = [[pos[int(plus[dot[x, h], 0])] for h in hel] for x in range(n)]
         back = semibrace_to_bracoid(sb)
         assert back.brace.star.table.tolist() == star
-        assert back.actH.table.tolist() == act
+        assert back.actH.tolist() == act
+
+
+def test_the_transported_action_is_an_action(catalog):
+    """actH is the verified action conjugated by bij, so the identity and
+    action laws that GroupAction re-proved on it hold: here on all pairs."""
+    for cb in _contained(catalog):
+        G, actH, m = cb.bracoid.G, cb.actH, cb.H.order
+        assert actH.shape == (G.order, m) and not actH.flags.writeable
+        assert np.array_equal(actH[0], np.arange(m))
+        for g in range(G.order):                    # row h: actH[g*h] against actH[g] o actH[h]
+            assert np.array_equal(actH[G.table[g]], actH[g][actH])
 
 
 def test_the_twist_on_h_is_the_brace_gamma(catalog):

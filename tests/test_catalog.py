@@ -157,6 +157,19 @@ def test_example_order_is_the_built_order(catalog):
         example_order("cyclic-pq", (5,))
 
 
+@pytest.mark.parametrize("name, params", [
+    ("gl3f2", (5, 7)), ("semidirect", (3,)), ("abelianmap", (3,)), ("cyclic-pq", (5, 2, 1)),
+    ("trivial-brace", (2, 3, 5)), ("nope", ()),
+])
+def test_build_example_refuses_what_example_order_refuses(name, params):
+    with pytest.raises(ValueError) as order_refusal:
+        example_order(name, params)
+    with pytest.raises(ValueError) as build_refusal:
+        build_example(name, params)
+    assert type(build_refusal.value) is type(order_refusal.value)
+    assert str(build_refusal.value) == str(order_refusal.value)
+
+
 def test_acceptance_battery_composition():
     instances = acceptance_instances(seed=0)
     assert [i.name for i in instances] == \

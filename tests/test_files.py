@@ -232,31 +232,19 @@ def oracle_header(lines, magic, counts):
 
 
 def oracle_read_solution(text: str) -> SolutionMap:
-    """The line loop, as first written apart from turning an int32 overflow
-    into a ParseError like any other bad integer and the header rule of
-    oracle_header."""
+    """The table files' line loop (oracle_parse_table, oracle_expect) on the
+    n^2 rows of 4 entries, then the pairs checked in order row by row."""
     lines = _split(text)
     (n,), rest = oracle_header(lines, "YBE", 1)
     provenance = " ".join(rest) if rest else "unspecified"
-    if len(lines) != 1 + n * n:
-        raise ParseError(len(lines), f"expected {n * n} entry lines")
+    rows = oracle_parse_table(lines, 1, n * n, 4)
+    oracle_expect(lines, 1 + n * n, blank=False)
     left = np.empty((n, n), dtype=np.int32)
     right = np.empty((n, n), dtype=np.int32)
-    for k in range(n * n):
-        parts = lines[1 + k].split(" ")
-        if len(parts) != 4:
-            raise ParseError(2 + k, "expected 'x y lx ry'")
-        try:
-            x, y, lx, ry = (int(p) for p in parts)
-        except ValueError as exc:
-            raise ParseError(2 + k, f"bad integer: {exc}") from exc
+    for k, (x, y, lx, ry) in enumerate(rows.tolist()):
         if x != k // n or y != k % n:
             raise ParseError(2 + k, f"pairs out of order at ({x}, {y})")
-        try:
-            left[x, y] = lx
-            right[x, y] = ry
-        except OverflowError as exc:
-            raise ParseError(2 + k, f"bad integer: {exc}") from exc
+        left[x, y], right[x, y] = lx, ry
     return SolutionMap(left, right, provenance=provenance)
 
 
@@ -571,19 +559,18 @@ READERS = {"GROUP": read_group_table, "ACTION": read_action, "BRACE": read_brace
            "BRACOID": read_bracoid, "SEMIBRACE": read_semibrace, "YBE": read_solution}
 
 
-def refuse_line_loops(monkeypatch) -> None:
+def refuse_line_loop(monkeypatch) -> None:
     def refuse(*args):
         raise AssertionError("canonical text fell through to the line loop")
 
     monkeypatch.setattr(files, "_line_tables", refuse)
-    monkeypatch.setattr(files, "_line_solution", refuse)
 
 
 def test_suite_artifacts_take_the_bulk_path(tmp_path, monkeypatch, capsys):
     assert main(["suite", "quick", "--seed", "7", "--out", str(tmp_path)]) == 0
     texts = [p.read_text() for p in sorted(tmp_path.iterdir()) if p.name != "report.txt"]
     assert len(texts) == 58
-    refuse_line_loops(monkeypatch)
+    refuse_line_loop(monkeypatch)
     for text in texts:
         READERS[text.split(" ", 1)[0]](text)
 
@@ -614,7 +601,7 @@ def test_relabelled_order_132_files_take_the_bulk_path(monkeypatch):
          (on_g(r.left), on_g(r.right))),
         (write_action(act), (act,)),
     ]
-    refuse_line_loops(monkeypatch)
+    refuse_line_loop(monkeypatch)
     for text, tables in files_and_tables:
         value = READERS[text.split(" ", 1)[0]](text)
         if isinstance(value, SolutionMap):
