@@ -114,8 +114,10 @@ def abelian_map_brace(G: FiniteGroup, psi: Sequence[int]) -> SkewBrace:
 def is_strong_left_ideal(B: SkewBrace, S: Subgroup) -> bool:
     """S is a star-normal subgroup of (G, *) swallowed by every gamma_x.
 
-    S must be a subgroup of the dot group.  On a brace from an abelian-image
-    endomorphism psi this is the literature's commutator criterion
+    S must be a subgroup of the dot group.  A gamma-stable S is a star-subgroup,
+    so only stability and normality are tested: each gamma_a maps S onto S, so
+    a * b = a . gamma_a^-1(b) lies in S for a, b in S.  On a brace from an
+    abelian-image endomorphism psi this is the literature's commutator criterion
     [G, phi(S)] <= S with phi(x) = x . psi(x)^-1; the tests compare the two
     on every subgroup their braces generate from at most two elements.
     """
@@ -124,11 +126,9 @@ def is_strong_left_ideal(B: SkewBrace, S: Subgroup) -> bool:
     sel = np.asarray(S.elements, dtype=np.int32)
     member = np.zeros(B.order, dtype=bool)
     member[sel] = True
-    st, sinv = B.star.table, B.star.inv
-    closed = bool(member[st[np.ix_(sel, sel)]].all() and member[sinv[sel]].all())
-    normal = closed and bool(member[st[st[:, sel], sinv[:, None]]].all())
-    stable = bool(member[B.gamma[:, sel]].all())
-    return closed and normal and stable
+    st = B.star.table
+    stable = member[B.gamma[:, sel]].all()
+    return bool(stable and member[st[st[:, sel], B.star.inv[:, None]]].all())
 
 
 def brace_solution(B: SkewBrace) -> SolutionMap:

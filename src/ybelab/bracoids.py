@@ -62,12 +62,12 @@ def _eq2_failure(G: FiniteGroup, N: FiniteGroup, act: np.ndarray) -> tuple[int, 
 
 
 class SkewBracoid:
-    """Verified bracoid; rejects non-transitive or law-breaking input."""
+    """Verified bracoid; rejects non-transitive or law-breaking input.  `act`, a table
+    or an action of any group, is proved an action of G: no actor is compared."""
 
     def __init__(self, G: FiniteGroup, N: FiniteGroup, act):
-        if not isinstance(act, GroupAction):
-            act = GroupAction(G, act)
-        if act.actor is not G or act.space_size != N.order:
+        act = GroupAction(G, act)
+        if act.space_size != N.order:
             raise ValueError("action does not connect G to the points of N")
         if not is_transitive(act):
             raise NotTransitive("the action misses part of N")
@@ -104,8 +104,7 @@ def verify_bracoid(G, N, act) -> Report:
         results.append(Check("action.identity", ident))
         law_witness = _action_law_failure(gt, arr) or ()
         results.append(Check("action.law", not law_witness, witness=law_witness))
-        results.append(Check("action.transitive",
-                             len(set(arr[:, 0].tolist())) == m))
+        results.append(Check("action.transitive", is_transitive(arr)))
         if ident and not law_witness:
             witness = _eq2_failure(FiniteGroup(gt), FiniteGroup(nt), arr)
             results.append(Check("compat", witness is None, witness=witness or ()))
@@ -123,8 +122,8 @@ def from_strong_left_ideal(B: SkewBrace, S: Subgroup) -> SkewBracoid:
 
     Cosets are labelled by their least member in ascending order, so the
     identity coset is element 0.  Its stabilizer is S: act[x, 0] is the
-    label of the star-coset x * S, which is 0 exactly when x is in S, as
-    is_strong_left_ideal proved S a star-subgroup.
+    label of the star-coset x * S, which is 0 exactly when x is in S, a
+    star-subgroup as it is gamma-stable (is_strong_left_ideal).
     """
     if not is_strong_left_ideal(B, S):
         raise NotStrongLeftIdeal(f"S = {S.elements} fails the ideal conditions")
@@ -140,8 +139,7 @@ def from_holomorph_subgroup(hol: Holomorph, J: Subgroup) -> SkewBracoid:
     if J.parent is not hol.group:
         raise ValueError("J must be a subgroup of hol.group")
     group = J.as_group(name=f"J{J.order}")
-    action = GroupAction(group, frozen(hol.action.table[np.asarray(J.elements)]))
-    return SkewBracoid(group, hol.N, action)
+    return SkewBracoid(group, hol.N, frozen(hol.action.table[np.asarray(J.elements)]))
 
 
 class ContainedBrace:

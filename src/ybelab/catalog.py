@@ -38,6 +38,7 @@ from .groups import (
     elementary_abelian,
     holomorph,
     is_prime,
+    is_transitive,
     semidirect_product,
     subgroup_generated,
 )
@@ -223,7 +224,6 @@ def gl3f2_instance(seed: int = 0) -> CatalogInstance:
     N = elementary_abelian(2, 3)
     hol = holomorph(N)
     rng = random.Random(seed)
-    points = hol.action.table[:, 0]
     for attempt in range(1, GL3F2_ATTEMPT_CAP + 1):
         a = rng.randrange(hol.group.order)
         b = rng.randrange(hol.group.order)
@@ -231,7 +231,7 @@ def gl3f2_instance(seed: int = 0) -> CatalogInstance:
         if elems is None or len(elems) != GL3F2_ORDER:
             continue
         chosen = np.asarray(sorted(elems), dtype=np.int32)
-        if len(set(points[chosen].tolist())) != N.order:
+        if not is_transitive(hol.action.table[chosen]):
             continue
         J = Subgroup(hol.group, tuple(int(v) for v in chosen))
         if not _is_simple(J.as_group(name="J168")):

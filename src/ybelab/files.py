@@ -154,7 +154,7 @@ def _parse_table(lines: list[str], start: int, rows: int, cols: int) -> np.ndarr
         raise ParseError(len(lines), f"expected {rows} table rows")
     out = []                    # rows as read: the header counts alone allocate nothing
     for i in range(rows):
-        parts = lines[start + i].split(" ")
+        parts = lines[start + i].split(" ") if lines[start + i] else []
         if len(parts) != cols:
             raise ParseError(start + i + 1,
                              f"expected {cols} entries, found {len(parts)}")
@@ -179,29 +179,28 @@ def _parse(fmt: _Format, text: str) -> tuple[list[int], list[str], np.ndarray] |
     """The header counts, the header words after them and the body values of
     text, or None when the header or the body does not parse.
 
-    The body is parsed in C by np.fromstring, with no Python object per
-    token, and any run of whitespace separates two values.  Unmatched data
-    raises ValueError in numpy 2; numpy 1.x warns with a DeprecationWarning
-    and returns the values before it, so that warning is raised here and
-    counts as the same refusal.
+    The body is parsed in C by np.fromstring, with no Python object per token;
+    any run of whitespace separates two values, and whitespace alone holds none
+    (np.fromstring reads it as [0]).  Unmatched data raises ValueError in numpy 2;
+    numpy 1.x warns with a DeprecationWarning and returns the values before it,
+    so that warning is raised here and counts as the same refusal.
     """
     head, _, body = text.partition("\n")
     try:
         numbers, rest = _parse_header(head, fmt.magic, fmt.counts)
         with warnings.catch_warnings():
             warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring(body, dtype=np.int64, sep=" ")
+            values = np.fromstring("" if body.isspace() else body, dtype=np.int64, sep=" ")
         return numbers, rest, values
     except (ValueError, DeprecationWarning):
         return None
 
 
 def _cut(fmt: _Format, numbers: list[int], values: np.ndarray) -> list[np.ndarray] | None:
-    """values cut into the tables the counts call for, or None when every
-    count is not at least 1 or the sizes do not add up."""
+    """values cut into the tables the counts call for, or None when the sizes do not add up."""
     shapes = fmt.shapes(*numbers)
     sizes = [rows * cols for rows, cols in shapes]
-    if min(numbers) < 1 or values.size != sum(sizes):
+    if values.size != sum(sizes):
         return None
     parts = np.split(values, list(accumulate(sizes))[:-1])
     return [part.reshape(shape) for part, shape in zip(parts, shapes)]

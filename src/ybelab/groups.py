@@ -117,7 +117,8 @@ class FiniteGroup:
 
 
 class Subgroup(Record):
-    """A subgroup of `parent` as a sorted tuple of parent indices."""
+    """A subgroup of `parent` as a sorted tuple of parent indices.  Closure is the
+    one check: a closed set holding g, of order k, holds g^-1 = g^(k-1)."""
 
     __slots__ = ("parent", "elements")
 
@@ -138,8 +139,6 @@ class Subgroup(Record):
             raise ValueError(
                 f"not closed: {elems[a]}*{elems[b]} = {int(tab[a, b])} escapes the subset"
             )
-        if not member[self.parent.inv[sub]].all():
-            raise ValueError("subset not closed under inversion")
 
     @property
     def order(self) -> int:
@@ -254,6 +253,7 @@ def direct_product(H: FiniteGroup, S: FiniteGroup, name: str | None = None) -> F
 
 
 def subgroup_generated(G: FiniteGroup, gens: Sequence[int]) -> Subgroup:
+    """<gens>; a generator outside 0..|G|-1 is the ValueError naming it, the one range check."""
     gens = tuple(int(g) for g in gens)
     bad = [g for g in gens if not 0 <= g < G.order]
     if bad:
@@ -377,12 +377,16 @@ def holomorph(N: FiniteGroup, max_order: int = MAX_ORDER) -> Holomorph:
     return Holomorph(N, tuple(maps), aut, group, action)
 
 
-def is_transitive(action: GroupAction) -> bool:
-    return len(set(action.table[:, 0].tolist())) == action.space_size
+def is_transitive(action) -> bool:
+    """Whether a GroupAction, or its table, moves point 0 to every point: one orbit."""
+    table = adopted(action)
+    return len(set(table[:, 0].tolist())) == table.shape[1]
 
 
 def stabilizer(action: GroupAction, point: int) -> Subgroup:
     """The stabilizer of point; |orbit| * |stabilizer| = |G| holds for every action."""
+    if not 0 <= point < action.space_size:
+        raise ValueError(f"point {point} out of range 0..{action.space_size - 1}")
     elems = tuple(int(g) for g in np.nonzero(action.table[:, point] == point)[0])
     return Subgroup(action.actor, elems)
 

@@ -579,6 +579,17 @@ def test_complements_enumeration(tmp_path, capsys):
     assert "STEP complement-0 PASS" in out and "(0,2,4)" in out
 
 
+@pytest.mark.parametrize("gen", ["6", "-1"])
+def test_complements_refuses_a_generator_outside_the_group(tmp_path, capsys, gen):
+    """subgroup_generated's range check is the one refusal: exit 2, one line."""
+    path = tmp_path / "s3.txt"
+    path.write_text(write_group(_sd32()))
+    assert main(["complements", str(path), "1", gen, "--out", str(tmp_path / "out")]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: ValueError: generator {gen} out of range 0..5\n"
+    assert captured.out == "" and not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("words, code", [
     (["verify", "group", "g0.txt"], 1), (["holomorph", "g0.txt"], 2),
     (["complements", "g0.txt", "0"], 2)], ids=["verify", "holomorph", "complements"])

@@ -141,12 +141,47 @@ def test_negative_header_count_is_line_one(kind, text):
     assert seen(read, text) == seen(oracle_read, text)
 
 
-def test_a_header_count_of_zero_is_legal():
-    empty = np.zeros((0, 0), dtype=np.int32)
-    text = write_solution(SolutionMap(empty, empty))
-    assert text == "YBE v1 0 unspecified\n"
-    assert read_solution(text).size == 0
-    assert read_group_table("GROUP v1 0 G\n")[0].shape == (0, 0)
+def _empty(rows, cols=None):
+    return np.zeros((rows, rows if cols is None else cols), dtype=np.int32)
+
+
+# kind -> values for its writer with a header count of 0, the tables read back
+ZERO_COUNTS = [
+    ("group", (SimpleNamespace(order=0, name="G", table=_empty(0)),), (_empty(0),)),
+    ("action", (_empty(2, 0),), (_empty(2, 0),)),
+    ("action", (_empty(0, 3),), (_empty(0, 3),)),
+    ("brace", (_empty(0), _empty(0)), (_empty(0), _empty(0))),
+    ("bracoid", (_empty(0), _empty(0), _empty(0)), (_empty(0),) * 3),
+    ("bracoid", (cyclic_group(2), _empty(0), _empty(2, 0)),
+     (cyclic_group(2).table, _empty(0), _empty(2, 0))),
+    ("semibrace", (_empty(0), _empty(0)), (_empty(0), _empty(0))),
+    ("solution", (SolutionMap(_empty(0), _empty(0)),), (_empty(0), _empty(0))),
+]
+
+
+@pytest.mark.parametrize("kind, values, tables", ZERO_COUNTS,
+                         ids=[f"{case[0]}-{i}" for i, case in enumerate(ZERO_COUNTS)])
+def test_a_header_count_of_zero_is_legal(kind, values, tables, monkeypatch):
+    """The writer's text for a count of 0 passes encodes and reads back to
+    the same tables, by the bulk path and by the line loop alike."""
+    write, read = getattr(files, f"write_{kind}"), READERS[files._FORMATS[kind].magic]
+    text = write(*values)
+    assert encodes(kind, text, *values)
+    fmt = files._FORMATS[kind]
+    bulk, line = files._bulk(fmt, text), files._line_tables(fmt, text)
+    assert [(t.shape, t.tolist()) for t in bulk[0]] == [(t.shape, t.tolist()) for t in line[0]]
+    assert bulk[1] == line[1]
+    refuse_line_loop(monkeypatch)
+    value = read(text)
+    if isinstance(value, SolutionMap):
+        value = (value.left, value.right)
+    elif isinstance(value, np.ndarray):
+        value = (value,)
+    value = value[:len(tables)]                 # a group's name follows its table
+    assert [t.shape for t in value] == [t.shape for t in tables]
+    assert all(np.array_equal(a, b) for a, b in zip(value, tables))
+    if kind == "solution":
+        assert text == "YBE v1 0 unspecified\n"
 
 
 def test_missing_final_newline():
@@ -337,7 +372,7 @@ def oracle_parse_table(lines, start, rows, cols):
         raise ParseError(len(lines), f"expected {rows} table rows")
     out = []
     for i in range(rows):
-        parts = lines[start + i].split(" ")
+        parts = lines[start + i].split(" ") if lines[start + i] else []
         if len(parts) != cols:
             raise ParseError(start + i + 1,
                              f"expected {cols} entries, found {len(parts)}")

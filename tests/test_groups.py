@@ -6,7 +6,8 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from ybelab.checks import frozen
+from ybelab.catalog import seeded_braces
+from ybelab.checks import closure, frozen
 from ybelab.groups import (
     CapExceeded,
     FiniteGroup,
@@ -384,6 +385,53 @@ def test_subgroup_refuses_an_element_out_of_range():
         subgroup_generated(G, [7])
     with pytest.raises(ValueError, match=r"^generator -1 out of range 0\.\.3$"):
         subgroup_generated(G, [1, -1])
+
+
+def _catalog_groups(catalog):
+    """Each distinct group of the catalog and of 20 seeded relabellings of the pool."""
+    groups = []
+    for inst in catalog:
+        for owner in (inst.brace, inst.contained and inst.contained.brace):
+            if owner is not None:
+                groups += [owner.star, owner.dot]
+        if inst.bracoid is not None:
+            groups += [inst.bracoid.G, inst.bracoid.N]
+    for B in seeded_braces(random.Random(23), 20):
+        groups += [B.star, B.dot]
+    return list({G.table.tobytes(): G for G in groups}.values())
+
+
+def test_every_closure_is_closed_under_inversion(catalog):
+    """Subgroup checks closure alone: g of order k has g^-1 = g^(k-1), so a
+    closed set holds the inverse of each member.  Here on the set
+    checks.closure returns for every pair of generators (300 seeded pairs
+    above order 64) of each catalog group and seeded relabelling."""
+    rng, sets = random.Random(29), 0
+    for G in _catalog_groups(catalog):
+        n = G.order
+        pairs = ([(a, b) for a in range(n) for b in range(a, n)] if n <= 64
+                 else [(rng.randrange(n), rng.randrange(n)) for _ in range(300)])
+        for pair in pairs:
+            elements = closure(G.table, pair)
+            assert set(G.inv[elements].tolist()) == set(elements), (G, pair)
+            Subgroup(G, tuple(sorted(elements)))
+            sets += 1
+    assert sets == 6212
+
+
+def test_stabilizer_refuses_a_point_outside_the_space():
+    act = GroupAction(s3(), s3().table)
+    for point in (6, 7, -1):
+        with pytest.raises(ValueError, match=rf"^point {point} out of range 0\.\.5$"):
+            stabilizer(act, point)
+
+
+def test_is_transitive_takes_an_action_or_its_table():
+    G = s3()
+    assert is_transitive(G.table) and is_transitive(GroupAction(G, G.table))
+    fixed = np.zeros((6, 2), dtype=np.int32)
+    fixed[:, 1] = 1
+    assert not is_transitive(fixed) and not is_transitive(GroupAction(G, fixed))
 
 
 def test_stabilizer_of_regular_action_is_trivial():
