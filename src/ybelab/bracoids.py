@@ -22,13 +22,15 @@ import numpy as np
 
 from .braces import SkewBrace, is_strong_left_ideal
 from .checks import (AxiomViolated, Check, Record, Report, _action_law_failure, _action_law_holds,
-                     _first_triple, _rows_law_failure, adopted, frozen, group_table_checks)
+                     _first_triple, _first_true, _rows_law_failure, adopted, frozen,
+                     group_table_checks)
 from .groups import (
     FiniteGroup,
     GroupAction,
     Holomorph,
     Subgroup,
     _left_cosets,
+    _unreached,
     find_complements,
     is_transitive,
     stabilizer,
@@ -96,16 +98,18 @@ def verify_bracoid(G, N, act) -> Report:
     shaped = arr.ndim == 2 and arr.shape == (gt.shape[0], m)
     results.append(Check("action.shape", shaped, detail=f"{arr.shape}"))
     usable = shaped and all(c.ok for c in results)
-    if usable and not ((arr >= 0) & (arr < m)).all():
-        results.append(Check("action.range", False))
+    outside = _first_true((arr < 0) | (arr >= m)) if usable else ()
+    if outside:
+        results.append(Check("action.range", False, witness=outside))
         usable = False
     if usable:
-        ident = bool((arr[0] == np.arange(m)).all())
-        results.append(Check("action.identity", ident))
+        moved = _first_true(arr[0] != np.arange(m))
+        results.append(Check("action.identity", not moved, witness=moved))
         law_witness = _action_law_failure(gt, arr) or ()
         results.append(Check("action.law", not law_witness, witness=law_witness))
-        results.append(Check("action.transitive", is_transitive(arr)))
-        if ident and not law_witness:
+        unreached = _unreached(arr)
+        results.append(Check("action.transitive", not unreached, witness=unreached))
+        if not moved and not law_witness:
             witness = _eq2_failure(FiniteGroup(gt), FiniteGroup(nt), arr)
             results.append(Check("compat", witness is None, witness=witness or ()))
         else:
@@ -252,19 +256,22 @@ def lambda_rho_identity_checks(lr: LambdaRho) -> Report:
     Checks: rho_e = id; lambda_x(e) = e; lambda is multiplicative in the
     subscript; rho is anti-multiplicative; rho_x inverts via x^-1; and
     the product rule lambda_x(yz) = lambda_x(y) . lambda_{rho_y(x)}(z).
-    Every law is proved on all triples (_displacement_witnesses), detail
-    `exhaustive`.  Tables that are not n x n or hold an entry outside
-    0..n-1 cannot index G, so those four laws fail unevaluated.
+    The two identity laws name the first index where they fail, and every
+    other law is proved on all triples (_displacement_witnesses), detail
+    `exhaustive`.  Tables that are not n x n fail all six unevaluated;
+    tables with an entry outside 0..n-1 cannot index G, so the last four
+    laws fail unevaluated.
     """
     G, lam, rho = lr.G, lr.lam, lr.rho
     n = G.order
-    shaped = lam.shape == rho.shape == (n, n)
-    results = [
-        Check("rho-identity-row", shaped and bool(np.array_equal(rho[0], np.arange(n)))),
-        Check("lambda-fixes-identity", shaped and bool((lam[:, 0] == 0).all())),
-    ]
     names = ("lambda-compose", "rho-compose", "rho-inverse", "lambda-product-rule")
-    if shaped and all(((t >= 0) & (t < n)).all() for t in (lam, rho)):
+    if not lam.shape == rho.shape == (n, n):
+        return Report(tuple(Check(name, False, detail=f"not evaluated: tables are not {n} x {n}")
+                            for name in ("rho-identity-row", "lambda-fixes-identity", *names)))
+    row_w, fix_w = _first_true(rho[0] != np.arange(n)), _first_true(lam[:, 0] != 0)
+    results = [Check("rho-identity-row", not row_w, witness=row_w),
+               Check("lambda-fixes-identity", not fix_w, witness=fix_w)]
+    if all(((t >= 0) & (t < n)).all() for t in (lam, rho)):
         witnesses = _displacement_witnesses(G, lam, rho)
         results.extend(Check(name, not w, witness=w, detail="exhaustive")
                        for name, w in zip(names, witnesses))
@@ -303,8 +310,7 @@ def _displacement_witnesses(G: FiniteGroup, lam: np.ndarray,
     lam_w = _action_law_failure(gt, lam) or ()
     rho_ok = _action_law_holds(G.opposite, rho)
     rho_w = () if rho_ok else _first_triple(n, lambda x: rho[gt[x]] != rho[:, rho[x]])
-    bad = rho[ginv[:, None], rho] != np.arange(n)
-    inv_w = tuple(map(int, np.argwhere(bad)[0])) if bad.any() else ()
+    inv_w = _first_true(rho[ginv[:, None], rho] != np.arange(n))
     if rho_ok and np.array_equal(gt[lam, rho.T], gt):
         prod_w = ()
     else:

@@ -535,6 +535,12 @@ def _first_repeat(table: np.ndarray) -> tuple[int, int, int] | None:
     return x, int(order[k]), int(order[k + 1])
 
 
+def _first_true(mask: np.ndarray) -> tuple[int, ...]:
+    """The index of the first True entry of mask in row-major order, or ()."""
+    hits = np.argwhere(mask)
+    return tuple(map(int, hits[0])) if len(hits) else ()
+
+
 def _distinct(indices: np.ndarray, n: int) -> np.ndarray:
     """The distinct entries of an array of indices in 0..n-1, ascending.
 

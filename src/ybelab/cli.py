@@ -20,7 +20,6 @@ import random
 import sys
 import time
 from contextlib import contextmanager
-from functools import partial
 from pathlib import Path
 from typing import Callable
 
@@ -291,8 +290,7 @@ def cmd_example(args) -> int:
     report.add("contains-brace", True, witness)
     if cb is not None:
         sb = bracoid_to_semibrace(cb)
-        report.absorb("semibrace.", report.build(
-            "verify-semibrace", lambda: verify_semibrace(sb.dot, sb.plus)))
+        report.absorb("semibrace.", report.build("verify-semibrace", lambda: sb.report))
     out = _out_dir(args)
     for filename, kind, values in _instance_artifacts(inst):
         _write_artifact(report, out, filename, kind, values)
@@ -322,8 +320,10 @@ def cmd_verify(args) -> int:
     return _finish(report, _out_dir(args))
 
 
-def _solution_steps(report: RunReport, r, asserted: tuple[str, ...]) -> None:
-    sr = report.build("scan", lambda: check_braid(r))
+def _solution_steps(report: RunReport, r, asserted: tuple[str, ...] | None = None) -> None:
+    """r's report: the asserted properties (by default r.asserted) as steps, the rest info-."""
+    asserted = r.asserted if asserted is None else asserted
+    sr = report.build("scan", lambda: r.report)
     for prop, ok, wit in sr.properties():
         if prop in asserted:
             report.add(prop, ok, _indices(wit))
@@ -338,7 +338,7 @@ def _decomposition(sb: Semibrace) -> str:
 
 def _semibrace_steps(report: RunReport, sb: Semibrace) -> None:
     report.add("decompose", True, _decomposition(sb))
-    report.absorb("semibrace.", verify_semibrace(sb.dot, sb.plus))
+    report.absorb("semibrace.", sb.report)
 
 
 def _bracoid_steps(report: RunReport, cb) -> None:
@@ -365,11 +365,6 @@ class Pipeline(Record):
         self._fill(source, derive, steps, artifact, kind, values, witness, flags, tilde)
 
 
-def _asserting(*props: str):
-    """The steps after a derived solution: props asserted, the rest reported."""
-    return partial(_solution_steps, asserted=props)
-
-
 def _pipelines() -> dict[str, Pipeline]:
     return {
         "semibrace-from-bracoid": Pipeline(
@@ -380,19 +375,17 @@ def _pipelines() -> dict[str, Pipeline]:
             lambda cb: (cb.bracoid.G, cb.bracoid.N, cb.bracoid.act.table),
             witness=lambda cb: f"N={cb.bracoid.N.order}", flags=("roundtrip",)),
         "solution-from-bracoid": Pipeline(
-            "bracoid", solution_from_bracoid, _asserting("braid", "left-nondegenerate"),
-            "solution.txt", "solution", lambda r: (r,), flags=("tilde",),
+            "bracoid", solution_from_bracoid, _solution_steps, "solution.txt", "solution",
+            lambda r: (r,), flags=("tilde",),
             tilde=Pipeline(
-                "bracoid", tilde_solution_from_bracoid,
-                _asserting("braid", "right-nondegenerate"),
+                "bracoid", tilde_solution_from_bracoid, _solution_steps,
                 "solution-tilde.txt", "solution", lambda r: (r,))),
         "solution-from-brace": Pipeline(
-            "brace", brace_solution,
-            _asserting("braid", "bijective", "left-nondegenerate", "right-nondegenerate"),
-            "solution.txt", "solution", lambda r: (r,)),
+            "brace", brace_solution, _solution_steps, "solution.txt", "solution",
+            lambda r: (r,)),
         "solution-from-semibrace": Pipeline(
-            "semibrace", solution_from_semibrace, _asserting("braid", "left-nondegenerate"),
-            "solution.txt", "solution", lambda r: (r,)),
+            "semibrace", solution_from_semibrace, _solution_steps, "solution.txt", "solution",
+            lambda r: (r,)),
     }
 
 

@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import (Check, Record, _action_law_failure, _group_proof, adopted, closure, frozen,
-                     frozen_transpose, generators)
+from .checks import (Check, Record, _action_law_failure, _first_true, _group_proof, adopted,
+                     closure, frozen, frozen_transpose, generators)
 
 # The default `--max-order`, and the one bound of the holomorph search: |Hol(N)| = |N| * |Aut(N)|.
 MAX_ORDER = 2048
@@ -166,9 +166,9 @@ class GroupAction:
         m = arr.shape[1]
         if not ((arr >= 0) & (arr < m)).all():
             raise ValueError("action table entry out of range")
-        if not (arr[0] == np.arange(m)).all():
-            p = int(np.argmin(arr[0] == np.arange(m)))
-            raise ValueError(f"identity must act trivially; moves point {p}")
+        moved = _first_true(arr[0] != np.arange(m))
+        if moved:
+            raise ValueError(f"identity must act trivially; moves point {moved[0]}")
         witness = _action_law_failure(actor.table, arr)
         if witness is not None:
             g, h, p = witness
@@ -379,8 +379,13 @@ def holomorph(N: FiniteGroup, max_order: int = MAX_ORDER) -> Holomorph:
 
 def is_transitive(action) -> bool:
     """Whether a GroupAction, or its table, moves point 0 to every point: one orbit."""
+    return not _unreached(action)
+
+
+def _unreached(action) -> tuple[int, ...]:
+    """(p,) for the least point p outside {g.0}, the orbit of 0, or () if there is none."""
     table = adopted(action)
-    return len(set(table[:, 0].tolist())) == table.shape[1]
+    return _first_true(np.bincount(table[:, 0], minlength=table.shape[1]) == 0)
 
 
 def stabilizer(action: GroupAction, point: int) -> Subgroup:

@@ -16,8 +16,8 @@ import numpy as np
 
 from .bracoids import ContainedBrace, SkewBracoid
 from .checks import (AxiomViolated, Check, Record, Report, _action_law_holds, _assoc_failure,
-                     _distinct, _first_repeat, _first_triple, adopted, by_content, frozen,
-                     group_table_checks)
+                     _distinct, _first_repeat, _first_triple, _first_true, adopted, by_content,
+                     frozen, group_table_checks)
 from .groups import FiniteGroup, Subgroup
 
 
@@ -67,10 +67,10 @@ def verify_semibrace(dot, plus) -> Report:
     shaped = pt.ndim == 2 and pt.shape == dt.shape
     results.append(Check("same-order", shaped, detail=f"{dt.shape} vs {pt.shape}"))
     n = dt.shape[0]
-    ranged = shaped and bool(((pt >= 0) & (pt < n)).all())
     if shaped:
-        results.append(Check("plus.range", ranged))
-    usable = ranged and all(c.ok for c in results)
+        outside = _first_true((pt < 0) | (pt >= n))
+        results.append(Check("plus.range", not outside, witness=outside))
+    usable = shaped and all(c.ok for c in results)
     if usable:
         witness = _assoc_failure(pt)
         results.append(Check("plus.assoc", witness is None, witness=witness or ()))
@@ -98,7 +98,8 @@ class Semibrace:
     Rows are in fact bijections (a plus row is injective and left
     translation is), but that is left to callers to observe rather than
     assumed anywhere.  `plus` is held as `checks.adopted` gives it: a frozen
-    view is kept, anything else copied.
+    view is kept, anything else copied.  `report` is the verify_semibrace
+    report it was proved by.
     """
 
     def __init__(self, dot, plus):
@@ -112,6 +113,7 @@ class Semibrace:
         self.dot = dot
         self.plus = plus
         self.order = dot.order
+        self.report = report
 
     @cached_property
     def L(self) -> np.ndarray:

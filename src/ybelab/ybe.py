@@ -13,9 +13,9 @@ class of them (_braid_from_profiles); every other map gets the n^3 scan.
 The braid composites are evaluated in one place, _braid_masks, whose
 x-slices the first-witness scan reads.
 
-Derivation routes (from semibraces and from bracoids that contain a
-brace) verify their advertised properties before returning, so a
-returned map is already known to satisfy the braid relation.
+A derived map (from a brace, a semibrace or a bracoid that contains a
+brace) is proved by its constructor, which raises on the first property
+it asserts that fails, so a returned map satisfies the braid relation.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import cached_property
 import numpy as np
 
 from .checks import (AxiomViolated, Record, _action_law_holds, _first_repeat, _first_triple,
-                     adopted, frozen, frozen_transpose)
+                     _first_true, adopted, frozen, frozen_transpose)
 from .groups import FiniteGroup
 
 # _braid_from_profiles runs its checks only when their work, about
@@ -65,11 +65,13 @@ class SolutionMap:
     `checks.adopted` gives them: a frozen view is kept, anything else copied.
     ``right_t`` is the transpose of ``right`` as a frozen view
     (`checks.frozen_transpose`), made once per map, so the laws read on it
-    are memoised at no copy.
+    are memoised at no copy.  ``report`` is the map's one check_braid, run
+    when first read, or at once when ``asserted`` names properties (from
+    SolutionReport.properties): the first of them that fails raises.
     """
 
     def __init__(self, left, right, provenance: str = "unspecified",
-                 carrier: FiniteGroup | None = None):
+                 carrier: FiniteGroup | None = None, asserted: tuple[str, ...] = ()):
         left, right = adopted(left), adopted(right)
         if left.ndim != 2 or left.shape[0] != left.shape[1]:
             raise ValueError(f"left table is not square: shape {left.shape}")
@@ -88,6 +90,15 @@ class SolutionMap:
         self.size = n
         self.provenance = provenance
         self.carrier = carrier
+        self.asserted = asserted
+        if asserted:
+            for name, ok, witness in self.report.properties():
+                if name in asserted and not ok:
+                    raise AxiomViolated(f"{provenance} map fails {name} at {witness}")
+
+    @cached_property
+    def report(self) -> SolutionReport:
+        return check_braid(self)
 
     @cached_property
     def right_t(self) -> np.ndarray:
@@ -310,70 +321,45 @@ def check_braid(r: SolutionMap) -> SolutionReport:
         braid_witness = ()
     else:
         braid_witness = _first_triple(n, _braid_masks(left, right)) or ()
-    braid_ok = not braid_witness
 
-    bij_ok, bij_witness = True, ()
+    bij_witness = ()
     codes = left.astype(np.int64).ravel() * n + right.ravel()
     repeated = np.flatnonzero(np.bincount(codes, minlength=n * n) > 1)
     if repeated.size:                   # first two pairs with the least repeated image
-        bij_ok = False
         i, j = np.flatnonzero(codes == repeated[0])[:2].tolist()
         bij_witness = (i // n, i % n, j // n, j % n)
 
-    inv_ok, inv_witness = True, ()
     grid_x, grid_y = np.indices((n, n))
-    twice_bad = (left[left, right] != grid_x) | (right[left, right] != grid_y)
-    if twice_bad.any():
-        inv_ok = False
-        xs, ys = np.nonzero(twice_bad)
-        inv_witness = (int(xs[0]), int(ys[0]))
+    inv_witness = _first_true((left[left, right] != grid_x) | (right[left, right] != grid_y))
 
     lnd_witness = _first_repeat(left) or ()
     rnd_witness = _first_repeat(r.right_t) or ()
 
-    return SolutionReport(
-        size=n,
-        braid=braid_ok,
-        braid_witness=braid_witness,
-        bijective=bij_ok,
-        bijective_witness=bij_witness,
-        involutive=inv_ok,
-        involutive_witness=inv_witness,
-        left_nondegenerate=not lnd_witness,
-        left_witness=lnd_witness,
-        right_nondegenerate=not rnd_witness,
-        right_witness=rnd_witness,
-    )
-
-
-def assert_properties(r: SolutionMap, label: str, *asserted: str) -> SolutionMap:
-    """Return r after one check_braid scan; raise AxiomViolated on the first
-    asserted property (a name from SolutionReport.properties) that fails."""
-    for name, ok, witness in check_braid(r).properties():
-        if name in asserted and not ok:
-            raise AxiomViolated(f"{label} map fails {name} at {witness}")
-    return r
+    return SolutionReport(n, not braid_witness, braid_witness, not bij_witness, bij_witness,
+                          not inv_witness, inv_witness, not lnd_witness, lnd_witness,
+                          not rnd_witness, rnd_witness)
 
 
 def solution_from_semibrace(sb) -> SolutionMap:
     """The map (x, y) -> (x(x^-1 + y), [x(x^-1 + y)]^-1 xy) of a semibrace.
 
-    Verified to satisfy the braid relation and to be left nondegenerate
-    before returning.
+    Its constructor proves the braid relation and left nondegeneracy.
     """
     dot = sb.dot
-    r = SolutionMap(sb.L, frozen(_complement(dot, sb.L)), provenance="semibrace",
-                    carrier=dot)
-    return assert_properties(r, "semibrace", "braid", "left-nondegenerate")
+    return SolutionMap(sb.L, frozen(_complement(dot, sb.L)), provenance="semibrace",
+                       carrier=dot, asserted=("braid", "left-nondegenerate"))
 
 
 def solution_from_bracoid(cb) -> SolutionMap:
     """Left nondegenerate solution attached to a bracoid containing a brace.
 
     r(x, y) = (rho_{x^-1}(y^-1)^-1, lambda_{y^-1}(x^-1)^-1), built from the
-    translation tables of ``cb``.  The result is checked entry for entry
-    against the route through the associated semibrace, then braid- and
-    left-nondegeneracy-checked.
+    translation tables of ``cb``.  The tables are checked entry for entry
+    against the route through the associated semibrace, and the map's
+    constructor proves the braid relation and left nondegeneracy.  H is
+    closed under r, and on H it is r_{B^op} = r_B^-1, the inverse of the
+    brace solution of the contained brace B (Koch-Truman, J. Algebra 546,
+    2020); it equals r_B exactly when (B, *) is abelian.
     """
     from . import semibraces
 
@@ -383,20 +369,19 @@ def solution_from_bracoid(cb) -> SolutionMap:
     pair = np.ix_(inv, inv)
     left = inv[lr.rho[pair]]
     right = inv[lr.lam[pair].T]
-    r = SolutionMap(frozen(left), frozen(right), provenance="bracoid", carrier=G)
-
-    via_semibrace = solution_from_semibrace(semibraces.bracoid_to_semibrace(cb))
-    if not solutions_equal(r, via_semibrace):
+    via = solution_from_semibrace(semibraces.bracoid_to_semibrace(cb))
+    if not (np.array_equal(left, via.left) and np.array_equal(right, via.right)):
         raise AxiomViolated(
             "bracoid solution disagrees with its semibrace counterpart")
-    return assert_properties(r, "bracoid", "braid", "left-nondegenerate")
+    return SolutionMap(frozen(left), frozen(right), provenance="bracoid", carrier=G,
+                       asserted=("braid", "left-nondegenerate"))
 
 
 def tilde_solution_from_bracoid(cb) -> SolutionMap:
     """Right nondegenerate companion map (x, y) -> (lambda_x(y), rho_y(x))."""
     lr = cb.lambda_rho
-    r = SolutionMap(lr.lam, lr.rho.T, provenance="bracoid-tilde", carrier=cb.bracoid.G)
-    return assert_properties(r, "companion", "braid", "right-nondegenerate")
+    return SolutionMap(lr.lam, lr.rho.T, provenance="bracoid-tilde", carrier=cb.bracoid.G,
+                       asserted=("braid", "right-nondegenerate"))
 
 
 def conjugate_solution(r: SolutionMap, by: str) -> SolutionMap:
@@ -439,12 +424,10 @@ def restrict_solution(r: SolutionMap, subset) -> SolutionMap | NotClosed:
     sub_left = r.left[grid]
     sub_right = r.right[grid]
     for table, label in ((sub_left, "left"), (sub_right, "right")):
-        escaped = pos[table] < 0
-        if escaped.any():
-            xs, ys = np.nonzero(escaped)
-            i, j = int(xs[0]), int(ys[0])
-            return NotClosed(int(sub[i]), int(sub[j]), label,
-                             int(table[i, j]))
+        escaped = _first_true(pos[table] < 0)
+        if escaped:
+            i, j = escaped
+            return NotClosed(int(sub[i]), int(sub[j]), label, int(table[i, j]))
     return SolutionMap(frozen(pos[sub_left]), frozen(pos[sub_right]),
                        provenance=f"restrict({r.provenance})")
 

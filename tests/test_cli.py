@@ -281,6 +281,27 @@ def test_verify_corrupted_bracoid_fails_with_named_law(tmp_path, capsys):
     assert "(1,3,1)" in out
 
 
+@pytest.mark.parametrize("kind, text, failing", [
+    ("bracoid", write_bracoid(cyclic_group(2), cyclic_group(2), np.array([[0, 1], [0, 1]])),
+     ["STEP action.transitive FAIL 0 (1)"]),
+    ("bracoid", write_bracoid(cyclic_group(2), cyclic_group(2), np.array([[1, 0], [0, 1]])),
+     ["STEP action.identity FAIL 0 (0)", "STEP action.law FAIL 0 (0,0,0)",
+      "STEP compat FAIL 0 not-evaluated:-action-checks-failed"]),
+    ("bracoid", write_bracoid(cyclic_group(2), cyclic_group(2), np.array([[0, 1], [1, 2]])),
+     ["STEP action.range FAIL 0 (1,1)", "STEP compat FAIL 0 not-evaluated:-table-checks-failed"]),
+    ("semibrace", write_semibrace(cyclic_group(2), np.array([[0, 1], [3, 0]])),
+     ["STEP plus.range FAIL 0 (1,0)", "STEP compat FAIL 0 not-evaluated:-table-checks-failed"]),
+])
+def test_verify_names_the_point_or_entry_of_each_failure(tmp_path, capsys, kind, text, failing):
+    """C2 acting trivially on C2 misses point 1; a moved point and an entry out
+    of range are named too, as (row, column) for an entry."""
+    path = tmp_path / f"{kind}.txt"
+    path.write_text(text)
+    assert main(["verify", kind, str(path), "--out", str(tmp_path / "out")]) == 1
+    report = (tmp_path / "out" / "report.txt").read_text().splitlines()
+    assert [line for line in report if " FAIL " in line] == failing
+
+
 def test_verify_parse_error_exits_two(tmp_path, capsys):
     path = tmp_path / "g.txt"
     path.write_text("GROUP v1 2\n0 1\n")

@@ -49,9 +49,11 @@ def oracle_report(lr: LambdaRho) -> Report:
     bad = rho[G.inv[:, None], rho] != np.arange(n)[None, :]
     if bad.any():
         inv_w = tuple(map(int, np.argwhere(bad)[0]))
+    row_w = next(((i,) for i in range(n) if rho[0, i] != i), ())
+    fix_w = next(((x,) for x in range(n) if lam[x, 0] != 0), ())
     return Report((
-        Check("rho-identity-row", bool(np.array_equal(rho[0], np.arange(n)))),
-        Check("lambda-fixes-identity", bool((lam[:, 0] == 0).all())),
+        Check("rho-identity-row", not row_w, witness=row_w),
+        Check("lambda-fixes-identity", not fix_w, witness=fix_w),
         Check("lambda-compose", not lam_w, witness=lam_w, detail="exhaustive"),
         Check("rho-compose", not rho_w, witness=rho_w, detail="exhaustive"),
         Check("rho-inverse", not inv_w, witness=inv_w, detail="exhaustive"),

@@ -226,6 +226,26 @@ def test_every_library_definition_has_a_caller():
     assert sorted(ybelab.__all__) == sorted(imported)
 
 
+# The functions that may name check_braid.  A derived map is proved once, by
+# its constructor, which reads SolutionMap.report; a second proof of it has
+# to be listed here on purpose.  The two suite batteries re-check maps that
+# their constructors proved: they are pin-bound, kept only because the exact
+# `check_braid` count in perfbench/test_perfbench.py includes their calls, and
+# ROADMAP item 17 removes them after item 1a turns the pins into data.
+CHECK_BRAID_CALLERS = {
+    "ybe.SolutionMap.report",           # the one proof of a map
+    "cli._battery_solutions",           # pin-bound re-check
+    "cli._battery_brace_solutions",     # pin-bound re-check
+}
+
+
+def test_only_listed_functions_call_check_braid():
+    callers = {f"{path.stem}.{name}" for path, tree in _trees()
+               for name, node in _definitions(tree)
+               if not isinstance(node, ast.ClassDef) and _named(node)["check_braid"]}
+    assert callers == CHECK_BRAID_CALLERS
+
+
 def test_np_unique_is_always_asked_for_indices():
     """np.unique asked for no indices or counts imports numpy.ma to look for a
     mask, about 10 ms in each process; checks._distinct gives the same values."""

@@ -16,7 +16,6 @@ from ybelab.ybe import (
     NotClosed,
     SizeMismatch,
     SolutionMap,
-    assert_properties,
     check_braid,
     conjugate_solution,
     restrict_solution,
@@ -100,11 +99,13 @@ def test_short_scan_stops_at_first_failing_slice():
 
 def test_assert_properties_names_the_first_failing_asserted_property():
     # The constant map braids but has none of the other four properties.
-    r = SolutionMap(np.zeros((3, 3)), np.zeros((3, 3)))
-    assert assert_properties(r, "constant", "braid") is r
+    z = np.zeros((3, 3))
+    r = SolutionMap(z, z, "constant", asserted=("braid",))
+    assert r.asserted == ("braid",) and r.report.braid and not r.report.bijective
     with pytest.raises(AxiomViolated,
                        match=r"^constant map fails left-nondegenerate at \(0, 0, 1\)$"):
-        assert_properties(r, "constant", "right-nondegenerate", "left-nondegenerate", "braid")
+        SolutionMap(z, z, "constant",
+                    asserted=("right-nondegenerate", "left-nondegenerate", "braid"))
 
 
 @pytest.fixture
