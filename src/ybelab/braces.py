@@ -13,7 +13,7 @@ from typing import Sequence
 import numpy as np
 
 from .checks import (AxiomViolated, Check, Report, _rows_law_failure, adopted, frozen,
-                     group_table_checks)
+                     group_table_checks, refuse)
 from .groups import MAX_ORDER, FiniteGroup, Subgroup, holomorph
 from .ybe import SolutionMap, _complement
 
@@ -27,8 +27,8 @@ def _gamma(star: FiniteGroup, dot: FiniteGroup) -> np.ndarray:
     return star.table[star.inv[:, None], dot.table]
 
 
-def _compat_failure(star: FiniteGroup, dot: FiniteGroup) -> tuple[int, int, int] | None:
-    """First triple breaking x.(y*z) = (x.y) * x^{-*} * (x.z), or None.
+def _compat_failure(star: FiniteGroup, gamma: np.ndarray) -> tuple[int, int, int] | None:
+    """First triple breaking x.(y*z) = (x.y) * x^{-*} * (x.z), or None; gamma is _gamma(star, dot).
 
     The brace law is the rows law of gamma over (G, *): multiplying on the
     left by x^{-*}, a bijection, turns it at (x, y, z) into
@@ -36,20 +36,28 @@ def _compat_failure(star: FiniteGroup, dot: FiniteGroup) -> tuple[int, int, int]
     every gamma_x is an endomorphism of (G, *) (Guarnieri-Vendramin), and
     the two laws fail at the same triples, so the first is the same.
     """
-    return _rows_law_failure(star.table, _gamma(star, dot))
+    return _rows_law_failure(star.table, gamma)
+
+
+def _brace_checks(st, dt, groups) -> tuple[tuple[Check, Check], np.ndarray | None]:
+    """(checks, gamma): same-order of the tables st and dt, then compat, the brace law, run
+    (and gamma not None) only when groups, their groups (star, dot), is given and orders agree."""
+    same = Check("same-order", st.shape == dt.shape, detail=f"{st.shape} vs {dt.shape}")
+    if not (same.ok and groups):
+        return (same, Check("compat", False, detail="not evaluated: table checks failed")), None
+    gamma = _gamma(*groups)
+    witness = _compat_failure(groups[0], gamma)
+    return (same, Check("compat", witness is None, witness=witness or ())), gamma
 
 
 class SkewBrace:
-    """Verified brace structure; construction rejects any law violation."""
+    """Verified brace, refused at the first failing check that `verify_skew_brace`
+    reports: same-order as a ValueError (`same-order FAIL (3, 3) vs (4, 4)`), compat
+    as AxiomViolated (`compat FAIL at 1,2,3`).  `gamma` is the one its proof computed."""
 
     def __init__(self, star: FiniteGroup, dot: FiniteGroup):
-        if star.order != dot.order:
-            raise ValueError(
-                f"orders differ: {star.order} (star) vs {dot.order} (dot)")
-        gamma = _gamma(star, dot)
-        witness = _rows_law_failure(star.table, gamma)      # the brace law: _compat_failure
-        if witness is not None:
-            raise AxiomViolated(f"brace law fails at (x, y, z) = {witness}")
+        checks, gamma = _brace_checks(star.table, dot.table, (star, dot))
+        refuse(checks, errors={"same-order": ValueError})
         self.star = star
         self.dot = dot
         self.order = star.order
@@ -60,19 +68,12 @@ class SkewBrace:
 
 
 def verify_skew_brace(star, dot) -> Report:
-    """Axiom report for a candidate pair: group laws, sizes, coupling law."""
+    """Axiom report for a candidate pair: group laws, then `_brace_checks`."""
     st, dt = adopted(star), adopted(dot)
-    results = list(group_table_checks(st, prefix="star."))
-    results.extend(group_table_checks(dt, prefix="dot."))
-    same = st.shape == dt.shape
-    results.append(Check("same-order", same, detail=f"{st.shape} vs {dt.shape}"))
-    if same and all(c.ok for c in results):
-        witness = _compat_failure(FiniteGroup(st), FiniteGroup(dt))
-        results.append(Check("compat", witness is None, witness=witness or ()))
-    else:
-        results.append(Check("compat", False,
-                             detail="not evaluated: table checks failed"))
-    return Report(tuple(results))
+    results = (*group_table_checks(st, prefix="star."), *group_table_checks(dt, prefix="dot."))
+    groups = ((FiniteGroup(st), FiniteGroup(dt))
+              if st.shape == dt.shape and all(c.ok for c in results) else None)
+    return Report((*results, *_brace_checks(st, dt, groups)[0]))
 
 
 def trivial_brace(G: FiniteGroup) -> SkewBrace:
@@ -104,10 +105,8 @@ def abelian_map_brace(G: FiniteGroup, psi: Sequence[int]) -> SkewBrace:
         star_group = FiniteGroup(frozen(star), name=f"{G.name}-star")
     except ValueError as exc:
         raise ConstructionFailed(f"star table is not a group: {exc}") from exc
-    report = verify_skew_brace(star_group.table, G.table)
-    if not report.ok:
-        raise ConstructionFailed(
-            f"coupling law failed: {report.first_failure().describe()}")
+    refuse(verify_skew_brace(star_group.table, G.table).checks, "coupling law failed: ",
+           ConstructionFailed)
     return SkewBrace(star_group, G)
 
 

@@ -17,22 +17,23 @@ twist gammaH on H-positions; Hel maps an H-position to its G-index.
 from __future__ import annotations
 
 from functools import cached_property
+from typing import Iterator
 
 import numpy as np
 
 from .braces import SkewBrace, is_strong_left_ideal
 from .checks import (AxiomViolated, Check, Record, Report, _action_law_failure, _action_law_holds,
                      _first_triple, _first_true, _rows_law_failure, adopted, frozen,
-                     group_table_checks)
+                     group_table_checks, refuse)
 from .groups import (
     FiniteGroup,
     GroupAction,
     Holomorph,
     Subgroup,
+    _action_checks,
     _left_cosets,
     _unreached,
     find_complements,
-    is_transitive,
     stabilizer,
 )
 from .ybe import _complement
@@ -49,33 +50,41 @@ class NotRegular(ValueError):
     """The proposed complement does not act freely and transitively."""
 
 
-def _eq2_failure(G: FiniteGroup, N: FiniteGroup, act: np.ndarray) -> tuple[int, int, int] | None:
+def _eq2_failure(N: FiniteGroup, act: np.ndarray) -> tuple[int, int, int] | None:
     """First (x, eta, mu) breaking the coupling law, or None.
 
     The coupling law is the rows law of f_x(eta) = (x (+) e)^{-*} * (x (+) eta)
     over (N, *): multiplying on the left by (x (+) e)^{-*}, a bijection,
     turns it at (x, eta, mu) into f_x(eta * mu) = f_x(eta) * f_x(mu), so the
     law holds exactly when every f_x is an endomorphism of (N, *), and the
-    two laws fail at the same triples, so the first is the same.  G, whose
-    elements index the rows of act, is not read.
+    two laws fail at the same triples, so the first is the same.
     """
     nt, ninv = N.table, N.inv
     return _rows_law_failure(nt, nt[ninv[act[:, 0]][:, None], act])
 
 
+def _bracoid_checks(arr: np.ndarray, N: FiniteGroup | None) -> Iterator[Check]:
+    """action.transitive, then compat, the coupling law, not evaluated when N is
+    None, for an action table arr on the points of N; each run when read."""
+    unreached = _unreached(arr)
+    yield Check("action.transitive", not unreached, witness=unreached)
+    if N is None:
+        yield Check("compat", False, detail="not evaluated: action checks failed")
+        return
+    witness = _eq2_failure(N, arr)
+    yield Check("compat", witness is None, witness=witness or ())
+
+
 class SkewBracoid:
-    """Verified bracoid; rejects non-transitive or law-breaking input.  `act`, a table
-    or an action of any group, is proved an action of G: no actor is compared."""
+    """Verified bracoid: `act`, a table or an action of any group, is refused by the first
+    failing check of `verify_bracoid`: action.shape and `GroupAction`'s as ValueError,
+    action.transitive as NotTransitive (`action.transitive FAIL at 1`), compat as AxiomViolated."""
 
     def __init__(self, G: FiniteGroup, N: FiniteGroup, act):
-        act = GroupAction(G, act)
-        if act.space_size != N.order:
-            raise ValueError("action does not connect G to the points of N")
-        if not is_transitive(act):
-            raise NotTransitive("the action misses part of N")
-        witness = _eq2_failure(G, N, act.table)
-        if witness is not None:
-            raise AxiomViolated(f"coupling law fails at (x, eta, mu) = {witness}")
+        table = adopted(act)
+        refuse((next(_action_checks(G.table, table, N.order)),), default=ValueError)
+        act = GroupAction(G, table)
+        refuse(_bracoid_checks(table, N), errors={"action.transitive": NotTransitive})
         self.G = G
         self.N = N
         self.act = act
@@ -90,34 +99,21 @@ class SkewBracoid:
 
 
 def verify_bracoid(G, N, act) -> Report:
-    """Axiom report for candidate tables: groups, action, transitivity, law."""
+    """Axiom report: the group checks of G and N, then `groups._action_checks`
+    on the points of N and `_bracoid_checks` as far as the checks before hold."""
     gt, nt, arr = adopted(G), adopted(N), adopted(act)
-    results = list(group_table_checks(gt, prefix="G."))
-    results.extend(group_table_checks(nt, prefix="N."))
-    m = nt.shape[0]
-    shaped = arr.ndim == 2 and arr.shape == (gt.shape[0], m)
-    results.append(Check("action.shape", shaped, detail=f"{arr.shape}"))
-    usable = shaped and all(c.ok for c in results)
-    outside = _first_true((arr < 0) | (arr >= m)) if usable else ()
-    if outside:
-        results.append(Check("action.range", False, witness=outside))
-        usable = False
-    if usable:
-        moved = _first_true(arr[0] != np.arange(m))
-        results.append(Check("action.identity", not moved, witness=moved))
-        law_witness = _action_law_failure(gt, arr) or ()
-        results.append(Check("action.law", not law_witness, witness=law_witness))
-        unreached = _unreached(arr)
-        results.append(Check("action.transitive", not unreached, witness=unreached))
-        if not moved and not law_witness:
-            witness = _eq2_failure(FiniteGroup(gt), FiniteGroup(nt), arr)
-            results.append(Check("compat", witness is None, witness=witness or ()))
-        else:
-            results.append(Check("compat", False,
-                                 detail="not evaluated: action checks failed"))
-    else:
-        results.append(Check("compat", False,
-                             detail="not evaluated: table checks failed"))
+    results = [*group_table_checks(gt, prefix="G."), *group_table_checks(nt, prefix="N.")]
+    action = _action_checks(gt, arr, nt.shape[0])
+    results.append(next(action))                # action.shape; the rest needs both groups
+    acted = {c.name: c for c in action} if all(c.ok for c in results) else {}
+    results.extend(acted.values())
+    if "action.law" not in acted:
+        return Report((*results, Check("compat", False,
+                                       detail="not evaluated: table checks failed")))
+    acting = acted["action.identity"].ok and acted["action.law"].ok
+    if acting:
+        FiniteGroup(gt)     # read by nothing; kept while perfbench pins it (ROADMAP 1a)
+    results.extend(_bracoid_checks(arr, FiniteGroup(nt) if acting else None))
     return Report(tuple(results))
 
 
@@ -243,10 +239,7 @@ def lambda_rho(cb: ContainedBrace) -> LambdaRho:
     lam = cb.Hel[cb.gammaH[:, hpos]]
     rho = np.ascontiguousarray(_complement(G, lam).T)
     lr = LambdaRho(G, lam=frozen(lam), rho=frozen(rho))
-    report = lambda_rho_identity_checks(lr)
-    if not report.ok:
-        raise AxiomViolated(
-            f"displacement law failed: {report.first_failure().describe()}")
+    refuse(lambda_rho_identity_checks(lr).checks, "displacement law failed: ")
     return lr
 
 

@@ -99,6 +99,14 @@ class Report(Record):
         raise KeyError(name)
 
 
+def refuse(checks, lead="", default=AxiomViolated, errors=None) -> None:
+    """Raise errors.get(name, default)(lead + describe()) for the first failing
+    check, read in order and no further: every constructor's one refusal."""
+    for check in checks:
+        if not check.ok:
+            raise (errors or {}).get(check.name, default)(lead + check.describe())
+
+
 # A memoised call is keyed by the exact bytes of a table of at most this
 # many entries.  A larger table is keyed by its identity, and only when it
 # is a view that `frozen` made, whose contents cannot change while it

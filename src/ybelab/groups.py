@@ -15,12 +15,12 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from functools import cached_property
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
 from .checks import (Check, Record, _action_law_failure, _first_true, _group_proof, adopted,
-                     closure, frozen, frozen_transpose, generators)
+                     closure, frozen, frozen_transpose, generators, refuse)
 
 # The default `--max-order`, and the one bound of the holomorph search: |Hol(N)| = |N| * |Aut(N)|.
 MAX_ORDER = 2048
@@ -50,20 +50,15 @@ class CapExceeded(ValueError):
     pass
 
 
-def _raise_for_check(check: Check) -> None:
-    msg = check.describe()
-    if check.name == "latin":
-        raise NotLatinSquare(msg)
-    if check.name == "identity":
-        raise NoIdentity(msg)
-    raise NotAssociative(msg)
+_GROUP_ERRORS = {"latin": NotLatinSquare, "identity": NoIdentity}
 
 
 class FiniteGroup:
     """A finite group given by its full multiplication table; identity is 0.
 
     Every table is proved a group: Latin square, identity at 0,
-    associativity by Light's test and two-sided inverses.  No library call
+    associativity by Light's test and two-sided inverses; the first check
+    that fails is raised (`_GROUP_ERRORS`, else NotAssociative).  No library call
     passes `trusted`.  `trusted=True` skips associativity alone, and is
     kept only for the benchmark input writer in `perfbench/inputs.py`,
     which writes a deliberately non-associative table to a file; the
@@ -82,9 +77,7 @@ class FiniteGroup:
     def __init__(self, table, name: str = "G", trusted: bool = False):
         arr = adopted(table)
         checks, inv = _group_proof(arr, not trusted)
-        for check in checks:
-            if not check.ok:
-                _raise_for_check(check)
+        refuse(checks, default=NotAssociative, errors=_GROUP_ERRORS)
         self.order: int = arr.shape[0]
         self.name = name
         self.table = arr
@@ -156,23 +149,31 @@ class Subgroup(Record):
         return FiniteGroup(frozen(table), name=name or f"{self.parent.name}-sub{len(sub)}")
 
 
+def _action_checks(gt: np.ndarray, arr: np.ndarray, m: int) -> Iterator[Check]:
+    """action.shape (|G| x m), then action.range if an entry is outside 0..m-1,
+    else action.identity and action.law, each run when read: the checks that
+    `GroupAction` refuses by and `bracoids.verify_bracoid` reports."""
+    yield (shape := Check("action.shape", arr.shape == (gt.shape[0], m), detail=f"{arr.shape}"))
+    if not shape.ok:
+        return
+    outside = _first_true((arr < 0) | (arr >= m))
+    if outside:
+        yield Check("action.range", False, witness=outside)
+        return
+    moved = _first_true(arr[0] != np.arange(m))
+    yield Check("action.identity", not moved, witness=moved)
+    law = _action_law_failure(gt, arr) or ()
+    yield Check("action.law", not law, witness=law)
+
+
 class GroupAction:
-    """A left action of `actor` on points 0..m-1, as a |G| x m table."""
+    """A left action of `actor` on points 0..m-1, as a |G| x m table, refused
+    by the first failing `_action_checks` as a ValueError (`action.law FAIL at 1,6,1`)."""
 
     def __init__(self, actor: FiniteGroup, table):
         arr = adopted(table)
-        if arr.ndim != 2 or arr.shape[0] != actor.order:
-            raise ValueError(f"action table shape {arr.shape} does not match |G|={actor.order}")
-        m = arr.shape[1]
-        if not ((arr >= 0) & (arr < m)).all():
-            raise ValueError("action table entry out of range")
-        moved = _first_true(arr[0] != np.arange(m))
-        if moved:
-            raise ValueError(f"identity must act trivially; moves point {moved[0]}")
-        witness = _action_law_failure(actor.table, arr)
-        if witness is not None:
-            g, h, p = witness
-            raise ValueError(f"not an action: (g*h).p != g.(h.p) at g={g} h={h} p={p}")
+        m = arr.shape[1] if arr.ndim == 2 else 0
+        refuse(_action_checks(actor.table, arr, m), default=ValueError)
         self.actor = actor
         self.space_size = m
         self.table = arr

@@ -17,7 +17,7 @@ import numpy as np
 from .bracoids import ContainedBrace, SkewBracoid
 from .checks import (AxiomViolated, Check, Record, Report, _action_law_holds, _assoc_failure,
                      _distinct, _first_repeat, _first_triple, _first_true, adopted, by_content,
-                     frozen, group_table_checks)
+                     frozen, group_table_checks, refuse)
 from .groups import FiniteGroup, Subgroup
 
 
@@ -107,9 +107,7 @@ class Semibrace:
             dot = FiniteGroup(dot)
         plus = adopted(plus)
         report = verify_semibrace(dot.table, plus)
-        if not report.ok:
-            raise AxiomViolated(
-                f"semibrace law failed: {report.first_failure().describe()}")
+        refuse(report.checks, "semibrace law failed: ")
         self.dot = dot
         self.plus = plus
         self.order = dot.order

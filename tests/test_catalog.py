@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+import sweep_catalog
 from ybelab import catalog
 from ybelab.braces import verify_skew_brace
 from ybelab.catalog import (
@@ -176,3 +177,14 @@ def test_acceptance_battery_composition():
         ["trivial-brace"] * 6 + ["semidirect", "abelianmap", "gl3f2",
                                  "cyclic-pq"]
     assert sorted(CATALOG_NAMES) == sorted({i.name for i in instances})
+
+
+def test_every_family_at_every_legal_parameter_up_to_order_64():
+    """The sweep of tests/sweep_catalog.py at |G| <= 64: each of the 95
+    instances of the four parameterised families matches its closed forms,
+    its round trips and its derived solutions."""
+    todo = sweep_catalog.cases(64)
+    assert len(todo) == 95
+    assert {family for family, _ in todo} == set(CATALOG_NAMES) - {"gl3f2"}
+    assert [line for family, params in todo
+            for line in sweep_catalog.mismatches(family, params)] == []

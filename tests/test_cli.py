@@ -170,6 +170,27 @@ def test_law_breaking_input_file_exits_two(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("act, message", [
+    pytest.param([[0, 1], [0, 1]], "action.transitive FAIL at 1", id="trivial-action"),
+    pytest.param([[0, 1], [1, 2]], "action.range FAIL at 1,1", id="entry-out-of-range"),
+    pytest.param([[1, 0], [1, 0]], "action.identity FAIL at 0", id="identity-moves-a-point"),
+])
+def test_bracoid_refusal_names_the_first_failing_check(tmp_path, capsys, act, message):
+    """A file in which C2 does not make a bracoid on C2 is refused, exit 2, at
+    the first failing check that `verify bracoid` reports, witness included."""
+    path = tmp_path / "bracoid.txt"
+    path.write_text(write_bracoid(cyclic_group(2), cyclic_group(2), np.array(act)))
+    code = main(["derive", "semibrace-from-bracoid", str(path), "--out", str(tmp_path / "out")])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.err == f"error: PreconditionFailed: input is not a bracoid: {message}\n"
+    assert main(["verify", "bracoid", str(path)]) == 1
+    name, verdict, _, witness = message.split(" ")
+    steps = _untimed(capsys.readouterr().out)
+    assert [step for step in steps if step[2] == "FAIL"][0] == ["STEP", name, verdict,
+                                                               f"({witness})"]
+
+
 @pytest.mark.parametrize("command, kind, extra", [
     *(pytest.param(["verify", kind], kind, [], id=kind)
       for kind in ("group", "brace", "bracoid", "semibrace", "solution")),

@@ -16,10 +16,12 @@ fresh and on repeated contents.  The facts of the semibrace split that
 """
 
 import random
+from collections import Counter
 from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
+from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -176,10 +178,27 @@ def brute_compat(star, dot):
     return None
 
 
-def brute_coupling(G, N, act):
+def brute_gamma(star, dot):
+    """gamma_x(y) = x^{-*} * (x.y), entry by entry, x^{-*} found in the star table."""
+    st, gamma = star.table, np.empty_like(dot.table)
+    for x in range(star.order):
+        xinv = int(np.flatnonzero(st[x] == 0)[0])
+        for y in range(star.order):
+            gamma[x, y] = st[xinv, dot.table[x, y]]
+    return gamma
+
+
+def brute_gamma_compat(star, gamma):
+    """brute_compat on the dot product x.y = x * gamma_x(y) that gamma
+    displaces; under brute_oracles, gamma is brute_gamma's."""
+    dot = SimpleNamespace(table=star.table[np.arange(star.order)[:, None], gamma])
+    return brute_compat(star, dot)
+
+
+def brute_coupling(N, act):
     """First (x, eta, mu) breaking x (+) (eta * mu) = (x (+) eta) * (x (+) e)^{-*} * (x (+) mu)."""
     nt, ninv = N.table, N.inv
-    for x in range(G.order):
+    for x in range(act.shape[0]):
         ax = act[x]
         twist = nt[ax, ninv[ax[0]]]
         bad = ax[nt] != nt[twist[:, None], ax[None, :]]
@@ -194,17 +213,27 @@ def coupling_rows(N: FiniteGroup, act) -> np.ndarray:
     return N.table[N.inv[act[:, 0]][:, None], act]
 
 
-def brute_oracles() -> ExitStack:
-    """Patch the generator-reduced checks of the verify_* reports with full scans."""
+# (module, name, oracle): each generator-reduced check that a verify_* report
+# reads, in the module whose global the report looks up, and its full scan.
+ORACLES = ((checks, "_assoc_failure", brute_assoc),
+           (semibraces, "_assoc_failure", brute_assoc),
+           (groups, "_action_law_failure", brute_action),
+           (braces, "_gamma", brute_gamma),
+           (braces, "_compat_failure", brute_gamma_compat),
+           (bracoids, "_eq2_failure", brute_coupling),
+           (semibraces, "_relation_failure", semibraces._brute_relation))
+
+
+def brute_oracles(calls: Counter | None = None) -> ExitStack:
+    """Patch the generator-reduced checks of the verify_* reports with full
+    scans, counting each oracle's runs in calls under "module.name"."""
     stack = ExitStack()
-    for module, name, oracle in (
-            (checks, "_assoc_failure", brute_assoc),
-            (semibraces, "_assoc_failure", brute_assoc),
-            (bracoids, "_action_law_failure", brute_action),
-            (braces, "_compat_failure", brute_compat),
-            (bracoids, "_eq2_failure", brute_coupling),
-            (semibraces, "_relation_failure", semibraces._brute_relation)):
-        stack.enter_context(mock.patch.object(module, name, oracle))
+    calls = Counter() if calls is None else calls
+    for module, name, oracle in ORACLES:
+        def counted(*args, key=f"{module.__name__}.{name}", oracle=oracle):
+            calls[key] += 1
+            return oracle(*args)
+        stack.enter_context(mock.patch.object(module, name, counted))
     # _group_proof calls _assoc_failure inside its memo, which would answer
     # with the fast check's report; run it afresh, and forget what it
     # learns under the patch.
@@ -254,19 +283,21 @@ def check_compat(star, dot):
     """The brace law is the rows law of gamma, witness included."""
     star, dot = group(star), group(dot)
     expected = brute_compat(star, dot)
-    assert braces._compat_failure(star, dot) == expected
     gamma = braces._gamma(star, dot)
+    assert (gamma == brute_gamma(star, dot)).all()
+    assert braces._compat_failure(star, gamma) == expected
     assert checks._rows_law_failure(star.table, gamma) == expected
     assert checks._brute_rows_law(star.table, gamma) == expected
     assert checks._rows_law_holds(star.table, gamma) == (expected is None)
 
 
 def check_coupling(g, n, act):
-    """The coupling law is the rows law of f, witness included."""
-    G, N = group(g), group(n)
-    expected = brute_coupling(G, N, act)
+    """The coupling law is the rows law of f, witness included; g, whose
+    elements index the rows of act, is not read."""
+    N = group(n)
+    expected = brute_coupling(N, act)
     f = coupling_rows(N, act)
-    assert bracoids._eq2_failure(G, N, act) == expected
+    assert bracoids._eq2_failure(N, act) == expected
     assert checks._rows_law_failure(N.table, f) == expected
     assert checks._brute_rows_law(N.table, f) == expected
     assert checks._rows_law_holds(N.table, f) == (expected is None)
@@ -572,11 +603,30 @@ def test_the_split_facts_hold_on_the_catalog_semibraces(catalog):
 
 # --- whole reports ---
 
-def _reports(verify, *tables):
+def _reports(verify, *tables, calls: Counter | None = None):
     fast = verify(*tables)
-    with brute_oracles():
+    with brute_oracles(calls):
         brute = verify(*tables)
     return fast, brute
+
+
+VERIFIERS = ((braces.verify_skew_brace, ("star", "g")),
+             (bracoids.verify_bracoid, ("g", "n", "act")),
+             (semibraces.verify_semibrace, ("g", "plus")))
+
+
+def test_every_oracle_reaches_its_target():
+    """On valid tables each verify_* report reads every check it has, so each
+    patched oracle runs: a check moved to another module, where the patch
+    no longer reaches it, fails here instead of comparing itself with itself."""
+    calls = Counter()
+    for base in pool():
+        tables = {"g": base.g, "star": base.star, "n": base.n, "act": base.act,
+                  "plus": base.plus}
+        for verify, args in VERIFIERS:
+            fast, brute = _reports(verify, *(tables[a] for a in args), calls=calls)
+            assert fast == brute and fast.ok
+    assert set(calls) == {f"{module.__name__}.{name}" for module, name, _ in ORACLES}, calls
 
 
 @FAST
@@ -587,9 +637,7 @@ def test_verify_reports_match_the_full_scans(base, rng, which):
               "plus": inst.plus}
     name = ("g", "star", "n", "act", "plus")[which]
     tables[name] = poke(tables[name], rng)
-    for verify, args in ((braces.verify_skew_brace, ("star", "g")),
-                         (bracoids.verify_bracoid, ("g", "n", "act")),
-                         (semibraces.verify_semibrace, ("g", "plus"))):
+    for verify, args in VERIFIERS:
         fast, brute = _reports(verify, *(tables[a] for a in args))
         assert fast == brute
 

@@ -257,3 +257,30 @@ def test_np_unique_is_always_asked_for_indices():
                     & {"return_index", "return_inverse", "return_counts"}):
                 bare.append(f"{path.name}:{node.lineno}")
     assert not bare, bare
+
+
+# Each verified constructor refuses only through checks.refuse, with the first
+# failing check of the list its verifier reports; a raise of its own would be
+# a second statement of a law that the verifier does not share.
+REFUSE_ONLY = {"groups.FiniteGroup.__init__", "groups.GroupAction.__init__",
+               "braces.SkewBrace.__init__", "bracoids.SkewBracoid.__init__",
+               "semibraces.Semibrace.__init__", "bracoids.lambda_rho"}
+
+
+def test_constructors_refuse_only_through_checks_refuse():
+    seen, raising = set(), []
+    for path, tree in _trees():
+        for node in tree.body:
+            members = node.body if isinstance(node, ast.ClassDef) else [node]
+            for member in members:
+                if not isinstance(member, ast.FunctionDef):
+                    continue
+                name = f"{path.stem}.{node.name}" + (
+                    f".{member.name}" if member is not node else "")
+                if name in REFUSE_ONLY:
+                    seen.add(name)
+                    assert _named(member)["refuse"], name
+                    raising += [f"{name}:{inner.lineno}" for inner in ast.walk(member)
+                                if isinstance(inner, ast.Raise)]
+    assert seen == REFUSE_ONLY
+    assert not raising, raising
