@@ -20,23 +20,29 @@ _set = object.__setattr__          # past Record.__setattr__, which refuses ever
 
 
 class Record:
-    """An immutable record whose fields are its `__slots__`, in order.
+    """An immutable record whose fields are the `__slots__` of the nearest
+    class that declares some, in order, kept as `_field_names`.
 
     Each record class sets its fields once, in its own `__init__`, through
-    `_fill`; records of one class are equal when their fields are, and hash
-    by them.  These are plain classes, not dataclasses, because a dataclass
-    generates and compiles its methods at import, about 1 ms a class in every
-    process.
+    `_fill`; a subclass with `__slots__ = ()` only adds methods.  Records of
+    one class are equal when their fields are, and hash by them.  These are
+    plain classes, not dataclasses, because a dataclass generates and
+    compiles its methods at import, about 1 ms a class in every process.
     """
 
     __slots__ = ()
+    _field_names: tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._field_names = cls.__dict__.get("__slots__") or cls._field_names
 
     def _fill(self, *values) -> None:
-        for name, value in zip(self.__slots__, values, strict=True):
+        for name, value in zip(self._field_names, values, strict=True):
             _set(self, name, value)
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._field_names)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -47,7 +53,7 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self.__slots__, self._fields()))
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(self._field_names, self._fields()))
         return f"{type(self).__name__}({fields})"
 
     def __setattr__(self, name, value=None):

@@ -4,7 +4,7 @@ A candidate solution is a pair of n x n tables: ``left[x, y]`` and
 ``right[x, y]`` are the two output coordinates of r(x, y).  Nothing is
 assumed at construction time; braid, bijectivity, involutivity and the
 two nondegeneracy properties are decided on every triple or pair by
-:func:`check_braid` and recorded in a :class:`SolutionReport`.  When a
+:func:`check_braid`, one `checks.Check` each, with its first witness.  When a
 map has a ``carrier`` group and r(x, y) = (s_x(y), t_y(x)) satisfies
 xy = s_x(y) t_y(x) with s a left and t a right action, its braid relation
 is proved from those laws in O(n^2 |gens|).  A map with few distinct
@@ -14,8 +14,9 @@ The braid composites are evaluated in one place, _braid_masks, whose
 x-slices the first-witness scan reads.
 
 A derived map (from a brace, a semibrace or a bracoid that contains a
-brace) is proved by its constructor, which raises on the first property
-it asserts that fails, so a returned map satisfies the braid relation.
+brace) is proved by its constructor, which refuses through `checks.refuse`
+with the first check it asserts that fails, so a returned map satisfies
+the braid relation.
 """
 
 from __future__ import annotations
@@ -24,8 +25,8 @@ from functools import cached_property
 
 import numpy as np
 
-from .checks import (AxiomViolated, Record, _action_law_holds, _first_repeat, _first_triple,
-                     _first_true, adopted, frozen, frozen_transpose)
+from .checks import (AxiomViolated, Check, Record, Report, _action_law_holds, _first_repeat,
+                     _first_triple, _first_true, adopted, frozen, frozen_transpose, refuse)
 from .groups import FiniteGroup
 
 # _braid_from_profiles runs its checks only when their work, about
@@ -66,8 +67,10 @@ class SolutionMap:
     ``right_t`` is the transpose of ``right`` as a frozen view
     (`checks.frozen_transpose`), made once per map, so the laws read on it
     are memoised at no copy.  ``report`` is the map's one check_braid, run
-    when first read, or at once when ``asserted`` names properties (from
-    SolutionReport.properties): the first of them that fails raises.
+    when first read, or at once when ``asserted`` names some of its checks:
+    the first of them, in report order, that fails is refused through
+    `checks.refuse` as AxiomViolated("<provenance> map fails: <describe()>").
+    A name in ``asserted`` that is no check of the report is a ValueError.
     """
 
     def __init__(self, left, right, provenance: str = "unspecified",
@@ -92,9 +95,12 @@ class SolutionMap:
         self.carrier = carrier
         self.asserted = asserted
         if asserted:
-            for name, ok, witness in self.report.properties():
-                if name in asserted and not ok:
-                    raise AxiomViolated(f"{provenance} map fails {name} at {witness}")
+            names = [c.name for c in self.report.checks]
+            unknown = [name for name in asserted if name not in names]
+            if unknown:
+                raise ValueError(f"asserted {unknown} are not checks of check_braid: {names}")
+            refuse((c for c in self.report.checks if c.name in asserted),
+                   f"{provenance} map fails: ")
 
     @cached_property
     def report(self) -> SolutionReport:
@@ -109,39 +115,18 @@ class SolutionMap:
         return f"SolutionMap(size={self.size}, provenance={self.provenance!r})"
 
 
-class SolutionReport(Record):
-    """Properties of a :class:`SolutionMap`, each decided on all pairs or triples.
+class SolutionReport(Report):
+    """The report of :func:`check_braid`: a `checks.Report` of its five checks.
 
-    ``braid`` is True exactly when the relation holds on all n^3 triples,
-    whether :func:`check_braid` proved it from carrier laws, checked it on
-    one triple per class of the maps s_x and t_y, or scanned.
-    Witness tuples are empty when the property holds.  The braid witness
-    is the lexicographically first failing triple (x, y, z); the
-    bijectivity witness is (x1, y1, x2, y2) for a pair collision; the
-    nondegeneracy witnesses are (x, y1, y2) for a repeated row value of
-    ``left`` and (y, x1, x2) for a repeated column value of ``right``.
+    Its one addition, ``braid_witness``, is read by the benchmark's witness
+    check; it goes with ROADMAP item 1a, which makes that check data.
     """
 
-    __slots__ = ("size", "braid", "braid_witness", "bijective", "bijective_witness",
-                 "involutive", "involutive_witness", "left_nondegenerate", "left_witness",
-                 "right_nondegenerate", "right_witness")
+    __slots__ = ()
 
-    def __init__(self, size: int, braid: bool, braid_witness: tuple[int, ...] = (),
-                 bijective: bool = True, bijective_witness: tuple[int, ...] = (),
-                 involutive: bool = True, involutive_witness: tuple[int, ...] = (),
-                 left_nondegenerate: bool = True, left_witness: tuple[int, ...] = (),
-                 right_nondegenerate: bool = True, right_witness: tuple[int, ...] = ()):
-        self._fill(size, braid, braid_witness, bijective, bijective_witness, involutive,
-                   involutive_witness, left_nondegenerate, left_witness,
-                   right_nondegenerate, right_witness)
-
-    def properties(self) -> tuple[tuple[str, bool, tuple[int, ...]], ...]:
-        """(name, holds, witness) for the five measured properties, braid first."""
-        return (("braid", self.braid, self.braid_witness),
-                ("bijective", self.bijective, self.bijective_witness),
-                ("involutive", self.involutive, self.involutive_witness),
-                ("left-nondegenerate", self.left_nondegenerate, self.left_witness),
-                ("right-nondegenerate", self.right_nondegenerate, self.right_witness))
+    @property
+    def braid_witness(self) -> tuple[int, ...]:
+        return self["braid"].witness
 
 
 def _braid_masks(left: np.ndarray, right: np.ndarray):
@@ -305,7 +290,15 @@ def _braid_from_profiles(left: np.ndarray, right: np.ndarray) -> bool:
 
 
 def check_braid(r: SolutionMap) -> SolutionReport:
-    """Decide the braid relation on all n^3 triples, plus the pairwise properties.
+    """The five properties of r, each decided on all n^3 triples or n^2 pairs.
+
+    The report's checks are, in order: ``braid``, ``bijective``,
+    ``involutive``, ``left-nondegenerate`` and ``right-nondegenerate``.  A
+    failing check names its first witness: the lexicographically first
+    failing triple (x, y, z) for braid; (x1, y1, x2, y2) for a pair
+    collision; the first (x, y) with r(r(x, y)) != (x, y); (x, y1, y2) for a
+    repeated row value of ``left`` and (y, x1, x2) for a repeated column
+    value of ``right``.
 
     A map with a carrier is first tried by _braid_from_carrier, and then
     any map by _braid_from_profiles; either proves the relation on every
@@ -318,26 +311,24 @@ def check_braid(r: SolutionMap) -> SolutionReport:
     n = r.size
     if ((r.carrier is not None and _braid_from_carrier(r))
             or _braid_from_profiles(left, right)):
-        braid_witness = ()
+        triple = ()
     else:
-        braid_witness = _first_triple(n, _braid_masks(left, right)) or ()
+        triple = _first_triple(n, _braid_masks(left, right)) or ()
 
-    bij_witness = ()
+    collision = ()
     codes = left.astype(np.int64).ravel() * n + right.ravel()
     repeated = np.flatnonzero(np.bincount(codes, minlength=n * n) > 1)
     if repeated.size:                   # first two pairs with the least repeated image
         i, j = np.flatnonzero(codes == repeated[0])[:2].tolist()
-        bij_witness = (i // n, i % n, j // n, j % n)
+        collision = (i // n, i % n, j // n, j % n)
 
     grid_x, grid_y = np.indices((n, n))
-    inv_witness = _first_true((left[left, right] != grid_x) | (right[left, right] != grid_y))
+    unfixed = _first_true((left[left, right] != grid_x) | (right[left, right] != grid_y))
 
-    lnd_witness = _first_repeat(left) or ()
-    rnd_witness = _first_repeat(r.right_t) or ()
-
-    return SolutionReport(n, not braid_witness, braid_witness, not bij_witness, bij_witness,
-                          not inv_witness, inv_witness, not lnd_witness, lnd_witness,
-                          not rnd_witness, rnd_witness)
+    witnesses = (("braid", triple), ("bijective", collision), ("involutive", unfixed),
+                 ("left-nondegenerate", _first_repeat(left) or ()),
+                 ("right-nondegenerate", _first_repeat(r.right_t) or ()))
+    return SolutionReport(tuple(Check(name, not w, w) for name, w in witnesses))
 
 
 def solution_from_semibrace(sb) -> SolutionMap:

@@ -79,12 +79,12 @@ def test_criterion_4_solution_properties(catalog):
         started = time.perf_counter()
         report = check_braid(r)
         elapsed = time.perf_counter() - started
-        assert report.braid and report.left_nondegenerate, inst.name
+        assert report["braid"].ok and report["left-nondegenerate"].ok, inst.name
         if r.size == 168:
             big_scan = elapsed
         tilde = tilde_solution_from_bracoid(cb)
         tilde_report = check_braid(tilde)
-        assert tilde_report.braid and tilde_report.right_nondegenerate, inst.name
+        assert tilde_report["braid"].ok and tilde_report["right-nondegenerate"].ok, inst.name
         twisted = conjugate_solution(conjugate_solution(r, "iota"), "tau")
         assert solutions_equal(twisted, tilde), inst.name
         via = solution_from_semibrace(bracoid_to_semibrace(cb))
@@ -100,8 +100,8 @@ def test_criterion_5_brace_solutions(catalog):
             continue
         seen += 1
         report = check_braid(brace_solution(inst.brace))
-        assert report.braid and report.bijective, inst.name
-        assert report.left_nondegenerate and report.right_nondegenerate, inst.name
+        assert report["braid"].ok and report["bijective"].ok, inst.name
+        assert report["left-nondegenerate"].ok and report["right-nondegenerate"].ok, inst.name
     assert seen >= 7
     print("CRITERION 5 PASS")
 

@@ -328,16 +328,17 @@ def check_braid(left, right):
     r = ybe.SolutionMap(left, right)
     fast = ybe.check_braid(r)
     with mock.patch.object(ybe, "PROFILE_SHARE", 0):
-        assert ybe._braid_from_profiles(r.left, r.right) == fast.braid
+        assert ybe._braid_from_profiles(r.left, r.right) == fast["braid"].ok
         assert ybe.check_braid(r) == fast
     bad_at = ybe._braid_masks(r.left, r.right)
     gathered = [(x, y, z) for x in range(r.size) for y, z in np.argwhere(bad_at(x)).tolist()]
-    assert (fast.braid, fast.braid_witness) == (not gathered, gathered[0] if gathered else ())
+    assert (fast["braid"].ok, fast["braid"].witness) == (
+        not gathered, gathered[0] if gathered else ())
     if r.size <= 40:
         oracle = _braid_by_triples if r.size <= 10 else _braid_on_cube
         everything = oracle(r.left, r.right)
         assert gathered == everything
-        assert fast.braid_witness == (everything[0] if everything else ())
+        assert fast["braid"].witness == (everything[0] if everything else ())
 
 
 def _braid_by_triples(left, right) -> list[tuple[int, int, int]]:
@@ -770,8 +771,8 @@ def test_maps_passing_two_carrier_laws_keep_the_scan_report():
                     brute_action(gt, left) is None,
                     brute_action(gt.T, right.T) is None)
             if all(laws):
-                assert report.braid
-            elif sum(laws) == 2 and not report.braid:
+                assert report["braid"].ok
+            elif sum(laws) == 2 and not report["braid"].ok:
                 needed.add("PLR"[laws.index(False)])
     assert needed == {"P", "L", "R"}
 

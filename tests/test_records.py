@@ -24,7 +24,7 @@ def _records(trivial_c4):
         trivial_c4.contained.lambda_rho,
         decompose(bracoid_to_semibrace(trivial_c4.contained)),
         NotClosed(1, 2, "left", 3),
-        SolutionReport(4, True),
+        SolutionReport((Check("braid", True),)),
         trivial_c4,
         files._FORMATS["group"],
         cli._file_kinds()["group"],
@@ -42,7 +42,7 @@ def test_every_record_class_is_frozen_and_slotted(trivial_c4):
     records = _records(trivial_c4)
     assert {type(r) for r in records} == set(_subclasses(Record))
     for record in records:
-        name = type(record).__slots__[0]
+        name = type(record)._field_names[0]
         before = getattr(record, name)
         with pytest.raises(AttributeError, match=f"cannot assign to field '{name}'"):
             setattr(record, name, None)
@@ -67,17 +67,28 @@ def test_records_are_equal_and_hash_by_their_fields():
     assert Decomposition((0, 1), (2,)) == Decomposition((0, 1), (2,))
     assert Decomposition((0, 1), (2,)) != Decomposition((0,), (1, 2))
     assert NotClosed(1, 2, "left", 3) != NotClosed(1, 2, "right", 3)
-    assert SolutionReport(4, True) == SolutionReport(
-        size=4, braid=True, braid_witness=(), bijective=True, bijective_witness=(),
-        involutive=True, involutive_witness=(), left_nondegenerate=True, left_witness=(),
-        right_nondegenerate=True, right_witness=())
-    assert SolutionReport(4, False, (1, 2, 3)) != SolutionReport(4, False, (1, 2, 0))
+    braid = Check("braid", False, (1, 2, 3))
+    assert SolutionReport((braid,)) == SolutionReport(checks=(braid,))
+    assert hash(SolutionReport((braid,))) == hash(SolutionReport((braid,)))
+    assert SolutionReport((braid,)) != SolutionReport((Check("braid", False, (1, 2, 0)),))
+    assert SolutionReport((braid,)) != Report((braid,))
     assert len({Check("a", True), Check("a", True), Check("b", True)}) == 2
 
 
 def test_records_print_their_fields_in_order():
     assert repr(Check("a", True)) == "Check(name='a', ok=True, witness=(), detail='')"
     assert repr(NotClosed(1, 2, "left", 3)) == "NotClosed(x=1, y=2, coordinate='left', value=3)"
+    assert repr(SolutionReport()) == "SolutionReport(checks=())"
+
+
+def test_a_record_subclass_that_only_adds_methods_keeps_its_fields():
+    """`__slots__ = ()` adds no field: the fields are those of the nearest
+    class that declares some, here Report's."""
+    assert SolutionReport.__slots__ == () and SolutionReport._field_names == ("checks",)
+    braid = Check("braid", False, (0, 1, 2))
+    report = SolutionReport((braid, Check("bijective", True)))
+    assert report.checks[0] is braid and report.braid_witness == (0, 1, 2)
+    assert report["bijective"].ok and not report.ok and report.first_failure() is braid
 
 
 def test_a_memoised_check_cannot_be_changed():

@@ -2,27 +2,34 @@
 
 `SkewBrace`, `SkewBracoid`, `GroupAction` and `Semibrace` raise the first
 failing check of the list that `verify_skew_brace`, `verify_bracoid`,
-`groups._action_checks` and `verify_semibrace` report (`checks.refuse`).
+`groups._action_checks` and `verify_semibrace` report (`checks.refuse`),
+and `SolutionMap(..., asserted=names)` the first failing named check of
+`check_braid`.
 So on every input the constructor builds exactly when the report passes,
 and otherwise raises the class mapped from the report's first failing
 check, with that check's describe() as the message.  A group table is
 proved by `FiniteGroup` before the constructor runs, and it raises its own
 check, which the report names with a prefix.  Inputs are the instances of
 the differential tests, relabelled, the catalog, and seeded one-entry
-changes of each table.
+changes of each table; for `SolutionMap`, every map of size at most 2 and
+the catalog's derived maps with seeded one-entry changes.
 """
+
+from itertools import product
 
 import numpy as np
 from hypothesis import given
 from hypothesis import strategies as st
 
 from test_fast_laws import FAST, bases, poke, pool, relabelled, rngs, swap_labels
-from ybelab.braces import AxiomViolated, SkewBrace, verify_skew_brace
+from ybelab.braces import AxiomViolated, SkewBrace, brace_solution, verify_skew_brace
 from ybelab.bracoids import NotTransitive, SkewBracoid, verify_bracoid
 from ybelab.checks import Check, adopted
 from ybelab.groups import (FiniteGroup, GroupAction, NoIdentity, NotAssociative, NotLatinSquare,
                            _action_checks)
 from ybelab.semibraces import Semibrace, bracoid_to_semibrace, verify_semibrace
+from ybelab.ybe import (SolutionMap, check_braid, solution_from_bracoid, solution_from_semibrace,
+                        tilde_solution_from_bracoid)
 
 GROUP_ERRORS = {"latin": NotLatinSquare, "identity": NoIdentity}
 
@@ -141,3 +148,66 @@ def test_catalog_refusals_match_the_reports(catalog):
             for _ in range(3):
                 k = 1 if checker is check_action else int(rng.integers(len(tables)))
                 checker(*(poke(t, rng) if j == k else t for j, t in enumerate(tables)))
+
+
+PROPERTIES = ("braid", "bijective", "involutive", "left-nondegenerate", "right-nondegenerate")
+
+
+def derived_maps(catalog) -> list:
+    """The four maps derived from each catalog bracoid that contains a brace."""
+    return [r for inst in catalog if inst.contained is not None
+            for r in (brace_solution(inst.contained.brace),
+                      solution_from_semibrace(bracoid_to_semibrace(inst.contained)),
+                      solution_from_bracoid(inst.contained),
+                      tilde_solution_from_bracoid(inst.contained))]
+
+
+def check_solution(left, right, asserted, provenance="test", carrier=None):
+    """For each tuple of names, the map builds exactly when each named check
+    of its report passes, else raises the first failing one in report order."""
+    report = check_braid(SolutionMap(left, right, carrier=carrier))
+    for names in asserted:
+        failing = [c for c in report.checks if c.name in names and not c.ok]
+        assert outcome(lambda: SolutionMap(left, right, provenance, carrier, names)) == (
+            (AxiomViolated, f"{provenance} map fails: {failing[0].describe()}")
+            if failing else None), names
+
+
+def asserted_tuples(catalog) -> list[tuple[str, ...]]:
+    """Each single property, and each tuple the library's derived maps assert."""
+    library = sorted({r.asserted for r in derived_maps(catalog)})
+    assert len(library) == 3
+    return [(p,) for p in PROPERTIES] + library
+
+
+def test_every_small_map_is_refused_as_its_report_says(catalog):
+    asserted = asserted_tuples(catalog)
+    for n in (0, 1, 2):
+        tables = [np.array(t, dtype=np.int32).reshape(n, n)
+                  for t in product(range(n), repeat=n * n)]
+        for left, right in product(tables, repeat=2):
+            check_solution(left, right, asserted)
+
+
+def test_derived_maps_and_their_changes_are_refused_as_their_reports_say(catalog):
+    """Each derived map passes what it asserts; three seeded one-entry
+    changes of one of its tables, carrier kept, are judged by their report."""
+    asserted = asserted_tuples(catalog)
+    rng = np.random.default_rng(34)
+    for r in derived_maps(catalog):
+        check_solution(r.left, r.right, asserted, r.provenance, r.carrier)
+        for _ in range(3):
+            tables = [r.left, r.right]
+            k = int(rng.integers(2))
+            tables[k] = poke(tables[k], rng)
+            check_solution(*tables, asserted, r.provenance, r.carrier)
+
+
+def test_an_asserted_name_that_is_no_check_is_refused_as_input():
+    """A misspelt property asserts nothing, so the map is not built: the flip
+    map passes all five checks, and still "left_nondegenerate" is refused."""
+    flip = np.array([[0, 1], [0, 1]]), np.array([[0, 0], [1, 1]])
+    assert check_braid(SolutionMap(*flip)).ok
+    for names in (("left_nondegenerate",), ("braid", "nondegenerate")):
+        kind, message = outcome(lambda: SolutionMap(*flip, "test", None, names))
+        assert kind is ValueError and message.startswith(f"asserted {[names[-1]]} "), message

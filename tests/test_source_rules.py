@@ -178,6 +178,7 @@ UNCALLED_BY_DESIGN = {
     "ybe.restrict_solution": "the restrictions of the bracoid solution to H and to S",
     "braces.regular_rep_in_holomorph": "the skew brace census of ROADMAP item 4 reads it backwards",
     "files.read_action": "the reader of the holomorph-action.txt artifact the CLI writes",
+    "ybe.SolutionReport.braid_witness": "perfbench/test_perfbench.py reads it; goes with item 1a",
 }
 
 
@@ -284,3 +285,19 @@ def test_constructors_refuse_only_through_checks_refuse():
                                 if isinstance(inner, ast.Raise)]
     assert seen == REFUSE_ONLY
     assert not raising, raising
+
+
+def test_a_solution_map_refuses_a_property_only_through_checks_refuse():
+    """`SolutionMap.__init__` refuses an asserted property with the first
+    failing check of its report, through `refuse`; its ValueErrors on shape,
+    range and carrier size are input validation, and it builds no
+    AxiomViolated of its own."""
+    tree = next(tree for path, tree in _trees() if path.stem == "ybe")
+    init = next(member for node in tree.body
+                if isinstance(node, ast.ClassDef) and node.name == "SolutionMap"
+                for member in node.body
+                if isinstance(member, ast.FunctionDef) and member.name == "__init__")
+    raised = {ast.unparse(inner.exc.func) for inner in ast.walk(init)
+              if isinstance(inner, ast.Raise)}
+    assert _named(init)["refuse"] and not _named(init)["AxiomViolated"]
+    assert raised == {"ValueError", "SizeMismatch"}

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from ybelab import cli, files, ybe
 from ybelab.braces import AxiomViolated, SkewBrace, brace_solution, trivial_brace
 from ybelab.catalog import abelianmap_instance, promote_brace
+from ybelab.checks import Report
 from ybelab.groups import FiniteGroup, cyclic_group, semidirect_product
 from ybelab.semibraces import Semibrace, bracoid_to_semibrace
 from ybelab.ybe import (
@@ -60,18 +61,27 @@ def test_flip_has_every_property():
     r = _flip(4)
     assert not _brute_braid_failures(r)
     report = check_braid(r)
-    assert report.braid and report.bijective and report.involutive
-    assert report.left_nondegenerate and report.right_nondegenerate
+    assert report["braid"].ok and report["bijective"].ok and report["involutive"].ok
+    assert report["left-nondegenerate"].ok and report["right-nondegenerate"].ok
+
+
+def test_the_report_is_five_checks_in_order_each_with_its_witness():
+    z = np.zeros((3, 3))
+    report = check_braid(SolutionMap(z, z))
+    assert isinstance(report, Report)
+    assert [c.describe() for c in report.checks] == [
+        "braid PASS", "bijective FAIL at 0,0,0,1", "involutive FAIL at 0,1",
+        "left-nondegenerate FAIL at 0,0,1", "right-nondegenerate FAIL at 0,0,1"]
 
 
 def test_conjugation_map_is_a_noninvolutive_solution():
     r = brace_solution(trivial_brace(_sd32()))
     assert not _brute_braid_failures(r)
     report = check_braid(r)
-    assert report.braid and report.bijective
-    assert report.left_nondegenerate and report.right_nondegenerate
-    assert not report.involutive
-    x, y = report.involutive_witness
+    assert report["braid"].ok and report["bijective"].ok
+    assert report["left-nondegenerate"].ok and report["right-nondegenerate"].ok
+    assert not report["involutive"].ok
+    x, y = report["involutive"].witness
     a, b = r.left[x, y], r.right[x, y]
     assert (int(r.left[a, b]), int(r.right[a, b])) != (x, y)
 
@@ -83,8 +93,8 @@ def test_multiplication_map_fails_the_braid_relation():
     assert fails[0] == (0, 0, 1)
     assert len(fails) == 18
     report = check_braid(r)
-    assert not report.braid
-    assert report.braid_witness == (0, 0, 1)
+    assert not report["braid"].ok
+    assert report["braid"].witness == (0, 0, 1)
     bad_at = ybe._braid_masks(r.left, r.right)
     assert fails == [(x, y, z) for x in range(r.size)
                      for y, z in np.argwhere(bad_at(x)).tolist()]
@@ -94,16 +104,16 @@ def test_short_scan_stops_at_first_failing_slice():
     G = cyclic_group(3)
     r = SolutionMap(np.tile(np.arange(3, dtype=np.int32), (3, 1)), G.table)
     report = check_braid(r)
-    assert report.braid_witness == (0, 0, 1)
+    assert report["braid"].witness == (0, 0, 1)
 
 
 def test_assert_properties_names_the_first_failing_asserted_property():
     # The constant map braids but has none of the other four properties.
     z = np.zeros((3, 3))
     r = SolutionMap(z, z, "constant", asserted=("braid",))
-    assert r.asserted == ("braid",) and r.report.braid and not r.report.bijective
+    assert r.asserted == ("braid",) and r.report["braid"].ok and not r.report["bijective"].ok
     with pytest.raises(AxiomViolated,
-                       match=r"^constant map fails left-nondegenerate at \(0, 0, 1\)$"):
+                       match=r"^constant map fails: left-nondegenerate FAIL at 0,0,1$"):
         SolutionMap(z, z, "constant",
                     asserted=("right-nondegenerate", "left-nondegenerate", "braid"))
 
@@ -127,13 +137,13 @@ def test_derived_solutions_are_proved_without_a_scan(catalog, no_braid_scan):
     assert len(with_brace) == 9
     for inst in with_brace:
         for r in _derived(inst.contained):
-            assert check_braid(r).braid
+            assert check_braid(r)["braid"].ok
 
 
 def test_order_1024_brace_solution_is_proved_without_a_scan(no_braid_scan):
     r = brace_solution(trivial_brace(cyclic_group(1024)))
     report = check_braid(r)
-    assert report.braid and report.bijective and report.involutive
+    assert report["braid"].ok and report["bijective"].ok and report["involutive"].ok
 
 
 def test_maps_without_a_carrier_are_scanned(no_braid_scan):
@@ -186,7 +196,7 @@ def test_class_proof_equals_the_triple_oracle(n, a, b, bijective_rows, poked, se
     fails = _brute_braid_failures(r)
     assert _unguarded(r.left, r.right) == (not fails)
     report = check_braid(r)
-    assert report.braid_witness == (fails[0] if fails else ())
+    assert report["braid"].witness == (fails[0] if fails else ())
     with mock.patch.object(ybe, "PROFILE_SHARE", 0):
         assert check_braid(r) == report
 
@@ -212,7 +222,7 @@ def test_carrierless_maps_with_few_classes_are_proved_without_a_scan(
         abelianmap311, no_braid_scan):
     trivial256 = brace_solution(trivial_brace(cyclic_group(256)))
     for r in (trivial256, abelianmap311):
-        assert check_braid(SolutionMap(r.left, r.right)).braid
+        assert check_braid(SolutionMap(r.left, r.right))["braid"].ok
 
 
 def test_carrierless_gl3f2_map_reaches_the_scan(gl3f2, no_braid_scan):
@@ -251,10 +261,10 @@ def test_bijectivity_witness_is_the_first_collision_of_the_least_repeated_image(
         seen.setdefault((int(r.left[x, y]), int(r.right[x, y])), []).append((x, y))
     repeated = sorted(image for image, pairs in seen.items() if len(pairs) > 1)
     report = check_braid(r)
-    assert report.bijective == (not repeated)
+    assert report["bijective"].ok == (not repeated)
     if repeated:
         (x1, y1), (x2, y2) = seen[repeated[0]][:2]
-        assert report.bijective_witness == (x1, y1, x2, y2)
+        assert report["bijective"].witness == (x1, y1, x2, y2)
 
 
 def _masks_by_triples(r):
@@ -317,8 +327,8 @@ def test_projection_semibrace_solution_is_multiplication_then_identity():
     assert not r.right.any()
     assert not _brute_braid_failures(r)
     report = check_braid(r)
-    assert report.braid and report.left_nondegenerate
-    assert not report.right_nondegenerate and not report.bijective
+    assert report["braid"].ok and report["left-nondegenerate"].ok
+    assert not report["right-nondegenerate"].ok and not report["bijective"].ok
 
 
 def test_brace_semibrace_solution_uses_the_opposite_star(semidirect32):
@@ -340,7 +350,7 @@ def test_bracoid_solution_properties(semidirect32):
     r = solution_from_bracoid(cb)
     assert not _brute_braid_failures(r)
     report = check_braid(r)
-    assert report.braid and report.left_nondegenerate
+    assert report["braid"].ok and report["left-nondegenerate"].ok
     # It also coincides with the route through the semibrace.
     assert solutions_equal(r, solution_from_semibrace(bracoid_to_semibrace(cb)))
 
@@ -358,9 +368,9 @@ def test_tilde_solution_properties(semidirect32):
     r = tilde_solution_from_bracoid(semidirect32.contained)
     assert not _brute_braid_failures(r)
     report = check_braid(r)
-    assert report.braid and report.right_nondegenerate
+    assert report["braid"].ok and report["right-nondegenerate"].ok
     # lambda only reaches H, so left rows repeat on a proper quotient.
-    assert not report.left_nondegenerate
+    assert not report["left-nondegenerate"].ok
 
 
 def test_tau_conjugation_is_an_involution_and_swaps_degeneracy(semidirect32):
@@ -368,9 +378,9 @@ def test_tau_conjugation_is_an_involution_and_swaps_degeneracy(semidirect32):
     t = conjugate_solution(r, "tau")
     assert solutions_equal(conjugate_solution(t, "tau"), r)
     rep_r, rep_t = check_braid(r), check_braid(t)
-    assert rep_t.braid
-    assert rep_t.left_nondegenerate == rep_r.right_nondegenerate
-    assert rep_t.right_nondegenerate == rep_r.left_nondegenerate
+    assert rep_t["braid"].ok
+    assert rep_t["left-nondegenerate"].ok == rep_r["right-nondegenerate"].ok
+    assert rep_t["right-nondegenerate"].ok == rep_r["left-nondegenerate"].ok
 
 
 def test_iota_needs_a_carrier():
