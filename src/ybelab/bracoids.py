@@ -22,7 +22,7 @@ from typing import Iterator
 import numpy as np
 
 from .braces import SkewBrace, is_strong_left_ideal
-from .checks import (AxiomViolated, Check, Record, Report, _action_law_failure, _action_law_holds,
+from .checks import (AxiomViolated, Check, Report, _action_law_failure, _action_law_holds,
                      _first_triple, _first_true, _rows_law_failure, adopted, frozen,
                      group_table_checks, refuse)
 from .groups import (
@@ -111,8 +111,6 @@ def verify_bracoid(G, N, act) -> Report:
         return Report((*results, Check("compat", False,
                                        detail="not evaluated: table checks failed")))
     acting = acted["action.identity"].ok and acted["action.law"].ok
-    if acting:
-        FiniteGroup(gt)     # read by nothing; kept while perfbench pins it (ROADMAP 1a)
     results.extend(_bracoid_checks(arr, FiniteGroup(nt) if acting else None))
     return Report(tuple(results))
 
@@ -186,7 +184,8 @@ class ContainedBrace:
         self.bijinv = frozen(bijinv)
 
     @cached_property
-    def lambda_rho(self) -> LambdaRho:
+    def lambda_rho(self) -> tuple[np.ndarray, np.ndarray]:
+        """The proved pair (lam, rho) of `lambda_rho`."""
         return lambda_rho(self)
 
     @cached_property
@@ -194,8 +193,9 @@ class ContainedBrace:
         """The frozen + table of the semibrace on G, x + y = y . lambda_{y^-1}(x),
         which semibraces.bracoid_to_semibrace proves."""
         G = self.bracoid.G
+        lam, _ = self.lambda_rho
         arange = np.arange(G.order, dtype=np.int32)
-        swapped = G.table[arange[:, None], self.lambda_rho.lam[G.inv]]
+        swapped = G.table[arange[:, None], lam[G.inv]]
         return frozen(np.ascontiguousarray(swapped.T))
 
     def __repr__(self) -> str:
@@ -216,34 +216,23 @@ def contains_brace(bracoid: SkewBracoid) -> ContainedBrace | None:
     return ContainedBrace(bracoid, complements[0])
 
 
-class LambdaRho(Record):
-    """Displacement tables of a contained brace.
+def lambda_rho(cb: ContainedBrace) -> tuple[np.ndarray, np.ndarray]:
+    """The frozen displacement tables (lam, rho) of a contained brace, once
+    their composition laws are proved.
 
-    lam[x, y] is the G-index of lambda_x(y) = gamma_x(y (+) e), an
-    element of H; rho[y, x] is the G-index of
-    rho_y(x) = lambda_x(y)^-1 . x . y (subscript first).  G is the acting
-    group; holding it, not the contained brace, keeps the brace's cached
-    lambda_rho free of a reference cycle.
+    lam[x, y] is the G-index of lambda_x(y) = gamma_x(y (+) e), an element
+    of H; rho[y, x] is the G-index of rho_y(x) = lambda_x(y)^-1 . x . y
+    (subscript first).
     """
-
-    __slots__ = ("G", "lam", "rho")
-
-    def __init__(self, G: FiniteGroup, lam: np.ndarray, rho: np.ndarray):
-        self._fill(G, lam, rho)
-
-
-def lambda_rho(cb: ContainedBrace) -> LambdaRho:
-    """Build the displacement tables and verify their composition laws."""
     G = cb.bracoid.G
     hpos = cb.bijinv[cb.bracoid.act.table[:, 0]]
-    lam = cb.Hel[cb.gammaH[:, hpos]]
-    rho = np.ascontiguousarray(_complement(G, lam).T)
-    lr = LambdaRho(G, lam=frozen(lam), rho=frozen(rho))
-    refuse(lambda_rho_identity_checks(lr).checks, "displacement law failed: ")
-    return lr
+    lam = frozen(cb.Hel[cb.gammaH[:, hpos]])
+    rho = frozen(np.ascontiguousarray(_complement(G, lam).T))
+    refuse(lambda_rho_identity_checks(G, lam, rho).checks, "displacement law failed: ")
+    return lam, rho
 
 
-def lambda_rho_identity_checks(lr: LambdaRho) -> Report:
+def lambda_rho_identity_checks(G: FiniteGroup, lam: np.ndarray, rho: np.ndarray) -> Report:
     """Battery for the composition laws of the displacement tables.
 
     Checks: rho_e = id; lambda_x(e) = e; lambda is multiplicative in the
@@ -255,7 +244,6 @@ def lambda_rho_identity_checks(lr: LambdaRho) -> Report:
     tables with an entry outside 0..n-1 cannot index G, so the last four
     laws fail unevaluated.
     """
-    G, lam, rho = lr.G, lr.lam, lr.rho
     n = G.order
     names = ("lambda-compose", "rho-compose", "rho-inverse", "lambda-product-rule")
     if not lam.shape == rho.shape == (n, n):

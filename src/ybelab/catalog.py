@@ -81,19 +81,19 @@ class SearchExhausted(RuntimeError):
 
 
 class CatalogInstance(Record):
-    """Everything a family builder produced for one parameter choice.
+    """One family member: its name and parameters, the brace it is built
+    from (None for the holomorph families) and its bracoid.
 
-    ``contained`` is None exactly when the bracoid's stabilizer has no
-    complement (contains_brace certified the absence); every builder runs
-    the search, so None is always a certificate and never "not tried".
+    ``contained`` is what `contains_brace` returns for the bracoid, run by
+    this constructor, so a None is always a certificate that the
+    stabilizer has no complement, never "not tried".
     """
 
-    __slots__ = ("name", "params", "brace", "bracoid", "contained", "detail")
+    __slots__ = ("name", "params", "brace", "bracoid", "contained")
 
     def __init__(self, name: str, params: tuple[int, ...], brace: SkewBrace | None,
-                 bracoid: SkewBracoid, contained: ContainedBrace | None,
-                 detail: dict | None = None):
-        self._fill(name, params, brace, bracoid, contained, {} if detail is None else detail)
+                 bracoid: SkewBracoid):
+        self._fill(name, params, brace, bracoid, contains_brace(bracoid))
 
 
 def _require_prime(value: int, label: str) -> None:
@@ -154,8 +154,7 @@ def trivial_brace_instance(params: tuple[int, ...]) -> CatalogInstance:
         raise ValueError("trivial-brace takes n or (p, q)")
     B = trivial_brace(G)
     bracoid = from_strong_left_ideal(B, G.subgroup([0]))
-    cb = contains_brace(bracoid)
-    return CatalogInstance("trivial-brace", tuple(params), B, bracoid, cb)
+    return CatalogInstance("trivial-brace", tuple(params), B, bracoid)
 
 
 def semidirect_instance(p: int, q: int) -> CatalogInstance:
@@ -163,11 +162,8 @@ def semidirect_instance(p: int, q: int) -> CatalogInstance:
     dot = _metacyclic(p, q)
     star = direct_product(cyclic_group(p), cyclic_group(q), name=f"C{p}xC{q}")
     B = SkewBrace(star, dot)
-    ideal = dot.subgroup(range(q))
-    bracoid = from_strong_left_ideal(B, ideal)
-    cb = contains_brace(bracoid)
-    return CatalogInstance("semidirect", (p, q), B, bracoid, cb,
-                           detail={"ideal": ideal.elements})
+    bracoid = from_strong_left_ideal(B, dot.subgroup(range(q)))
+    return CatalogInstance("semidirect", (p, q), B, bracoid)
 
 
 def abelianmap_instance(p: int, q: int) -> CatalogInstance:
@@ -188,11 +184,8 @@ def abelianmap_instance(p: int, q: int) -> CatalogInstance:
     alpha = np.stack([arange, flip, flip, arange]).astype(np.int32)
     G = semidirect_product(carrier, klein, alpha, name=f"C{m}:V4")
     B = abelian_map_brace(G, tuple(i % 4 for i in range(4 * m)))
-    ideal = subgroup_generated(G, [4 * q, 2])
-    bracoid = from_strong_left_ideal(B, ideal)
-    cb = contains_brace(bracoid)
-    return CatalogInstance("abelianmap", (p, q), B, bracoid, cb,
-                           detail={"ideal": ideal.elements})
+    bracoid = from_strong_left_ideal(B, subgroup_generated(G, [4 * q, 2]))
+    return CatalogInstance("abelianmap", (p, q), B, bracoid)
 
 
 def _conjugacy_class(G: FiniteGroup, g: int) -> np.ndarray:
@@ -224,7 +217,7 @@ def gl3f2_instance(seed: int = 0) -> CatalogInstance:
     N = elementary_abelian(2, 3)
     hol = holomorph(N)
     rng = random.Random(seed)
-    for attempt in range(1, GL3F2_ATTEMPT_CAP + 1):
+    for _ in range(GL3F2_ATTEMPT_CAP):
         a = rng.randrange(hol.group.order)
         b = rng.randrange(hol.group.order)
         elems = closure(hol.group.table, [a, b], cap=GL3F2_ORDER)
@@ -236,13 +229,7 @@ def gl3f2_instance(seed: int = 0) -> CatalogInstance:
         J = Subgroup(hol.group, tuple(int(v) for v in chosen))
         if not _is_simple(J.as_group(name="J168")):
             continue
-        bracoid = from_holomorph_subgroup(hol, J)
-        cb = contains_brace(bracoid)
-        return CatalogInstance("gl3f2", (), None, bracoid, cb,
-                               detail={"attempts": attempt,
-                                       "generators": (a, b),
-                                       "hol_order": hol.group.order,
-                                       "stabilizer": bracoid.S.order})
+        return CatalogInstance("gl3f2", (), None, from_holomorph_subgroup(hol, J))
     raise SearchExhausted(
         f"no simple transitive order-{GL3F2_ORDER} subgroup in {GL3F2_ATTEMPT_CAP} attempts")
 
@@ -271,12 +258,7 @@ def cyclic_pq_instance(p: int, q: int) -> CatalogInstance:
     sigma, tau = q, p
     J = subgroup_generated(hol.group, [hol.element(sigma, arange),
                                        hol.element(tau, (u * arange) % m)])
-    bracoid = from_holomorph_subgroup(hol, J)
-    cb = contains_brace(bracoid)
-    return CatalogInstance("cyclic-pq", (p, q), None, bracoid, cb,
-                           detail={"twist": u,
-                                   "J_order": J.order,
-                                   "stabilizer": bracoid.S.order})
+    return CatalogInstance("cyclic-pq", (p, q), None, from_holomorph_subgroup(hol, J))
 
 
 def promote_brace(B: SkewBrace) -> ContainedBrace:

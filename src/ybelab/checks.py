@@ -25,7 +25,8 @@ class Record:
 
     Each record class sets its fields once, in its own `__init__`, through
     `_fill`; a subclass with `__slots__ = ()` only adds methods.  Records of
-    one class are equal when their fields are, and hash by them.  These are
+    one class are equal when their fields are, and hash by them, so every
+    field is hashable: no record holds an array or a dict.  These are
     plain classes, not dataclasses, because a dataclass generates and
     compiles its methods at import, about 1 ms a class in every process.
     """

@@ -354,12 +354,12 @@ def solution_from_bracoid(cb) -> SolutionMap:
     """
     from . import semibraces
 
-    lr = cb.lambda_rho
+    lam, rho = cb.lambda_rho
     G = cb.bracoid.G
     inv = G.inv
     pair = np.ix_(inv, inv)
-    left = inv[lr.rho[pair]]
-    right = inv[lr.lam[pair].T]
+    left = inv[rho[pair]]
+    right = inv[lam[pair].T]
     via = solution_from_semibrace(semibraces.bracoid_to_semibrace(cb))
     if not (np.array_equal(left, via.left) and np.array_equal(right, via.right)):
         raise AxiomViolated(
@@ -370,8 +370,8 @@ def solution_from_bracoid(cb) -> SolutionMap:
 
 def tilde_solution_from_bracoid(cb) -> SolutionMap:
     """Right nondegenerate companion map (x, y) -> (lambda_x(y), rho_y(x))."""
-    lr = cb.lambda_rho
-    return SolutionMap(lr.lam, lr.rho.T, provenance="bracoid-tilde", carrier=cb.bracoid.G,
+    lam, rho = cb.lambda_rho
+    return SolutionMap(lam, rho.T, provenance="bracoid-tilde", carrier=cb.bracoid.G,
                        asserted=("braid", "right-nondegenerate"))
 
 

@@ -51,6 +51,37 @@ MUTANTS = (
     # `verify solution` asserting every property, not only the named ones.
     ("cli", "named = check.name in asserted", "named = True",
      "tests/test_ybe.py::test_verify_solution_file_is_proved_with_the_scan_report"),
+    # The facts that stand for deleted checks.  The twist on H without the
+    # inverse of x (+) e: gammaH is no longer the brace's gamma.
+    ("bracoids", "N.table[N.inv[act[:, 0]][:, None], act[:, bij]]",
+     "N.table[act[:, 0][:, None], act[:, bij]]",
+     "tests/test_bracoids.py::test_the_twist_on_h_is_the_brace_gamma"),
+    # The action on H-positions left on points, not conjugated by bij.
+    ("bracoids", "self.actH = frozen(bijinv[act[:, bij]])", "self.actH = frozen(act[:, bij])",
+     "tests/test_bracoids.py::test_the_transported_action_is_an_action"),
+    # A closure whose later elements meet only the last generator.
+    ("checks", "            for h in joined:\n", "            for h in joined[-1:]:\n",
+     "tests/test_groups.py::test_every_closure_is_closed_under_inversion"),
+    # gamma-stability asked of gamma_x for x in S only.
+    ("braces", "stable = member[B.gamma[:, sel]].all()",
+     "stable = member[B.gamma[sel][:, sel]].all()",
+     "tests/test_braces.py::test_a_gamma_stable_dot_subgroup_is_a_star_subgroup"),
+    # A twist entry of -1 reaches the table proof as an index from the end.
+    ("groups", "if not ((alpha >= 0) & (alpha < H.order)).all():",
+     "if not (alpha < H.order).all():",
+     "tests/test_groups.py::"
+     "test_semidirect_product_is_a_group_exactly_when_the_old_checks_pass"),
+    # The displacement pair returned in the wrong order.
+    ("bracoids", "    return lam, rho\n", "    return rho, lam\n",
+     "tests/test_bracoids.py::test_lambda_is_plain_position_for_a_trivial_brace"),
+    # A catalog instance that never searched for its contained brace.
+    ("catalog", "self._fill(name, params, brace, bracoid, contains_brace(bracoid))",
+     "self._fill(name, params, brace, bracoid, None)",
+     "tests/test_bracoids.py::test_contains_brace_catalog_answers"),
+    # The cyclic-pq quantities step reading |N| for |S|.
+    ("cli", "got = (inst.bracoid.G.order, inst.bracoid.S.order)",
+     "got = (inst.bracoid.G.order, inst.bracoid.N.order)",
+     "tests/test_cli.py::test_suite_quick_is_green"),
 )
 
 

@@ -64,7 +64,7 @@ def test_criterion_3_lemma_battery(catalog):
     for inst in catalog:
         if inst.contained is None:
             continue
-        report = lambda_rho_identity_checks(inst.contained.lambda_rho)
+        report = lambda_rho_identity_checks(inst.bracoid.G, *inst.contained.lambda_rho)
         assert report.ok, f"{inst.name}: {report.first_failure().describe()}"
     print("CRITERION 3 PASS")
 
@@ -108,11 +108,11 @@ def test_criterion_5_brace_solutions(catalog):
 
 def test_criterion_6_quantities(gl3f2, cyclicpq52):
     assert gl3f2.bracoid.G.order == 168
-    assert gl3f2.detail["stabilizer"] == 21
+    assert gl3f2.bracoid.S.order == 21
     assert gl3f2.contained is not None
     assert gl3f2.contained.H.order == 8
-    assert cyclicpq52.detail["J_order"] == 20
-    assert cyclicpq52.detail["stabilizer"] == 2
+    assert cyclicpq52.bracoid.G.order == 20
+    assert cyclicpq52.bracoid.S.order == 2
     assert cyclicpq52.contained is None
     print("CRITERION 6 PASS")
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ybelab import bracoids
-from ybelab.bracoids import LambdaRho, lambda_rho_identity_checks
+from ybelab.bracoids import lambda_rho_identity_checks
 from ybelab.braces import trivial_brace
 from ybelab.catalog import promote_brace, seeded_braces
 from ybelab.checks import Check, Report, generators
@@ -28,10 +28,9 @@ from ybelab.groups import cyclic_group, semidirect_product
 FAST = settings(max_examples=80, deadline=None)
 
 
-def oracle_report(lr: LambdaRho) -> Report:
+def oracle_report(G, lam, rho) -> Report:
     """The exhaustive branch of the battery as first written."""
-    G = lr.G
-    lam, rho, gt, n = lr.lam, lr.rho, G.table, G.order
+    gt, n = G.table, G.order
     lam_w = rho_w = inv_w = prod_w = ()
     for x in range(n):
         if not lam_w:
@@ -61,31 +60,37 @@ def oracle_report(lr: LambdaRho) -> Report:
     ))
 
 
-def with_tables(lr: LambdaRho, lam=None, rho=None) -> LambdaRho:
-    return LambdaRho(lr.G, lam=lr.lam if lam is None else lam,
-                     rho=lr.rho if rho is None else rho)
+def tables_of(cb):
+    """(G, lam, rho): the acting group of cb and its proved pair, the
+    arguments of lambda_rho_identity_checks."""
+    return (cb.bracoid.G, *cb.lambda_rho)
 
 
-def assert_same_report(lr: LambdaRho) -> None:
-    assert lambda_rho_identity_checks(lr) == oracle_report(lr)
+def with_tables(tables, lam=None, rho=None):
+    G, old_lam, old_rho = tables
+    return G, old_lam if lam is None else lam, old_rho if rho is None else rho
+
+
+def assert_same_report(tables) -> None:
+    assert lambda_rho_identity_checks(*tables) == oracle_report(*tables)
 
 
 @cache
-def seeded() -> tuple[LambdaRho, ...]:
+def seeded() -> tuple[tuple, ...]:
     braces = seeded_braces(random.Random(20261018), 12)
-    return tuple(promote_brace(B).lambda_rho for B in braces)
+    return tuple(tables_of(promote_brace(B)) for B in braces)
 
 
 def test_catalog_and_gl3f2_reports_equal_the_full_scan(catalog):
     for inst in catalog:
         if inst.contained is not None:
-            assert_same_report(inst.contained.lambda_rho)
+            assert_same_report(tables_of(inst.contained))
 
 
 def test_seeded_brace_reports_equal_the_full_scan():
-    for lr in seeded():
-        assert lr.lam.shape[0] > 1
-        assert_same_report(lr)
+    for tables in seeded():
+        assert tables[1].shape[0] > 1
+        assert_same_report(tables)
 
 
 def test_product_rule_is_proved_without_a_scan(catalog, monkeypatch):
@@ -94,26 +99,26 @@ def test_product_rule_is_proved_without_a_scan(catalog, monkeypatch):
     def scan(*args):
         raise AssertionError("a displacement law was scanned")
 
-    lrs = [inst.contained.lambda_rho for inst in catalog if inst.contained is not None]
-    lrs += seeded()
+    pairs = [tables_of(inst.contained) for inst in catalog if inst.contained is not None]
+    pairs += seeded()
     monkeypatch.setattr(bracoids, "_first_triple", scan)
-    for lr in lrs:
-        assert lambda_rho_identity_checks(lr).ok
+    for tables in pairs:
+        assert lambda_rho_identity_checks(*tables).ok
 
 
 def test_exhaustive_at_order_168_by_default(gl3f2):
-    lr = gl3f2.contained.lambda_rho
-    report = lambda_rho_identity_checks(lr)
-    assert lr.lam.shape == (168, 168)
+    tables = tables_of(gl3f2.contained)
+    report = lambda_rho_identity_checks(*tables)
+    assert tables[1].shape == (168, 168)
     assert report.ok
     assert [c.detail for c in report.checks[2:]] == ["exhaustive"] * 4
     # A broken law at 168 names the scan's first triple.
-    lam = lr.lam.copy()
+    lam = tables[1].copy()
     lam[100, 7] = (lam[100, 7] + 1) % 168
-    broken = with_tables(lr, lam=lam)
-    report = lambda_rho_identity_checks(broken)
+    broken = with_tables(tables, lam=lam)
+    report = lambda_rho_identity_checks(*broken)
     assert not report.ok
-    assert report == oracle_report(broken)
+    assert report == oracle_report(*broken)
 
 
 def test_constructor_assertion_covers_every_order(gl3f2, monkeypatch):
@@ -124,26 +129,26 @@ def test_constructor_assertion_covers_every_order(gl3f2, monkeypatch):
         bracoids.lambda_rho(cb)
 
 
-def poked_tables(lr: LambdaRho, which: int, rng) -> LambdaRho:
-    """lr with one entry of lam (which = 0) or rho (which = 1) changed in range."""
-    table = (lr.lam, lr.rho)[which].copy()
+def poked_tables(tables, which: int, rng):
+    """tables with one entry of lam (which = 0) or rho (which = 1) changed in range."""
+    table = tables[1 + which].copy()
     n = table.shape[0]
     i, j = (int(v) for v in rng.integers(n, size=2))
     table[i, j] = (table[i, j] + 1 + int(rng.integers(n - 1))) % n
-    return with_tables(lr, **{("lam", "rho")[which]: table})
+    return with_tables(tables, **{("lam", "rho")[which]: table})
 
 
 @FAST
 @given(st.integers(0, 10**6), st.integers(0, 1), st.integers(0, 2**32 - 1),
        st.integers(1, 2))
 def test_poked_tables_keep_the_scan_report(catalog, pick, which, seed, pokes):
-    lrs = [inst.contained.lambda_rho for inst in catalog
-           if inst.contained is not None] + list(seeded())
-    lr = lrs[pick % len(lrs)]
+    pairs = [tables_of(inst.contained) for inst in catalog
+             if inst.contained is not None] + list(seeded())
+    tables = pairs[pick % len(pairs)]
     rng = np.random.default_rng(seed)
     for _ in range(pokes):
-        lr = poked_tables(lr, which, rng)
-    assert_same_report(lr)
+        tables = poked_tables(tables, which, rng)
+    assert_same_report(tables)
 
 
 def sym3():
@@ -151,9 +156,9 @@ def sym3():
                               np.array([[0, 1, 2], [0, 2, 1]], dtype=np.int32))
 
 
-def tables_on(G) -> LambdaRho:
-    """The λ/ρ pair of the trivial brace on G, whose tables the tests replace."""
-    return promote_brace(trivial_brace(G)).lambda_rho
+def tables_on(G):
+    """G with the λ/ρ pair of its trivial brace, whose tables the tests replace."""
+    return tables_of(promote_brace(trivial_brace(G)))
 
 
 def test_product_rule_holding_on_the_first_generator_only():
@@ -164,7 +169,7 @@ def test_product_rule_holding_on_the_first_generator_only():
     generator alone; each map that passes on either gets the scan's report.
     """
     G = sym3()
-    lr = tables_on(G)
+    tables = tables_on(G)
     gt = G.table
     g1, g2 = generators(gt)
     trivial = np.tile(np.arange(6, dtype=np.int32), (6, 1))
@@ -175,18 +180,18 @@ def test_product_rule_holding_on_the_first_generator_only():
         on_g2 = np.array_equal(f[gt[:, g2]], gt[f, f[g2]])
         if on_g1 or on_g2:
             one_only += on_g1 != on_g2
-            assert_same_report(with_tables(lr, lam=np.tile(f, (6, 1)), rho=trivial))
+            assert_same_report(with_tables(tables, lam=np.tile(f, (6, 1)), rho=trivial))
     assert one_only > 0
 
 
 def test_rho_compose_is_the_right_action_law():
     """On Sym(3), y.x is a left action and x.y a right one.  Each as lam or
     rho gets the scan's report, so rho is proved over G^op, lam over G."""
-    lr = tables_on(sym3())
-    gt = lr.G.table
+    tables = G, lam0, rho0 = tables_on(sym3())
+    gt = G.table
     assert not (gt == gt.T).all()
-    for lam, rho in [(lr.lam, gt), (lr.lam, gt.T), (gt, lr.rho), (gt.T, lr.rho), (gt, gt.T)]:
-        assert_same_report(with_tables(lr, lam=lam, rho=rho))
+    for lam, rho in [(lam0, gt), (lam0, gt.T), (gt, rho0), (gt.T, rho0), (gt, gt.T)]:
+        assert_same_report(with_tables(tables, lam=lam, rho=rho))
 
 
 def test_product_rule_needs_rho_compose():
@@ -195,8 +200,8 @@ def test_product_rule_needs_rho_compose():
     over k = 4 is 0, the product rule holds for z in {0, 1}; at z = 2 or 3 it
     needs rho-compose.  Each pair gets the scan's report, and some break the
     rule only off the generators."""
-    lr = tables_on(cyclic_group(4))
-    assert generators(lr.G.table) == (1,)
+    tables = tables_on(cyclic_group(4))
+    assert generators(tables[0].table) == (1,)
     rng = np.random.default_rng(7)
     hidden = 0
     for _ in range(60):
@@ -208,10 +213,10 @@ def test_product_rule_needs_rho_compose():
                 continue
             lam = np.zeros((4, 4), dtype=np.int32)
             lam[:, 1:] = sums[:3].T
-            lr_b = with_tables(lr, lam=lam, rho=rho)
-            expected = oracle_report(lr_b)
+            broken = with_tables(tables, lam=lam, rho=rho)
+            expected = oracle_report(*broken)
             hidden += not expected["lambda-product-rule"].ok
-            assert lambda_rho_identity_checks(lr_b) == expected
+            assert lambda_rho_identity_checks(*broken) == expected
     assert hidden > 0
 
 
@@ -220,11 +225,11 @@ def test_product_rule_needs_rho_compose():
 LAWS = ("lambda-compose", "rho-compose", "rho-inverse", "lambda-product-rule")
 
 
-def c4_tables(lam_row, rho_rows) -> LambdaRho:
+def c4_tables(lam_row, rho_rows):
     """Tables on C4 (k = 1 + ... + 1): lam_x = lam_row for every x, rho as given."""
-    lr = tables_on(cyclic_group(4))
-    assert np.array_equal(lr.G.table, np.add.outer(range(4), range(4)) % 4)
-    return with_tables(lr, lam=np.tile(np.array(lam_row, dtype=np.int32), (4, 1)),
+    tables = tables_on(cyclic_group(4))
+    assert np.array_equal(tables[0].table, np.add.outer(range(4), range(4)) % 4)
+    return with_tables(tables, lam=np.tile(np.array(lam_row, dtype=np.int32), (4, 1)),
                        rho=np.array(rho_rows, dtype=np.int32))
 
 
@@ -240,20 +245,20 @@ COLLAPSE = [0, 1, 1, 3]        # idempotent, fixes 0, not an endomorphism
     ("lambda-product-rule", lambda: c4_tables(COLLAPSE, [IDENTITY] * 4)),
 ])
 def test_one_law_broken(law, tables):
-    lr = tables()
-    report = lambda_rho_identity_checks(lr)
+    built = tables()
+    report = lambda_rho_identity_checks(*built)
     assert [name for name in LAWS if not report[name].ok] == [law]
-    assert report == oracle_report(lr)
+    assert report == oracle_report(*built)
 
 
 @pytest.mark.parametrize("which", ["lam", "rho"])
 @pytest.mark.parametrize("value", [-1, 4, 9])
 def test_an_entry_out_of_range_fails_unevaluated(which, value):
     """An entry that cannot index C4 fails the four laws; nothing is raised."""
-    lr = c4_tables(IDENTITY, [IDENTITY] * 4)
-    table = getattr(lr, which).copy()
+    tables = c4_tables(IDENTITY, [IDENTITY] * 4)
+    table = tables[("lam", "rho").index(which) + 1].copy()
     table[2, 1] = value
-    report = lambda_rho_identity_checks(with_tables(lr, **{which: table}))
+    report = lambda_rho_identity_checks(*with_tables(tables, **{which: table}))
     assert not report.ok
     for name in LAWS:
         assert report[name] == Check(name, False,
@@ -261,7 +266,7 @@ def test_an_entry_out_of_range_fails_unevaluated(which, value):
 
 
 def test_tables_of_the_wrong_shape_fail_unevaluated():
-    lr = c4_tables(IDENTITY, [IDENTITY] * 4)
-    for tables in ({"lam": lr.lam[:, :3]}, {"rho": lr.rho[:3]}):
-        report = lambda_rho_identity_checks(with_tables(lr, **tables))
+    tables = _, lam, rho = c4_tables(IDENTITY, [IDENTITY] * 4)
+    for cut in ({"lam": lam[:, :3]}, {"rho": rho[:3]}):
+        report = lambda_rho_identity_checks(*with_tables(tables, **cut))
         assert [c.ok for c in report.checks] == [False] * 6

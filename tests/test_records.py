@@ -4,6 +4,7 @@ field, immutability for the frozen ones and the validation messages."""
 
 import re
 
+import numpy as np
 import pytest
 
 from ybelab import checks, cli, files
@@ -21,7 +22,6 @@ def _records(trivial_c4):
         Report((Check("a", True),)),
         Subgroup(G, (0, 2)),
         holomorph(G),
-        trivial_c4.contained.lambda_rho,
         decompose(bracoid_to_semibrace(trivial_c4.contained)),
         NotClosed(1, 2, "left", 3),
         SolutionReport((Check("braid", True),)),
@@ -52,6 +52,17 @@ def test_every_record_class_is_frozen_and_slotted(trivial_c4):
             record.extra = 1
         assert getattr(record, name) is before
         assert not hasattr(record, "__dict__")
+
+
+def test_every_record_is_a_value(trivial_c4):
+    """Each record hashes, and so does each of its fields: no record holds
+    an array or a dict, whose contents could change under an equal record."""
+    for record in _records(trivial_c4):
+        fields = record._fields()
+        assert hash(record) == hash(fields), type(record)
+        for name, value in zip(record._field_names, fields):
+            assert not isinstance(value, (np.ndarray, dict)), (type(record), name)
+            hash(value)
 
 
 def test_records_are_equal_and_hash_by_their_fields():

@@ -12,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybelab.bracoids import LambdaRho, lambda_rho_identity_checks, verify_bracoid
+from ybelab.bracoids import lambda_rho_identity_checks, verify_bracoid
 from ybelab.checks import Check, _first_true
 from ybelab.groups import _unreached, cyclic_group, is_transitive, semidirect_product
 from ybelab.semibraces import bracoid_to_semibrace, verify_semibrace
@@ -168,7 +168,7 @@ def test_lambda_rho_identity_checks_name_the_oracle_index(rng, g):
     if rng.random() < 0.5:
         lam[:, 0] = np.where(rng.random(n) < 0.8, 0, lam[:, 0])
         rho[0] = np.where(rng.random(n) < 0.8, np.arange(n), rho[0])
-    report = lambda_rho_identity_checks(LambdaRho(G, lam, rho))
+    report = lambda_rho_identity_checks(G, lam, rho)
     assert report["rho-identity-row"] == expected("rho-identity-row", brute_rho_row(rho))
     assert report["lambda-fixes-identity"] == expected("lambda-fixes-identity",
                                                        brute_lambda_fix(lam))
@@ -179,7 +179,7 @@ def test_lambda_rho_tables_of_the_wrong_shape_say_so(cut):
     G = cyclic_group(4)
     tables = {"lam": np.zeros((4, 4), dtype=np.int32), "rho": np.tile(np.arange(4), (4, 1))}
     tables[cut] = tables[cut][:3]
-    report = lambda_rho_identity_checks(LambdaRho(G, **tables))
+    report = lambda_rho_identity_checks(G, **tables)
     assert [c.ok for c in report.checks] == [False] * 6
     assert {c.detail for c in report.checks} == {"not evaluated: tables are not 4 x 4"}
     assert all(c.witness == () for c in report.checks)
@@ -199,6 +199,6 @@ def test_catalog_structures_pass_the_six_checks_with_no_witness(catalog):
             continue
         sb = bracoid_to_semibrace(cb)
         assert verify_semibrace(sb.dot, sb.plus)["plus.range"] == Check("plus.range", True)
-        report = lambda_rho_identity_checks(cb.lambda_rho)
+        report = lambda_rho_identity_checks(cb.bracoid.G, *cb.lambda_rho)
         assert report["rho-identity-row"] == Check("rho-identity-row", True)
         assert report["lambda-fixes-identity"] == Check("lambda-fixes-identity", True)
