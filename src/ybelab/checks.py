@@ -415,6 +415,40 @@ def closure(table: np.ndarray, gens, cap: int | None = None,
     return out if cap is None or len(out) <= cap else None
 
 
+def map_closure(maps: np.ndarray, cap: int) -> tuple[np.ndarray, list[np.ndarray]] | None:
+    """(members, kept) of the monoid of maps of 0..m-1 that the rows of maps
+    generate under composition, or None once it has more than cap members.
+
+    members holds each member once as a row, the identity first; kept holds
+    the rows of maps not yet members when their turn came, which generate the
+    same monoid.  As in `closure`, each member meets each kept row once.  For
+    permutations the monoid is a group, and each kept row at least doubles
+    it, so at most log2(cap) + 1 rows are kept.
+    """
+    maps = np.ascontiguousarray(maps)
+    m, width = maps.shape[1], maps.itemsize * maps.shape[1]
+    members = [np.arange(m, dtype=maps.dtype).tobytes()]      # each as its row bytes
+    seen, kept = set(members), []
+    for g in maps:
+        if g.tobytes() in seen:
+            continue
+        kept.append(g)
+        batch, joined = members, [g]                            # the old members meet g only
+        while batch:
+            block, fresh = np.frombuffer(b"".join(batch), maps.dtype).reshape(-1, m), []
+            for gen in joined:
+                raw = block[:, gen].tobytes()                   # the rows a o gen
+                for key in (raw[i:i + width] for i in range(0, len(raw), width)):
+                    if key not in seen:
+                        seen.add(key)
+                        fresh.append(key)
+            members += fresh
+            if len(members) > cap:
+                return None
+            batch, joined = fresh, kept
+    return np.frombuffer(b"".join(members), maps.dtype).reshape(len(members), m), kept
+
+
 @by_content
 def generators(table) -> tuple[int, ...]:
     """Greedy generating list of a square table with entries in 0..n-1.

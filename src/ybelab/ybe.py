@@ -4,14 +4,13 @@ A candidate solution is a pair of n x n tables: ``left[x, y]`` and
 ``right[x, y]`` are the two output coordinates of r(x, y).  Nothing is
 assumed at construction time; braid, bijectivity, involutivity and the
 two nondegeneracy properties are decided on every triple or pair by
-:func:`check_braid`, one `checks.Check` each, with its first witness.  When a
-map has a ``carrier`` group and r(x, y) = (s_x(y), t_y(x)) satisfies
-xy = s_x(y) t_y(x) with s a left and t a right action, its braid relation
-is proved from those laws in O(n^2 |gens|).  A map with few distinct
-maps s_x and t_y, with or without a carrier, is decided on one triple per
-class of them (_braid_from_profiles); every other map gets the n^3 scan.
-The braid composites are evaluated in one place, _braid_masks, whose
-x-slices the first-witness scan reads.
+:func:`check_braid`, one `checks.Check` each, with its first witness.  The
+braid relation is proved from the laws of the map's ``carrier`` group when
+it has one (_braid_from_carrier, O(n^2 |gens|)), else from its derived rack
+when it is left or right nondegenerate (_braid_from_rack, about n^2 log n);
+any other map, or one that no proof passes, gets the n^3 scan.  The braid
+composites are evaluated in one place, _braid_masks, whose x-slices the
+first-witness scan reads.
 
 A derived map (from a brace, a semibrace or a bracoid that contains a
 brace) is proved by its constructor, which refuses through `checks.refuse`
@@ -26,14 +25,9 @@ from functools import cached_property
 import numpy as np
 
 from .checks import (AxiomViolated, Check, Record, Report, _action_law_holds, _first_repeat,
-                     _first_triple, _first_true, adopted, frozen, frozen_transpose, refuse)
+                     _first_triple, _first_true, adopted, frozen, frozen_transpose, map_closure,
+                     refuse)
 from .groups import FiniteGroup
-
-# _braid_from_profiles runs its checks only when their work, about
-# (a^2 + b^2 + |pi| |rho|) n, is at most 1/PROFILE_SHARE of the scan's n^3.
-# The solutions of gl3f2 have a = b = 168 = n and exit at once; the
-# abelianmap solutions of order 260 cost 444 n against 67,600 n.
-PROFILE_SHARE = 8
 
 
 class SizeMismatch(ValueError):
@@ -212,81 +206,49 @@ def _braid_from_carrier(r: SolutionMap) -> bool:
             and _action_law_holds(r.carrier.opposite, r.right_t))
 
 
-def _classes(rows: np.ndarray, seen: dict | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """(label of each row, index of the first row of each label) of a 2-d array.
+def _braid_from_rack(left: np.ndarray, right: np.ndarray) -> bool:
+    """True when the derived rack of r proves its braid relation; every s_x is a permutation.
 
-    Equal rows share a label.  Labels count up from len(seen) in order of
-    first appearance, found in one pass over the row bytes; passing one
-    ``seen`` dict to several calls numbers their rows together.
-    """
-    data = np.ascontiguousarray(rows)
-    width = data.shape[1] * data.itemsize
-    raw = data.tobytes()
-    seen = {} if seen is None else seen
-    labels = np.array([seen.setdefault(raw[i * width:(i + 1) * width], len(seen))
-                       for i in range(len(data))], dtype=np.int32)
-    return labels, np.unique(labels, return_index=True)[1]
+    Write r(x, y) = (s_x(y), t_y(x)), y * x = s_y t_{s_x^-1(y)}(x) and L_y(x)
+    = y * x.  Then r braids iff (Soloviev, Math. Res. Lett. 7, 2000;
+    Lebed-Vendramin, Adv. Math. 304, 2017):
+      (a) s_x s_y = s_{s_x(y)} s_{t_y(x)} for all x, y;
+      (b) every L_z is an endomorphism of (X, *);
+      (c) every s_x is an endomorphism of (X, *).
+    Proof: s_{s_x(y)} s_{t_y(x)}(z) and s_x s_y(z) are the first coordinates
+    of r12 r23 r12 and r23 r12 r23 at (x, y, z), so a solution satisfies (a).
+    J(x, y, z) = (x, s_x(y), s_x s_y(z)) is a bijection.  With r'(x, y) =
+    (y, y * x), J r12 = r'12 J iff (a), as s_x(y) * x = s_{s_x(y)} t_y(x);
+    and J r23 J^-1 = R, R(x, u, v) = (x, v, f_x(v, u)) with f_x(v, u) =
+    s_x(s_x^-1(v) * s_x^-1(u)).  So under (a) r braids iff r'12 R r'12 =
+    R r'12 R, which at (x, u, v) read (v, v * u, f_u(v, u * x)) and
+    (v, f_x(v, u), f_v(f_x(v, u), v * x)).  The middle coordinates agree iff
+    (c); then f_x(v, u) = v * u, and the last agree iff (b).
 
-
-def _composite_ids(maps: np.ndarray) -> np.ndarray:
-    """ids[k, l]: a label of the map maps[k] o maps[l], equal labels for equal maps."""
-    seen: dict = {}
-    ids = np.empty((len(maps),) * 2, dtype=np.int32)
-    for k, outer in enumerate(maps):
-        ids[k] = _classes(outer[maps], seen)[0]
-    return ids
-
-
-def _braid_from_profiles(left: np.ndarray, right: np.ndarray) -> bool:
-    """True when the braid relation holds, decided on one triple per class.
-
-    Write s_x = left[x] and t_y = right[:, y].  Let S_0..S_{a-1} be the
-    distinct maps s_x and T_0..T_{b-1} the distinct t_y, with s_x = S_cs(x)
-    and t_y = T_ct(y).  Put (a', b') = r(x, y) and (p, q) = r(y, z).  Then
-    r12 r23 r12 and r23 r12 r23 send (x, y, z) to
-        (s_a' s_b'(z), t_{s_b'(z)}(a'), t_z t_y(x))  and
-        (s_x s_y(z), s_{t_p(x)}(q), t_q t_p(x)),
-    since t_z(b') = t_z t_y(x) and s_x(p) = s_x s_y(z).  So the relation
-    holds exactly when, for every x, y, z (Etingof-Schedler-Soloviev, Duke
-    Math. J. 100, 1999):
-      (1) s_a' o s_b' = s_x o s_y;
-      (2) t_z o t_y = t_q o t_p;
-      (3) t_{s_b'(z)}(a') = s_{t_p(x)}(q).
-    (1) is one comparison of composite labels per pair (x, y), once each
-    S_k o S_l has a label: a^2 n work and n^2 lookups.  (2) is the same
-    with T, per pair (y, z).  In (3), x enters only through s_x (giving
-    a'), through b' = T_ct(y)(x) (read only through s_b', so through
-    cs(b')) and through t_p(x) = T_ct(p)(x) (read only through
-    s_{t_p(x)}).  So x enters only through its profile
-    pi(x) = (cs(x), cs(T_0 x), .., cs(T_{b-1} x)).  Likewise z enters only
-    through s_b'(z) = S_cs(b')(z) and p = S_cs(y)(z) (each read only
-    through t, so through ct) and q = t_z(y), so only through
-    rho(z) = (ct(z), ct(S_0 z), .., ct(S_{a-1} z)).  Hence (3) holds on all
-    triples iff it holds on one x per pi class, every y and one z per rho
-    class: |pi| |rho| n work.  The checks run cheapest first, and only
-    when a^2 + b^2 + |pi| |rho| is at most n^2 / PROFILE_SHARE; otherwise
-    this returns False at once, so False proves nothing and the scan
-    decides.
+    Endomorphisms compose, so (b) and (c) hold iff the kept generators of
+    <s_X> and of <L_X> (`map_closure`) are endomorphisms: n^2 gathers each.
+    Both sides of (a) lie in the group <s_X>, whose members agree on a base
+    (points with trivial pointwise stabiliser) only when equal, so (a) is
+    checked on a base of at most log2 n points.  Each closure stops above n
+    members, so the proof never costs more than the n^3 scan.  False (a
+    closure too large, or a law failing) proves nothing: the scan decides.
     """
     n = left.shape[0]
-    cs, firsts = _classes(left)
-    ct, firsts_t = _classes(right.T)
-    S, T = left[firsts], right[:, firsts_t].T
-    work = len(S) ** 2 + len(T) ** 2
-    if PROFILE_SHARE * work > n * n:
+    col = np.arange(n)[:, None]
+    sinv = np.argsort(left, axis=1)                     # sinv[x] = s_x^-1
+    star = left[col, right[col, sinv].T.copy()]         # star[y, x] = y * x
+    if (sigma := map_closure(left, n)) is None:
         return False
-    xs = _classes(np.vstack([cs, cs[T]]).T)[1]           # one x per pi class
-    zs = _classes(np.vstack([ct, ct[S]]).T)[1]           # one z per rho class
-    if PROFILE_SHARE * (work + len(xs) * len(zs)) > n * n:
+    stabiliser, kept = sigma
+    base = []
+    while len(stabiliser) > 1:
+        base.append(point := int(np.argmax((stabiliser != col.T).any(axis=0))))
+        stabiliser = stabiliser[stabiliser[:, point] == point]
+    if not all(np.array_equal(left[:, left[:, b]], left[left, left[right, b]]) for b in base):
         return False
-    C, D = _composite_ids(S), _composite_ids(T)
-    if not np.array_equal(C[cs[left], cs[right]], C[cs[:, None], cs]):
-        return False
-    if not np.array_equal(D[ct[right], ct[left]], D[ct, ct[:, None]]):
-        return False
-    P, Q = left[:, zs], right[:, zs]                     # p, q at (y, z)
-    return all(np.array_equal(right[left[x, :, None], left[right[x, :, None], zs]],
-                              left[right[x][P], Q]) for x in xs)
+    rack = map_closure(star, n)
+    return rack is not None and all(np.array_equal(g[star], star[g][:, g])
+                                    for g in (*kept, *rack[1]))
 
 
 def check_braid(r: SolutionMap) -> SolutionReport:
@@ -300,34 +262,38 @@ def check_braid(r: SolutionMap) -> SolutionReport:
     repeated row value of ``left`` and (y, x1, x2) for a repeated column
     value of ``right``.
 
-    A map with a carrier is first tried by _braid_from_carrier, and then
-    any map by _braid_from_profiles; either proves the relation on every
-    triple with no scan.  When neither does, the x-slices of _braid_masks
-    are scanned in order until the first failing one names the first
-    failing (y, z), so the verdict and witness are always those of the
-    full scan.  The four pairwise properties are always measured in full.
+    The proof is chosen by what r is: _braid_from_carrier when it has a
+    carrier, then _braid_from_rack when it is left nondegenerate, or on its
+    mirror (right.T, left.T) when it is right nondegenerate: the swap
+    conjugate, which braids iff r does, as (x, y, z) -> (z, y, x) turns r12
+    into its r23.  When no proof passes, the x-slices of _braid_masks are
+    scanned until the first failing one names the first failing (y, z), so
+    verdict and witness are always the full scan's.  The four pairwise
+    properties are always measured in full.
     """
     left, right = r.left, r.right
     n = r.size
+    left_repeat, right_repeat = _first_repeat(left), _first_repeat(r.right_t)
     if ((r.carrier is not None and _braid_from_carrier(r))
-            or _braid_from_profiles(left, right)):
+            or (_braid_from_rack(left, right) if left_repeat is None
+                else right_repeat is None and _braid_from_rack(r.right_t, left.T))):
         triple = ()
     else:
         triple = _first_triple(n, _braid_masks(left, right)) or ()
 
     collision = ()
-    codes = left.astype(np.int64).ravel() * n + right.ravel()
-    repeated = np.flatnonzero(np.bincount(codes, minlength=n * n) > 1)
+    codes = left.astype(np.int64) * n + right           # r(x, y) as a flat index
+    repeated = np.flatnonzero(np.bincount(codes.ravel(), minlength=n * n) > 1)
     if repeated.size:                   # first two pairs with the least repeated image
         i, j = np.flatnonzero(codes == repeated[0])[:2].tolist()
         collision = (i // n, i % n, j // n, j % n)
 
     grid_x, grid_y = np.indices((n, n))
-    unfixed = _first_true((left[left, right] != grid_x) | (right[left, right] != grid_y))
+    unfixed = _first_true((left.take(codes) != grid_x) | (right.take(codes) != grid_y))
 
     witnesses = (("braid", triple), ("bijective", collision), ("involutive", unfixed),
-                 ("left-nondegenerate", _first_repeat(left) or ()),
-                 ("right-nondegenerate", _first_repeat(r.right_t) or ()))
+                 ("left-nondegenerate", left_repeat or ()),
+                 ("right-nondegenerate", right_repeat or ()))
     return SolutionReport(tuple(Check(name, not w, w) for name, w in witnesses))
 
 

@@ -28,9 +28,18 @@ COPIED = ("src", "tests", "perfbench", "pyproject.toml")
 
 MUTANTS = (
     # The (P) law xy = s_x(y) t_y(x) gathered transposed: it only chooses
-    # between the carrier proof and the scan, which give the same report.
+    # between the carrier proof and the rack, which give the same report.
     ("ybe", "np.array_equal(gt[r.left, r.right], gt)", "np.array_equal(gt[r.right, r.left], gt)",
      "tests/test_ybe.py::test_derived_solutions_are_proved_without_a_scan"),
+    # The rack's law (a) read at the points 0..|base|-1, which every s_x may fix.
+    ("ybe", "for b in base)", "for b in range(len(base)))",
+     "tests/test_ybe.py::test_rack_reads_law_a_on_a_base_of_the_s_group"),
+    # The rack's endomorphism laws asked of the kept generators of <s_X> only.
+    ("ybe", "for g in (*kept, *rack[1])", "for g in kept",
+     "tests/test_ybe.py::test_rack_on_left_nondegenerate_size_3_maps_with_permutation_columns"),
+    # A right nondegenerate map proved through (right.T, left), not its mirror.
+    ("ybe", "_braid_from_rack(r.right_t, left.T)", "_braid_from_rack(r.right_t, left)",
+     "tests/test_ybe.py::test_rack_proof_on_every_map_up_to_size_2"),
     # A braid kernel that sees no failure above n = 10.
     ("ybe", "        return bad.reshape(n, n)\n", "        return bad.reshape(n, n) & (n <= 10)\n",
      "tests/test_fast_laws.py::test_fast_check_equals_full_scan[braid]"),
@@ -59,9 +68,10 @@ MUTANTS = (
     # The action on H-positions left on points, not conjugated by bij.
     ("bracoids", "self.actH = frozen(bijinv[act[:, bij]])", "self.actH = frozen(act[:, bij])",
      "tests/test_bracoids.py::test_the_transported_action_is_an_action"),
-    # A closure whose later elements meet only the last generator.
+    # A closure whose later elements meet only the last generator: a
+    # complement built from it is not closed.
     ("checks", "            for h in joined:\n", "            for h in joined[-1:]:\n",
-     "tests/test_groups.py::test_every_closure_is_closed_under_inversion"),
+     "tests/test_complements.py::test_regular_subgroups_of_holomorphs_match_the_oracle[C4]"),
     # gamma-stability asked of gamma_x for x in S only.
     ("braces", "stable = member[B.gamma[:, sel]].all()",
      "stable = member[B.gamma[sel][:, sel]].all()",
@@ -95,9 +105,14 @@ def _copy(dest: Path) -> None:
 
 
 def _pytest(tree: Path, *tests: str) -> int:
-    """The exit status of pytest on tests, run in tree on tree's own src/."""
+    """The exit status of pytest on tests, run in tree on tree's own src/.
+
+    The "kill" profile of tests/conftest.py skips hypothesis's shrinking: a
+    mutant is killed by the first failure, whatever its size.
+    """
     return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider", *tests],
+        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
+         "--hypothesis-profile=kill", *tests],
         cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
 
 

@@ -1,4 +1,4 @@
-from itertools import product
+from itertools import permutations, product
 from unittest import mock
 
 import numpy as np
@@ -8,8 +8,8 @@ from hypothesis import strategies as st
 
 from ybelab import cli, files, ybe
 from ybelab.braces import AxiomViolated, SkewBrace, brace_solution, trivial_brace
-from ybelab.catalog import abelianmap_instance, promote_brace
-from ybelab.checks import Report
+from ybelab.catalog import abelianmap_instance, promote_brace, trivial_brace_instance
+from ybelab.checks import Report, map_closure
 from ybelab.groups import FiniteGroup, cyclic_group, semidirect_product
 from ybelab.semibraces import Semibrace, bracoid_to_semibrace
 from ybelab.ybe import (
@@ -118,12 +118,16 @@ def test_assert_properties_names_the_first_failing_asserted_property():
                     asserted=("right-nondegenerate", "left-nondegenerate", "braid"))
 
 
+def _raises(what):
+    def ran(*args, **kwargs):
+        raise AssertionError(f"{what} ran")
+    return ran
+
+
 @pytest.fixture
 def no_braid_scan(monkeypatch):
     """Make the n^3 braid scan raise, to show that a check never reached it."""
-    def scan(*args, **kwargs):
-        raise AssertionError("the n^3 braid scan ran")
-    monkeypatch.setattr(ybe, "_braid_masks", scan)
+    monkeypatch.setattr(ybe, "_braid_masks", _raises("the n^3 braid scan"))
 
 
 def _derived(cb):
@@ -133,10 +137,13 @@ def _derived(cb):
 
 
 def test_derived_solutions_are_proved_without_a_scan(catalog, no_braid_scan):
+    """Each derived map is proved by the laws of its carrier: the rack would
+    prove these maps too, so the carrier proof is asked for by name."""
     with_brace = [inst for inst in catalog if inst.contained is not None]
     assert len(with_brace) == 9
     for inst in with_brace:
         for r in _derived(inst.contained):
+            assert ybe._braid_from_carrier(r), (inst.name, r.provenance)
             assert check_braid(r)["braid"].ok
 
 
@@ -146,42 +153,75 @@ def test_order_1024_brace_solution_is_proved_without_a_scan(no_braid_scan):
     assert report["braid"].ok and report["bijective"].ok and report["involutive"].ok
 
 
-def test_maps_without_a_carrier_are_scanned(no_braid_scan):
-    # The flip map of order 3 has one class of each kind, but
-    # a^2 + b^2 + |pi| |rho| = 3 exceeds n^2 / PROFILE_SHARE, so the class
-    # proof is not tried.
-    with pytest.raises(AssertionError, match="scan ran"):
-        check_braid(_flip(3))
+def test_the_flip_map_without_a_carrier_is_proved_by_the_rack(no_braid_scan):
+    assert check_braid(_flip(3))["braid"].ok
 
 
-# --- the braid relation decided on one triple per class ---
+def test_a_map_degenerate_on_both_sides_reaches_the_scan(monkeypatch):
+    """The constant map of size 40 braids, but none of its s_x or t_y is a
+    permutation, so the rack takes neither it nor its mirror: the scan
+    decides, and the report is the scan's."""
+    z = np.zeros((40, 40), dtype=np.int32)
+    assert [c.describe() for c in check_braid(SolutionMap(z, z)).checks] == [
+        "braid PASS", "bijective FAIL at 0,0,0,1", "involutive FAIL at 0,1",
+        "left-nondegenerate FAIL at 0,0,1", "right-nondegenerate FAIL at 0,0,1"]
+    monkeypatch.setattr(ybe, "_braid_from_rack", _raises("the rack"))
+    monkeypatch.setattr(ybe, "_braid_masks", _raises("the n^3 braid scan"))
+    with pytest.raises(AssertionError, match="braid scan ran"):
+        check_braid(SolutionMap(z, z))
 
-def _unguarded(left, right) -> bool:
-    """_braid_from_profiles with no guard, so it decides every map."""
-    with mock.patch.object(ybe, "PROFILE_SHARE", 0):
-        return ybe._braid_from_profiles(np.asarray(left), np.asarray(right))
+
+# --- the braid relation proved through the derived rack ---
+
+def _racked(r) -> tuple[Report, bool]:
+    """(check_braid(r), whether a rack proof passed inside it)."""
+    passed = []
+    rack = ybe._braid_from_rack
+
+    def spy(left, right):
+        passed.append(rack(left, right))
+        return passed[-1]
+
+    with mock.patch.object(ybe, "_braid_from_rack", spy):
+        return check_braid(r), True in passed
 
 
-def test_class_proof_on_every_map_up_to_size_2():
-    decided = 0
+def _scanned(r) -> Report:
+    """check_braid(r) with the rack turned off, so a map with no carrier is scanned."""
+    with mock.patch.object(ybe, "_braid_from_rack", lambda left, right: False):
+        return check_braid(r)
+
+
+def _racked_as_scanned(r, fails) -> bool:
+    """Whether the rack proved r, after checking that a rack PASS is an
+    oracle PASS and that check_braid's report is the scan's."""
+    report, proved = _racked(r)
+    assert not (proved and fails)
+    assert report == _scanned(r)
+    assert report["braid"].witness == (fails[0] if fails else ())
+    return proved
+
+
+def test_rack_proof_on_every_map_up_to_size_2():
+    maps = proved = 0
     for n in (0, 1, 2):
         tables = [np.array(t, dtype=np.int32).reshape(n, n)
                   for t in product(range(n), repeat=n * n)]
         for left, right in product(tables, repeat=2):
             r = SolutionMap(left, right)
-            assert _unguarded(left, right) == (not _brute_braid_failures(r))
-            decided += 1
-    assert decided == 1 + 1 + 256
+            proved += _racked_as_scanned(r, _brute_braid_failures(r))
+            maps += 1
+    assert (maps, proved) == (1 + 1 + 256, 1 + 1 + 16)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(1, 6), st.integers(1, 3), st.integers(1, 3), st.booleans(),
        st.integers(0, 2), st.integers(0, 2**32 - 1))
-def test_class_proof_equals_the_triple_oracle(n, a, b, bijective_rows, poked, seed):
+def test_rack_proof_equals_the_triple_oracle(n, a, b, bijective_rows, poked, seed):
     """Maps built from at most a distinct rows s_x and b distinct columns t_y
     (random maps almost never braid), then one entry of left (poked = 1) or
-    right (poked = 2) changed: the unguarded proof is the oracle's verdict,
-    and check_braid gives the same report with the guard or without it."""
+    right (poked = 2) changed: a rack PASS is the oracle's, and check_braid
+    gives the scan's report."""
     rng = np.random.default_rng(seed)
     if bijective_rows:
         rows = np.array([rng.permutation(n) for _ in range(a)])
@@ -193,24 +233,74 @@ def test_class_proof_equals_the_triple_oracle(n, a, b, bijective_rows, poked, se
         x, y = (int(v) for v in rng.integers(0, n, 2))
         tables[poked - 1][x, y] = (tables[poked - 1][x, y] + rng.integers(1, max(2, n))) % n
     r = SolutionMap(*tables)
-    fails = _brute_braid_failures(r)
-    assert _unguarded(r.left, r.right) == (not fails)
-    report = check_braid(r)
-    assert report["braid"].witness == (fails[0] if fails else ())
-    with mock.patch.object(ybe, "PROFILE_SHARE", 0):
-        assert check_braid(r) == report
+    _racked_as_scanned(r, _brute_braid_failures(r))
+
+
+def _braid_holds(left, right) -> np.ndarray:
+    """For a stack of maps (m, n, n), whether each braids: the oracle's walk
+    through both composites, on every triple of every map at once."""
+    k = np.arange(len(left))[:, None, None, None]
+    x, y, z = np.indices((left.shape[1],) * 3)
+
+    def apply(a, b):
+        return left[k, a, b], right[k, a, b]
+
+    a, b = apply(x, y)
+    a2, c = apply(b, z)
+    b2, c2 = apply(a, a2)
+    p, q = apply(y, z)
+    x2, p2 = apply(x, p)
+    q2, z2 = apply(p2, q)
+    return ((b2 == x2) & (c2 == q2) & (c == z2)).reshape(len(left), -1).all(axis=1)
+
+
+def test_rack_on_left_nondegenerate_size_3_maps_with_permutation_columns():
+    """Every s_x and every t_y a permutation of 3 points: 216 x 216 maps.  A
+    rack PASS is the oracle's, and the rack fails a solution only when one
+    of its closures outgrows the cap of 3 members."""
+    perms = np.array(list(permutations(range(3))), dtype=np.int32)
+    stacks = perms[np.array(list(product(range(6), repeat=3)))]          # 216 x 3 x 3
+    left = np.repeat(stacks, 216, axis=0)
+    right = np.tile(stacks.transpose(0, 2, 1), (216, 1, 1))
+    holds = _braid_holds(left, right)
+    col = np.arange(3)[:, None]
+    proved = 0
+    for l, r, ok in zip(left, right, holds):
+        if ybe._braid_from_rack(l, r):
+            assert ok
+            proved += 1
+        elif ok:
+            star = l[col, r[col, np.argsort(l, axis=1)].T]
+            assert map_closure(l, 3) is None or map_closure(star, 3) is None
+    assert (len(holds), int(holds.sum()), proved) == (216 * 216, 66, 54)
+
+
+def test_rack_reads_law_a_on_a_base_of_the_s_group():
+    """Every s_x is the identity or the transposition (1 2), so <s_X> fixes
+    the point 0 and its base is the point 1; each t_y is a constant map or
+    a permutation.  Law (a) read at 0 would pass 22 of these maps that do
+    not braid; read on the base, a rack PASS is the oracle's."""
+    rows = np.array([[0, 1, 2], [0, 2, 1]], dtype=np.int32)
+    cols = np.array([[v] * 3 for v in range(3)] + list(permutations(range(3))), dtype=np.int32)
+    left = rows[np.array(list(product(range(2), repeat=3)))]                # 8 x 3 x 3
+    right = cols[np.array(list(product(range(9), repeat=3)))].transpose(0, 2, 1)   # 729
+    left, right = np.repeat(left, len(right), axis=0), np.tile(right, (len(left), 1, 1))
+    holds = _braid_holds(left, right)
+    proved = [ybe._braid_from_rack(l, r) for l, r in zip(left, right)]
+    assert not (np.array(proved) & ~holds).any()
+    assert (len(holds), int(holds.sum()), sum(proved)) == (8 * 729, 86, 76)
 
 
 def test_catalog_solutions_without_their_carrier_keep_their_report(catalog):
-    """Every derived solution braids, so the unguarded proof passes it, and
-    dropping the carrier changes no report."""
+    """Every derived solution braids, so the rack proves it with no carrier
+    (the tilde maps through their mirror), and the report is unchanged."""
     for inst in catalog:
         if inst.contained is None:
             continue
         for r in _derived(inst.contained):
-            bare = SolutionMap(r.left, r.right)
-            assert _unguarded(r.left, r.right), (inst.name, r.provenance)
-            assert check_braid(bare) == check_braid(r)
+            report, proved = _racked(SolutionMap(r.left, r.right))
+            assert proved, (inst.name, r.provenance)
+            assert report == check_braid(r)
 
 
 @pytest.fixture(scope="module")
@@ -218,18 +308,28 @@ def abelianmap311():
     return solution_from_bracoid(abelianmap_instance(3, 11).contained)
 
 
-def test_carrierless_maps_with_few_classes_are_proved_without_a_scan(
-        abelianmap311, no_braid_scan):
+def test_carrierless_derived_maps_are_proved_without_a_scan(abelianmap311, no_braid_scan):
     trivial256 = brace_solution(trivial_brace(cyclic_group(256)))
     for r in (trivial256, abelianmap311):
         assert check_braid(SolutionMap(r.left, r.right))["braid"].ok
 
 
-def test_carrierless_gl3f2_map_reaches_the_scan(gl3f2, no_braid_scan):
-    r = solution_from_bracoid(gl3f2.contained)
-    assert ybe._braid_from_profiles(r.left, r.right) is False     # the guard
-    with pytest.raises(AssertionError, match="scan ran"):
-        check_braid(SolutionMap(r.left, r.right))
+def test_carrierless_order_1018_brace_solution_is_proved_without_a_scan(no_braid_scan):
+    """The brace solution of the trivial brace on C509 x| C2: s_x = id and
+    t_y conjugation, so its derived rack is the conjugation quandle, with
+    1018 members in <L_X>, just inside the cap."""
+    r = brace_solution(trivial_brace_instance((509, 2)).brace)
+    report = check_braid(SolutionMap(r.left, r.right))
+    assert report == check_braid(r)
+    assert report["braid"].ok and report["bijective"].ok and not report["involutive"].ok
+
+
+def test_carrierless_gl3f2_maps_are_proved_by_the_rack(gl3f2, no_braid_scan):
+    """The bracoid solution is left nondegenerate, and the tilde map right
+    nondegenerate, so it is proved through its mirror."""
+    for r in (solution_from_bracoid(gl3f2.contained), tilde_solution_from_bracoid(gl3f2.contained)):
+        bare = SolutionMap(r.left, r.right)
+        assert check_braid(bare) == check_braid(r)
 
 
 def test_verify_solution_file_is_proved_with_the_scan_report(
