@@ -12,8 +12,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .checks import (AxiomViolated, Check, Report, _rows_law_failure, adopted, frozen,
-                     group_table_checks, refuse)
+from .checks import (AxiomViolated, Check, Report, _first_triple, _rows_law_holds, adopted,
+                     frozen, group_table_checks, refuse)
 from .groups import MAX_ORDER, FiniteGroup, Subgroup, holomorph
 from .ybe import SolutionMap, _complement
 
@@ -27,16 +27,23 @@ def _gamma(star: FiniteGroup, dot: FiniteGroup) -> np.ndarray:
     return star.table[star.inv[:, None], dot.table]
 
 
-def _compat_failure(star: FiniteGroup, gamma: np.ndarray) -> tuple[int, int, int] | None:
-    """First triple breaking x.(y*z) = (x.y) * x^{-*} * (x.z), or None; gamma is _gamma(star, dot).
+def _brace_law_fails(st, dt, sinv, x, y, z):
+    """x.(y*z) != (x.y) * x^{-*} * (x.z): the brace law, sinv the star inverses."""
+    return dt[x, st[y, z]] != st[st[dt[x, y], sinv[x]], dt[x, z]]
 
-    The brace law is the rows law of gamma over (G, *): multiplying on the
-    left by x^{-*}, a bijection, turns it at (x, y, z) into
-    gamma_x(y*z) = gamma_x(y) * gamma_x(z), so the law holds exactly when
-    every gamma_x is an endomorphism of (G, *) (Guarnieri-Vendramin), and
-    the two laws fail at the same triples, so the first is the same.
+
+def _compat_failure(star: FiniteGroup, dot: FiniteGroup,
+                    gamma: np.ndarray) -> tuple[int, int, int] | None:
+    """First triple breaking the brace law, or None; gamma is _gamma(star, dot).
+
+    The law is proved as the rows law of gamma over (G, *): multiplying on
+    the left by x^{-*}, a bijection, turns it at (x, y, z) into
+    gamma_x(y*z) = gamma_x(y) * gamma_x(z), so it holds exactly when every
+    gamma_x is an endomorphism of (G, *) (Guarnieri-Vendramin).
     """
-    return _rows_law_failure(star.table, gamma)
+    if _rows_law_holds(star.table, gamma):
+        return None
+    return _first_triple(_brace_law_fails, (star.table, dot.table, star.inv), (star.order,) * 3)
 
 
 def _brace_checks(st, dt, groups) -> tuple[tuple[Check, Check], np.ndarray | None]:
@@ -46,7 +53,7 @@ def _brace_checks(st, dt, groups) -> tuple[tuple[Check, Check], np.ndarray | Non
     if not (same.ok and groups):
         return (same, Check("compat", False, detail="not evaluated: table checks failed")), None
     gamma = _gamma(*groups)
-    witness = _compat_failure(groups[0], gamma)
+    witness = _compat_failure(*groups, gamma)
     return (same, Check("compat", witness is None, witness=witness or ())), gamma
 
 

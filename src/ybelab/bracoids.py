@@ -23,7 +23,7 @@ import numpy as np
 
 from .braces import SkewBrace, is_strong_left_ideal
 from .checks import (AxiomViolated, Check, Report, _action_law_failure, _action_law_holds,
-                     _first_triple, _first_true, _rows_law_failure, adopted, frozen,
+                     _first_triple, _first_true, _rows_law_holds, adopted, frozen,
                      group_table_checks, refuse)
 from .groups import (
     FiniteGroup,
@@ -50,17 +50,23 @@ class NotRegular(ValueError):
     """The proposed complement does not act freely and transitively."""
 
 
+def _coupling_fails(nt, ninv, act, x, eta, mu):
+    """x (+) (eta * mu) != (x (+) eta) * (x (+) e)^{-*} * (x (+) mu): the coupling law."""
+    return act[x, nt[eta, mu]] != nt[nt[act[x, eta], ninv[act[x, 0]]], act[x, mu]]
+
+
 def _eq2_failure(N: FiniteGroup, act: np.ndarray) -> tuple[int, int, int] | None:
     """First (x, eta, mu) breaking the coupling law, or None.
 
-    The coupling law is the rows law of f_x(eta) = (x (+) e)^{-*} * (x (+) eta)
+    The law is proved as the rows law of f_x(eta) = (x (+) e)^{-*} * (x (+) eta)
     over (N, *): multiplying on the left by (x (+) e)^{-*}, a bijection,
-    turns it at (x, eta, mu) into f_x(eta * mu) = f_x(eta) * f_x(mu), so the
-    law holds exactly when every f_x is an endomorphism of (N, *), and the
-    two laws fail at the same triples, so the first is the same.
+    turns it at (x, eta, mu) into f_x(eta * mu) = f_x(eta) * f_x(mu), so it
+    holds exactly when every f_x is an endomorphism of (N, *).
     """
     nt, ninv = N.table, N.inv
-    return _rows_law_failure(nt, nt[ninv[act[:, 0]][:, None], act])
+    if _rows_law_holds(nt, nt[ninv[act[:, 0]][:, None], act]):
+        return None
+    return _first_triple(_coupling_fails, (nt, ninv, act), (act.shape[0], N.order, N.order))
 
 
 def _bracoid_checks(arr: np.ndarray, N: FiniteGroup | None) -> Iterator[Check]:
@@ -262,6 +268,16 @@ def lambda_rho_identity_checks(G: FiniteGroup, lam: np.ndarray, rho: np.ndarray)
     return Report(tuple(results))
 
 
+def _rho_compose_fails(gt, rho, x, y, z):
+    """rho_{x*y}(z) != rho_y(rho_x(z)): rho-compose, rho[y, x] = rho_y(x)."""
+    return rho[gt[x, y], z] != rho[y, rho[x, z]]
+
+
+def _product_rule_fails(gt, lam, rho, x, y, z):
+    """lambda_x(y*z) != lambda_x(y) . lambda_{rho_y(x)}(z): the product rule."""
+    return lam[x, gt[y, z]] != gt[lam[x, y], lam[rho[y, x], z]]
+
+
 def _displacement_witnesses(G: FiniteGroup, lam: np.ndarray,
                             rho: np.ndarray) -> tuple[tuple[int, ...], ...]:
     """First witnesses of lambda-compose, rho-compose, rho-inverse and the product rule.
@@ -284,17 +300,16 @@ def _displacement_witnesses(G: FiniteGroup, lam: np.ndarray,
       is rho-compose at (y, z, x).
     - rho-inverse, rho[x^-1, rho[x, z]] = z, is one direct n^2 gather.
 
-    When a proof does not go through, that law's full scan names its first
-    triple, so every witness is that of a complete scan.
+    When a proof does not go through, _first_triple scans that law's
+    statement for its first triple.
     """
     gt, ginv, n = G.table, G.inv, G.order
     lam_w = _action_law_failure(gt, lam) or ()
     rho_ok = _action_law_holds(G.opposite, rho)
-    rho_w = () if rho_ok else _first_triple(n, lambda x: rho[gt[x]] != rho[:, rho[x]])
+    rho_w = () if rho_ok else _first_triple(_rho_compose_fails, (gt, rho), (n, n, n))
     inv_w = _first_true(rho[ginv[:, None], rho] != np.arange(n))
     if rho_ok and np.array_equal(gt[lam, rho.T], gt):
         prod_w = ()
     else:
-        prod_w = _first_triple(
-            n, lambda x: lam[x][gt] != gt[lam[x][:, None], lam[rho[:, x]]]) or ()
+        prod_w = _first_triple(_product_rule_fails, (gt, lam, rho), (n, n, n)) or ()
     return lam_w, rho_w, inv_w, prod_w

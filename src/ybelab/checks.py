@@ -1,8 +1,9 @@
 """The immutable record base, the pass/fail report records shared by the
 structure verifiers, `frozen`, the one way a table is made immutable, the
 memo that proves each distinct table once per process (a large one once
-per frozen table object), and the two proof shapes, the action law and the
-rows law, proved on generators once for every law stated in them."""
+per frozen table object), the two proof shapes, the action law and the
+rows law, proved on generators once for every law stated in them, and
+`_first_triple`, the one scan that names a law's first failing triple."""
 
 from __future__ import annotations
 
@@ -469,31 +470,42 @@ def generators(table) -> tuple[int, ...]:
     return tuple(gens)
 
 
-# --- the two proof shapes ---
+# --- the two proof shapes, and the one witness scan ---
 #
 # A law proved on generators is stated in one of two shapes over tables
 # whose entries are in 0..n-1:
 #   the action law  act[g*h] = act[g] o act[h]        (x -> act[x] is an action),
 #   the rows law    F[x, a*b] = F[x, a] * F[x, b]     (each row F_x is an endomorphism).
 # Each shape's reduction to generators is proved once, below.  A law module
-# states its law as one of the two, or derives it from laws that are (the
-# displacement product rule follows from rho-compose and the product law),
-# and proves only that restatement.  When a test fails, the full scan names the first triple
-# (_first_triple), so every witness is that of a complete scan.
+# proves its law as one of the two, or derives it from laws that are (the
+# displacement product rule follows from rho-compose and the product law).
+# Each triple law is also stated once, in its own form, as a module-level
+# `*_fails(*tables, x, y, z)` in plain numpy indexing: a bool at one triple,
+# and the mask of an x-slice when y and z are broadcast.  When a proof does
+# not pass, _first_triple reads that statement slice by slice, so every
+# witness is the first triple at which the law itself breaks.
 
 
-def _first_triple(n: int, bad_at) -> tuple[int, int, int] | None:
-    """First (x, y, z) in x-major order with bad_at(x)[y, z] true, or None.
+def _first_triple(fails, tables, shape) -> tuple[int, int, int] | None:
+    """First (x, y, z) in x-major order with fails(*tables, x, y, z) true, or None.
 
-    bad_at(x) is the boolean (y, z) mask of the x-slice of a law; slices are
-    built one at a time, so the scan stops at the first slice that fails.
+    x, y and z run over range(shape[0]), range(shape[1]) and range(shape[2]).
+    The statement is evaluated on one x-slice at a time, y and z broadcast
+    to its (y, z) grid, so the scan stops at the first slice that fails.
     """
-    for x in range(n):
-        bad = bad_at(x)
+    nx, ny, nz = shape
+    y, z = np.arange(ny)[:, None], np.arange(nz)
+    for x in range(nx):
+        bad = fails(*tables, x, y, z)
         if bad.any():
-            y, z = map(int, np.argwhere(bad)[0])
-            return x, y, z
+            y0, z0 = map(int, np.argwhere(bad)[0])
+            return x, y0, z0
     return None
+
+
+def _action_law_fails(gt, act, g, h, p):
+    """(g*h).p != g.(h.p): the action law, and with act = gt associativity."""
+    return act[gt[g, h], p] != act[g, act[h, p]]
 
 
 @by_content
@@ -517,12 +529,9 @@ def _action_law_holds(gt: np.ndarray, act: np.ndarray) -> bool:
 
 def _action_law_failure(gt: np.ndarray, act: np.ndarray) -> tuple[int, int, int] | None:
     """First (g, h, p) with (g*h).p != g.(h.p), or None."""
-    return None if _action_law_holds(gt, act) else _brute_action_law(gt, act)
-
-
-def _brute_action_law(gt: np.ndarray, act: np.ndarray) -> tuple[int, int, int] | None:
-    # g-slice: (h, p) -> (g*h).p against g.(h.p)
-    return _first_triple(gt.shape[0], lambda g: act[gt[g]] != act[g][act])
+    if _action_law_holds(gt, act):
+        return None
+    return _first_triple(_action_law_fails, (gt, act), (*gt.shape, act.shape[1]))
 
 
 def _assoc_failure(table: np.ndarray) -> tuple[int, int, int] | None:
@@ -557,16 +566,6 @@ def _rows_law_holds(nt: np.ndarray, F: np.ndarray) -> bool:
     """
     return all(np.array_equal(F[:, nt[:, g]], nt[F, F[:, g][:, None]])
                for g in generators(nt))
-
-
-def _rows_law_failure(nt: np.ndarray, F: np.ndarray) -> tuple[int, int, int] | None:
-    """First (x, a, b) with F[x, a*b] != F[x, a] * F[x, b], or None."""
-    return None if _rows_law_holds(nt, F) else _brute_rows_law(nt, F)
-
-
-def _brute_rows_law(nt: np.ndarray, F: np.ndarray) -> tuple[int, int, int] | None:
-    # x-slice: (a, b) -> F_x(a*b) against F_x(a) * F_x(b)
-    return _first_triple(F.shape[0], lambda x: F[x][nt] != nt[F[x][:, None], F[x]])
 
 
 @by_content

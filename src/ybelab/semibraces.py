@@ -35,28 +35,23 @@ def _relation_holds(table: np.ndarray, inv: np.ndarray, plus: np.ndarray) -> boo
     return _action_law_holds(table, _L_table(table, inv, plus))
 
 
+def _relation_fails(dt, dinv, plus, x, y, z):
+    """x.(y+z) != x.y + x.(x^-1 + z): the semibrace relation, dinv the dot inverses."""
+    return dt[x, plus[y, z]] != plus[dt[x, y], dt[x, plus[dinv[x], z]]]
+
+
 def _relation_failure(dot: FiniteGroup, plus: np.ndarray) -> tuple[int, int, int] | None:
     """First triple breaking x.(y+z) = x.y + x.(x^-1 + z), or None.
 
-    The relation is the action law of L over (G, .).  With
+    The relation is proved as the action law of L over (G, .).  With
     L_x(w) = x.(x^-1 + w), any table + has a + w = a.L_{a^-1}(w).  So the
     relation at (x, y, z) reads x.y.L_{y^-1}(z) = x.y.L_{y^-1 x^-1}(L_x(z)),
     that is L_{c.x}(z) = L_c(L_x(z)) with c = y^-1 x^-1, and it holds for
-    all x, y, z exactly when L_{c.x} = L_c o L_x for every c and x.  The
-    triples are matched up differently, so when the law fails, the full
-    scan of the relation names its own first triple.
+    all x, y, z exactly when L_{c.x} = L_c o L_x for every c and x.
     """
     if _relation_holds(dot.table, dot.inv, plus):
         return None
-    return _brute_relation(dot, plus)
-
-
-def _brute_relation(dot: FiniteGroup, plus: np.ndarray) -> tuple[int, int, int] | None:
-    def bad_at(x):                       # (y, z) -> x.(y+z) against x.y + x.(x^-1 + z)
-        dx = dot.table[x]
-        return dx[plus] != plus[dx[:, None], dx[plus[dot.inv[x]]]]
-
-    return _first_triple(dot.order, bad_at)
+    return _first_triple(_relation_fails, (dot.table, dot.inv, plus), (dot.order,) * 3)
 
 
 def verify_semibrace(dot, plus) -> Report:

@@ -9,8 +9,8 @@ braid relation is proved from the laws of the map's ``carrier`` group when
 it has one (_braid_from_carrier, O(n^2 |gens|)), else from its derived rack
 when it is left or right nondegenerate (_braid_from_rack, about n^2 log n);
 any other map, or one that no proof passes, gets the n^3 scan.  The braid
-composites are evaluated in one place, _braid_masks, whose x-slices the
-first-witness scan reads.
+relation is stated once, _braid_fails, and that scan, `checks._first_triple`,
+reads the statement one x-slice at a time.
 
 A derived map (from a brace, a semibrace or a bracoid that contains a
 brace) is proved by its constructor, which refuses through `checks.refuse`
@@ -123,48 +123,15 @@ class SolutionReport(Report):
         return self["braid"].witness
 
 
-def _braid_masks(left: np.ndarray, right: np.ndarray):
-    """x -> the (y, z) mask of the triples (x, y, z) where the composites differ.
-
-    r12 r23 r12 and r23 r12 r23 are evaluated on one x-slice per call, by
-    np.take on raveled tables (flat index row * n + column) into buffers
-    allocated once; values are uint16 when n < 65536.  SolutionMap keeps
-    every entry in 0..n-1, so every flat index is in range and mode="clip"
-    only skips the bounds check.  Each call returns a fresh mask.
-    """
-    n = left.shape[0]
-    small = np.uint16 if n < 1 << 16 else np.int32
-    lflat, rflat = left.astype(small).ravel(), right.astype(small).ravel()
-    lrows, rrows = lflat.reshape(n, n), rflat.reshape(n, n)
-    lidx, ridx = left.astype(np.intp), right.astype(np.intp).ravel()
-    flat = lidx.ravel()
-    offset = np.arange(n, dtype=np.intp) * n            # row start in a raveled table
-    index = np.empty(n * n, dtype=np.intp)
-    grid = index.reshape(n, n)
-    one, two = np.empty(n * n, dtype=small), np.empty(n * n, dtype=small)
-    rows = two.reshape(n, n)
-    differ = np.empty(n * n, dtype=bool)
-
-    def bad_at(x: int) -> np.ndarray:
-        lx, rx = lrows[x], rrows[x]
-        # hand = r_x(left[y, z]); r23 r12 r23 gives r(hand, right[y, z]).
-        np.take(offset[rx], flat, out=index, mode="clip")
-        np.add(index, ridx, out=index)
-        np.take(rflat, index, out=one, mode="clip")     # alt3
-        np.take(rrows, rx, axis=0, out=rows)            # out3 = right[rx[y], z]
-        bad = one != two
-        np.take(lflat, index, out=one, mode="clip")     # alt2
-        # mid = left[rx[y], z]; r12 r23 r12 gives r(lx[y], mid).
-        np.take(lidx, rx, axis=0, out=grid)
-        np.add(grid, offset[lx][:, None], out=grid)
-        np.take(rflat, index, out=two, mode="clip")     # out2
-        bad |= np.not_equal(one, two, out=differ)
-        np.take(lflat, index, out=one, mode="clip")     # out1
-        np.take(lx, flat, out=two, mode="clip")         # alt1
-        bad |= np.not_equal(one, two, out=differ)
-        return bad.reshape(n, n)
-
-    return bad_at
+def _braid_fails(left, right, x, y, z):
+    """r12 r23 r12 != r23 r12 r23 at (x, y, z), r(x, y) = (left[x, y], right[x, y])."""
+    a, b = left[x, y], right[x, y]                      # r12, r23, r12
+    b, c = left[b, z], right[b, z]
+    a, b = left[a, b], right[a, b]
+    p, q = left[y, z], right[y, z]                      # r23, r12, r23
+    p, s = left[x, p], right[x, p]
+    s, q = left[s, q], right[s, q]
+    return (a != p) | (b != s) | (c != q)
 
 
 def _complement(carrier: FiniteGroup, left: np.ndarray) -> np.ndarray:
@@ -266,10 +233,10 @@ def check_braid(r: SolutionMap) -> SolutionReport:
     carrier, then _braid_from_rack when it is left nondegenerate, or on its
     mirror (right.T, left.T) when it is right nondegenerate: the swap
     conjugate, which braids iff r does, as (x, y, z) -> (z, y, x) turns r12
-    into its r23.  When no proof passes, the x-slices of _braid_masks are
-    scanned until the first failing one names the first failing (y, z), so
-    verdict and witness are always the full scan's.  The four pairwise
-    properties are always measured in full.
+    into its r23.  When no proof passes, `checks._first_triple` reads the
+    statement _braid_fails one x-slice at a time until the first failing one
+    names the first failing (y, z), so verdict and witness are always the
+    full scan's.  The four pairwise properties are always measured in full.
     """
     left, right = r.left, r.right
     n = r.size
@@ -279,7 +246,7 @@ def check_braid(r: SolutionMap) -> SolutionReport:
                 else right_repeat is None and _braid_from_rack(r.right_t, left.T))):
         triple = ()
     else:
-        triple = _first_triple(n, _braid_masks(left, right)) or ()
+        triple = _first_triple(_braid_fails, (left, right), (n, n, n)) or ()
 
     collision = ()
     codes = left.astype(np.int64) * n + right           # r(x, y) as a flat index

@@ -5,23 +5,30 @@ once in src/ybelab/<module>.py (test_mutants.py checks this, so a refactor
 carries its mutants along), ``new`` replaces it, and ``test`` is the pytest
 id that must fail on the changed copy.  pytest does not collect this file.
 
-    python tests/mutants.py            # every mutant, one process each
+    python tests/mutants.py            # every mutant, one forked child each
 
 Each mutant runs on a fresh copy of the repository's src/, tests/,
-perfbench/ and pyproject.toml under a temporary directory, one at a time.
-The named tests are first run once on an unchanged copy, where each must
-pass.  One line is printed per mutant; the exit status is 1 if any
-survives.
+perfbench/ and pyproject.toml under a temporary directory, one at a time,
+in a child forked from this process.  numpy, pytest and hypothesis are
+imported here once, before the first fork, so no child imports them
+again; ybelab and the tests are imported in each child alone, from its
+own copy.  The named tests are first run once on an unchanged copy, where
+each must pass.  One line is printed per mutant; the exit status is 1 if
+any survives.
 """
 
 from __future__ import annotations
 
+import os
 import shutil
-import subprocess
 import sys
 import tempfile
 import time
 from pathlib import Path
+
+import hypothesis  # noqa: F401  (imported once here, so no forked child imports it)
+import numpy  # noqa: F401
+import pytest
 
 ROOT = Path(__file__).resolve().parents[1]
 COPIED = ("src", "tests", "perfbench", "pyproject.toml")
@@ -40,9 +47,27 @@ MUTANTS = (
     # A right nondegenerate map proved through (right.T, left), not its mirror.
     ("ybe", "_braid_from_rack(r.right_t, left.T)", "_braid_from_rack(r.right_t, left)",
      "tests/test_ybe.py::test_rack_proof_on_every_map_up_to_size_2"),
-    # A braid kernel that sees no failure above n = 10.
-    ("ybe", "        return bad.reshape(n, n)\n", "        return bad.reshape(n, n) & (n <= 10)\n",
+    # A witness scan that sees no failure above n = 10.
+    ("checks", "    for x in range(nx):\n", "    for x in range(nx if nx <= 10 else 0):\n",
      "tests/test_fast_laws.py::test_fast_check_equals_full_scan[braid]"),
+    # A witness scan that names (x, z, y) for (x, y, z).
+    ("checks", "return x, y0, z0", "return x, z0, y0",
+     "tests/test_checks.py::test_nonassociative_loop_witness_matches_brute_force"),
+    # The brace law stated without the star inverse x^{-*}.
+    ("braces", "st[st[dt[x, y], sinv[x]], dt[x, z]]", "st[dt[x, y], dt[x, z]]",
+     "tests/test_braces.py::test_coupling_oracle_agrees_with_constructor"),
+    # The braid relation stated on its first two coordinates only.
+    ("ybe", "return (a != p) | (b != s) | (c != q)", "return (a != p) | (b != s)",
+     "tests/test_ybe.py::test_multiplication_map_fails_the_braid_relation"),
+    # The coupling law stated with x (+) e for its star inverse.
+    ("bracoids", "ninv[act[x, 0]]", "act[x, 0]",
+     "tests/test_bracoids.py::test_law_violation_is_caught_with_witness"),
+    # The semibrace relation stated with x for x^-1.
+    ("semibraces", "plus[dinv[x], z]", "plus[x, z]",
+     "tests/test_semibraces.py::test_relation_oracle_matches_verify_witness"),
+    # The product rule stated with rho_x(y) for rho_y(x).
+    ("bracoids", "gt[lam[x, y], lam[rho[y, x], z]]", "gt[lam[x, y], lam[rho[x, y], z]]",
+     "tests/test_displacement.py::test_a_passing_proof_leaves_its_statement_nothing_to_find"),
     # The rows law with the product on its right-hand side swapped.
     ("checks", "nt[F, F[:, g][:, None]]", "nt[F[:, g][:, None], F]",
      "tests/test_fast_laws.py::test_fast_check_equals_full_scan[compat]"),
@@ -105,15 +130,30 @@ def _copy(dest: Path) -> None:
 
 
 def _pytest(tree: Path, *tests: str) -> int:
-    """The exit status of pytest on tests, run in tree on tree's own src/.
+    """The exit status of pytest on tests, run in tree on tree's own src/ by
+    a forked child, whose output is discarded.
 
-    The "kill" profile of tests/conftest.py skips hypothesis's shrinking: a
-    mutant is killed by the first failure, whatever its size.
+    pytest puts tree's src/ first on the child's path, and this process
+    imported no ybelab.  The "kill" profile of tests/conftest.py skips
+    hypothesis's shrinking: a mutant is killed by the first failure,
+    whatever its size.  --assert=plain: rewriting asserts would mark
+    hypothesis's plugin for rewriting, which this process already imported,
+    and pytest's warning of that is an error under pyproject.toml.
     """
-    return subprocess.run(
-        [sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider",
-         "--hypothesis-profile=kill", *tests],
-        cwd=tree, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL).returncode
+    sys.stdout.flush()
+    pid = os.fork()
+    if pid == 0:
+        status = 3
+        try:
+            os.chdir(tree)
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, 1)
+            os.dup2(null, 2)
+            status = int(pytest.main(["-q", "-x", "-p", "no:cacheprovider", "--assert=plain",
+                                      "--hypothesis-profile=kill", *tests]))
+        finally:
+            os._exit(status)
+    return os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
 
 
 def main() -> int:

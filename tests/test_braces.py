@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from ybelab import catalog
+from ybelab import braces, catalog
 from ybelab.braces import (
     AxiomViolated,
     ConstructionFailed,
@@ -26,20 +26,12 @@ from ybelab.groups import (
     semidirect_product,
 )
 
+from grid import first_failing
 
-# Oracle: the coupling law checked one triple at a time, nothing vectorized.
-def _first_coupling_failure(star, dot):
-    n = star.order
-    for x in range(n):
-        xi = star.inv[x]
-        for y in range(n):
-            for z in range(n):
-                lhs = dot.table[x, star.table[y, z]]
-                rhs = star.table[star.table[dot.table[x, y], xi],
-                                 dot.table[x, z]]
-                if lhs != rhs:
-                    return (x, y, z)
-    return None
+
+def _brace_law_scan(star, dot):
+    return first_failing(braces._brace_law_fails, (star.table, dot.table, star.inv),
+                         (star.order,) * 3)
 
 
 def _sd32():
@@ -78,10 +70,10 @@ def test_coupling_oracle_agrees_with_constructor():
     # Same-indexed pair (h*2+s): abelian star, twisted dot.
     star = semidirect_product(cyclic_group(3), cyclic_group(2),
                               np.tile(np.arange(3, dtype=np.int32), (2, 1)))
-    assert _first_coupling_failure(star, dot) is None
+    assert _brace_law_scan(star, dot) is None
     SkewBrace(star, dot)
     # Two copies of C4 with clashing labels violate the law straight away.
-    witness = _first_coupling_failure(cyclic_group(4), _relabelled_c4())
+    witness = _brace_law_scan(cyclic_group(4), _relabelled_c4())
     assert witness == (1, 1, 1)
     with pytest.raises(AxiomViolated):
         SkewBrace(cyclic_group(4), _relabelled_c4())
@@ -90,14 +82,14 @@ def test_coupling_oracle_agrees_with_constructor():
 def test_mixed_structures_of_order_four_still_couple():
     # Additive C4 with multiplicative Klein group: a genuine brace.
     star, dot = cyclic_group(4), elementary_abelian(2, 2)
-    assert _first_coupling_failure(star, dot) is None
+    assert _brace_law_scan(star, dot) is None
     B = SkewBrace(star, dot)
     assert not np.array_equal(B.gamma, np.tile(np.arange(4), (4, 1)))
 
 
 def test_verify_report_carries_the_brute_witness():
     star, dot = cyclic_group(4), _relabelled_c4()
-    witness = _first_coupling_failure(star, dot)
+    witness = _brace_law_scan(star, dot)
     assert witness is not None
     report = verify_skew_brace(star.table, dot.table)
     assert not report.ok
@@ -159,7 +151,7 @@ def test_abelian_map_inversion_on_cyclic_group():
     # phi(x) = x . psi(x)^-1 = 2x, star(x, y) = 2x + y - x = x + y here.
     assert np.array_equal(_phi(G, psi), (2 * np.arange(5)) % 5)
     assert np.array_equal(B.star.table, _abelian_map_star(G, psi))
-    assert _first_coupling_failure(B.star, G) is None
+    assert _brace_law_scan(B.star, G) is None
 
 
 def test_abelian_map_projection_on_order60_group():
@@ -173,7 +165,7 @@ def test_abelian_map_projection_on_order60_group():
     assert np.array_equal(_phi(G, psi), 4 * (np.arange(60) // 4))
     assert np.array_equal(B.star.table, _abelian_map_star(G, psi))
     assert (B.star.table == B.star.table.T).all()
-    assert _first_coupling_failure(B.star, G) is None
+    assert _brace_law_scan(B.star, G) is None
     # gamma stays multiplicative out here too.
     assert np.array_equal(B.gamma[G.table], B.gamma[:, B.gamma])
 
@@ -196,7 +188,7 @@ def test_abelian_map_judges_psi_by_its_result():
     G = _sd32()
     B = abelian_map_brace(G, tuple(range(6)))
     assert np.array_equal(B.star.table, G.table.T)
-    assert _first_coupling_failure(B.star, G) is None
+    assert _brace_law_scan(B.star, G) is None
     refusals = {
         (0, 1, 4, 5, 2, 3):
             "star table is not a group: latin FAIL at 1 column 1 is not a permutation",

@@ -3,6 +3,7 @@ import random
 import numpy as np
 import pytest
 
+from ybelab import bracoids
 from ybelab.braces import AxiomViolated, SkewBrace, is_strong_left_ideal, trivial_brace
 from ybelab.bracoids import (
     ContainedBrace,
@@ -28,18 +29,7 @@ from ybelab.groups import (
 )
 from ybelab.semibraces import bracoid_to_semibrace, decompose, semibrace_to_bracoid
 
-
-# Oracle: the transitive coupling law on raw triples, one at a time.
-def _first_law_failure(G, N, act):
-    for x in range(G.order):
-        base = act[x, 0]
-        for eta in range(N.order):
-            for mu in range(N.order):
-                lhs = act[x, N.table[eta, mu]]
-                rhs = N.table[N.table[act[x, eta], N.inv[base]], act[x, mu]]
-                if lhs != rhs:
-                    return (x, eta, mu)
-    return None
+from grid import first_failing
 
 
 def _sd32():
@@ -62,14 +52,15 @@ def test_law_oracle_matches_constructor_on_quotient():
                                              (2, 1))),
                   _sd32()),
         _sd32().subgroup(range(2)))
-    assert _first_law_failure(inst_bracoid.G, inst_bracoid.N,
-                              inst_bracoid.act.table) is None
+    N, act = inst_bracoid.N, inst_bracoid.act.table
+    assert first_failing(bracoids._coupling_fails, (N.table, N.inv, act),
+                         (len(act), N.order, N.order)) is None
 
 
 def test_law_violation_is_caught_with_witness():
     G, N = _relabelled_c4(), cyclic_group(4)
     act = G.table
-    assert _first_law_failure(G, N, act) == (1, 1, 1)
+    assert first_failing(bracoids._coupling_fails, (N.table, N.inv, act), (4, 4, 4)) == (1, 1, 1)
     with pytest.raises(AxiomViolated):
         SkewBracoid(G, N, act)
     report = verify_bracoid(G.table, N.table, act)

@@ -10,6 +10,8 @@ from ybelab.checks import (BLOCK_ENTRIES, Check, Report, _first_bad_row, _first_
 from ybelab.groups import (FiniteGroup, NotAssociative, NotLatinSquare, cyclic_group,
                            elementary_abelian, holomorph, semidirect_product)
 
+from grid import first_failing
+
 
 def _names(checks):
     return [c.name for c in checks]
@@ -64,17 +66,7 @@ def test_nonassociative_loop_witness_matches_brute_force():
         [3, 4, 1, 2, 0],
         [4, 2, 0, 1, 3],
     ])
-    first = None
-    for a in range(5):
-        for b in range(5):
-            for c in range(5):
-                if table[table[a, b], c] != table[a, table[b, c]]:
-                    first = (a, b, c)
-                    break
-            if first:
-                break
-        if first:
-            break
+    first = first_failing(checks._action_law_fails, (table, table), (5, 5, 5))
     named = {c.name: c for c in group_table_checks(table)}
     assert not named["associativity"].ok
     assert named["associativity"].witness == first
@@ -149,12 +141,8 @@ def _oracle_table_checks(table, check_assoc):
     else:
         identity = Check("identity", True)
     if check_assoc:
-        assoc = Check("associativity", True)
-        for a in idx:                        # the a-slice (b, c): (a*b)*c against a*(b*c)
-            hits = np.argwhere(table[table[a]] != table[a][table])
-            if len(hits):
-                assoc = Check("associativity", False, (a, *map(int, hits[0])))
-                break
+        witness = first_failing(checks._action_law_fails, (table, table), (n, n, n))
+        assoc = Check("associativity", witness is None, witness or ())
     else:
         assoc = Check("associativity", True, (), "skipped")
     no_right = [a for a in idx if 0 not in t[a]]

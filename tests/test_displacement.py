@@ -1,12 +1,14 @@
 """Differential tests: the λ/ρ battery proved on generators against its full scan.
 
-The oracle is the exhaustive scan the battery ran before the generator
-proofs: every (x, y, z) of each law, first counterexample in x-major order.
-The report must equal the oracle's report, verdict and witness per
-law, on every catalog instance, gl3f2 at order 168, seeded braces, the same
-tables with one entry of lam or rho changed, and structured tables that
-pass some laws on the first generators only.  Tables that cannot index G
-fail the four laws unevaluated.
+The oracle reads each triple law's statement in the library on every
+(x, y, z) at once (grid.py), first counterexample in x-major order, and
+the two direct laws entry by entry.  The report must equal the oracle's
+report, verdict and witness per law, on every catalog instance, gl3f2 at
+order 168, seeded braces, the same tables with one entry of lam or rho
+changed, and structured tables that pass some laws on the first
+generators only.  Tables that cannot index G fail the four laws
+unevaluated.  A proof of rho-compose or of the product rule that passes
+must leave its statement nothing to find.
 """
 
 import random
@@ -18,33 +20,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ybelab import bracoids
+from ybelab import bracoids, checks
 from ybelab.bracoids import lambda_rho_identity_checks
 from ybelab.braces import trivial_brace
 from ybelab.catalog import promote_brace, seeded_braces
 from ybelab.checks import Check, Report, generators
 from ybelab.groups import cyclic_group, semidirect_product
 
+from grid import failing_mask, first_failing
+
 FAST = settings(max_examples=80, deadline=None)
 
 
 def oracle_report(G, lam, rho) -> Report:
-    """The exhaustive branch of the battery as first written."""
+    """The battery with every triple law read off its statement on the whole grid."""
     gt, n = G.table, G.order
-    lam_w = rho_w = inv_w = prod_w = ()
-    for x in range(n):
-        if not lam_w:
-            bad = lam[gt[x]] != lam[x][lam]
-            if bad.any():
-                lam_w = (x, *map(int, np.argwhere(bad)[0]))
-        if not rho_w:
-            bad = rho[gt[x]] != rho[:, rho[x]]
-            if bad.any():
-                rho_w = (x, *map(int, np.argwhere(bad)[0]))
-        if not prod_w:
-            bad = lam[x][gt] != gt[lam[x][:, None], lam[rho[:, x]]]
-            if bad.any():
-                prod_w = (x, *map(int, np.argwhere(bad)[0]))
+    lam_w = first_failing(checks._action_law_fails, (gt, lam), (n, n, n)) or ()
+    rho_w = first_failing(bracoids._rho_compose_fails, (gt, rho), (n, n, n)) or ()
+    prod_w = first_failing(bracoids._product_rule_fails, (gt, lam, rho), (n, n, n)) or ()
+    inv_w = ()
     bad = rho[G.inv[:, None], rho] != np.arange(n)[None, :]
     if bad.any():
         inv_w = tuple(map(int, np.argwhere(bad)[0]))
@@ -149,6 +143,29 @@ def test_poked_tables_keep_the_scan_report(catalog, pick, which, seed, pokes):
     for _ in range(pokes):
         tables = poked_tables(tables, which, rng)
     assert_same_report(tables)
+
+
+@FAST
+@given(st.integers(0, 10**6), st.integers(0, 1), st.integers(0, 2**32 - 1),
+       st.integers(0, 2))
+def test_a_passing_proof_leaves_its_statement_nothing_to_find(catalog, pick, which, seed,
+                                                               pokes):
+    """rho-compose is proved as the action law of rho over G^op, and the
+    product rule from it and (P) lam_x(y) . rho_y(x) = x . y.  Where a proof
+    passes, the law's statement fails at no triple; rho-compose's proof is
+    exact, so where it does not pass, its statement fails somewhere."""
+    pairs = [tables_of(inst.contained) for inst in catalog
+             if inst.contained is not None] + list(seeded())
+    tables = pairs[pick % len(pairs)]
+    rng = np.random.default_rng(seed)
+    for _ in range(pokes):
+        tables = poked_tables(tables, which, rng)
+    G, lam, rho = tables
+    gt, grid = G.table, (G.order,) * 3
+    rho_ok = checks._action_law_holds(G.opposite, rho)
+    assert rho_ok == (not failing_mask(bracoids._rho_compose_fails, (gt, rho), grid).any())
+    if rho_ok and np.array_equal(gt[lam, rho.T], gt):
+        assert not failing_mask(bracoids._product_rule_fails, (gt, lam, rho), grid).any()
 
 
 def sym3():

@@ -1,15 +1,16 @@
-"""Differential tests: each generator-reduced law check against its full scan.
+"""Differential tests: each generator-reduced law check against its law's statement.
 
-Every fast check must agree with a full scan on pass/fail and on the first
-counterexample.  The oracles below are the scans in each law's own form, as
-they stood before the laws were restated as the action law or the rows law
-of `checks`; the fast checks, and the `_brute_*` scans of `checks`, must
-both agree with them.  Inputs are catalog structures under random
-relabellings, the same with one table entry changed, random loops, random
-action tables and random Yang-Baxter maps.  The report-level tests run
-each verifier twice, once with the fast checks and once with the oracles
-patched in, and require identical reports.  The braid relation proved from
-a carrier's group laws is held to the scan of the same map with no carrier.
+Each triple law is stated once in the library, as a module-level
+`*_fails(*tables, x, y, z)`, and that statement is the oracle here: read on
+the whole grid at once (grid.py), it gives the first failing triple.  Every
+fast check must agree with it on pass/fail and on the first counterexample,
+and each statement at one triple must agree with its broadcast x-slice.
+Inputs are catalog structures under random relabellings, the same with one
+table entry changed, random loops, random action tables and random
+Yang-Baxter maps.  The report-level tests run each verifier twice, once
+with the fast checks and once with the grid scans of the statements patched
+in, and require identical reports.  The braid relation proved from a
+carrier's group laws is held to the scan of the same map with no carrier.
 Each kernel memoised by content must answer as the kernel it wraps, on
 fresh and on repeated contents.  The facts of the semibrace split that
 `decompose` proves rather than checks hold on every semibrace built here.
@@ -21,7 +22,6 @@ from contextlib import ExitStack
 from dataclasses import dataclass
 from functools import cache
 from itertools import permutations, product
-from types import SimpleNamespace
 from unittest import mock
 
 import numpy as np
@@ -35,6 +35,8 @@ from ybelab.catalog import (abelianmap_instance, promote_brace, seeded_braces, s
 from ybelab.checks import closure
 from ybelab.groups import FiniteGroup, cyclic_group, elementary_abelian
 from ybelab.semibraces import Semibrace, bracoid_to_semibrace, decompose
+
+from grid import failing_mask, first_failing
 
 FAST = settings(max_examples=60, deadline=None)
 
@@ -143,39 +145,34 @@ def greedy_by_closure(table: np.ndarray) -> tuple[int, ...]:
     return tuple(gens)
 
 
-# --- the full scans in each law's own form ---
+# --- each law's statement read on its whole grid ---
 
-def brute_assoc(table):
-    """First (a, b, c) with (a*b)*c != a*(b*c)."""
-    for a in range(table.shape[0]):
-        bad = table[table[a]] != table[a][table]       # (b, c): (a*b)*c against a*(b*c)
-        if bad.any():
-            b, c = map(int, np.argwhere(bad)[0])
-            return a, b, c
-    return None
-
-
-def brute_action(gt, act):
+def action_scan(gt, act):
     """First (g, h, p) with (g*h).p != g.(h.p)."""
-    for g in range(gt.shape[0]):
-        bad = act[gt[g]] != act[g][act]                # (h, p): (g*h).p against g.(h.p)
-        if bad.any():
-            h, p = map(int, np.argwhere(bad)[0])
-            return g, h, p
-    return None
+    return first_failing(checks._action_law_fails, (gt, act), (*gt.shape, act.shape[1]))
 
 
-def brute_compat(star, dot):
-    """First (x, y, z) breaking x.(y*z) = (x.y) * x^{-*} * (x.z)."""
-    st, dt, sinv = star.table, dot.table, star.inv
-    for x in range(star.order):
-        dx = dt[x]
-        twist = st[dx, sinv[x]]
-        bad = dx[st] != st[twist[:, None], dx[None, :]]
-        if bad.any():
-            y, z = map(int, np.argwhere(bad)[0])
-            return x, y, z
-    return None
+def assoc_scan(table):
+    """First (a, b, c) with (a*b)*c != a*(b*c)."""
+    return action_scan(table, table)
+
+
+def compat_scan(star, dot, gamma=None):
+    """First (x, y, z) breaking x.(y*z) = (x.y) * x^{-*} * (x.z); gamma is not read."""
+    return first_failing(braces._brace_law_fails, (star.table, dot.table, star.inv),
+                         (star.order,) * 3)
+
+
+def coupling_scan(N, act):
+    """First (x, eta, mu) breaking the coupling law."""
+    return first_failing(bracoids._coupling_fails, (N.table, N.inv, act),
+                         (len(act), N.order, N.order))
+
+
+def relation_scan(dot, plus):
+    """First (x, y, z) breaking x.(y+z) = x.y + x.(x^-1 + z)."""
+    return first_failing(semibraces._relation_fails, (dot.table, dot.inv, plus),
+                         (dot.order,) * 3)
 
 
 def brute_gamma(star, dot):
@@ -188,44 +185,23 @@ def brute_gamma(star, dot):
     return gamma
 
 
-def brute_gamma_compat(star, gamma):
-    """brute_compat on the dot product x.y = x * gamma_x(y) that gamma
-    displaces; under brute_oracles, gamma is brute_gamma's."""
-    dot = SimpleNamespace(table=star.table[np.arange(star.order)[:, None], gamma])
-    return brute_compat(star, dot)
-
-
-def brute_coupling(N, act):
-    """First (x, eta, mu) breaking x (+) (eta * mu) = (x (+) eta) * (x (+) e)^{-*} * (x (+) mu)."""
-    nt, ninv = N.table, N.inv
-    for x in range(act.shape[0]):
-        ax = act[x]
-        twist = nt[ax, ninv[ax[0]]]
-        bad = ax[nt] != nt[twist[:, None], ax[None, :]]
-        if bad.any():
-            eta, mu = map(int, np.argwhere(bad)[0])
-            return x, eta, mu
-    return None
-
-
 def coupling_rows(N: FiniteGroup, act) -> np.ndarray:
     """f[x, eta] = (x (+) e)^{-*} * (x (+) eta), whose rows law is the coupling law."""
     return N.table[N.inv[act[:, 0]][:, None], act]
 
 
 # (module, name, oracle): each generator-reduced check that a verify_* report
-# reads, in the module whose global the report looks up, and its full scan.
-ORACLES = ((checks, "_assoc_failure", brute_assoc),
-           (semibraces, "_assoc_failure", brute_assoc),
-           (groups, "_action_law_failure", brute_action),
-           (braces, "_gamma", brute_gamma),
-           (braces, "_compat_failure", brute_gamma_compat),
-           (bracoids, "_eq2_failure", brute_coupling),
-           (semibraces, "_relation_failure", semibraces._brute_relation))
+# reads, in the module whose global the report looks up, and its grid scan.
+ORACLES = ((checks, "_assoc_failure", assoc_scan),
+           (semibraces, "_assoc_failure", assoc_scan),
+           (groups, "_action_law_failure", action_scan),
+           (braces, "_compat_failure", compat_scan),
+           (bracoids, "_eq2_failure", coupling_scan),
+           (semibraces, "_relation_failure", relation_scan))
 
 
 def brute_oracles(calls: Counter | None = None) -> ExitStack:
-    """Patch the generator-reduced checks of the verify_* reports with full
+    """Patch the generator-reduced checks of the verify_* reports with grid
     scans, counting each oracle's runs in calls under "module.name"."""
     stack = ExitStack()
     calls = Counter() if calls is None else calls
@@ -261,51 +237,47 @@ def test_generators_of_relabelled_groups(base, rng):
 
 # --- one law at a time ---
 
-# Each check also holds the kernel's own verdict to the scan's: a failing
+# Each check also holds the kernel's own verdict to the statement's: a failing
 # kernel test is followed by the scan, which would hide a kernel that
 # rejects a law that holds.
 
 def check_assoc(table):
-    expected = brute_assoc(table)
+    expected = assoc_scan(table)
     assert checks._assoc_failure(table) == expected
-    assert checks._brute_action_law(table, table) == expected
     assert checks._action_law_holds(table, table) == (expected is None)
+    return expected
 
 
 def check_action(g, act):
-    expected = brute_action(g, act)
+    expected = action_scan(g, act)
     assert checks._action_law_failure(g, act) == expected
-    assert checks._brute_action_law(g, act) == expected
     assert checks._action_law_holds(g, act) == (expected is None)
 
 
 def check_compat(star, dot):
-    """The brace law is the rows law of gamma, witness included."""
+    """The brace law is proved as the rows law of gamma; the witness is the law's own."""
     star, dot = group(star), group(dot)
-    expected = brute_compat(star, dot)
+    expected = compat_scan(star, dot)
     gamma = braces._gamma(star, dot)
     assert (gamma == brute_gamma(star, dot)).all()
-    assert braces._compat_failure(star, gamma) == expected
-    assert checks._rows_law_failure(star.table, gamma) == expected
-    assert checks._brute_rows_law(star.table, gamma) == expected
+    assert braces._compat_failure(star, dot, gamma) == expected
     assert checks._rows_law_holds(star.table, gamma) == (expected is None)
 
 
 def check_coupling(g, n, act):
-    """The coupling law is the rows law of f, witness included; g, whose
-    elements index the rows of act, is not read."""
+    """The coupling law is proved as the rows law of f; the witness is the
+    law's own.  g, whose elements index the rows of act, is not read."""
     N = group(n)
-    expected = brute_coupling(N, act)
-    f = coupling_rows(N, act)
+    expected = coupling_scan(N, act)
     assert bracoids._eq2_failure(N, act) == expected
-    assert checks._rows_law_failure(N.table, f) == expected
-    assert checks._brute_rows_law(N.table, f) == expected
-    assert checks._rows_law_holds(N.table, f) == (expected is None)
+    assert checks._rows_law_holds(N.table, coupling_rows(N, act)) == (expected is None)
 
 
 def check_relation(g, plus):
     dot = group(g)
-    assert semibraces._relation_failure(dot, plus) == semibraces._brute_relation(dot, plus)
+    expected = relation_scan(dot, plus)
+    assert semibraces._relation_failure(dot, plus) == expected
+    assert semibraces._relation_holds(dot.table, dot.inv, plus) == (expected is None)
 
 
 def check_L(g, plus):
@@ -321,55 +293,15 @@ def check_L(g, plus):
 
 
 def check_braid(left, right):
-    """check_braid against an oracle that shares no code with its kernel:
-    one triple at a time up to n = 10, whole X^3 arrays up to n = 40.  It
+    """check_braid against the braid statement read on the whole cube.  It
     runs twice, the second time with the rack turned off, so the map is
     scanned: a rack PASS is a scan PASS, and the two reports are equal."""
     r = ybe.SolutionMap(left, right)
     fast = ybe.check_braid(r)
     with mock.patch.object(ybe, "_braid_from_rack", lambda left, right: False):
         assert ybe.check_braid(r) == fast
-    bad_at = ybe._braid_masks(r.left, r.right)
-    gathered = [(x, y, z) for x in range(r.size) for y, z in np.argwhere(bad_at(x)).tolist()]
-    assert (fast["braid"].ok, fast["braid"].witness) == (
-        not gathered, gathered[0] if gathered else ())
-    if r.size <= 40:
-        oracle = _braid_by_triples if r.size <= 10 else _braid_on_cube
-        everything = oracle(r.left, r.right)
-        assert gathered == everything
-        assert fast["braid"].witness == (everything[0] if everything else ())
-
-
-def _braid_by_triples(left, right) -> list[tuple[int, int, int]]:
-    """Failing triples from the definition, one triple at a time."""
-    def r(a, b):
-        return int(left[a, b]), int(right[a, b])
-
-    bad = []
-    n = left.shape[0]
-    for x, y, z in product(range(n), repeat=3):
-        a, b = r(x, y)                      # r12, r23, r12
-        b, c = r(b, z)
-        a, b = r(a, b)
-        p, q = r(y, z)                      # r23, r12, r23
-        p, s = r(x, p)
-        s, q = r(s, q)
-        if (a, b, c) != (p, s, q):
-            bad.append((x, y, z))
-    return bad
-
-
-def _braid_on_cube(left, right) -> list[tuple[int, int, int]]:
-    """Failing triples from the definition, composed on all of X^3 at once."""
-    x, y, z = np.indices((left.shape[0],) * 3)
-    a, b = left[x, y], right[x, y]                  # r12, r23, r12
-    b, c = left[b, z], right[b, z]
-    a, b = left[a, b], right[a, b]
-    p, q = left[y, z], right[y, z]                  # r23, r12, r23
-    p, s = left[x, p], right[x, p]
-    s, q = left[s, q], right[s, q]
-    bad = (a != p) | (b != s) | (c != q)
-    return [tuple(t) for t in np.argwhere(bad).tolist()]
+    expected = first_failing(ybe._braid_fails, (r.left, r.right), (r.size,) * 3)
+    assert (fast["braid"].ok, fast["braid"].witness) == (expected is None, expected or ())
 
 
 def solution(inst: Base) -> tuple[np.ndarray, np.ndarray]:
@@ -446,9 +378,8 @@ def test_associativity_and_relation_on_every_table_up_to_order_3():
     for n in (1, 2, 3):
         cyclic = cyclic_group(n).table
         for table in every_table(n, n, n):
-            check_assoc(table)
             check_relation(cyclic, table)
-            if brute_assoc(table) is None:
+            if check_assoc(table) is None:
                 check_L(cyclic, table)
 
 
@@ -506,6 +437,37 @@ def test_braid_on_every_map_up_to_size_2():
     for n in (1, 2):
         for left, right in product(list(every_table(n, n, n)), repeat=2):
             check_braid(left, right)
+
+
+# --- the statements themselves ---
+
+# name: sizes n, m -> (statement, its tables as (shape, entry bound), its grid)
+STATEMENTS = {
+    "action": lambda n, m: (checks._action_law_fails, [((n, n), n), ((n, m), m)], (n, n, m)),
+    "brace": lambda n, m: (braces._brace_law_fails, [((n, n), n)] * 2 + [((n,), n)], (n, n, n)),
+    "coupling": lambda n, m: (bracoids._coupling_fails, [((m, m), m), ((m,), m), ((n, m), m)],
+                              (n, m, m)),
+    "relation": lambda n, m: (semibraces._relation_fails,
+                              [((n, n), n), ((n,), n), ((n, n), n)], (n, n, n)),
+    "rho-compose": lambda n, m: (bracoids._rho_compose_fails, [((n, n), n)] * 2, (n, n, n)),
+    "product-rule": lambda n, m: (bracoids._product_rule_fails, [((n, n), n)] * 3, (n, n, n)),
+    "braid": lambda n, m: (ybe._braid_fails, [((n, n), n)] * 2, (n, n, n)),
+}
+
+
+@pytest.mark.parametrize("name", STATEMENTS)
+@FAST
+@given(st.integers(1, 4), st.integers(1, 4), rngs)
+def test_each_statement_at_one_triple_is_its_broadcast_slice(name, n, m, rng):
+    """On random tables, each law's statement evaluated at every scalar
+    triple equals the x-slice that `checks._first_triple` reads."""
+    fails, layout, (nx, ny, nz) = STATEMENTS[name](n, m)
+    tables = [rng.integers(0, bound, shape, dtype=np.int32) for shape, bound in layout]
+    for x in range(nx):
+        mask = fails(*tables, x, np.arange(ny)[:, None], np.arange(nz))
+        assert mask.shape == (ny, nz)
+        for y, z in product(range(ny), range(nz)):
+            assert bool(fails(*tables, x, y, z)) == mask[y, z]
 
 
 # --- the content memo ---
@@ -646,7 +608,7 @@ def test_verify_reports_match_the_full_scans(base, rng, which):
 @given(rngs, st.integers(2, 7))
 def test_group_constructor_names_the_brute_witness(rng, n):
     loop = random_loop(rng, n)
-    witness = brute_assoc(loop)
+    witness = assoc_scan(loop)
     try:
         FiniteGroup(loop)
     except groups.NotAssociative as exc:
@@ -707,7 +669,7 @@ def test_carrier_laws_imply_the_brute_braid(k, which, small, rng):
     for left, right, table in maps:
         if carrier_laws(left, right, table):
             left, right = np.asarray(left), np.asarray(right)
-            assert checks._first_triple(len(left), ybe._braid_masks(left, right)) is None
+            assert not failing_mask(ybe._braid_fails, (left, right), (len(left),) * 3).any()
 
 
 def endomorphisms(G: FiniteGroup) -> list[np.ndarray]:
@@ -768,8 +730,8 @@ def test_maps_passing_two_carrier_laws_keep_the_scan_report():
             report = ybe.check_braid(ybe.SolutionMap(left, right, carrier=G))
             assert report == ybe.check_braid(ybe.SolutionMap(left, right))
             laws = (np.array_equal(gt[left, right], gt),
-                    brute_action(gt, left) is None,
-                    brute_action(gt.T, right.T) is None)
+                    action_scan(gt, left) is None,
+                    action_scan(gt.T, right.T) is None)
             if all(laws):
                 assert report["braid"].ok
             elif sum(laws) == 2 and not report["braid"].ok:

@@ -68,8 +68,8 @@ def test_the_key_is_the_exact_contents():
         assert len(checks.generators.memo) == 2
     G = cyclic_group(4)
     with mock.patch.dict(checks._rows_law_holds.memo, clear=True):
-        braces._compat_failure(G, braces._gamma(G, G))
-        braces._compat_failure(FiniteGroup(G.table), braces._gamma(G, cyclic_group(4)))
+        braces._compat_failure(G, G, braces._gamma(G, G))
+        braces._compat_failure(FiniteGroup(G.table), G, braces._gamma(G, cyclic_group(4)))
         assert len(checks._rows_law_holds.memo) == 1
 
 

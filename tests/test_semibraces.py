@@ -19,19 +19,7 @@ from ybelab.semibraces import (
     verify_semibrace,
 )
 
-
-# Oracle: the coupling relation checked one triple at a time.
-def _first_relation_failure(dot, plus):
-    n = dot.order
-    for x in range(n):
-        xi = dot.inv[x]
-        for y in range(n):
-            for z in range(n):
-                lhs = dot.table[x, plus[y, z]]
-                rhs = plus[dot.table[x, y], dot.table[x, plus[xi, z]]]
-                if lhs != rhs:
-                    return (x, y, z)
-    return None
+from grid import first_failing
 
 
 def _sd32():
@@ -49,7 +37,7 @@ def _relabelled_c4():
 
 def test_plus_equal_dot_is_a_semibrace():
     G = _sd32()
-    assert _first_relation_failure(G, G.table) is None
+    assert first_failing(semibraces._relation_fails, (G.table, G.inv, G.table), (6,) * 3) is None
     sb = Semibrace(G, G.table)
     # x(x^-1 + y) collapses to y when + and . coincide.
     assert np.array_equal(sb.L, np.tile(np.arange(6), (6, 1)))
@@ -69,7 +57,7 @@ def test_semibrace_copies_the_callers_plus_table():
 def test_opposite_plus_is_a_semibrace_with_conjugation_L():
     G = _sd32()
     plus = np.ascontiguousarray(G.table.T)
-    assert _first_relation_failure(G, plus) is None
+    assert first_failing(semibraces._relation_fails, (G.table, G.inv, plus), (6,) * 3) is None
     sb = Semibrace(G, plus)
     for x in range(6):
         for y in range(6):
@@ -78,7 +66,7 @@ def test_opposite_plus_is_a_semibrace_with_conjugation_L():
 
 def test_relation_oracle_matches_verify_witness():
     dot, plus = _relabelled_c4(), cyclic_group(4).table
-    witness = _first_relation_failure(dot, plus)
+    witness = first_failing(semibraces._relation_fails, (dot.table, dot.inv, plus), (4,) * 3)
     assert witness == (1, 0, 2)
     report = verify_semibrace(dot.table, plus)
     assert not report.ok

@@ -227,6 +227,40 @@ def test_every_library_definition_has_a_caller():
     assert sorted(ybelab.__all__) == sorted(imported)
 
 
+# The seven triple laws, each stated once as a module-level function that
+# checks._first_triple scans for a first witness.
+STATEMENTS = {"checks._action_law_fails", "braces._brace_law_fails", "bracoids._coupling_fails",
+              "semibraces._relation_fails", "bracoids._rho_compose_fails",
+              "bracoids._product_rule_fails", "ybe._braid_fails"}
+
+
+def test_first_triple_scans_only_module_level_statements():
+    """Each call of `checks._first_triple` hands it a module-level `*_fails`
+    function by name, never a lambda or a local closure, so every scanned law
+    is a named statement that the tests import and read as their oracle."""
+    trees = _trees()
+    defined = {f"{path.stem}.{node.name}" for path, tree in trees for node in tree.body
+               if isinstance(node, ast.FunctionDef) and node.name.endswith("_fails")}
+    scanned, bad = set(), []
+    for path, tree in trees:
+        names = {node.name: f"{path.stem}.{node.name}" for node in tree.body
+                 if isinstance(node, ast.FunctionDef)}
+        names.update({alias.name: f"{node.module}.{alias.name}" for node in tree.body
+                      if isinstance(node, ast.ImportFrom) for alias in node.names})
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.FunctionDef) and node.name.endswith("_fails")
+                    and node not in tree.body):
+                bad.append(f"{path.name}:{node.lineno} nested {node.name}")
+            elif isinstance(node, ast.Call) and _named(node.func)["_first_triple"]:
+                target = names.get(getattr(node.args[0], "id", None))
+                if target in defined:
+                    scanned.add(target)
+                else:
+                    bad.append(f"{path.name}:{node.lineno}")
+    assert not bad, bad
+    assert scanned == defined == STATEMENTS
+
+
 # The functions that may name check_braid.  A derived map is proved once, by
 # its constructor, which reads SolutionMap.report; a second proof of it has
 # to be listed here on purpose.  The two suite batteries re-check maps that

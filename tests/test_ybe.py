@@ -26,25 +26,13 @@ from ybelab.ybe import (
     tilde_solution_from_bracoid,
 )
 
+from grid import failing_mask
 
-# Oracle: both braid composites walked one triple at a time.
-def _brute_braid_failures(r):
-    def apply(a, b):
-        return int(r.left[a, b]), int(r.right[a, b])
 
-    fails = []
-    for x in range(r.size):
-        for y in range(r.size):
-            for z in range(r.size):
-                a, b = apply(x, y)
-                a2, c = apply(b, z)
-                b2, c2 = apply(a, a2)
-                p, q = apply(y, z)
-                x2, p2 = apply(x, p)
-                q2, z2 = apply(p2, q)
-                if (b2, c2, c) != (x2, q2, z2):
-                    fails.append((x, y, z))
-    return fails
+def _braid_failures(r):
+    """Every triple, x-major, at which r breaks the braid relation, read off its statement."""
+    bad = failing_mask(ybe._braid_fails, (r.left, r.right), (r.size,) * 3)
+    return [tuple(t) for t in np.argwhere(bad).tolist()]
 
 
 def _sd32():
@@ -59,7 +47,7 @@ def _flip(n):
 
 def test_flip_has_every_property():
     r = _flip(4)
-    assert not _brute_braid_failures(r)
+    assert not _braid_failures(r)
     report = check_braid(r)
     assert report["braid"].ok and report["bijective"].ok and report["involutive"].ok
     assert report["left-nondegenerate"].ok and report["right-nondegenerate"].ok
@@ -76,7 +64,7 @@ def test_the_report_is_five_checks_in_order_each_with_its_witness():
 
 def test_conjugation_map_is_a_noninvolutive_solution():
     r = brace_solution(trivial_brace(_sd32()))
-    assert not _brute_braid_failures(r)
+    assert not _braid_failures(r)
     report = check_braid(r)
     assert report["braid"].ok and report["bijective"].ok
     assert report["left-nondegenerate"].ok and report["right-nondegenerate"].ok
@@ -89,15 +77,12 @@ def test_conjugation_map_is_a_noninvolutive_solution():
 def test_multiplication_map_fails_the_braid_relation():
     G = cyclic_group(3)
     r = SolutionMap(np.tile(np.arange(3, dtype=np.int32), (3, 1)), G.table)
-    fails = _brute_braid_failures(r)
+    fails = _braid_failures(r)
     assert fails[0] == (0, 0, 1)
     assert len(fails) == 18
     report = check_braid(r)
     assert not report["braid"].ok
     assert report["braid"].witness == (0, 0, 1)
-    bad_at = ybe._braid_masks(r.left, r.right)
-    assert fails == [(x, y, z) for x in range(r.size)
-                     for y, z in np.argwhere(bad_at(x)).tolist()]
 
 
 def test_short_scan_stops_at_first_failing_slice():
@@ -127,7 +112,7 @@ def _raises(what):
 @pytest.fixture
 def no_braid_scan(monkeypatch):
     """Make the n^3 braid scan raise, to show that a check never reached it."""
-    monkeypatch.setattr(ybe, "_braid_masks", _raises("the n^3 braid scan"))
+    monkeypatch.setattr(ybe, "_braid_fails", _raises("the n^3 braid scan"))
 
 
 def _derived(cb):
@@ -166,7 +151,7 @@ def test_a_map_degenerate_on_both_sides_reaches_the_scan(monkeypatch):
         "braid PASS", "bijective FAIL at 0,0,0,1", "involutive FAIL at 0,1",
         "left-nondegenerate FAIL at 0,0,1", "right-nondegenerate FAIL at 0,0,1"]
     monkeypatch.setattr(ybe, "_braid_from_rack", _raises("the rack"))
-    monkeypatch.setattr(ybe, "_braid_masks", _raises("the n^3 braid scan"))
+    monkeypatch.setattr(ybe, "_braid_fails", _raises("the n^3 braid scan"))
     with pytest.raises(AssertionError, match="braid scan ran"):
         check_braid(SolutionMap(z, z))
 
@@ -209,7 +194,7 @@ def test_rack_proof_on_every_map_up_to_size_2():
                   for t in product(range(n), repeat=n * n)]
         for left, right in product(tables, repeat=2):
             r = SolutionMap(left, right)
-            proved += _racked_as_scanned(r, _brute_braid_failures(r))
+            proved += _racked_as_scanned(r, _braid_failures(r))
             maps += 1
     assert (maps, proved) == (1 + 1 + 256, 1 + 1 + 16)
 
@@ -233,7 +218,7 @@ def test_rack_proof_equals_the_triple_oracle(n, a, b, bijective_rows, poked, see
         x, y = (int(v) for v in rng.integers(0, n, 2))
         tables[poked - 1][x, y] = (tables[poked - 1][x, y] + rng.integers(1, max(2, n))) % n
     r = SolutionMap(*tables)
-    _racked_as_scanned(r, _brute_braid_failures(r))
+    _racked_as_scanned(r, _braid_failures(r))
 
 
 def _braid_holds(left, right) -> np.ndarray:
@@ -367,34 +352,6 @@ def test_bijectivity_witness_is_the_first_collision_of_the_least_repeated_image(
         assert report["bijective"].witness == (x1, y1, x2, y2)
 
 
-def _masks_by_triples(r):
-    """The x-slices of the oracle's failing triples, as boolean (y, z) masks."""
-    masks = np.zeros((r.size, r.size, r.size), dtype=bool)
-    for x, y, z in _brute_braid_failures(r):
-        masks[x, y, z] = True
-    return masks
-
-
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 10), st.booleans(), st.integers(0, 2**32 - 1))
-def test_every_braid_mask_equals_the_triple_oracle(n, poked, seed):
-    """Random maps, and solutions with one entry changed: every slice of
-    _braid_masks is the oracle's, one triple at a time."""
-    rng = np.random.default_rng(seed)
-    if poked:
-        base = brace_solution(trivial_brace(_sd32() if n == 6 else cyclic_group(n)))
-        tables = [base.left.copy(), base.right.copy()]
-        which, x, y = (int(v) for v in rng.integers(0, (2, n, n)))
-        tables[which][x, y] = (tables[which][x, y] + rng.integers(1, max(2, n))) % n
-    else:
-        tables = list(rng.integers(0, n, (2, n, n)))
-    r = SolutionMap(*tables)
-    bad_at = ybe._braid_masks(r.left, r.right)
-    expected = _masks_by_triples(r)
-    for x in range(n):
-        assert np.array_equal(bad_at(x), expected[x])
-
-
 def test_solution_map_validation():
     with pytest.raises(ValueError):
         SolutionMap(np.zeros((2, 3), dtype=np.int32),
@@ -425,7 +382,7 @@ def test_projection_semibrace_solution_is_multiplication_then_identity():
     r = solution_from_semibrace(sb)
     assert np.array_equal(r.left, G.table)
     assert not r.right.any()
-    assert not _brute_braid_failures(r)
+    assert not _braid_failures(r)
     report = check_braid(r)
     assert report["braid"].ok and report["left-nondegenerate"].ok
     assert not report["right-nondegenerate"].ok and not report["bijective"].ok
@@ -448,7 +405,7 @@ def test_bracoid_solution_on_abelian_trivial_brace_is_flip():
 def test_bracoid_solution_properties(semidirect32):
     cb = semidirect32.contained
     r = solution_from_bracoid(cb)
-    assert not _brute_braid_failures(r)
+    assert not _braid_failures(r)
     report = check_braid(r)
     assert report["braid"].ok and report["left-nondegenerate"].ok
     # It also coincides with the route through the semibrace.
@@ -466,7 +423,7 @@ def test_tilde_solution_of_trivial_brace_is_conjugation():
 
 def test_tilde_solution_properties(semidirect32):
     r = tilde_solution_from_bracoid(semidirect32.contained)
-    assert not _brute_braid_failures(r)
+    assert not _braid_failures(r)
     report = check_braid(r)
     assert report["braid"].ok and report["right-nondegenerate"].ok
     # lambda only reaches H, so left rows repeat on a proper quotient.
