@@ -211,23 +211,16 @@ def _load(report: RunReport, kind: str, text: str, max_order: int):
 
 
 def _put(out: Path, filename: str, kind: str, values: tuple) -> bool:
-    """Write an artifact into out with the files writer of its kind; whether
-    its text parses to exactly the fields it was written from.
+    """Write an artifact into out block by block (`files.save`); whether it
+    reads back as the values it was written from.
 
-    The text is parsed once, not formatted a second time.  A group's table
-    still builds a FiniteGroup, which the benchmark counts; the table was
-    proved when its group was built, so the build is a memo hit.
+    A group's table still builds a FiniteGroup, which the benchmark counts; the
+    table was proved when its group was built, so the build is a memo hit.
     """
-    writers = {"group": files.write_group, "action": files.write_action,
-               "brace": files.write_brace, "bracoid": files.write_bracoid,
-               "semibrace": files.write_semibrace, "solution": files.write_solution}
-    text = writers[kind](*values)
-    (out / filename).write_text(text)
-    if not files.encodes(kind, text, *values):
-        return False
-    if kind == "group":
+    ok = files.save(out / filename, kind, *values)
+    if ok and kind == "group":
         FiniteGroup(values[0].table, name=values[0].name)
-    return True
+    return ok
 
 
 def _write_artifact(report: RunReport, out: Path, filename: str, kind: str,

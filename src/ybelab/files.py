@@ -1,12 +1,13 @@
 """Plain-text serialization for every structure in the package.
 
 All formats are line-oriented, 0-based decimal, single spaces, every
-line newline-terminated.  Writers emit canonical text, and
-parse(print(v)) reproduces v bit for bit.
+line newline-terminated, and parse(print(v)) reproduces v bit for bit.
+One walk, `_Format.pieces`, yields a file's canonical text in blocks of
+rows: the writers join it, and `save` writes and checks it block by block.
 
 Every kind is read by `_read_tables`.  Canonical text is read in bulk, by
-one np.fromstring pass over the body that is kept only when the writer
-gives the text back exactly; anything else is read line by line, and that
+one np.fromstring pass over the body that is kept only when the walk gives
+the text back exactly; anything else is read line by line, and that
 loop is the only source of ParseError.  It splits lines on single spaces
 and takes any token int() takes, so it reads more than canonical text:
 '+1', '01', '1_0' and non-ASCII digits such as '\u0663' read as their
@@ -41,24 +42,51 @@ class ParseError(ValueError):
         self.line = line
 
 
-def _table_text(arr: np.ndarray) -> str:
-    """The rows of a 2-d table as single-spaced decimals, each ending in a newline."""
-    if arr.size == 0:
-        return "\n" * arr.shape[0]
-    hi = int(arr.max())
-    if arr.min() < 0 or hi > arr.size:         # no lookup list longer than the table
-        return "".join(" ".join(map(str, row)) + "\n" for row in arr.tolist())
-    # Each word is padded with NUL bytes to the width of the longest, and
-    # the padding is dropped from the gathered bytes.  Rows are gathered in
-    # blocks of at most checks.BLOCK_ENTRIES entries, so at most two copies
-    # of the text are alive at once (the blocks and their join, then the join
-    # and its decoding), plus one block's scratch.
-    words = np.array([f"{v} " for v in range(hi + 1)] + [f"{v}\n" for v in range(hi + 1)],
-                     dtype=f"S{len(str(hi)) + 1}")
-    shift = np.zeros(arr.shape[1], dtype=np.intp)
-    shift[-1] = hi + 1                         # the last entry of a row ends its line
-    return b"".join([words[rows + shift].tobytes().replace(b"\0", b"")
-                     for _, rows in _row_blocks(arr)]).decode()
+def _words(table: np.ndarray) -> np.ndarray | None:
+    """f'{v} ' at v and f'{v}\\n' at hi + 1 + v for v up to the largest entry hi,
+    NUL-padded to one width; None (join rows one by one) for an empty table or
+    one with an entry below 0 or above its size: no lookup list is longer."""
+    if table.size == 0 or table.min() < 0 or (hi := int(table.max())) > table.size:
+        return None
+    return np.array([f"{v} " for v in range(hi + 1)] + [f"{v}\n" for v in range(hi + 1)],
+                    dtype=f"S{len(str(hi)) + 1}")
+
+
+def _block_text(rows: np.ndarray, words: np.ndarray | None) -> str:
+    """Rows of a table as single-spaced decimals, each ending in a newline,
+    gathered from the table's `_words` with the NUL padding dropped."""
+    if words is None:
+        return "".join(" ".join(map(str, row)) + "\n" for row in rows.tolist())
+    shift = np.zeros(rows.shape[1], dtype=np.intp)
+    shift[-1] = len(words) // 2                # the last entry of a row ends its line
+    return words[rows + shift].tobytes().replace(b"\0", b"").decode()
+
+
+def _values(body: str, dtype) -> np.ndarray | None:
+    """The integers of body, parsed in C by np.fromstring, or None when it does not parse.
+
+    Any run of whitespace separates two values, whitespace alone holds none
+    (np.fromstring reads it as [0]), and a value beyond dtype wraps or clips.
+    Where numpy 2 raises on unmatched data, numpy 1.x warns and returns the
+    values before it; the warning is raised here.
+    """
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", DeprecationWarning)
+            return np.fromstring("" if body.isspace() else body, dtype=dtype, sep=" ")
+    except (ValueError, DeprecationWarning):
+        return None
+
+
+def _reads_as(block: str, rows: np.ndarray) -> bool:
+    """Whether the line loop reads block as exactly rows: with its digits and
+    minus signs taken out, block is a space after each entry but a row's last
+    and a newline after each row, and its values are the entries."""
+    seps = np.full((len(rows), max(1, rows.shape[1])), ord(" "), dtype=np.uint8)
+    seps[:, -1] = ord("\n")
+    return (block.encode().translate(None, b"-0123456789") == seps.tobytes()
+            and (values := _values(block, np.int64)) is not None
+            and np.array_equal(values, rows.ravel()))
 
 
 class _Format(Record):
@@ -78,11 +106,20 @@ class _Format(Record):
                  tail: str | None = None):
         self._fill(magic, counts, shapes, tail, fields)
 
-    def text(self, numbers, tail: str | None, tables) -> str:
-        words = [self.magic, "v1", *map(str, numbers)]
+    def pieces(self, counts, tail, tables):
+        """The text of a file as (piece, rows) pairs: the header line with rows
+        None, then each block of whole rows of each table (`_row_blocks`), the
+        blank line between two tables being the text of one row with no entries."""
+        head = [self.magic, "v1", *map(str, counts)]
         if self.tail is not None:
-            words.append(tail)
-        return " ".join(words) + "\n" + "\n".join(map(_table_text, tables))
+            head.append(tail)
+        yield " ".join(head) + "\n", None
+        for k, table in enumerate(tables):
+            if k:
+                yield "\n", np.zeros((1, 0), dtype=np.int32)
+            words = _words(table)
+            for _, rows in _row_blocks(table):
+                yield _block_text(rows, words), rows
 
 
 # The fields of each layout: the values its writer takes -> (counts, tail, tables).
@@ -108,7 +145,7 @@ def _bracoid_fields(G, N, act):
 
 def _solution_fields(r: SolutionMap):
     n = r.size
-    pairs = np.arange(n * n)
+    pairs = np.arange(n * n, dtype=np.int32)
     rows = np.stack([pairs // n, pairs % n, r.left.ravel(), r.right.ravel()], axis=1)
     return [n], r.provenance, [rows]
 
@@ -127,7 +164,27 @@ _FORMATS = {
 
 def _write(kind: str, *values) -> str:
     """The canonical text of a kind file for the values its writer takes."""
-    return _FORMATS[kind].text(*_FORMATS[kind].fields(*values))
+    fmt = _FORMATS[kind]
+    return "".join(piece for piece, _ in fmt.pieces(*fmt.fields(*values)))
+
+
+def save(path, kind: str, *values) -> bool:
+    """Write the kind file for values to path piece by piece; whether its header
+    parses to the counts and tail and each block `_reads_as` its rows.  One
+    block's text and values are alive at a time, never the whole file's."""
+    fmt = _FORMATS[kind]
+    counts, tail, tables = fmt.fields(*values)
+    pieces = fmt.pieces(counts, tail, tables)
+    with open(path, "w") as out:
+        head, _ = next(pieces)
+        out.write(head)
+        numbers, rest = _header(fmt, head[:-1]) or (None, None)
+        ok = (head.find("\n") == len(head) - 1 and numbers == list(counts)
+              and rest == ([] if fmt.tail is None else tail.split(" ")))
+        for piece, rows in pieces:
+            out.write(piece)
+            ok = ok and _reads_as(piece, rows)
+    return ok
 
 
 def _split(text: str) -> list[str]:
@@ -149,6 +206,13 @@ def _parse_header(line: str, magic: str, counts: int) -> tuple[list[int], list[s
     return numbers, tokens[2 + counts:]
 
 
+def _header(fmt: _Format, line: str) -> tuple[list[int], list[str]] | None:
+    try:
+        return _parse_header(line, fmt.magic, fmt.counts)
+    except ParseError:
+        return None
+
+
 def _parse_table(lines: list[str], start: int, rows: int, cols: int) -> np.ndarray:
     if start + rows > len(lines):
         raise ParseError(len(lines), f"expected {rows} table rows")
@@ -165,65 +229,32 @@ def _parse_table(lines: list[str], start: int, rows: int, cols: int) -> np.ndarr
     return np.array(out, dtype=np.int32).reshape(rows, cols)
 
 
-def _expect_blank(lines: list[str], at: int) -> None:
-    if at >= len(lines) or lines[at] != "":
-        raise ParseError(at + 1, "expected blank separator line")
+def _bulk(fmt: _Format, text: str) -> tuple[list[np.ndarray], str | None] | None:
+    """The tables and header tail of text when it is exactly fmt's canonical text, else None.
 
-
-def _expect_end(lines: list[str], at: int) -> None:
-    if at != len(lines):
-        raise ParseError(at + 1, "trailing content")
-
-
-def _parse(fmt: _Format, text: str) -> tuple[list[int], list[str], np.ndarray] | None:
-    """The header counts, the header words after them and the body values of
-    text, or None when the header or the body does not parse.
-
-    The body is parsed in C by np.fromstring, with no Python object per token;
-    any run of whitespace separates two values, and whitespace alone holds none
-    (np.fromstring reads it as [0]).  Unmatched data raises ValueError in numpy 2;
-    numpy 1.x warns with a DeprecationWarning and returns the values before it,
-    so that warning is raised here and counts as the same refusal.
+    The result is kept only when text parses, its values fill the tables the
+    header calls for, and the pieces of the int32 tables match text slice by
+    slice up to its end, which a value beyond int32 cannot do.  The line loop
+    parses such text without error to the same tables, so this is a shortcut
+    with no verdict of its own.
     """
     head, _, body = text.partition("\n")
-    try:
-        numbers, rest = _parse_header(head, fmt.magic, fmt.counts)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", DeprecationWarning)
-            values = np.fromstring("" if body.isspace() else body, dtype=np.int64, sep=" ")
-        return numbers, rest, values
-    except (ValueError, DeprecationWarning):
+    parsed, values = _header(fmt, head), _values(body, np.int32)
+    if parsed is None or values is None:
         return None
-
-
-def _cut(fmt: _Format, numbers: list[int], values: np.ndarray) -> list[np.ndarray] | None:
-    """values cut into the tables the counts call for, or None when the sizes do not add up."""
+    numbers, rest = parsed
     shapes = fmt.shapes(*numbers)
     sizes = [rows * cols for rows, cols in shapes]
     if values.size != sum(sizes):
         return None
-    parts = np.split(values, list(accumulate(sizes))[:-1])
-    return [part.reshape(shape) for part, shape in zip(parts, shapes)]
-
-
-def _bulk(fmt: _Format, text: str) -> tuple[list[np.ndarray], str | None] | None:
-    """The tables and header tail of text when it is exactly fmt's canonical text, else None.
-
-    The result is kept only when text parses, its values fill the tables
-    the header calls for, and printing the int32 tables gives back text
-    itself, which a value beyond int32 cannot do.  The line loop parses
-    such text without error to the same tables, so this is a shortcut with
-    no verdict of its own.
-    """
-    parsed = _parse(fmt, text)
-    if parsed is None:
-        return None
-    numbers, rest, values = parsed
-    tables = _cut(fmt, numbers, values.astype(np.int32))
-    if tables is None:
-        return None
-    tail = " ".join(rest) if rest else fmt.tail
-    return (tables, tail) if fmt.text(numbers, tail, tables) == text else None
+    tables = [part.reshape(shape) for part, shape in
+              zip(np.split(values, list(accumulate(sizes))[:-1]), shapes)]
+    tail, at = " ".join(rest) if rest else fmt.tail, 0
+    for piece, _ in fmt.pieces(numbers, tail, tables):
+        if not text.startswith(piece, at):
+            return None
+        at += len(piece)
+    return (tables, tail) if at == len(text) else None
 
 
 def _line_tables(fmt: _Format, text: str) -> tuple[list[np.ndarray], str | None]:
@@ -233,11 +264,13 @@ def _line_tables(fmt: _Format, text: str) -> tuple[list[np.ndarray], str | None]
     tables, at = [], 1
     for k, (rows, cols) in enumerate(fmt.shapes(*numbers)):
         if k:
-            _expect_blank(lines, at)
+            if at >= len(lines) or lines[at] != "":
+                raise ParseError(at + 1, "expected blank separator line")
             at += 1
         tables.append(_parse_table(lines, at, rows, cols))
         at += rows
-    _expect_end(lines, at)
+    if at != len(lines):
+        raise ParseError(at + 1, "trailing content")
     return tables, " ".join(rest) if rest else fmt.tail
 
 
@@ -253,31 +286,8 @@ def header_counts(kind: str, text: str) -> list[int] | None:
     The body is not looked at, so a caller can refuse a file on its size
     first; a None leaves the error to the reader.
     """
-    fmt = _FORMATS[kind]
-    try:
-        return _parse_header(text.partition("\n")[0], fmt.magic, fmt.counts)[0]
-    except ParseError:
-        return None
-
-
-def encodes(kind: str, text: str, *values) -> bool:
-    """True iff text parses to the counts, tail and tables that the kind's writer prints for values.
-
-    Text is parsed once and never formatted again.  On text that the kind's
-    writer printed for values, this is the statement text == write(read(text)),
-    as the writer is an injective function of its fields.
-    A file from outside is left to the reader's own write-back test.
-    """
-    fmt = _FORMATS[kind]
-    parsed = _parse(fmt, text)
-    if parsed is None:
-        return False
-    numbers, rest, body = parsed
-    counts, tail, tables = fmt.fields(*values)
-    parts = _cut(fmt, numbers, body)
-    return (numbers == list(counts) and rest == ([] if fmt.tail is None else tail.split(" "))
-            and parts is not None
-            and all(map(np.array_equal, parts, tables)))
+    parsed = _header(_FORMATS[kind], text.partition("\n")[0])
+    return parsed and parsed[0]
 
 
 def write_group(G: FiniteGroup) -> str:
@@ -293,10 +303,6 @@ def read_group_table(text: str) -> tuple[np.ndarray, str]:
 def read_group(text: str) -> FiniteGroup:
     table, name = read_group_table(text)
     return FiniteGroup(table, name=name)
-
-
-def write_action(table) -> str:
-    return _write("action", table)
 
 
 def read_action(text: str) -> np.ndarray:

@@ -113,6 +113,19 @@ MUTANTS = (
     ("catalog", "self._fill(name, params, brace, bracoid, contains_brace(bracoid))",
      "self._fill(name, params, brace, bracoid, None)",
      "tests/test_bracoids.py::test_contains_brace_catalog_answers"),
+    # A block read back with its parse cut to the rows' size: an extra entry passes.
+    ("files", "np.array_equal(values, rows.ravel())",
+     "np.array_equal(values[:rows.size], rows.ravel())",
+     "tests/test_files.py::test_a_block_that_does_not_read_as_its_rows"),
+    # A block read back by its values alone: a row broken in two lines passes.
+    ("files", 'block.encode().translate(None, b"-0123456789") == seps.tobytes()', "True",
+     "tests/test_cli.py::test_a_broken_block_printer_fails_its_write_step"),
+    # An artifact's header checked on its counts only, not its tail.
+    ("files", 'rest == ([] if fmt.tail is None else tail.split(" "))', "True",
+     "tests/test_files.py::test_save_checks_the_header_and_each_block_against_what_it_printed"),
+    # The reader's walk without its end-of-text test: trailing text reads as canonical.
+    ("files", "(tables, tail) if at == len(text) else None", "(tables, tail)",
+     "tests/test_files.py::test_a_trailing_blank_line_is_not_canonical"),
     # The cyclic-pq quantities step reading |N| for |S|.
     ("cli", "got = (inst.bracoid.G.order, inst.bracoid.S.order)",
      "got = (inst.bracoid.G.order, inst.bracoid.N.order)",

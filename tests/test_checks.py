@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 
 from ybelab import checks
+from ybelab.braces import brace_solution
 from ybelab.checks import (BLOCK_ENTRIES, Check, Report, _first_bad_row, _first_repeat,
-                           _group_proof, find_identity, group_table_checks)
+                           _group_proof, find_identity, group_table_checks, map_closure)
 from ybelab.groups import (FiniteGroup, NotAssociative, NotLatinSquare, cyclic_group,
                            elementary_abelian, holomorph, semidirect_product)
+from ybelab.ybe import solution_from_bracoid, tilde_solution_from_bracoid
 
 from grid import first_failing
 
@@ -304,3 +306,60 @@ def test_table_proof_scratch_is_below_half_a_table():
                 tracemalloc.stop()
         assert all(c.ok for c in report)
         assert peak < table.nbytes / 2, (check_assoc, peak, table.nbytes)
+
+
+def _closure_oracle(maps, cap):
+    """(member set, kept) of map_closure by its definition, or None above cap
+    members: a row is kept when it is not yet a member at its turn, and the
+    members are the identity and every composition of kept rows."""
+    members, kept = {tuple(range(len(maps[0])))}, []
+    for g in map(tuple, np.asarray(maps).tolist()):
+        if g in members:
+            continue
+        kept.append(g)
+        frontier = list(members)
+        while frontier:
+            fresh = {tuple(a[i] for i in h) for a in frontier for h in kept} - members
+            members |= fresh
+            if len(members) > cap:
+                return None
+            frontier = list(fresh)
+    return members, kept
+
+
+def _closure_seen(maps, cap):
+    out = map_closure(np.asarray(maps, dtype=np.int32), cap)
+    if out is None:
+        return None
+    members, kept = out
+    rows = [tuple(row) for row in members.tolist()]
+    assert len(set(rows)) == len(rows) and rows[0] == tuple(range(members.shape[1]))
+    return set(rows), [tuple(g) for g in np.asarray(kept).tolist()]
+
+
+def _library_maps(inst):
+    """The maps the derived-rack braid proof closes: s_X and the rack's y * x
+    for the brace, bracoid and tilde solutions of a catalog instance."""
+    cb = inst.contained
+    for r in (brace_solution(inst.brace) if inst.brace is not None else None,
+              cb and solution_from_bracoid(cb), cb and tilde_solution_from_bracoid(cb)):
+        if r is not None:
+            left, right = np.asarray(r.left), np.asarray(r.right)
+            col = np.arange(r.size)[:, None]
+            yield left
+            yield left[col, right[col, np.argsort(left, axis=1)].T]
+
+
+def test_map_closure_equals_its_definition(catalog):
+    """Random permutation sets and maps, a single long cycle and every
+    library-derived map: the member set and the kept rows are the
+    definition's, and None exactly when it has more than cap members."""
+    rng = np.random.default_rng(419)
+    cases = [(np.roll(np.arange(300), 1)[None, :], 300), (np.roll(np.arange(300), 1)[None, :], 299)]
+    for m in range(1, 8):
+        for count in (1, 2, 4):
+            cases.append((np.array([rng.permutation(m) for _ in range(count)]), 5040))
+            cases.append((rng.integers(0, m, (count, m)), 30))
+    cases += [(maps, len(maps)) for inst in catalog for maps in _library_maps(inst)]
+    for maps, cap in cases:
+        assert _closure_seen(maps, cap) == _closure_oracle(maps, cap), (maps.shape, cap)

@@ -246,13 +246,14 @@ def test_max_order_is_read_from_the_header(tmp_path, capsys, command, kind, extr
 
 
 def test_a_writer_that_prints_another_table_fails_its_write_step(tmp_path, capsys, monkeypatch):
-    """The write step parses the artifact and compares it with the values it
-    was written from, so a writer that prints another table fails it even
-    though its text is canonical and reads back without error."""
+    """The write step parses each block back and compares it with the rows it
+    was printed from, so a block printer that prints another table fails it
+    even though its text is canonical and reads back without error."""
     main(["example", "semidirect", "3", "2", "--out", str(tmp_path)])
-    write = files.write_solution
-    monkeypatch.setattr(files, "write_solution",
-                        lambda r: write(SolutionMap(r.right, r.left, provenance=r.provenance)))
+    block_text = files._block_text
+    monkeypatch.setattr(files, "_block_text",
+                        lambda rows, words: block_text(
+                            rows[:, [0, 1, 3, 2]] if rows.shape[1] == 4 else rows, words))
     code = main(["derive", "solution-from-brace", str(tmp_path / "semidirect-3-2-brace.txt"),
                  "--out", str(tmp_path / "out")])
     out = capsys.readouterr().out
@@ -266,14 +267,63 @@ def test_a_writer_that_prints_another_table_fails_its_write_step(tmp_path, capsy
 @pytest.mark.parametrize("kind", ["group", "bracoid"])
 def test_an_example_artifact_written_wrong_fails_its_write_step(tmp_path, capsys, monkeypatch,
                                                                   kind):
-    write = getattr(files, f"write_{kind}")
-    other = cyclic_group(6)
-    wrong = {"group": lambda G: write(other),
-             "bracoid": lambda G, N, act: write(other, N, act)}[kind]
-    monkeypatch.setattr(files, f"write_{kind}", wrong)
+    """A block printer that prints the transpose of a square table, while the
+    artifacts of one kind are saved: only their write step fails."""
+    save, block_text = files.save, files._block_text
+
+    def save_wrong(path, kind_, *values):
+        with monkeypatch.context() as m:
+            if kind_ == kind:
+                m.setattr(files, "_block_text", lambda rows, words: block_text(
+                    rows.T if rows.shape[0] == rows.shape[1] else rows, words))
+            return save(path, kind_, *values)
+
+    monkeypatch.setattr(files, "save", save_wrong)
     assert main(["example", "semidirect", "3", "2", "--out", str(tmp_path)]) == 1
     failed = [s.split()[1] for s in _steps(capsys.readouterr().out) if "FAIL" in s]
     assert failed == [f"write-semidirect-3-2-{kind}.txt"]
+
+
+def _last_block(text: str, broken: str) -> str:
+    """The text of a solution's last block, broken as named."""
+    head, last = text[:-1].rsplit(" ", 1)
+    return {"drops-an-entry": head + "\n",
+            "changes-an-entry": f"{head} {int(last) ^ 1}\n",
+            "breaks-a-row": text.replace(" ", "\n", 1)}[broken]
+
+
+@pytest.mark.parametrize("broken", ["drops-an-entry", "changes-an-entry", "breaks-a-row",
+                                    "ends-a-block-inside-a-row"])
+def test_a_broken_block_printer_fails_its_write_step(tmp_path, capsys, monkeypatch, broken):
+    """A solution of order 130 is written in two blocks: 16,384 rows, then 516.
+
+    A printer that drops or changes one entry of the last block, or puts a
+    newline inside one of its rows, fails the write step; so does one that
+    moves the last entry of the first block into the second, though the file
+    it writes is the canonical text.
+    """
+    brace = tmp_path / "brace.txt"
+    brace.write_text(write_brace(cyclic_group(130), cyclic_group(130)))
+    block_text, held, step = files._block_text, [], checks.BLOCK_ENTRIES // 4
+
+    def printer(rows, words):
+        text = block_text(rows, words)
+        if broken == "ends-a-block-inside-a-row":
+            if rows.shape[0] == step:
+                text, tail = text[:-1].rsplit(" ", 1)
+                held.append(f" {tail}\n")
+                return text
+            return "".join(held) + text
+        return _last_block(text, broken) if rows.shape[0] == 130 * 130 % step else text
+
+    monkeypatch.setattr(files, "_block_text", printer)
+    code = main(["derive", "solution-from-brace", str(brace), "--out", str(tmp_path / "out")])
+    failed = [s.split()[1:3] for s in _steps(capsys.readouterr().out) if "FAIL" in s]
+    assert code == 1 and failed == [["write-solution.txt", "FAIL"]]
+    if held:
+        monkeypatch.undo()
+        written = (tmp_path / "out" / "solution.txt").read_text()
+        assert written == files.write_solution(files.read_solution(written))
 
 
 def test_verify_group_passes(tmp_path, capsys):

@@ -9,9 +9,7 @@ from hypothesis import strategies as st
 from ybelab.files import (
     ParseError,
     _split,
-    _table_text,
     header_counts,
-    encodes,
     read_action,
     read_bracoid,
     read_brace,
@@ -19,7 +17,6 @@ from ybelab.files import (
     read_group_table,
     read_semibrace,
     read_solution,
-    write_action,
     write_bracoid,
     write_brace,
     write_group,
@@ -27,11 +24,17 @@ from ybelab.files import (
     write_solution,
 )
 from ybelab import files
-from ybelab.catalog import abelianmap_instance
-from ybelab.cli import main
-from ybelab.groups import FiniteGroup, cyclic_group, semidirect_product
+from ybelab.catalog import abelianmap_instance, build_example
+from ybelab.checks import _row_blocks
+from ybelab.cli import _instance_artifacts, main
+from ybelab.groups import FiniteGroup, cyclic_group, holomorph, semidirect_product
 from ybelab.semibraces import bracoid_to_semibrace
 from ybelab.ybe import SolutionMap, solution_from_bracoid
+
+
+def write_action(table) -> str:
+    """The action kind's canonical text; the CLI writes it with files.save."""
+    return files._write("action", table)
 
 
 def _sd32():
@@ -161,12 +164,13 @@ ZERO_COUNTS = [
 
 @pytest.mark.parametrize("kind, values, tables", ZERO_COUNTS,
                          ids=[f"{case[0]}-{i}" for i, case in enumerate(ZERO_COUNTS)])
-def test_a_header_count_of_zero_is_legal(kind, values, tables, monkeypatch):
-    """The writer's text for a count of 0 passes encodes and reads back to
-    the same tables, by the bulk path and by the line loop alike."""
-    write, read = getattr(files, f"write_{kind}"), READERS[files._FORMATS[kind].magic]
-    text = write(*values)
-    assert encodes(kind, text, *values)
+def test_a_header_count_of_zero_is_legal(kind, values, tables, monkeypatch, tmp_path):
+    """The writer's text for a count of 0 is what save writes and checks, and
+    it reads back to the same tables, by the bulk path and by the line loop alike."""
+    read = READERS[files._FORMATS[kind].magic]
+    text = files._write(kind, *values)
+    assert files.save(tmp_path / "f.txt", kind, *values)
+    assert (tmp_path / "f.txt").read_text() == text
     fmt = files._FORMATS[kind]
     bulk, line = files._bulk(fmt, text), files._line_tables(fmt, text)
     assert [(t.shape, t.tolist()) for t in bulk[0]] == [(t.shape, t.tolist()) for t in line[0]]
@@ -211,6 +215,14 @@ def test_trailing_garbage():
     with pytest.raises(ParseError) as exc:
         read_group("GROUP v1 2\n0 1\n1 0\nextra\n")
     assert exc.value.line == 4
+
+
+def test_a_trailing_blank_line_is_not_canonical():
+    """Canonical text and then more whitespace parses to the same values, so
+    only the walk's end-of-text test sends it to the line loop's error."""
+    with pytest.raises(ParseError) as exc:
+        read_group(write_group(cyclic_group(2)) + "\n")
+    assert exc.value.line == 4 and "trailing content" in str(exc.value)
 
 
 def test_missing_blank_separator():
@@ -545,11 +557,16 @@ def test_table_readers_match_the_oracle_on_damaged_text(case, kinds, seed):
     ((400, 400), 0, 399), ((3, 70000), 0, 70000), ((400, 400), -1, 399),
     ((400, 400), 0, 2**31 - 1),
 ])
-def test_table_text_matches_the_row_writer(shape, lo, hi):
+def test_block_text_matches_the_row_writer(shape, lo, hi):
+    """The blocks of a table, printed from its words, join to the row
+    writer's text, and each reads back as the rows it prints."""
     rng = np.random.default_rng([*shape, lo % 2**32, hi % 2**32])
     arr = rng.integers(lo, hi, shape, endpoint=True).astype(np.int32)
     expected = "".join(line + "\n" for line in oracle_table_lines(arr))
-    assert _table_text(arr) == expected
+    words = files._words(arr)
+    blocks = [(files._block_text(rows, words), rows) for _, rows in _row_blocks(arr)]
+    assert "".join(text for text, _ in blocks) == expected
+    assert all(files._reads_as(text, rows) for text, rows in blocks)
     if shape[0] and shape[1]:
         text = write_action(arr)
         assert text == "\n".join([f"ACTION v1 {shape[0]} {shape[1]}"]
@@ -563,29 +580,89 @@ def test_header_counts_read_only_the_first_line():
     assert header_counts("brace", "GROUP v1 2\n") is None
 
 
-def test_encodes_is_the_text_parsing_to_the_written_fields():
-    """encodes parses once and compares counts, tail and tables with the
-    fields the writer prints for the values; it never formats again."""
-    G = _sd32()
-    assert encodes("group", write_group(G), G)
-    assert not encodes("group", "GROUP v1 2\n0 1\n1 0\n", cyclic_group(2))   # no name
-    assert not encodes("group", write_group(cyclic_group(6)), G)
-    text = write_brace(G, G)
-    assert encodes("brace", text, G, G)
-    assert not encodes("brace", text, G, cyclic_group(6))
-    assert not encodes("brace", text.replace("BRACE v1 6", "BRACE v1 6 x"), G, G)
-    assert not encodes("brace", text.replace("BRACE v1 6", "BRACE v1 5"), G, G)
-    assert not encodes("semibrace", text, G, G)
-    # Text that reads as the same fields passes; only a reader, which may
-    # meet files from outside, also asks for the writer's exact text.
-    padded = text.replace("\n1 ", "\n01 ", 1)
-    assert encodes("brace", padded, G, G) and files._bulk(files._FORMATS["brace"], padded) is None
+def save_edited(monkeypatch, path, kind, values, edit) -> bool:
+    """files.save with the k-th piece it prints replaced by edit(k, piece)."""
+    pieces = files._Format.pieces
+    with monkeypatch.context() as m:
+        m.setattr(files._Format, "pieces", lambda fmt, *args: (
+            (edit(k, piece), rows) for k, (piece, rows) in enumerate(pieces(fmt, *args))))
+        return files.save(path, kind, *values)
+
+
+def test_save_checks_the_header_and_each_block_against_what_it_printed(tmp_path, monkeypatch):
+    """save parses each piece it writes once and compares it with the counts,
+    tail or rows it was printed from; it never formats a piece again."""
+    G, path = _sd32(), tmp_path / "f.txt"
+    same = lambda k, piece: piece
+    assert save_edited(monkeypatch, path, "group", (G,), same)
+    assert path.read_text() == write_group(G)
+    header = lambda old, new: lambda k, piece: piece.replace(old, new) if k == 0 else piece
+    assert not save_edited(monkeypatch, path, "group", (G,), header(f" {G.name}\n", "\n"))
+    assert path.read_text() == "GROUP v1 6\n" + write_group(G).split("\n", 1)[1]
+    assert not save_edited(monkeypatch, path, "group", (G,), header(" 6 ", " 5 "))
+    assert not save_edited(monkeypatch, path, "brace", (G, G), header(" 6\n", " 6 x\n"))
+    assert not save_edited(monkeypatch, path, "brace", (G, G), header(" 6\n", " 6\n\n"))
     r = SolutionMap(np.zeros((2, 2)), np.ones((2, 2)), provenance="p")
-    text = write_solution(r)
-    assert encodes("solution", text, r)
-    assert not encodes("solution", text, SolutionMap(r.left, r.right, provenance="q"))
-    swapped = text.replace("0 1 0 1\n1 0 0 1\n", "1 0 0 1\n0 1 0 1\n")
-    assert swapped != text and not encodes("solution", swapped, r)
+    assert save_edited(monkeypatch, path, "solution", (r,), same)
+    assert not save_edited(monkeypatch, path, "solution", (r,), header(" p\n", " q\n"))
+    # A blank line between two tables is a block too.
+    assert not save_edited(monkeypatch, path, "brace", (G, G),
+                           lambda k, piece: " \n" if piece == "\n" else piece)
+    swap = lambda k, piece: piece.replace("0 1 0 1\n1 0 0 1\n", "1 0 0 1\n0 1 0 1\n")
+    assert not save_edited(monkeypatch, path, "solution", (r,), swap)
+    # Text that reads as the same rows passes; only a reader, which may
+    # meet files from outside, also asks for the writer's exact text.
+    pad = lambda k, piece: piece.replace("\n1 ", "\n01 ", 1) if k == 1 else piece
+    assert save_edited(monkeypatch, path, "brace", (G, G), pad)
+    padded = path.read_text()
+    assert padded != write_brace(G, G) and files._bulk(files._FORMATS["brace"], padded) is None
+    assert np.array_equal(read_brace(padded)[0], G.table)
+
+
+@pytest.mark.parametrize("block, rows", [
+    ("1 2\n3 4\n", [[1, 2], [3, 4]]),
+    ("01 2\n-0 4\n", [[1, 2], [0, 4]]),                       # read as the same rows
+    ("\n\n", np.zeros((2, 0))),
+    ("0\n", np.zeros((1, 1))),
+])
+def test_a_block_that_reads_as_its_rows(block, rows):
+    assert files._reads_as(block, np.asarray(rows, dtype=np.int32))
+
+
+@pytest.mark.parametrize("block", [
+    "1 2\n3 4\n5", "1 2\n3 4\n5\n", "1 2\n3 4 5\n",        # an extra entry
+    "1 2\n3\n", "1 2\n3 5\n", "1 2\n4 3\n",                  # an entry dropped, changed, moved
+    "1 2 3\n4\n", "1\n2 3 4\n", "1 2\n3 4", "1 2\n3 4\n\n",  # a row broken or joined
+    "1  2\n3 4\n", " 1 2\n3 4\n", "1\t2\n3 4\n", "1 2\r\n3 4\n", "+1 2\n3 4\n",
+    "1 2\n3 4 \n", "1 2\n3 -\n", "1 2\n3-4\n", "\n\n", "1 2\n\u0663 4\n",
+])
+def test_a_block_that_does_not_read_as_its_rows(block):
+    """Only a block that the line loop reads as exactly its rows passes: an
+    extra entry fails even after the last newline, and whitespace alone,
+    which np.fromstring reads as [0], holds no entry."""
+    assert not files._reads_as(block, np.array([[1, 2], [3, 4]], dtype=np.int32))
+
+
+def test_whitespace_alone_holds_no_entry():
+    assert not files._reads_as("\n", np.zeros((1, 1), dtype=np.int32))
+    assert not files._reads_as(" \n", np.zeros((1, 2), dtype=np.int32))
+
+
+@pytest.mark.parametrize("name, params", [("semidirect", (3, 2)), ("abelianmap", (3, 11))])
+def test_saved_artifacts_are_the_writers_text(tmp_path, name, params):
+    """For all six kinds, the file save streams is the writer's text byte for
+    byte; the order-132 solution takes two blocks."""
+    inst = build_example(name, params)
+    hol = holomorph(cyclic_group(5))
+    arts = [*_instance_artifacts(inst), ("hol.txt", "group", (hol.group,)),
+            ("hol-action.txt", "action", (hol.action.table,))]
+    assert {kind for _, kind, _ in arts} == set(files._FORMATS)
+    for filename, kind, values in arts:
+        assert files.save(tmp_path / filename, kind, *values)
+        text = (tmp_path / filename).read_text()
+        assert text == files._write(kind, *values)
+        if kind != "action":
+            assert text == getattr(files, f"write_{kind}")(*values)
 
 
 # --- canonical text must take the bulk path ---
