@@ -390,6 +390,10 @@ def closure(table: np.ndarray, gens, cap: int | None = None,
     generator joined, so each element meets each generator once.  The list
     for gens therefore extends the list for gens[:-1], which is `prior`
     when given: the walk starts from it and joins only gens[-1].
+
+    `generators` passes `prior` to add one pick at a time, and the catalog's
+    order-168 search passes `cap`.  `groups.find_complements` passes both:
+    it joins one coset member to a node, capped at |G|/|S| elements.
     """
     gens = [int(g) for g in gens]
     mul = table.item

@@ -514,9 +514,7 @@ def _battery_semibrace_structure(report: RunReport, with_brace) -> None:
             step.witness = _decomposition(bracoid_to_semibrace(inst.contained))
 
 
-def _battery_artifacts(report: RunReport, instances, out: Path | None) -> None:
-    if out is None:
-        return
+def _battery_artifacts(report: RunReport, instances, out: Path) -> None:
     for inst in instances:
         with report.timed(f"artifacts-{_slug(inst)}") as step:
             for filename, kind, values in _instance_artifacts(inst):

@@ -419,9 +419,11 @@ def find_complements(G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
     cosets is a complement.  So an empty list certifies that S has none.
 
     Pruning: a member g whose order does not divide m is skipped, and a
-    child is dropped the moment two of its elements land in one coset, or
-    when its order does not divide m (no subgroup of a complement has such
-    an order).  No subgroup is reached twice: on a path
+    child is dropped when two of its elements lie in one coset, or when its
+    order does not divide m (no subgroup of a complement has such an order).
+    The child is joined by `closure` before its cosets are read, so a
+    collision is found only after the join, which the cap stops once it
+    passes m elements.  No subgroup is reached twice: on a path
     to K, the element added at each node is the one member of K in that
     node's least unmet coset, so K fixes its own path and the search keeps
     no visited set.
@@ -432,56 +434,25 @@ def find_complements(G: FiniteGroup, S: Subgroup) -> list[Subgroup]:
     """
     if S.parent is not G:
         raise ValueError("S must be a subgroup of G")
-    table = G.table
     reps, label = _left_cosets(G, S)
     m = len(reps)
     point = label.tolist()
-    cosets = table[np.ix_(reps, S.elements)].tolist()
+    cosets = G.table[np.ix_(reps, S.elements)].tolist()
     orders = G.element_orders.tolist()
-    stack = [([0], [0] + [-1] * (m - 1))]
+    stack: list[tuple[list[int], list[int]]] = [([0], [])]
     found: list[tuple[int, ...]] = []
     while stack:
-        elems, owner = stack.pop()
+        elems, gens = stack.pop()
         if len(elems) == m:
             found.append(tuple(sorted(elems)))
             continue
-        p = owner.index(-1)
+        met = {point[k] for k in elems}
+        p = next(c for c in range(m) if c not in met)
         for g in cosets[p]:
             if m % orders[g]:
                 continue
-            child = _join(table, point, elems, owner, g)
-            if child is not None and m % len(child[0]) == 0:
-                stack.append(child)
+            child = closure(G.table, gens + [g], cap=m, prior=elems)
+            if (child is not None and m % len(child) == 0
+                    and len({point[k] for k in child}) == len(child)):
+                stack.append((child, gens + [g]))
     return [Subgroup(G, k) for k in sorted(found)]
-
-
-def _join(table: np.ndarray, point: list[int], elems: list[int], owner: list[int],
-          g: int) -> tuple[list[int], list[int]] | None:
-    """<K, g> as (elements, owner) for K = elems; None once two land in one coset.
-
-    owner[c] is the element of K in coset c, or -1, and g lies in a coset
-    K does not meet.  Every element of <K, g> is a word in K and g (an
-    inverse is a positive power), so <K, g> is the least set holding K that
-    is closed under right multiplication by K and by g.  The set is grown a
-    whole left coset zK at a time, which keeps it closed under K, and each
-    element is multiplied by g once: 2|<K, g>| products in all.
-    """
-    mul = table.item
-    owner = owner.copy()
-    out = list(elems)
-    i, z = 0, g
-    while True:
-        held = owner[point[z]]
-        if held < 0:
-            for k in elems:
-                w = mul(z, k)
-                if owner[point[w]] >= 0:
-                    return None
-                owner[point[w]] = w
-                out.append(w)
-        elif held != z:
-            return None
-        if i == len(out):
-            return out, owner
-        z = mul(out[i], g)
-        i += 1

@@ -97,6 +97,10 @@ MUTANTS = (
     # complement built from it is not closed.
     ("checks", "            for h in joined:\n", "            for h in joined[-1:]:\n",
      "tests/test_complements.py::test_regular_subgroups_of_holomorphs_match_the_oracle[C4]"),
+    # The complement search without its coset-collision test: a subgroup
+    # meeting S outside 0 is reported as a complement.
+    ("groups", "len({point[k] for k in child}) == len(child)", "True",
+     "tests/test_complements.py::test_regular_subgroups_of_holomorphs_match_the_oracle[C2^3]"),
     # gamma-stability asked of gamma_x for x in S only.
     ("braces", "stable = member[B.gamma[:, sel]].all()",
      "stable = member[B.gamma[sel][:, sel]].all()",

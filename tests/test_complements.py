@@ -20,7 +20,6 @@ from ybelab.catalog import abelianmap_instance, promote_brace, seeded_braces
 from ybelab.checks import closure
 from ybelab.groups import (
     Subgroup,
-    _join,
     cyclic_group,
     direct_product,
     elementary_abelian,
@@ -126,21 +125,3 @@ def test_generated_subgroups_match_the_oracle(catalog, data):
     G = data.draw(st.sampled_from([inst.bracoid.G for inst in catalog]))
     gens = data.draw(st.lists(st.integers(0, G.order - 1), max_size=2))
     _same_as_oracle(G, subgroup_generated(G, gens))
-
-
-@settings(max_examples=60, deadline=None)
-@given(data=st.data())
-def test_join_is_the_generated_subgroup(catalog, data):
-    """With S trivial each element is its own coset, so `_join` never
-    refuses and must return exactly <K, g>."""
-    G = data.draw(st.sampled_from([inst.bracoid.G for inst in catalog]))
-    K = subgroup_generated(G, data.draw(st.lists(st.integers(0, G.order - 1), max_size=2)))
-    g = data.draw(st.sampled_from([x for x in range(G.order) if x not in K] or [None]))
-    if g is None:
-        return
-    owner = [-1] * G.order
-    for k in K.elements:
-        owner[k] = k
-    elems, owner = _join(G.table, list(range(G.order)), list(K.elements), owner, g)
-    assert sorted(elems) == list(subgroup_generated(G, [*K.elements, g]).elements)
-    assert [x for x in owner if x >= 0] == sorted(elems)

@@ -128,6 +128,30 @@ def test_only_listed_functions_loop_over_generators():
     assert callers == GENERATOR_LOOPS
 
 
+# The functions that may bind a table's `.item` to walk its products: the
+# one closure walk, from which every generated subgroup comes, and the Aut
+# search, which records each product as a step of its spanning tree.  A
+# second closure walk has to be listed here on purpose.
+PRODUCT_WALKS = {
+    "checks.closure",
+    "groups.automorphism_group",
+}
+
+
+def test_only_listed_functions_walk_a_table_by_its_item():
+    walkers = set()
+    for path, tree in _trees():
+        for node in ast.walk(tree):
+            if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            calls = {id(inner.func) for inner in ast.walk(node) if isinstance(inner, ast.Call)}
+            for inner in ast.walk(node):
+                if (isinstance(inner, ast.Attribute) and inner.attr == "item"
+                        and id(inner) not in calls):
+                    walkers.add(f"{path.stem}.{node.name}")
+    assert walkers == PRODUCT_WALKS
+
+
 # The modules that may draw random numbers: the seeded catalog search and the
 # CLI that seeds it.  A law module decides on every input, never on a sample.
 RANDOM_IMPORTERS = {"catalog", "cli"}
