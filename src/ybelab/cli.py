@@ -156,34 +156,32 @@ def _refuse_order(order: int, max_order: int) -> None:
 # --- structure files ---
 
 class FileKind(Record):
-    """How to read a structure file, report on its laws and build it."""
+    """How to report on the laws of a structure file's tables and build it."""
 
-    __slots__ = ("read", "verify", "build", "witness")
+    __slots__ = ("verify", "build", "witness")
 
     def __init__(self,
-                 read: Callable,                        # text -> tables
                  verify: Callable,                      # *tables -> Report
                  build: Callable | None = None,         # *tables -> verified structure
                  witness: Callable = lambda value: ""):  # structure -> witness of its build step
-        self._fill(read, verify, build, witness)
+        self._fill(verify, build, witness)
 
 
 def _file_kinds() -> dict[str, FileKind]:
     return {
-        "group": FileKind(lambda text: files.read_group_table(text)[:1],
-                          lambda table: Report(tuple(group_table_checks(table)))),
+        "group": FileKind(lambda table: Report(tuple(group_table_checks(table)))),
         "brace": FileKind(
-            files.read_brace, verify_skew_brace,
+            verify_skew_brace,
             lambda star, dot: SkewBrace(FiniteGroup(star, name="Gs"),
                                         FiniteGroup(dot, name="Gd")),
             lambda B: f"n={B.order}"),
         "bracoid": FileKind(
-            files.read_bracoid, verify_bracoid,
+            verify_bracoid,
             lambda g, n, act: SkewBracoid(FiniteGroup(g, name="G"),
                                           FiniteGroup(n, name="N"), act),
             lambda bc: f"G={bc.G.order},N={bc.N.order}"),
         "semibrace": FileKind(
-            files.read_semibrace, verify_semibrace,
+            verify_semibrace,
             lambda dot, plus: Semibrace(FiniteGroup(dot, name="G"), plus),
             lambda sb: f"n={sb.order}"),
     }
@@ -203,7 +201,7 @@ def _load(report: RunReport, kind: str, text: str, max_order: int):
     """Guard, read and build; input that breaks a law cannot feed a pipeline."""
     _refuse_header(kind, text, max_order)
     spec = _file_kinds()[kind]
-    tables = spec.read(text)
+    tables, _ = files.read_tables(text, kind)
     try:
         return report.build(f"build-{kind}", lambda: spec.build(*tables), spec.witness)
     except ValueError as exc:
@@ -296,7 +294,7 @@ def cmd_verify(args) -> int:
     _refuse_header(args.kind, text, args.max_order)
     if args.kind != "solution":
         spec = _file_kinds()[args.kind]
-        tables = spec.read(text)
+        tables, _ = files.read_tables(text, args.kind)
         report.absorb("", report.build("scan", lambda: spec.verify(*tables)))
         return _finish(report, _out_dir(args))
     try:

@@ -5,7 +5,7 @@ line newline-terminated, and parse(print(v)) reproduces v bit for bit.
 One walk, `_Format.pieces`, yields a file's canonical text in blocks of
 rows: the writers join it, and `save` writes and checks it block by block.
 
-Every kind is read by `_read_tables`.  Canonical text is read in bulk, by
+Every kind is read by `read_tables`.  Canonical text is read in bulk, by
 one np.fromstring pass over the body that is kept only when the walk gives
 the text back exactly; anything else is read line by line, and that
 loop is the only source of ParseError.  It splits lines on single spaces
@@ -13,11 +13,11 @@ and takes any token int() takes, so it reads more than canonical text:
 '+1', '01', '1_0' and non-ASCII digits such as '\u0663' read as their
 value, and a tab or carriage return beside a number is dropped.
 
-Readers return raw tables (not verified structures) except for groups
-and solutions, whose types carry no unverified laws beyond shape; the
-caller decides whether to run verifiers or constructors on the rest.
-Every table read is frozen (`checks.frozen`), so a constructor adopts it
-without a copy and the memo proves it once.
+`read_tables` returns raw tables, not verified structures: the caller
+decides whether to run verifiers or constructors on them.  `read_group`
+and `read_solution` build their objects, whose types carry no unverified
+laws beyond shape.  Every table read is frozen (`checks.frozen`), so a
+constructor adopts it without a copy and the memo proves it once.
 """
 
 from __future__ import annotations
@@ -274,7 +274,8 @@ def _line_tables(fmt: _Format, text: str) -> tuple[list[np.ndarray], str | None]
     return tables, " ".join(rest) if rest else fmt.tail
 
 
-def _read_tables(kind: str, text: str) -> tuple[list[np.ndarray], str | None]:
+def read_tables(text: str, kind: str) -> tuple[list[np.ndarray], str | None]:
+    """The frozen tables of a kind file, in its layout's order, and its header tail."""
     fmt = _FORMATS[kind]
     tables, tail = _bulk(fmt, text) or _line_tables(fmt, text)
     return [frozen(table) for table in tables], tail
@@ -286,7 +287,8 @@ def header_counts(kind: str, text: str) -> list[int] | None:
     The body is not looked at, so a caller can refuse a file on its size
     first; a None leaves the error to the reader.
     """
-    parsed = _header(_FORMATS[kind], text.partition("\n")[0])
+    end = text.find("\n")
+    parsed = _header(_FORMATS[kind], text if end < 0 else text[:end])
     return parsed and parsed[0]
 
 
@@ -294,47 +296,21 @@ def write_group(G: FiniteGroup) -> str:
     return _write("group", G)
 
 
-def read_group_table(text: str) -> tuple[np.ndarray, str]:
-    """Raw table and name with no axiom validation; verifiers want broken input."""
-    (table,), name = _read_tables("group", text)
-    return table, name
-
-
 def read_group(text: str) -> FiniteGroup:
-    table, name = read_group_table(text)
+    (table,), name = read_tables(text, "group")
     return FiniteGroup(table, name=name)
-
-
-def read_action(text: str) -> np.ndarray:
-    (table,), _ = _read_tables("action", text)
-    return table
 
 
 def write_brace(star, dot) -> str:
     return _write("brace", star, dot)
 
 
-def read_brace(text: str) -> tuple[np.ndarray, np.ndarray]:
-    (star, dot), _ = _read_tables("brace", text)
-    return star, dot
-
-
 def write_bracoid(G, N, act) -> str:
     return _write("bracoid", G, N, act)
 
 
-def read_bracoid(text: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    (gt, nt, at), _ = _read_tables("bracoid", text)
-    return gt, nt, at
-
-
 def write_semibrace(dot, plus) -> str:
     return _write("semibrace", dot, plus)
-
-
-def read_semibrace(text: str) -> tuple[np.ndarray, np.ndarray]:
-    (dot, plus), _ = _read_tables("semibrace", text)
-    return dot, plus
 
 
 def write_solution(r: SolutionMap) -> str:
@@ -342,12 +318,12 @@ def write_solution(r: SolutionMap) -> str:
 
 
 def read_solution(text: str) -> SolutionMap:
-    """Parse a YBE file: n^2 'x y lx ry' rows as `_read_tables` reads them.
+    """Parse a YBE file: n^2 'x y lx ry' rows as `read_tables` reads them.
 
     A row whose (x, y) is out of order is a ParseError at its line; an lx or
     ry outside 0..n-1 is the ValueError of SolutionMap.
     """
-    (rows,), provenance = _read_tables("solution", text)
+    (rows,), provenance = read_tables(text, "solution")
     n = math.isqrt(len(rows))
     x, y, lx, ry = rows.T
     pairs = np.arange(n * n)

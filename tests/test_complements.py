@@ -95,6 +95,8 @@ def test_large_abelianmap_stabilizers_match_the_oracle(p, q):
 def _hol(name: str):
     if name == "C2xC2":
         N = direct_product(cyclic_group(2), cyclic_group(2))
+    elif name == "C4xC2":
+        N = direct_product(cyclic_group(4), cyclic_group(2))
     elif name == "C2^3":
         N = elementary_abelian(2, 3)
     else:
@@ -102,7 +104,7 @@ def _hol(name: str):
     return holomorph(N)
 
 
-@pytest.mark.parametrize("name", [*(f"C{k}" for k in range(2, 9)), "C2xC2", "C2^3"])
+@pytest.mark.parametrize("name", [*(f"C{k}" for k in range(2, 9)), "C2xC2", "C4xC2", "C2^3"])
 def test_regular_subgroups_of_holomorphs_match_the_oracle(name):
     hol = _hol(name)
     # The regular subgroups of Hol(N): the complements of the point stabilizer.

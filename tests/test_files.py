@@ -1,4 +1,5 @@
 import warnings
+from functools import partial
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,13 +11,9 @@ from ybelab.files import (
     ParseError,
     _split,
     header_counts,
-    read_action,
-    read_bracoid,
-    read_brace,
     read_group,
-    read_group_table,
-    read_semibrace,
     read_solution,
+    read_tables,
     write_bracoid,
     write_brace,
     write_group,
@@ -58,7 +55,7 @@ def test_group_reader_defaults_the_name():
 
 def test_raw_group_table_skips_validation():
     text = "GROUP v1 2 broken\n0 1\n1 1\n"
-    table, name = read_group_table(text)
+    (table,), name = read_tables(text, "group")
     assert name == "broken" and table[1, 1] == 1
     with pytest.raises(ValueError):
         read_group(text)
@@ -68,14 +65,15 @@ def test_action_roundtrip():
     act = _sd32().table[:, :3]
     text = write_action(act)
     assert text.startswith("ACTION v1 6 3\n")
-    assert np.array_equal(read_action(text), act)
-    assert write_action(read_action(text)) == text
+    (back,), _ = read_tables(text, "action")
+    assert np.array_equal(back, act)
+    assert write_action(back) == text
 
 
 def test_brace_roundtrip():
     G = _sd32()
     text = write_brace(cyclic_group(6), G)
-    star, dot = read_brace(text)
+    (star, dot), _ = read_tables(text, "brace")
     assert np.array_equal(star, cyclic_group(6).table)
     assert np.array_equal(dot, G.table)
     assert write_brace(star, dot) == text
@@ -85,7 +83,7 @@ def test_bracoid_roundtrip():
     G = _sd32()
     act = G.table[:, :3] % 3
     text = write_bracoid(G, cyclic_group(3), act)
-    gt, nt, at = read_bracoid(text)
+    (gt, nt, at), _ = read_tables(text, "bracoid")
     assert np.array_equal(gt, G.table)
     assert np.array_equal(nt, cyclic_group(3).table)
     assert np.array_equal(at, act)
@@ -95,7 +93,7 @@ def test_bracoid_roundtrip():
 def test_semibrace_roundtrip():
     G = _sd32()
     text = write_semibrace(G, G.table.T)
-    dot, plus = read_semibrace(text)
+    (dot, plus), _ = read_tables(text, "semibrace")
     assert np.array_equal(dot, G.table)
     assert np.array_equal(plus, G.table.T)
     assert write_semibrace(dot, plus) == text
@@ -135,7 +133,7 @@ def test_negative_header_count_is_line_one(kind, text):
     if kind == "solution":
         read, oracle_read, seen = read_solution, oracle_read_solution, outcome
     else:
-        _, read, _, oracle_read = TABLE_FORMATS[kind]
+        read, oracle_read = partial(read_tables, kind=kind), TABLE_FORMATS[kind][2]
         seen = table_outcome
     with pytest.raises(ParseError) as exc:
         read(text)
@@ -167,7 +165,6 @@ ZERO_COUNTS = [
 def test_a_header_count_of_zero_is_legal(kind, values, tables, monkeypatch, tmp_path):
     """The writer's text for a count of 0 is what save writes and checks, and
     it reads back to the same tables, by the bulk path and by the line loop alike."""
-    read = READERS[files._FORMATS[kind].magic]
     text = files._write(kind, *values)
     assert files.save(tmp_path / "f.txt", kind, *values)
     assert (tmp_path / "f.txt").read_text() == text
@@ -176,12 +173,7 @@ def test_a_header_count_of_zero_is_legal(kind, values, tables, monkeypatch, tmp_
     assert [(t.shape, t.tolist()) for t in bulk[0]] == [(t.shape, t.tolist()) for t in line[0]]
     assert bulk[1] == line[1]
     refuse_line_loop(monkeypatch)
-    value = read(text)
-    if isinstance(value, SolutionMap):
-        value = (value.left, value.right)
-    elif isinstance(value, np.ndarray):
-        value = (value,)
-    value = value[:len(tables)]                 # a group's name follows its table
+    value = read_any(text)
     assert [t.shape for t in value] == [t.shape for t in tables]
     assert all(np.array_equal(a, b) for a, b in zip(value, tables))
     if kind == "solution":
@@ -228,7 +220,7 @@ def test_a_trailing_blank_line_is_not_canonical():
 def test_missing_blank_separator():
     text = "BRACE v1 2\n0 1\n1 0\n0 1\n1 0\n"
     with pytest.raises(ParseError) as exc:
-        read_brace(text)
+        read_tables(text, "brace")
     assert exc.value.line == 4
 
 
@@ -407,7 +399,7 @@ def oracle_read_group(text):
     (n,), rest = oracle_header(lines, "GROUP", 1)
     table = oracle_parse_table(lines, 1, n, n)
     oracle_expect(lines, 1 + n, blank=False)
-    return table, " ".join(rest) if rest else "G"
+    return [table], " ".join(rest) if rest else "G"
 
 
 def oracle_read_action(text):
@@ -415,7 +407,7 @@ def oracle_read_action(text):
     (g, m), _ = oracle_header(lines, "ACTION", 2)
     table = oracle_parse_table(lines, 1, g, m)
     oracle_expect(lines, 1 + g, blank=False)
-    return table
+    return [table], None
 
 
 def oracle_read_pair(text, magic):
@@ -425,7 +417,7 @@ def oracle_read_pair(text, magic):
     oracle_expect(lines, 1 + n, blank=True)
     second = oracle_parse_table(lines, 2 + n, n, n)
     oracle_expect(lines, 2 + 2 * n, blank=False)
-    return first, second
+    return [first, second], None
 
 
 def oracle_read_bracoid(text):
@@ -437,32 +429,31 @@ def oracle_read_bracoid(text):
     oracle_expect(lines, 2 + n + m, blank=True)
     at = oracle_parse_table(lines, 3 + n + m, n, m)
     oracle_expect(lines, 3 + 2 * n + m, blank=False)
-    return gt, nt, at
+    return [gt, nt, at], None
 
 
-# kind -> (writer, reader, oracle writer, oracle reader)
+# kind -> (writer, oracle writer, oracle reader); the reader is read_tables(text, kind)
 TABLE_FORMATS = {
     "group": (lambda t, name: write_group(SimpleNamespace(order=len(t[0]), name=name,
                                                           table=t[0])),
-              read_group_table,
               lambda t, name: "\n".join([f"GROUP v1 {len(t[0])} {name}"]
                                         + oracle_table_lines(t[0])) + "\n",
               oracle_read_group),
-    "action": (lambda t, _: write_action(t[0]), read_action,
+    "action": (lambda t, _: write_action(t[0]),
                lambda t, _: "\n".join([f"ACTION v1 {t[0].shape[0]} {t[0].shape[1]}"]
                                       + oracle_table_lines(t[0])) + "\n",
                oracle_read_action),
-    "brace": (lambda t, _: write_brace(*t), read_brace,
+    "brace": (lambda t, _: write_brace(*t),
               lambda t, _: "\n".join([f"BRACE v1 {len(t[0])}"] + oracle_table_lines(t[0])
                                      + [""] + oracle_table_lines(t[1])) + "\n",
               lambda text: oracle_read_pair(text, "BRACE")),
-    "bracoid": (lambda t, _: write_bracoid(*t), read_bracoid,
+    "bracoid": (lambda t, _: write_bracoid(*t),
                 lambda t, _: "\n".join([f"BRACOID v1 {len(t[0])} {len(t[1])}"]
                                        + oracle_table_lines(t[0]) + [""]
                                        + oracle_table_lines(t[1]) + [""]
                                        + oracle_table_lines(t[2])) + "\n",
                 oracle_read_bracoid),
-    "semibrace": (lambda t, _: write_semibrace(*t), read_semibrace,
+    "semibrace": (lambda t, _: write_semibrace(*t),
                   lambda t, _: "\n".join([f"SEMIBRACE v1 {len(t[0])}"]
                                          + oracle_table_lines(t[0]) + [""]
                                          + oracle_table_lines(t[1])) + "\n",
@@ -471,15 +462,12 @@ TABLE_FORMATS = {
 
 
 def table_outcome(read, text):
-    """What a table reader makes of text: its tables and name, or the error with its line."""
+    """What a table reader makes of text: its tables and header tail, or the error with its line."""
     try:
-        value = read(text)
+        tables, tail = read(text)
     except ValueError as exc:
         return type(exc).__name__, str(exc), getattr(exc, "line", None)
-    if isinstance(value, np.ndarray):
-        value = (value,)
-    return tuple((v.dtype.str, v.shape, v.tobytes()) if isinstance(v, np.ndarray) else v
-                 for v in value)
+    return [(v.dtype.str, v.shape, v.tobytes()) for v in tables], tail
 
 
 @st.composite
@@ -501,12 +489,12 @@ def table_files(draw):
 @given(table_files())
 def test_table_writers_match_the_oracle_and_read_back(case):
     kind, tables, name = case
-    write, read, oracle_write, oracle_read = TABLE_FORMATS[kind]
+    write, oracle_write, oracle_read = TABLE_FORMATS[kind]
     text = write(tables, name)
     assert text == oracle_write(tables, name)
+    read = partial(read_tables, kind=kind)
     assert table_outcome(read, text) == table_outcome(oracle_read, text)
-    back = read(text)
-    back = (back,) if isinstance(back, np.ndarray) else back
+    back, _ = read_tables(text, kind)
     assert all(np.array_equal(a, b) for a, b in zip(back, tables))
 
 
@@ -539,11 +527,12 @@ def mutate_table(text: str, kind: int, rng) -> str:
 @example(case=("action", [np.array([[1]])], ""), kinds=[2, 9], seed=1464)
 def test_table_readers_match_the_oracle_on_damaged_text(case, kinds, seed):
     kind, tables, name = case
-    write, read, _, oracle_read = TABLE_FORMATS[kind]
+    write, _, oracle_read = TABLE_FORMATS[kind]
     rng = np.random.default_rng(seed)
     text = write(tables, name)
     for k in kinds:
         text = mutate_table(text, k, rng)
+    read = partial(read_tables, kind=kind)
     assert table_outcome(read, text) == table_outcome(oracle_read, text)
 
 
@@ -578,6 +567,8 @@ def test_header_counts_read_only_the_first_line():
     assert header_counts("solution", "YBE v1 9 x y\n") == [9]
     assert header_counts("group", "GROUP v1 x\n0\n") is None
     assert header_counts("brace", "GROUP v1 2\n") is None
+    assert header_counts("brace", "BRACE v1 7") == [7]              # no newline at all
+    assert header_counts("group", "") is None
 
 
 def save_edited(monkeypatch, path, kind, values, edit) -> bool:
@@ -616,7 +607,7 @@ def test_save_checks_the_header_and_each_block_against_what_it_printed(tmp_path,
     assert save_edited(monkeypatch, path, "brace", (G, G), pad)
     padded = path.read_text()
     assert padded != write_brace(G, G) and files._bulk(files._FORMATS["brace"], padded) is None
-    assert np.array_equal(read_brace(padded)[0], G.table)
+    assert np.array_equal(read_tables(padded, "brace")[0][0], G.table)
 
 
 @pytest.mark.parametrize("block, rows", [
@@ -667,8 +658,16 @@ def test_saved_artifacts_are_the_writers_text(tmp_path, name, params):
 
 # --- canonical text must take the bulk path ---
 
-READERS = {"GROUP": read_group_table, "ACTION": read_action, "BRACE": read_brace,
-           "BRACOID": read_bracoid, "SEMIBRACE": read_semibrace, "YBE": read_solution}
+KINDS = {fmt.magic: kind for kind, fmt in files._FORMATS.items()}
+
+
+def read_any(text: str) -> list[np.ndarray]:
+    """The tables of a file of any kind, named by its magic; a solution's as its two maps."""
+    kind = KINDS[text.split(" ", 1)[0]]
+    if kind == "solution":
+        r = read_solution(text)
+        return [r.left, r.right]
+    return read_tables(text, kind)[0]
 
 
 def refuse_line_loop(monkeypatch) -> None:
@@ -684,7 +683,7 @@ def test_suite_artifacts_take_the_bulk_path(tmp_path, monkeypatch, capsys):
     assert len(texts) == 58
     refuse_line_loop(monkeypatch)
     for text in texts:
-        READERS[text.split(" ", 1)[0]](text)
+        read_any(text)
 
 
 def relabel(table: np.ndarray, rows: np.ndarray, cols: np.ndarray,
@@ -715,11 +714,7 @@ def test_relabelled_order_132_files_take_the_bulk_path(monkeypatch):
     ]
     refuse_line_loop(monkeypatch)
     for text, tables in files_and_tables:
-        value = READERS[text.split(" ", 1)[0]](text)
-        if isinstance(value, SolutionMap):
-            value = (value.left, value.right)
-        elif isinstance(value, np.ndarray):
-            value = (value,)
+        value = read_any(text)
         assert all(np.array_equal(a, b) for a, b in zip(value, tables))
 
 

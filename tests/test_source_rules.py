@@ -200,8 +200,7 @@ def test_every_process_entry_is_cli_run():
 # checks a statement of the paper or a planned item through it.
 UNCALLED_BY_DESIGN = {
     "ybe.restrict_solution": "the restrictions of the bracoid solution to H and to S",
-    "braces.regular_rep_in_holomorph": "the skew brace census of ROADMAP item 4 reads it backwards",
-    "files.read_action": "the reader of the holomorph-action.txt artifact the CLI writes",
+    "braces.regular_rep_in_holomorph": "the skew brace census of ROADMAP item 22 reads it backwards",
     "ybe.SolutionReport.braid_witness": "perfbench/test_perfbench.py reads it; goes with item 1a",
 }
 
@@ -290,7 +289,7 @@ def test_first_triple_scans_only_module_level_statements():
 # to be listed here on purpose.  The two suite batteries re-check maps that
 # their constructors proved: they are pin-bound, kept only because the exact
 # `check_braid` count in perfbench/test_perfbench.py includes their calls, and
-# ROADMAP item 17 removes them after item 1a turns the pins into data.
+# ROADMAP item 2b removes them after item 1a turns the pins into data.
 CHECK_BRAID_CALLERS = {
     "ybe.SolutionMap.report",           # the one proof of a map
     "cli._battery_solutions",           # pin-bound re-check
